@@ -5,7 +5,6 @@ and dispersive decay of e^{−itH}P_ac."""
 from .errors import (
     CrossCheckError,
     CutoffError,
-    QuadratureError,
     ResonanceError,
     ScatterlabError,
     TruncationError,
@@ -22,7 +21,6 @@ __all__ = [
     "TruncationError",
     "CutoffError",
     "CrossCheckError",
-    "QuadratureError",
     "ResonanceError",
     "__version__",
 ]

@@ -41,7 +41,7 @@ from .kernels import (
     kernel_table_csv,
     resonance_functionals,
 )
-from .potentials import CATALOG_NAMES, catalog
+from .potentials import CATALOG_NAMES, catalog, to_spec
 from .scattering import classify_resonance, scattering_data
 from .wiener import derivative_a_norms, difference_quotient_norm
 
@@ -261,7 +261,7 @@ def cmd_catalog(out: Path) -> int:
                 "name": name,
                 "label": pot.label,
                 "params": pot.params,
-                "tail": {"kind": pot.tail.kind, "radius_or_rate": pot.tail.rate},
+                "tail": to_spec(pot)["tail_bound"],
                 "moment_order": "inf" if pot.moment_order == float("inf") else pot.moment_order,
                 "breakpoints": list(pot.breakpoints),
                 "notes": _CATALOG_NOTES.get(name, []),

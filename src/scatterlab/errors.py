@@ -17,9 +17,5 @@ class CrossCheckError(ScatterlabError):
     """An internal consistency cross-check exceeded its tolerance."""
 
 
-class QuadratureError(ScatterlabError):
-    """A quadrature failed to converge or reported an unreliable result."""
-
-
 class ResonanceError(ScatterlabError):
     """A resonant-only operation was invoked on non-resonant data (or vice versa)."""

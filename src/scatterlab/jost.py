@@ -14,9 +14,9 @@ batched into bands of comparable |k| so that one vectorised solver call
 serves many wavenumbers without the largest k forcing tiny steps on all of
 them.
 
-k = 0 is always solved as the genuine real ODE h″ = V h (no limit is taken),
-and purely imaginary k = iκ reduce to the real equations h″ = V h ± 2κ h′
-used for bound-state searches.
+Purely imaginary k = iκ reduce to the real equations h″ = V h ± 2κ h′
+(compute_h_bound), used for bound-state searches.  k = 0 is the case κ = 0
+of the same routine: the genuine real ODE h″ = V h, with no limit taken.
 """
 
 from __future__ import annotations
@@ -36,13 +36,15 @@ __all__ = [
     "ZeroEnergyState",
     "compute_h",
     "compute_h_bound",
-    "jost_at_zero",
     "zero_energy_scan",
     "zero_energy_state",
     "RESONANCE_EPS",
 ]
 
 RESONANCE_EPS = 1e-6  # |W(0)| below this multiple of the natural scale => resonant
+# floor for the resonance scale so V ≡ 0 (all Wronskian terms vanish
+# identically) still classifies as resonant
+_SCALE_FLOOR = 1e-6
 
 _BAND_EDGES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
@@ -123,8 +125,11 @@ def _integrate_batch(pot, x_targets, ks, side, rtol, atol, x_start):
         take = []
         while pos + len(take) < len(x_targets):
             t = x_targets[pos + len(take)]
-            if (inward and t >= b - 1e-14) or (not inward and t <= b + 1e-14):
-                take.append(float(t))
+            # a target the tolerance admits may sit just past b: clamp it
+            if inward and t >= b - 1e-14:
+                take.append(max(float(t), b))
+            elif not inward and t <= b + 1e-14:
+                take.append(min(float(t), b))
             else:
                 break
         if abs(b - a) < 1e-15:  # degenerate segment (start on the grid edge)
@@ -201,35 +206,19 @@ def compute_h(
     if x_grid.size == 0 or k_grid.size == 0:
         raise ValueError("empty grids")
 
-    edge = x_grid[-1] if side > 0 else -x_grid[0]
-    if x_inf is None:
-        x_inf = max(cutoff_for_eta(pot, cutoff_tol, side), edge)
-    else:
-        if x_inf < edge:
-            raise CutoffError("x_inf lies inside the requested x grid")
-        if pot.tail.eta_tail(x_inf) > cutoff_tol:
-            raise CutoffError(
-                f"η tail at x_inf={x_inf:g} is {pot.tail.eta_tail(x_inf):.2e} > {cutoff_tol:g}"
-            )
-    start = side * x_inf
+    x_inf = _cutoff(pot, x_grid, side, cutoff_tol, x_inf)
 
     if fold_conjugate:
         base = np.unique(np.abs(k_grid))
     else:
         base = np.unique(k_grid)
 
-    targets = x_grid[::-1] if side > 0 else x_grid
     H = np.empty((x_grid.size, base.size), dtype=complex)
     HP = np.empty_like(H)
     band_info = []
     for lo, hi, sel in _band_split(np.abs(base)):
-        h, hp, nfev = _integrate_batch(pot, targets, base[sel], side, rtol, atol, start)
-        H[:, sel] = h
-        HP[:, sel] = hp
+        H[:, sel], HP[:, sel], nfev = _inward(pot, x_grid, base[sel], side, rtol, atol, x_inf)
         band_info.append((float(lo), float(hi), int(nfev)))
-    if side > 0:
-        H = H[::-1]
-        HP = HP[::-1]
 
     # scatter back onto the requested k grid
     idx = np.searchsorted(base, np.abs(k_grid) if fold_conjugate else k_grid)
@@ -251,28 +240,43 @@ def compute_h(
 
 
 def compute_h_bound(pot, x_grid, kappas, side, *, rtol=1e-10, atol=1e-12, cutoff_tol=1e-10):
-    """h±(x, iκ) for real κ > 0 (real-valued ODE); returns (h, h') real arrays."""
+    """h±(x, iκ) for real κ ≥ 0 (real-valued ODE); returns (h, h') real
+    arrays of shape (x, κ).  κ = 0 is the zero-energy equation h″ = V h."""
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     x_grid = np.unique(np.asarray(x_grid, dtype=float))
-    edge = x_grid[-1] if side > 0 else -x_grid[0]
-    x_inf = max(cutoff_for_eta(pot, cutoff_tol, side), edge)
-    targets = x_grid[::-1] if side > 0 else x_grid
-    h, hp, _ = _integrate_batch(pot, targets, 1j * kappas, side, rtol, atol, side * x_inf)
-    if side > 0:
-        h, hp = h[::-1], hp[::-1]
+    x_inf = _cutoff(pot, x_grid, side, cutoff_tol, None)
+    h, hp, _ = _inward(pot, x_grid, 1j * kappas, side, rtol, atol, x_inf)
     return h.real.copy(), hp.real.copy()
 
 
-def jost_at_zero(pot, x_grid, side, *, rtol=1e-10, atol=1e-12, cutoff_tol=1e-10):
-    """h±(x,0), ∂ₓh±(x,0) as real arrays (the k=0 equation h″ = V h)."""
-    x_grid = np.unique(np.asarray(x_grid, dtype=float))
+def _cutoff(pot, x_grid, side, cutoff_tol, x_inf):
+    """Integration start X∞ for a sorted x_grid: chosen from the tail bound
+    when x_inf is None, else x_inf checked against it (CutoffError)."""
     edge = x_grid[-1] if side > 0 else -x_grid[0]
-    x_inf = max(cutoff_for_eta(pot, cutoff_tol, side), edge)
+    if x_inf is None:
+        return max(cutoff_for_eta(pot, cutoff_tol, side), edge)
+    if x_inf < edge:
+        raise CutoffError("x_inf lies inside the requested x grid")
+    if pot.tail.eta_tail(x_inf) > cutoff_tol:
+        raise CutoffError(
+            f"η tail at x_inf={x_inf:g} is {pot.tail.eta_tail(x_inf):.2e} > {cutoff_tol:g}"
+        )
+    return x_inf
+
+
+def _inward(pot, x_grid, ks, side, rtol, atol, x_inf):
+    """(h, h′, nfev) on the sorted x_grid, integrated from side·X∞ inward."""
     targets = x_grid[::-1] if side > 0 else x_grid
-    h, hp, _ = _integrate_batch(pot, targets, [0.0], side, rtol, atol, side * x_inf)
+    h, hp, nfev = _integrate_batch(pot, targets, ks, side, rtol, atol, side * x_inf)
     if side > 0:
-        h, hp = h[::-1], hp[::-1]
-    return h[:, 0].real.copy(), hp[:, 0].real.copy()
+        return h[::-1], hp[::-1], nfev
+    return h, hp, nfev
+
+
+def _wronskian(two_ik, h_plus, hp_plus, h_minus, hp_minus):
+    """W = 2ik h₊h₋ + h₋h′₊ − h′₋h₊ at x = 0 from h± and ∂ₓh± there;
+    two_ik is 2ik (0 at k = 0, −2κ at k = iκ)."""
+    return two_ik * h_plus * h_minus + h_minus * hp_plus - hp_minus * h_plus
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +300,18 @@ class ZeroEnergyData:
     gamma_residual: float
 
     @property
+    def threshold(self) -> float:
+        return _resonance_threshold(self.scale)
+
+    @property
     def resonant(self) -> bool:
-        # scale floored so V ≡ 0 (every term identically zero) counts
-        return abs(self.w0) < RESONANCE_EPS * max(self.scale, 1e-6)
+        return abs(self.w0) < self.threshold
+
+
+def _resonance_threshold(scale: float) -> float:
+    """|W(0)| below this counts as resonant; scale is the natural size of
+    the cancelling Wronskian terms."""
+    return RESONANCE_EPS * max(scale, _SCALE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -335,10 +348,11 @@ def zero_energy_scan(
         )
     n = int(round(2 * half_width / dx))
     xg = np.linspace(-half_width, half_width, n + 1)
-    hp_, hpp = jost_at_zero(pot, xg, +1, rtol=rtol, atol=atol, cutoff_tol=cutoff_tol)
-    hm_, hmp = jost_at_zero(pot, xg, -1, rtol=rtol, atol=atol, cutoff_tol=cutoff_tol)
+    hp_, hpp = compute_h_bound(pot, xg, [0.0], +1, rtol=rtol, atol=atol, cutoff_tol=cutoff_tol)
+    hm_, hmp = compute_h_bound(pot, xg, [0.0], -1, rtol=rtol, atol=atol, cutoff_tol=cutoff_tol)
+    hp_, hpp, hm_, hmp = hp_[:, 0], hpp[:, 0], hm_[:, 0], hmp[:, 0]
     i0 = int(np.argmin(np.abs(xg)))
-    w0 = hm_[i0] * hpp[i0] - hmp[i0] * hp_[i0]
+    w0 = _wronskian(0.0, hp_[i0], hpp[i0], hm_[i0], hmp[i0])
     scale = (
         abs(hm_[i0] * hpp[i0])
         + abs(hmp[i0] * hp_[i0])
@@ -364,7 +378,7 @@ def zero_energy_state(
     if not zed.resonant:
         raise ResonanceError(
             f"{pot.label}: W(0) = {zed.w0:.3e} exceeds the resonance threshold "
-            f"{RESONANCE_EPS * zed.scale:.3e}"
+            f"{zed.threshold:.3e}"
         )
     gamma = zed.gamma
     c_plus = float(np.sqrt(2.0 / (1.0 + gamma**2)))

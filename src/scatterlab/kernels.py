@@ -35,6 +35,7 @@ from .errors import CrossCheckError
 from .jost import JostField
 from .potentials import Potential, cutoff_for_eta, eta, gamma_moment
 from .scattering import ScatteringData
+from .wiener import _taper, _uniform_step
 
 __all__ = [
     "KernelTable",
@@ -97,24 +98,6 @@ class GlmReport:
 # ---------------------------------------------------------------- transforms
 
 
-def _uniform_step(k: np.ndarray) -> float:
-    d = np.diff(k)
-    if d.size == 0 or not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("k grid must be uniform")
-    return float(d[0])
-
-
-def _taper_window(k: np.ndarray, frac: float) -> np.ndarray:
-    kmax = float(np.max(np.abs(k)))
-    w = np.ones_like(k)
-    if frac <= 0:
-        return w
-    edge = (1.0 - frac) * kmax
-    out = np.abs(k) > edge
-    w[out] = np.cos(0.5 * np.pi * (np.abs(k[out]) - edge) / (kmax - edge)) ** 2
-    return w
-
-
 def half_line_transform(g, k_grid, *, y_max: float, taper_frac: float = 0.1, pad: int = 1):
     """(y, G) with G(y) ≈ (1/π) ∫ g(k) e^{−2iky} dk on 0 ≤ y ≤ y_max.
 
@@ -123,8 +106,8 @@ def half_line_transform(g, k_grid, *, y_max: float, taper_frac: float = 0.1, pad
     the outer taper_frac of the grid.
     """
     k = np.asarray(k_grid, dtype=float)
-    delta = _uniform_step(k)
-    gw = np.asarray(g) * _taper_window(k, taper_frac)
+    delta = _uniform_step(k, "k grid")
+    gw = np.asarray(g) * _taper(k, taper_frac)
     n = k.size
     n_pad = next_fast_len(int(n * max(int(pad), 1)))
     y_all = np.pi * np.arange(n_pad) / (n_pad * delta)
@@ -505,7 +488,7 @@ def resonance_functionals(
     i0 = int(np.argmin(np.abs(k)))
     if abs(k[i0]) > 1e-12:
         raise ValueError("resonance functionals need k = 0 on the grid")
-    delta = _uniform_step(k)
+    delta = _uniform_step(k, "k grid")
     pad = max(1, int(np.ceil(np.pi / (y_step * k.size * delta))))
     model_b = _row_models(pot, jf.side, jf.x_grid, jf.report.cutoff, "b", jf=jf)[ix]
     model_d = _row_models(pot, jf.side, jf.x_grid, jf.report.cutoff, "db", jf=jf)[ix]

@@ -27,13 +27,11 @@ from .errors import TruncationError
 __all__ = [
     "TailBound",
     "Potential",
-    "MomentProfile",
     "catalog",
     "scale_potential",
     "moment_norm",
     "eta",
     "gamma_moment",
-    "moment_profile",
     "cutoff_for_eta",
     "from_spec",
     "to_spec",
@@ -111,21 +109,6 @@ class Potential:
         if self.tail.kind in ("compact", "exp"):
             return math.inf
         return self.tail.rate - 1.0
-
-    def support_radius(self, tol: float = 1e-12) -> float:
-        """Radius beyond which the remaining |V| mass is below tol."""
-        return cutoff_for_eta(self, tol)
-
-
-@dataclass(frozen=True)
-class MomentProfile:
-    """Callables for the tail moments of one potential."""
-
-    potential: Potential
-    eta_plus: Callable[[float], float]
-    eta_minus: Callable[[float], float]
-    gamma_plus: Callable[[float], float]
-    gamma_minus: Callable[[float], float]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +188,7 @@ def scale_potential(pot: Potential, s: float) -> Potential:
         evaluator=lambda x, _p=pot.evaluator, _s=s: _s * _p(x),
         tail=tail,
         breakpoints=pot.breakpoints,
-        params={"base": pot.label, "s": s},
+        params={"base": to_spec(pot), "s": s},
     )
 
 
@@ -288,16 +271,6 @@ def gamma_moment(pot: Potential, x: float, side: int) -> float:
         lo, hi = min(-X, x - 1.0), x
         val, _ = _adaptive(lambda y: (x - y) * abs(float(pot(y))), lo, hi, pot.breakpoints)
     return val
-
-
-def moment_profile(pot: Potential) -> MomentProfile:
-    return MomentProfile(
-        potential=pot,
-        eta_plus=lambda x: eta(pot, x, +1),
-        eta_minus=lambda x: eta(pot, x, -1),
-        gamma_plus=lambda x: gamma_moment(pot, x, +1),
-        gamma_minus=lambda x: gamma_moment(pot, x, -1),
-    )
 
 
 def cutoff_for_eta(pot: Potential, tol: float, side: int = +1) -> float:
@@ -427,7 +400,7 @@ def load_sampled(x, v=None, tail: TailBound | None = None) -> Potential:
         label=f"sampled(n={x.size})",
         evaluator=evaluator,
         tail=tail,
-        params={"n": int(x.size), "x_min": float(lo), "x_max": float(hi)},
+        params={"x": x.tolist(), "v": v.tolist()},
     )
 
 

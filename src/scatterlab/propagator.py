@@ -17,7 +17,10 @@ The rule runs on three nested node sets (panel midpoints filled by cubic
 interpolation); the value is the Richardson extrapolant of the finest
 pair and the error estimate is the difference between the two successive
 extrapolants plus a first integration-by-parts bound for the |k| > K
-tail.
+tail.  That bound needs the phase to be monotone beyond the cut, so every
+evaluation with 2tK ≤ |b| raises ValueError.  Single pairs (pac_kernel,
+g_kernel) and whole slices (pac_slices) run through the same routine, so
+they share this rule, their values and their error estimates.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import ResonanceError
-from .jost import JostField, ZeroEnergyState, compute_h, compute_h_bound, zero_energy_state
+from .jost import (
+    JostField,
+    ZeroEnergyState,
+    _wronskian,
+    compute_h,
+    compute_h_bound,
+    zero_energy_state,
+)
 from .oscquad import fresnel_weights, full_line_integral, truncation_tail
 from .potentials import Potential
 from .scattering import (
@@ -40,6 +50,7 @@ from .scattering import (
     wronskians,
 )
 from . import wiener
+from .wiener import _uniform_step
 
 __all__ = [
     "KernelSlice",
@@ -122,16 +133,6 @@ class PropagatorData:
         if abs(self.x_grid[i] - x) > 1e-9:
             raise KeyError(f"x={x} not on the propagator grid")
         return i
-
-
-def _uniform_step(grid, name):
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2:
-        raise ValueError(f"{name} must be a 1d grid with at least two points")
-    d = np.diff(g)
-    if np.any(d <= 0) or np.max(np.abs(d - d[0])) > 1e-9 * max(abs(d[0]), 1e-30):
-        raise ValueError(f"{name} must be uniform and increasing")
-    return float(d[0])
 
 
 def prepare_propagator(
@@ -222,7 +223,7 @@ def resolvent_imag_axis(pot: Potential, x, y, kappa, *, rtol=1e-10, atol=1e-12) 
     i0 = int(np.searchsorted(xs, 0.0))
     iy = int(np.searchsorted(xs, y))
     ix = int(np.searchsorted(xs, x))
-    w = -2.0 * kappa * hp[i0, 0] * hm[i0, 0] + hm[i0, 0] * hpp[i0, 0] - hmp[i0, 0] * hp[i0, 0]
+    w = _wronskian(-2.0 * kappa, hp[i0, 0], hpp[i0, 0], hm[i0, 0], hmp[i0, 0])
     t_ik = -2.0 * kappa / w
     f_p = np.exp(-kappa * y) * hp[iy, 0]
     f_m = np.exp(kappa * x) * hm[ix, 0]
@@ -233,24 +234,28 @@ def resolvent_imag_axis(pot: Potential, x, y, kappa, *, rtol=1e-10, atol=1e-12) 
 
 
 def _refine_rows(rows):
-    """Insert panel midpoints along the last axis (uniform spacing assumed)
-    by cubic interpolation; returns the interleaved array of length 2n−1."""
-    n = rows.shape[-1]
-    if n < 4:
+    """Insert panel midpoints along the last axis twice (uniform spacing
+    assumed) by cubic interpolation; returns the interleaved array of
+    length 4n−3, whose every second and every fourth sample are the two
+    coarser levels."""
+    if rows.shape[-1] < 4:
         raise ValueError("need at least four samples to refine")
-    out = np.empty(rows.shape[:-1] + (2 * n - 1,), dtype=rows.dtype)
-    out[..., ::2] = rows
-    mid = out[..., 1::2]
-    mid[..., 1:-1] = (
-        -rows[..., :-3] + 9.0 * rows[..., 1:-2] + 9.0 * rows[..., 2:-1] - rows[..., 3:]
-    ) / 16.0
-    mid[..., 0] = (
-        5.0 * rows[..., 0] + 15.0 * rows[..., 1] - 5.0 * rows[..., 2] + rows[..., 3]
-    ) / 16.0
-    mid[..., -1] = (
-        rows[..., -4] - 5.0 * rows[..., -3] + 15.0 * rows[..., -2] + 5.0 * rows[..., -1]
-    ) / 16.0
-    return out
+    for _ in range(2):
+        n = rows.shape[-1]
+        out = np.empty(rows.shape[:-1] + (2 * n - 1,), dtype=rows.dtype)
+        out[..., ::2] = rows
+        mid = out[..., 1::2]
+        mid[..., 1:-1] = (
+            -rows[..., :-3] + 9.0 * rows[..., 1:-2] + 9.0 * rows[..., 2:-1] - rows[..., 3:]
+        ) / 16.0
+        mid[..., 0] = (
+            5.0 * rows[..., 0] + 15.0 * rows[..., 1] - 5.0 * rows[..., 2] + rows[..., 3]
+        ) / 16.0
+        mid[..., -1] = (
+            rows[..., -4] - 5.0 * rows[..., -3] + 15.0 * rows[..., -2] + 5.0 * rows[..., -1]
+        ) / 16.0
+        rows = out
+    return rows
 
 
 def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
@@ -259,49 +264,61 @@ def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
     return np.outer(pd.f0_x, pd.f0_x) / np.sqrt(4j * np.pi * t)
 
 
+def _pac_rows(hp_ff, hm_ff, t_ff, k, ts, b: float):
+    """Continuous-spectrum kernel of row-aligned pairs at one separation
+    b ≥ 0 for every time in ts; returns (value, error), each (len(ts), rows).
+
+    hp_ff, hm_ff hold rows of h₊(y,·) and h₋(x,·) and t_ff holds T, all
+    refined twice from the k grid; the amplitude on the finest grid
+    subsamples to the two coarser levels because refinement keeps the
+    original nodes in place.  The level copies are made once, outside the
+    time loop."""
+    if np.any(ts < 1.0):
+        raise ValueError("kernel evaluation needs t >= 1")
+    kf = np.linspace(k[0], k[-1], 2 * k.size - 1)
+    kff = np.linspace(k[0], k[-1], 4 * k.size - 3)
+    k_max = float(k[-1])
+    inv2pi = 1.0 / (2.0 * np.pi)
+    amp_ff = hp_ff * hm_ff * t_ff[None, :] - 1.0
+    amp_f = np.ascontiguousarray(amp_ff[:, ::2])
+    amp = np.ascontiguousarray(amp_ff[:, ::4])
+    val = np.empty((ts.size, amp.shape[0]), dtype=complex)
+    err = np.empty((ts.size, amp.shape[0]))
+    for i_t, t in enumerate(ts):
+        tail = truncation_tail(amp[:, 0], amp[:, -1], t, b, k_max)
+        coarse = amp @ fresnel_weights(k, t, b)
+        fine = amp_f @ fresnel_weights(kf, t, b)
+        finest = amp_ff @ fresnel_weights(kff, t, b)
+        r1 = fine + (fine - coarse) / 3.0
+        r2 = finest + (finest - fine) / 3.0
+        val[i_t] = (full_line_integral(t, b) + r2) * inv2pi
+        err[i_t] = (np.abs(r2 - r1) + tail) * inv2pi
+    return val, err
+
+
 def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     """Kernel slices on pd.x_grid × pd.x_grid for every time in ts.
 
     One amplitude matrix is built per diagonal and reused across times;
-    only the Fresnel weights depend on t."""
+    only the Fresnel weights depend on t.  Raises ValueError for t < 1 and
+    when 2tK ≤ |b| for the widest separation b on the grid (K = max k), as
+    pac_kernel does for one pair."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < 1.0):
-        raise ValueError("kernel evaluation needs t >= 1")
     x = pd.x_grid
-    k = pd.k_grid
     n = x.size
     dx = _uniform_step(x, "x_grid")
-    k_max = float(k[-1])
-    kf = np.linspace(k[0], k[-1], 2 * k.size - 1)
-    inv2pi = 1.0 / (2.0 * np.pi)
-
-    kff = np.linspace(k[0], k[-1], 4 * k.size - 3)
-    # refine the fields once; products on the finest grid subsample to the
-    # lower levels because refinement keeps the original nodes in place
-    hp_ff = _refine_rows(_refine_rows(pd.h_plus))
-    hm_ff = _refine_rows(_refine_rows(pd.h_minus))
-    t_ff = _refine_rows(_refine_rows(pd.T[None, :]))[0]
+    hp_ff = _refine_rows(pd.h_plus)
+    hm_ff = _refine_rows(pd.h_minus)
+    t_ff = _refine_rows(pd.T[None, :])[0]
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
     for d in range(n):
-        b = d * dx
-        amp_ff = hp_ff[d:, :] * hm_ff[: n - d, :] * t_ff[None, :] - 1.0
-        amp_f = np.ascontiguousarray(amp_ff[:, ::2])
-        amp = np.ascontiguousarray(amp_ff[:, ::4])
-        edge = np.abs(amp[:, 0]) + np.abs(amp[:, -1])
+        val, err = _pac_rows(hp_ff[d:, :], hm_ff[: n - d, :], t_ff, pd.k_grid, ts, d * dx)
         rows = np.arange(n - d)
-        for i_t, t in enumerate(ts):
-            coarse = amp @ fresnel_weights(k, t, b)
-            fine = amp_f @ fresnel_weights(kf, t, b)
-            finest = amp_ff @ fresnel_weights(kff, t, b)
-            r1 = fine + (fine - coarse) / 3.0
-            r2 = finest + (finest - fine) / 3.0
-            val = (full_line_integral(t, b) + r2) * inv2pi
-            err = (np.abs(r2 - r1) + edge / (2.0 * t * k_max - b)) * inv2pi
-            pac[i_t, rows, rows + d] = val
-            pac[i_t, rows + d, rows] = val
-            qerr[i_t, rows, rows + d] = err
-            qerr[i_t, rows + d, rows] = err
+        pac[:, rows, rows + d] = val
+        pac[:, rows + d, rows] = val
+        qerr[:, rows, rows + d] = err
+        qerr[:, rows + d, rows] = err
 
     out = []
     for i_t, t in enumerate(ts):
@@ -325,31 +342,23 @@ def pac_slice(pd: PropagatorData, t: float) -> KernelSlice:
 
 
 def _pac_pair(pd: PropagatorData, x: float, y: float, t: float):
-    if t < 1.0:
-        raise ValueError("kernel evaluation needs t >= 1")
     lo, hi = (x, y) if x <= y else (y, x)
     i, j = pd.x_index(lo), pd.x_index(hi)
-    b = float(pd.x_grid[j] - pd.x_grid[i])
-    k = pd.k_grid
-    amp = pd.h_plus[j, :] * pd.h_minus[i, :] * pd.T - 1.0
-    amp_f = _refine_rows(amp)
-    amp_ff = _refine_rows(amp_f)
-    kf = np.linspace(k[0], k[-1], 2 * k.size - 1)
-    kff = np.linspace(k[0], k[-1], 4 * k.size - 3)
-    coarse = amp @ fresnel_weights(k, t, b)
-    fine = amp_f @ fresnel_weights(kf, t, b)
-    finest = amp_ff @ fresnel_weights(kff, t, b)
-    r1 = fine + (fine - coarse) / 3.0
-    r2 = finest + (finest - fine) / 3.0
-    inv2pi = 1.0 / (2.0 * np.pi)
-    val = (full_line_integral(t, b) + r2) * inv2pi
-    err = np.abs(r2 - r1) * inv2pi
-    err += truncation_tail(abs(amp[0]), abs(amp[-1]), t, b, float(k[-1])) * inv2pi
-    return complex(val), float(err)
+    val, err = _pac_rows(
+        _refine_rows(pd.h_plus[j : j + 1, :]),
+        _refine_rows(pd.h_minus[i : i + 1, :]),
+        _refine_rows(pd.T[None, :])[0],
+        pd.k_grid,
+        np.array([float(t)]),
+        float(pd.x_grid[j] - pd.x_grid[i]),
+    )
+    return complex(val[0, 0]), float(err[0, 0])
 
 
 def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> complex:
-    """Continuous-spectrum evolution kernel at one (x, y, t) triple."""
+    """Continuous-spectrum evolution kernel at one (x, y, t) triple, by the
+    same rule as pac_slices; raises ValueError for t < 1 and when
+    2tK ≤ |y − x|."""
     return _pac_pair(pd, x, y, t)[0]
 
 
@@ -429,9 +438,15 @@ def s_growth_fit(pd: PropagatorData, *, x_max: float = 5.0, step: float = 1.0):
     fitted on the envelope (the per-s maximum of the norm): a scatter fit
     would be dominated by same-side pairs whose norms are tiny.  Returns
     (C, p, pairs, norms) with C = max ‖S‖/(1+s)² and p the least-squares
-    slope of the log envelope in log(1+s)."""
-    xs = [float(v) for v in pd.x_grid if -x_max - 1e-9 <= v <= x_max + 1e-9]
-    sel = [v for v in xs if abs(v / step - round(v / step)) < 1e-9]
+    slope of the log envelope in log(1+s).  Every lattice point m·step
+    with |m·step| ≤ x_max must lie on pd.x_grid (ValueError otherwise)."""
+    n_half = int(np.floor(x_max / step + 1e-9))
+    sel = []
+    for v in step * np.arange(-n_half, n_half + 1):
+        try:
+            sel.append(float(pd.x_grid[pd.x_index(v)]))
+        except KeyError:
+            raise ValueError(f"lattice point x={v:g} is not on the propagator grid") from None
     pairs = [(a, c) for ai, a in enumerate(sel) for c in sel[ai:]]
     norms = np.array([s_field(pd, a, c).a_norm.a1_norm for a, c in pairs])
     s = np.abs([a for a, _ in pairs]) + np.abs([c for _, c in pairs])

@@ -23,9 +23,9 @@ from scipy.optimize import brentq
 
 from .errors import CrossCheckError, ResonanceError
 from .jost import (
-    RESONANCE_EPS,
     JostField,
-    ZeroEnergyData,
+    _resonance_threshold,
+    _wronskian,
     compute_h,
     compute_h_bound,
     zero_energy_scan,
@@ -45,9 +45,13 @@ __all__ = [
 ]
 
 _WRONSKIAN_SPREAD_TOL = 1e-6
-# floor for the resonance scale so V ≡ 0 (all Wronskian terms vanish
-# identically) still classifies as resonant
-_SCALE_FLOOR = 1e-6
+# bound-state search: log-spaced κ brackets, Brent tolerance, eigenfunction
+# grid step, and the κ below which a state counts as near threshold
+_KAPPA_MIN = 1e-4
+_N_BRACKETS = 64
+_KAPPA_XTOL = 1e-12
+_BOUND_DX = 0.01
+_NEAR_THRESHOLD_KAPPA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -93,10 +97,6 @@ class ScatteringData:
     resonance: ResonanceReport | None = None
     bound_states: tuple[BoundState, ...] = field(default=())
 
-    @property
-    def W_pm(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.W_plus, self.W_minus
-
 
 def wronskians(jf_plus: JostField, jf_minus: JostField, x_check=(-2.0, 0.0, 2.0)):
     """W, W₊, W₋ on the shared k grid, plus the constancy cross-check spread
@@ -106,7 +106,7 @@ def wronskians(jf_plus: JostField, jf_minus: JostField, x_check=(-2.0, 0.0, 2.0)
     k = jf_plus.k_grid
     hp0, hpp0 = jf_plus.at_x(0.0)
     hm0, hmp0 = jf_minus.at_x(0.0)
-    w = 2j * k * hp0 * hm0 + hm0 * hpp0 - hmp0 * hp0
+    w = _wronskian(2j * k, hp0, hpp0, hm0, hmp0)
     # h(0,−k) = conj h(0,k) for real k, so W± need no second solve
     w_plus = hm0 * np.conj(hpp0) - np.conj(hp0) * hmp0
     w_minus = hp0 * np.conj(hmp0) - np.conj(hm0) * hpp0
@@ -184,8 +184,7 @@ def scattering_matrix(
         # point estimates the natural comparison scale either way
         nz = np.abs(k) > 0
         j1 = int(np.argmin(np.where(nz, np.abs(k), np.inf)))
-        scale0 = max(float(np.abs(w[j1]) / np.abs(k[j1])), _SCALE_FLOOR)
-        looks_resonant = abs(w0) < RESONANCE_EPS * scale0
+        looks_resonant = abs(w0) < _resonance_threshold(float(np.abs(w[j1]) / np.abs(k[j1])))
         if resonance is not None and resonance.resonant:
             T[zero] = resonance.T0
             R_plus[zero] = resonance.R0_plus
@@ -254,26 +253,23 @@ _PROBE_K = (0.002, 0.004, 0.006, 0.008)
 
 def classify_resonance(
     pot: Potential,
-    zed: ZeroEnergyData | None = None,
     *,
-    eps: float = RESONANCE_EPS,
-    dx: float = 0.01,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> ResonanceReport:
     """Decide the zero-energy dichotomy and report the k → 0 algebra.
 
-    resonant ⇔ |W(0)| < eps · scale, where scale collects the magnitudes of
-    the cancelling Wronskian terms plus η±(0) (floored so V ≡ 0 counts as
-    resonant).  A |W(0)| within a factor 10 of the threshold flags the
-    classification ambiguous.  limit_consistency measures the gap between a
-    small-k polynomial extrapolation of the computed T(k), R±(k) and the
-    algebraic limit values.
+    resonant ⇔ |W(0)| < RESONANCE_EPS · scale, where scale collects the
+    magnitudes of the cancelling Wronskian terms plus η±(0) (floored so
+    V ≡ 0 counts as resonant); the test is ZeroEnergyData.resonant.  A
+    |W(0)| within a factor 10 of the threshold flags the classification
+    ambiguous.  limit_consistency measures the gap between a small-k
+    polynomial extrapolation of the computed T(k), R±(k) and the algebraic
+    limit values.
     """
-    if zed is None:
-        zed = zero_energy_scan(pot, dx=dx, rtol=rtol, atol=atol)
-    threshold = eps * max(zed.scale, _SCALE_FLOOR)
-    resonant = abs(zed.w0) < threshold
+    zed = zero_energy_scan(pot, rtol=rtol, atol=atol)
+    threshold = zed.threshold
+    resonant = zed.resonant
     ambiguous = threshold / 10.0 < abs(zed.w0) < threshold * 10.0
     gamma = zed.gamma
     if resonant:
@@ -316,39 +312,32 @@ def _w_at_ikappa(pot, kappas, rtol=1e-10, atol=1e-12):
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     hp_, hpp = compute_h_bound(pot, [0.0], kappas, +1, rtol=rtol, atol=atol)
     hm_, hmp = compute_h_bound(pot, [0.0], kappas, -1, rtol=rtol, atol=atol)
-    return -2.0 * kappas * hp_[0] * hm_[0] + hm_[0] * hpp[0] - hmp[0] * hp_[0]
+    return _wronskian(-2.0 * kappas, hp_[0], hpp[0], hm_[0], hmp[0])
 
 
 def bound_states(
     pot: Potential,
-    kappa_max: float | None = None,
     *,
-    kappa_min: float = 1e-4,
-    n_brackets: int = 64,
-    xtol: float = 1e-12,
-    dx: float = 0.01,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    near_threshold_kappa: float = 1e-3,
 ) -> tuple[BoundState, ...]:
     """All bound states Eₙ = −κₙ² as real zeros of κ ↦ W(iκ).
 
-    κ is bracketed on a log-spaced grid up to kappa_max (default
-    sqrt(−min V)) and each sign change is refined by Brent iteration.
+    κ is bracketed on a log-spaced grid up to sqrt(−min V) and each sign
+    change is refined by Brent iteration.
     Eigenfunctions come from f₊(·, iκₙ) normalised with analytic e^{−2κ|x|}
     tail corrections, so the norming constants stay reliable for shallow
     wells where κ·X∞ is order one.
     """
     X = max(cutoff_for_eta(pot, 1e-10, +1), cutoff_for_eta(pot, 1e-10, -1), 6.0)
-    if kappa_max is None:
-        scan = np.linspace(-X, X, 4001)
-        vmin = float(np.min(pot(scan)))
-        if vmin >= 0.0:
-            return ()
-        kappa_max = float(np.sqrt(-vmin))
-    if kappa_max <= kappa_min:
+    scan = np.linspace(-X, X, 4001)
+    vmin = float(np.min(pot(scan)))
+    if vmin >= 0.0:
         return ()
-    grid = np.geomspace(kappa_min, kappa_max, n_brackets)
+    kappa_max = float(np.sqrt(-vmin))
+    if kappa_max <= _KAPPA_MIN:
+        return ()
+    grid = np.geomspace(_KAPPA_MIN, kappa_max, _N_BRACKETS)
     wvals = _w_at_ikappa(pot, grid, rtol, atol)
     roots = []
     for a, b, wa, wb in zip(grid[:-1], grid[1:], wvals[:-1], wvals[1:]):
@@ -359,7 +348,7 @@ def bound_states(
                 lambda kap: float(_w_at_ikappa(pot, [kap], rtol, atol)[0]),
                 a,
                 b,
-                xtol=xtol,
+                xtol=_KAPPA_XTOL,
                 rtol=8.9e-16,
             )
             roots.append(float(r))
@@ -367,7 +356,7 @@ def bound_states(
     # each Jost solution is accurate on its own side (the h-equation has a
     # mode growing like e^{2κ|x|} when marched past the origin), so ψ is
     # stitched: f₊ for x ≥ 0, β f₋ for x < 0, β fitted on |x| ≤ 2
-    n = int(round(X / dx))
+    n = int(round(X / _BOUND_DX))
     xg = np.linspace(-X, X, 2 * n + 1)
     states = []
     for kap in sorted(roots):
@@ -396,7 +385,7 @@ def bound_states(
                 c_minus=beta / norm,
                 x_grid=xg,
                 psi=psi_raw / norm,
-                near_threshold=bool(kap < near_threshold_kappa),
+                near_threshold=bool(kap < _NEAR_THRESHOLD_KAPPA),
             )
         )
     return tuple(states)

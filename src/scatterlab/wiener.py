@@ -55,16 +55,27 @@ class WienerEstimate:
         return abs(self.constant_part) + self.hat_l1
 
 
-def _uniform_symmetric(k: np.ndarray) -> float:
-    d = np.diff(k)
-    if d.size == 0 or not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("k grid must be uniform")
-    if abs(k[0] + k[-1]) > 1e-9 * max(abs(k[0]), 1.0):
-        raise ValueError("k grid must be symmetric about 0")
+def _uniform_step(grid, name: str) -> float:
+    """Step of a uniform increasing 1d grid; ValueError naming the grid
+    otherwise."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size < 2:
+        raise ValueError(f"{name} must be a 1d grid with at least two points")
+    d = np.diff(g)
+    if np.any(d <= 0) or np.max(np.abs(d - d[0])) > 1e-9 * max(abs(d[0]), 1e-30):
+        raise ValueError(f"{name} must be uniform and increasing")
     return float(d[0])
 
 
+def _uniform_symmetric(k: np.ndarray) -> float:
+    delta = _uniform_step(k, "k grid")
+    if abs(k[0] + k[-1]) > 1e-9 * max(abs(k[0]), 1.0):
+        raise ValueError("k grid must be symmetric about 0")
+    return delta
+
+
 def _taper(k: np.ndarray, frac: float) -> np.ndarray:
+    """Raised-cosine window over the outer fraction frac of max|k|."""
     kmax = float(np.max(np.abs(k)))
     w = np.ones_like(k)
     if frac <= 0:

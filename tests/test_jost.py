@@ -7,7 +7,6 @@ from scatterlab.errors import CutoffError, ResonanceError
 from scatterlab.jost import (
     compute_h,
     compute_h_bound,
-    jost_at_zero,
     zero_energy_scan,
     zero_energy_state,
 )
@@ -96,7 +95,8 @@ def test_bound_state_h():
 def test_jost_at_zero_real():
     pt = catalog("poeschl_teller")
     xg = np.linspace(-3, 3, 25)
-    h, hp = jost_at_zero(pt, xg, +1)
+    h, hp = compute_h_bound(pt, xg, [0.0], +1)  # k = 0 is the case κ = 0
+    h = h[:, 0]
     assert np.max(np.abs(h - np.tanh(xg))) < 1e-9
     assert h.dtype == np.float64
 
@@ -114,6 +114,14 @@ def test_zero_energy_scan_nonresonant():
     assert not zed.resonant
     with pytest.raises(ResonanceError):
         zero_energy_state(catalog("gaussian_well"), zed)
+
+
+def test_zero_energy_scan_target_on_breakpoint():
+    # a = 1.1 puts the scan-grid point −1.0999999999999996 within the target
+    # tolerance of the breakpoint −1.1, just outside its segment
+    a = 1.1
+    zed = zero_energy_scan(catalog("square_well", a=a, v0=(np.pi / (2 * a)) ** 2))
+    assert zed.resonant
 
 
 def test_zero_energy_state_pt():

@@ -119,9 +119,16 @@ def test_spec_round_trip():
     assert np.allclose(back(x), sw(x))
     assert back.breakpoints == sw.breakpoints
 
-    scaled_spec = {"name": "scaled", "params": {"base": to_spec(sw), "s": -2.0}}
-    sc = from_spec(scaled_spec)
+    sc = from_spec(to_spec(scale_potential(sw, -2.0)))
     assert np.allclose(sc(x), -2.0 * sw(x))
+    assert sc.breakpoints == sw.breakpoints
+
+    xs = np.linspace(-6, 6, 121)
+    sampled = load_sampled(xs, -2.0 / np.cosh(xs) ** 2)
+    back = from_spec(to_spec(sampled))
+    probe = np.linspace(-8, 8, 33)
+    assert np.array_equal(back(probe), sampled(probe))
+    assert back.tail == sampled.tail
 
 
 def test_load_sampled_arrays_and_csv(tmp_path):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from scatterlab.errors import ResonanceError
@@ -13,6 +15,7 @@ from scatterlab.propagator import (
     pac_kernel,
     pac_slice,
     pac_slices,
+    prepare_propagator,
     resolvent_imag_axis,
     resolvent_kernel,
     s_field,
@@ -32,6 +35,12 @@ def pt_slice7(pt_pd):
 @pytest.fixture(scope="module")
 def free_slice3(free_pd):
     return pac_slice(free_pd, 3.0)
+
+
+@pytest.fixture(scope="module")
+def pt_pd_coarse(pt_pot):
+    """x step 1 on [−8, 8] and K = 5: the tail bound needs 2tK > 16."""
+    return prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 17), np.linspace(-5.0, 5.0, 201))
 
 
 def _heat_kernel(x, y, t):
@@ -196,6 +205,29 @@ def test_slice_matches_pairwise(pt_pd, pt_slice7):
     assert np.max(np.abs(ks.G - (ks.pac - ks.p0_term))) == 0.0
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    t=st.floats(1.0, 40.0),
+    i=st.integers(0, 16),
+    j=st.integers(0, 16),
+)
+@example(t=1.0, i=0, j=16)
+@example(t=1.6, i=0, j=16)
+def test_slice_error_estimate_is_honest(pt_pd_coarse, t, i, j):
+    # one rule for slices and pairs: raise where the tail bound does not
+    # hold, else a finite nonnegative estimate shared by both paths
+    pd = pt_pd_coarse
+    x, y = float(pd.x_grid[i]), float(pd.x_grid[j])
+    if 10.0 * t <= 16.0:
+        with pytest.raises(ValueError):
+            pac_slice(pd, t)
+        return
+    qerr = pac_slice(pd, t).quadrature_error
+    assert np.all(np.isfinite(qerr))
+    assert np.all(qerr >= 0.0)
+    assert abs(qerr[i, j] - g_kernel(pd, x, y, t)[1]) <= 1e-13
+
+
 def test_g_kernel_error_estimate_covers_truth(free_pd, pt_pd):
     # free line: G is exactly pac − p0, so the estimate must cover 0 error
     val, err = g_kernel(pt_pd, 1.0, 2.0, 5.0)
@@ -312,6 +344,13 @@ def test_s_growth_envelope(pt_pd, sw_pd):
     assert abs(c_half - c_pt) < 0.1 * c_pt  # envelope constant is step-stable
     c_sw, p_sw, _, _ = s_growth_fit(sw_pd)
     assert 1.2 < p_sw < 2.2
+
+
+def test_s_growth_fit_needs_its_lattice(pt_pot):
+    # step 16/22: of the integer lattice on [−5, 5] only 0 is on the grid
+    pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 23), np.linspace(-5.0, 5.0, 201))
+    with pytest.raises(ValueError, match="x=-5 "):
+        s_growth_fit(pd)
 
 
 # ----------------------------------------------------------------- csv export
