@@ -33,6 +33,7 @@ import scipy
 
 from . import __version__
 from .decay import run_experiment
+from .jost import ODE_ATOL, ODE_RTOL
 from .kernels import (
     b_kernel,
     functionals_json,
@@ -42,8 +43,16 @@ from .kernels import (
     resonance_functionals,
 )
 from .potentials import CATALOG_NAMES, catalog, to_spec
+from .propagator import (
+    DEFAULT_K_COUNT,
+    DEFAULT_K_MAX,
+    DEFAULT_X_MAX,
+    DEFAULT_X_STEP,
+    _growth_lattice,
+    prepare_propagator,
+)
 from .scattering import classify_resonance, scattering_data
-from .wiener import derivative_a_norms, difference_quotient_norm
+from .wiener import TAPER_FRAC, derivative_a_norms, difference_quotient_norm
 
 __all__ = ["DEFAULT_CONFIG", "RunConfig", "main"]
 
@@ -53,18 +62,18 @@ DEFAULT_CONFIG: dict = {
     "schema_version": 1,
     "potential": {"name": "poeschl_teller", "params": {}},
     "grids": {
-        "x_max": 8.0,
-        "x_step": 0.25,
-        "k_max": 60.0,
-        "k_count": 24001,
+        "x_max": DEFAULT_X_MAX,
+        "x_step": DEFAULT_X_STEP,
+        "k_max": DEFAULT_K_MAX,
+        "k_count": DEFAULT_K_COUNT,
         "scatter_k_max": 30.0,
         "scatter_k_count": 1201,
         "kernel_rows": [-2.0, -1.0, 0.0, 1.0, 2.0],
     },
     "times": {"t_min": 10.0, "t_max": 1000.0, "count": 12},
     "tolerances": {
-        "ode_rtol": 1e-10,
-        "ode_atol": 1e-12,
+        "ode_rtol": ODE_RTOL,
+        "ode_atol": ODE_ATOL,
         "unitarity": 1e-6,
         "resonance_algebra": 1e-4,
         "kernel_identity": 1e-4,
@@ -72,7 +81,7 @@ DEFAULT_CONFIG: dict = {
         "exponent_high": 1.65,
         "control_exponent_max": 0.7,
     },
-    "wiener": {"taper_frac": 0.1, "derivative_orders": 2, "require_converged": True},
+    "wiener": {"taper_frac": TAPER_FRAC, "derivative_orders": 2, "require_converged": True},
     "sigma": 2.0,
     "stages": list(STAGES),
     "out_dir": "runs",
@@ -401,15 +410,22 @@ def cmd_wiener(rc: RunConfig, out: Path) -> int:
 def cmd_decay(rc: RunConfig, out: Path) -> int:
     t = rc.data["times"]
     tol = rc.data["tolerances"]
+    g = rc.data["grids"]
+    x_grid = rc.x_grid()
+    try:
+        _growth_lattice(x_grid)  # the exterior proxy's lattice, checked before any solve
+    except ValueError as exc:
+        print(
+            f"config error: grids.x_max={g['x_max']:g}, grids.x_step={g['x_step']:g}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
+    pd = prepare_propagator(rc.potential(), x_grid, rc.k_grid(), rtol=rc.rtol, atol=rc.atol)
     rep = run_experiment(
-        rc.potential(),
+        pd,
         t_window=(float(t["t_min"]), float(t["t_max"])),
         n_times=int(t["count"]),
         sigma=float(rc.data["sigma"]),
-        x_grid=rc.x_grid(),
-        k_grid=rc.k_grid(),
-        rtol=rc.rtol,
-        atol=rc.atol,
     )
     in_window = float(tol["exponent_low"]) <= rep.fitted_exponent <= float(tol["exponent_high"])
     control_ok = rep.control_exponent is None or rep.control_exponent < float(

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import Potential
-from .propagator import (
-    KernelSlice,
-    PropagatorData,
-    pac_slices,
-    prepare_propagator,
-    s_growth_fit,
-)
+from .propagator import KernelSlice, PropagatorData, pac_slices, s_growth_fit
 
 __all__ = ["DecayReport", "weighted_norm", "decay_fit", "run_experiment"]
 
@@ -114,28 +107,22 @@ def decay_fit(times, norms):
 
 
 def run_experiment(
-    pot_or_data: Potential | PropagatorData,
+    pd: PropagatorData,
     *,
     t_window: tuple[float, float] = (10.0, 1000.0),
     n_times: int = 12,
     sigma: float = 2.0,
-    x_grid=None,
-    k_grid=None,
     control: bool = True,
     exterior_proxy: bool = True,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> DecayReport:
     """Evolve, take weighted norms on log-spaced times, fit the exponent.
 
-    Accepts either a potential (fields are prepared here) or an already
-    prepared PropagatorData, whose grids then win over x_grid/k_grid.
+    pd comes from prepare_propagator and fixes the grids, the potential and
+    the threshold state; runtime_seconds covers the slices and the fits,
+    not that preparation.  The exterior proxy is s_growth_fit on pd's
+    integer lattice (ValueError when pd.x_grid misses a point of it).
     """
     t0 = time.perf_counter()
-    if isinstance(pot_or_data, PropagatorData):
-        pd = pot_or_data
-    else:
-        pd = prepare_propagator(pot_or_data, x_grid, k_grid, rtol=rtol, atol=atol)
     lo, hi = float(t_window[0]), float(t_window[1])
     ts = np.geomspace(lo, hi, int(n_times))
     slices = pac_slices(pd, ts)

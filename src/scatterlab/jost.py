@@ -41,6 +41,9 @@ __all__ = [
     "RESONANCE_EPS",
 ]
 
+ODE_RTOL = 1e-10  # default solver tolerances of every Jost integration
+ODE_ATOL = 1e-12
+_CUTOFF_TOL = 1e-10  # default bound on the tail mass η±(X∞) past the cutoff
 RESONANCE_EPS = 1e-6  # |W(0)| below this multiple of the natural scale => resonant
 # floor for the resonance scale so V ≡ 0 (all Wronskian terms vanish
 # identically) still classifies as resonant
@@ -181,9 +184,9 @@ def compute_h(
     k_grid,
     side: int,
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    cutoff_tol: float = 1e-10,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
+    cutoff_tol: float = _CUTOFF_TOL,
     x_inf: float | None = None,
     fold_conjugate: bool = True,
 ) -> JostField:
@@ -239,12 +242,12 @@ def compute_h(
     return JostField(side, x_grid, k_grid, h_full, hp_full, report)
 
 
-def compute_h_bound(pot, x_grid, kappas, side, *, rtol=1e-10, atol=1e-12, cutoff_tol=1e-10):
+def compute_h_bound(pot, x_grid, kappas, side, *, rtol=ODE_RTOL, atol=ODE_ATOL):
     """h±(x, iκ) for real κ ≥ 0 (real-valued ODE); returns (h, h') real
     arrays of shape (x, κ).  κ = 0 is the zero-energy equation h″ = V h."""
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     x_grid = np.unique(np.asarray(x_grid, dtype=float))
-    x_inf = _cutoff(pot, x_grid, side, cutoff_tol, None)
+    x_inf = _cutoff(pot, x_grid, side, _CUTOFF_TOL, None)
     h, hp, _ = _inward(pot, x_grid, 1j * kappas, side, rtol, atol, x_inf)
     return h.real.copy(), hp.real.copy()
 
@@ -262,6 +265,12 @@ def _cutoff(pot, x_grid, side, cutoff_tol, x_inf):
             f"η tail at x_inf={x_inf:g} is {pot.tail.eta_tail(x_inf):.2e} > {cutoff_tol:g}"
         )
     return x_inf
+
+
+def _scan_half_width(pot) -> float:
+    """Half width of the symmetric grids that sample whole zero-energy and
+    bound-state solutions: both cutoffs, and at least 6."""
+    return max(cutoff_for_eta(pot, _CUTOFF_TOL, +1), cutoff_for_eta(pot, _CUTOFF_TOL, -1), 6.0)
 
 
 def _inward(pot, x_grid, ks, side, rtol, atol, x_inf):
@@ -333,23 +342,14 @@ class ZeroEnergyState:
 
 
 def zero_energy_scan(
-    pot: Potential,
-    *,
-    dx: float = 0.01,
-    half_width: float | None = None,
-    cutoff_tol: float = 1e-10,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    pot: Potential, *, rtol: float = ODE_RTOL, atol: float = ODE_ATOL
 ) -> ZeroEnergyData:
-    """Solve both k = 0 problems on a symmetric fine grid."""
-    if half_width is None:
-        half_width = max(
-            cutoff_for_eta(pot, cutoff_tol, +1), cutoff_for_eta(pot, cutoff_tol, -1), 6.0
-        )
-    n = int(round(2 * half_width / dx))
+    """Solve both k = 0 problems on a symmetric grid of step 0.01."""
+    half_width = _scan_half_width(pot)
+    n = int(round(2 * half_width / 0.01))
     xg = np.linspace(-half_width, half_width, n + 1)
-    hp_, hpp = compute_h_bound(pot, xg, [0.0], +1, rtol=rtol, atol=atol, cutoff_tol=cutoff_tol)
-    hm_, hmp = compute_h_bound(pot, xg, [0.0], -1, rtol=rtol, atol=atol, cutoff_tol=cutoff_tol)
+    hp_, hpp = compute_h_bound(pot, xg, [0.0], +1, rtol=rtol, atol=atol)
+    hm_, hmp = compute_h_bound(pot, xg, [0.0], -1, rtol=rtol, atol=atol)
     hp_, hpp, hm_, hmp = hp_[:, 0], hpp[:, 0], hm_[:, 0], hmp[:, 0]
     i0 = int(np.argmin(np.abs(xg)))
     w0 = _wronskian(0.0, hp_[i0], hpp[i0], hm_[i0], hmp[i0])
@@ -367,14 +367,15 @@ def zero_energy_scan(
     return ZeroEnergyData(xg, hp_, hpp, hm_, hmp, float(w0), float(scale), gamma, gamma_residual)
 
 
-def zero_energy_state(
-    pot: Potential,
-    zed: ZeroEnergyData | None = None,
-    **scan_kwargs,
-) -> ZeroEnergyState:
-    """Normalised zero-energy resonance function f₀ (raises if non-resonant)."""
+def zero_energy_state(pot: Potential, zed: ZeroEnergyData | None = None) -> ZeroEnergyState:
+    """Normalised zero-energy resonance function f₀ (ResonanceError if
+    non-resonant).
+
+    zed is the scan the resonance was decided from (classify_resonance
+    keeps it in its report), so f₀ comes from the same solutions; without
+    it the potential is scanned here at the default tolerances."""
     if zed is None:
-        zed = zero_energy_scan(pot, **scan_kwargs)
+        zed = zero_energy_scan(pot)
     if not zed.resonant:
         raise ResonanceError(
             f"{pot.label}: W(0) = {zed.w0:.3e} exceeds the resonance threshold "

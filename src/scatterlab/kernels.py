@@ -35,7 +35,7 @@ from .errors import CrossCheckError
 from .jost import JostField
 from .potentials import Potential, cutoff_for_eta, eta, gamma_moment
 from .scattering import ScatteringData
-from .wiener import _taper, _uniform_step
+from .wiener import TAPER_FRAC, _taper, _uniform_step
 
 __all__ = [
     "KernelTable",
@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 _IMAG_TOL = 1e-4
+_Y_MAX = 16.0  # reach in |y| of every kernel table and of H±
+_PSI_Y_STEP = 1e-3  # y step of the Ψ± quadrature
+_PSI_K_STRIDE = 20  # Ψ±, Φ± on every 20th grid wavenumber
+_GLM_W_STEP = 0.01  # spline grid of the GLM input F±
 
 
 @dataclass(frozen=True)
@@ -98,16 +102,16 @@ class GlmReport:
 # ---------------------------------------------------------------- transforms
 
 
-def half_line_transform(g, k_grid, *, y_max: float, taper_frac: float = 0.1, pad: int = 1):
+def half_line_transform(g, k_grid, *, y_max: float, pad: int = 1):
     """(y, G) with G(y) ≈ (1/π) ∫ g(k) e^{−2iky} dk on 0 ≤ y ≤ y_max.
 
     g has shape (..., nk) on a uniform k grid.  Zero padding by `pad`
     refines the output spacing π/(pad·N·δk); a raised-cosine window covers
-    the outer taper_frac of the grid.
+    the outer tenth (TAPER_FRAC) of the grid.
     """
     k = np.asarray(k_grid, dtype=float)
     delta = _uniform_step(k, "k grid")
-    gw = np.asarray(g) * _taper(k, taper_frac)
+    gw = np.asarray(g) * _taper(k, TAPER_FRAC)
     n = k.size
     n_pad = next_fast_len(int(n * max(int(pad), 1)))
     y_all = np.pi * np.arange(n_pad) / (n_pad * delta)
@@ -195,7 +199,7 @@ def _tail_fit(
     return _RowModel(model.jumps, kinks, curves)
 
 
-def _structured_rows(vals, models, k, *, y_max, taper_frac, pad, fit_orders=(3, 4)):
+def _structured_rows(vals, models, k, *, pad, fit_orders=(3, 4)):
     """Inverse transform with the per-row jump/kink model split off.
 
     Returns the tail-fitted models alongside the transform so callers can
@@ -207,7 +211,7 @@ def _structured_rows(vals, models, k, *, y_max, taper_frac, pad, fit_orders=(3, 
         for m, row in zip(models, vals)
     ]
     g = vals - np.stack([m.on_k(k) for m in models])
-    y, G = half_line_transform(g, k, y_max=y_max, taper_frac=taper_frac, pad=pad)
+    y, G = half_line_transform(g, k, y_max=_Y_MAX, pad=pad)
     G = G + np.stack([m.on_y(y) for m in models])
     return y, G, models
 
@@ -216,15 +220,9 @@ def _limit(f: Callable, t: float, direction: float, eps: float = 1e-7) -> float:
     return float(f(t + direction * eps))
 
 
-def _row_models(
-    pot: Potential | None,
-    side: int,
-    x_grid: np.ndarray,
-    X: float,
-    kind: str,
-    jf: JostField | None = None,
-) -> list[_RowModel]:
-    """Jump/kink/curvature structure of B± (\"b\") or ∂ₓB± (\"db\") rows.
+def _row_models(pot: Potential | None, jf: JostField, kind: str) -> list[_RowModel]:
+    """Jump/kink/curvature structure of B± (\"b\") or ∂ₓB± (\"db\") rows
+    of jf, from pot when given, else from the large-k tail of the data.
 
     In the reflected frame W(t) = V(side·t), x̃ = side·x the profiles behave
     like r(u) = ∫_{x̃+u} W  (B) and −side·W(x̃+u) (∂ₓB) plus smoother terms;
@@ -239,8 +237,6 @@ def _row_models(
     follows from one more transport pass on the same line.
     """
     if pot is None:
-        if jf is None:
-            raise ValueError("pot=None row models need the Jost field")
         # fit the leading jump from the large-k tail of the data itself
         k = jf.k_grid
         sel = k > 0.9 * np.max(k)
@@ -251,6 +247,8 @@ def _row_models(
             _RowModel([(0.0, float(j0))], [(0.0, 2.0 * float(j0))]) for j0 in coef[0].real
         ]
 
+    side, X = jf.side, jf.report.cutoff
+
     def w_of(t: float) -> float:
         return float(pot(side * t))
 
@@ -260,7 +258,7 @@ def _row_models(
 
     models = []
     bps = sorted(side * b for b in pot.breakpoints)
-    for x in x_grid:
+    for x in jf.x_grid:
         xt = side * float(x)
         inner = [b for b in bps if xt < b < X]
         m_val, _ = quad(w_of, xt, X, points=inner or None, limit=200)
@@ -303,26 +301,23 @@ def b_kernel(
     jf: JostField,
     y_grid=None,
     *,
-    y_max: float = 16.0,
     pot: Potential | None = None,
-    taper_frac: float = 0.1,
     pad: int = 1,
 ) -> KernelTable:
     """Kernel table B±(x,·) for every x in the field's grid.
 
     With y_grid = None the table lives on the transform's native y points
-    (spacing π/(pad·N·δk)); an explicit y_grid is filled by cubic
-    interpolation in |y|.  Passing pot pins the y → 0 jump B±(x,0) = ∫V
-    exactly; otherwise it is fitted from the large-k tail of h−1.
+    (spacing π/(pad·N·δk), 0 ≤ |y| ≤ 16); an explicit y_grid is filled by
+    cubic interpolation in |y|.  Passing pot pins the y → 0 jump
+    B±(x,0) = ∫V exactly; otherwise it is fitted from the large-k tail of
+    h−1.
     """
     k = jf.k_grid
-    models = _row_models(pot, jf.side, jf.x_grid, jf.report.cutoff, "b", jf=jf)
+    models = _row_models(pot, jf, "b")
     # without the potential the fallback kink guess is rough, so let the
     # tail fit adjust the 1/k² coefficients as well
     orders = (3, 4) if pot is not None else (2, 3, 4)
-    y_abs, G, models = _structured_rows(
-        jf.h - 1.0, models, k, y_max=y_max, taper_frac=taper_frac, pad=pad, fit_orders=orders
-    )
+    y_abs, G, models = _structured_rows(jf.h - 1.0, models, k, pad=pad, fit_orders=orders)
     scale = float(np.max(np.abs(G.real))) + 1e-30
     imag_res = float(np.max(np.abs(G.imag))) / scale
     if imag_res > _IMAG_TOL:
@@ -330,13 +325,7 @@ def b_kernel(
             f"imaginary residual {imag_res:.2e} in B: k window too small or aliased"
         )
     B = G.real
-    meta = {
-        "taper_frac": taper_frac,
-        "pad": pad,
-        "y_max": y_max,
-        "k_grid": k,
-        "models": models,
-    }
+    meta = {"pad": pad, "k_grid": k, "models": models}
     if y_grid is not None:
         y_req = np.asarray(y_grid, dtype=float)
         if np.any(jf.side * y_req < -1e-12):
@@ -369,16 +358,8 @@ def kd_kernels(kt: KernelTable, jf: JostField, *, pot: Potential | None = None) 
     if np.any(np.diff(y_abs) <= 0):
         raise ValueError("kd_kernels needs a native (monotone |y|) table")
     k = jf.k_grid
-    models = _row_models(pot, jf.side, jf.x_grid, jf.report.cutoff, "db", jf=jf)
-    y2, Gd, _ = _structured_rows(
-        jf.h_prime,
-        models,
-        k,
-        y_max=kt.meta["y_max"],
-        taper_frac=kt.meta["taper_frac"],
-        pad=kt.meta["pad"],
-        fit_orders=(2, 3, 4),
-    )
+    models = _row_models(pot, jf, "db")
+    y2, Gd, _ = _structured_rows(jf.h_prime, models, k, pad=kt.meta["pad"], fit_orders=(2, 3, 4))
     if y2.size != y_abs.size or abs(y2[-1] - y_abs[-1]) > 1e-9:
         raise ValueError("kernel table was resampled; rebuild it on the native grid")
     dB = Gd.real
@@ -387,16 +368,15 @@ def kd_kernels(kt: KernelTable, jf: JostField, *, pot: Potential | None = None) 
     return replace(kt, K=K, D=D, dB=dB)
 
 
-def roundtrip_residual(
-    kt: KernelTable, jf: JostField, interior: float = 0.5, stride: int = 10
-) -> float:
-    """max |forward transform of B − (h−1)| over the interior |k| ≤ interior·K.
+def roundtrip_residual(kt: KernelTable, jf: JostField) -> float:
+    """max |forward transform of B − (h−1)| over every 10th wavenumber of
+    the interior |k| ≤ K/2.
 
     The forward direction uses the same linear-Filon rule as Ψ, so the
     check is aliasing-free; resolving 1e-6 needs a padded table (pad ≳ 16).
     """
     k = jf.k_grid
-    sel = np.flatnonzero(np.abs(k) <= interior * np.max(np.abs(k)))[::stride]
+    sel = np.flatnonzero(np.abs(k) <= 0.5 * np.max(np.abs(k)))[::10]
     ks = k[sel]
     y_abs = np.abs(kt.y_grid)
     forward = _filon_linear(y_abs, kt.B, ks)
@@ -467,21 +447,14 @@ def _eta_interp(
     return lambda w: np.maximum(interp(np.clip(side * np.asarray(w), u_lo, u_hi)), 0.0)
 
 
-def resonance_functionals(
-    jf: JostField,
-    pot: Potential,
-    *,
-    k_stride: int = 20,
-    y_step: float = 1e-3,
-    y_max: float = 16.0,
-    taper_frac: float = 0.1,
-) -> ResonanceFunctionals:
+def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals:
     """H±, Ψ±, Φ± at x = 0 with the identity residual max|Φ − 2ikΨ|.
 
-    Ψ±(k) = ∫_0^{±∞} H±(y) e^{±2iky} dy is evaluated by linear-Filon
-    quadrature on a fine y grid (step y_step) so the residual stays
-    meaningful at the largest grid wavenumbers.  Ĉ is the grid maximum of
-    |H±(y)| / η±(y).
+    H± lives on 0 ≤ |y| ≤ 16, the reach of the kernel tables.  Ψ±(k) =
+    ∫_0^{±∞} H±(y) e^{±2iky} dy is evaluated by linear-Filon quadrature on
+    a y grid of step about 1e-3, so the residual stays meaningful at the
+    largest grid wavenumbers; Ψ± and Φ± are kept on every 20th grid
+    wavenumber.  Ĉ is the grid maximum of |H±(y)| / η±(y).
     """
     ix = jf.x_index(0.0)
     k = jf.k_grid
@@ -489,21 +462,11 @@ def resonance_functionals(
     if abs(k[i0]) > 1e-12:
         raise ValueError("resonance functionals need k = 0 on the grid")
     delta = _uniform_step(k, "k grid")
-    pad = max(1, int(np.ceil(np.pi / (y_step * k.size * delta))))
-    model_b = _row_models(pot, jf.side, jf.x_grid, jf.report.cutoff, "b", jf=jf)[ix]
-    model_d = _row_models(pot, jf.side, jf.x_grid, jf.report.cutoff, "db", jf=jf)[ix]
-    y_abs, Gb, _ = _structured_rows(
-        jf.h[ix] - 1.0, [model_b], k, y_max=y_max, taper_frac=taper_frac, pad=pad
-    )
-    _, Gd, _ = _structured_rows(
-        jf.h_prime[ix],
-        [model_d],
-        k,
-        y_max=y_max,
-        taper_frac=taper_frac,
-        pad=pad,
-        fit_orders=(2, 3, 4),
-    )
+    pad = max(1, int(np.ceil(np.pi / (_PSI_Y_STEP * k.size * delta))))
+    model_b = _row_models(pot, jf, "b")[ix]
+    model_d = _row_models(pot, jf, "db")[ix]
+    y_abs, Gb, _ = _structured_rows(jf.h[ix] - 1.0, [model_b], k, pad=pad)
+    _, Gd, _ = _structured_rows(jf.h_prime[ix], [model_d], k, pad=pad, fit_orders=(2, 3, 4))
     B0 = Gb[0].real
     dB0 = Gd[0].real
     K0 = _tail_cumulative(B0, y_abs)
@@ -513,12 +476,12 @@ def resonance_functionals(
     H = K0 * hp0 - D0 * h0
 
     # in |y| both sides read Ψ±(k) = ∫_0^∞ H±(±u) e^{2iku} du
-    k_eval = k[::k_stride]
+    k_eval = k[::_PSI_K_STRIDE]
     Psi = _filon_linear(y_abs, H, k_eval)
-    Phi = jf.h[ix, ::k_stride] * hp0 - jf.h_prime[ix, ::k_stride] * h0
+    Phi = jf.h[ix, ::_PSI_K_STRIDE] * hp0 - jf.h_prime[ix, ::_PSI_K_STRIDE] * h0
     residual = float(np.max(np.abs(Phi - 2j * k_eval * Psi)))
 
-    eta_fn = _eta_interp(pot, jf.side, 0.0, jf.side * y_max)
+    eta_fn = _eta_interp(pot, jf.side, 0.0, jf.side * _Y_MAX)
     ev = eta_fn(jf.side * y_abs)
     ok = ev > 1e-9 * float(np.max(ev))
     c_hat = float(np.max(np.abs(H[ok]) / ev[ok])) if np.any(ok) else 0.0
@@ -578,7 +541,6 @@ def glm_residual(
     sd: ScatteringData,
     *,
     pot: Potential | None = None,
-    w_step: float = 0.01,
     eval_stride: int = 1,
 ) -> GlmReport:
     """Residual of the inverse-scattering (Marchenko) equation for B±.
@@ -604,7 +566,7 @@ def glm_residual(
 
     w_lo = float(np.min(xs))
     w_hi = float(np.max(xs) + 2.0 * y_abs[-1])
-    w = np.arange(w_lo, w_hi + w_step, w_step)
+    w = np.arange(w_lo, w_hi + _GLM_W_STEP, _GLM_W_STEP)
     R_eff = np.asarray(R, dtype=complex).copy()
     kink_terms = []
     if pot is not None:
@@ -665,16 +627,10 @@ def glm_residual(
     dy = float(np.median(np.diff(y_abs)))
     fac = max(1, int(np.ceil(dy / 0.0017)))
     y_t = np.linspace(y_abs[0], y_abs[-1], fac * (y_abs.size - 1) + 1)
-    b_models = kt.meta.get("models")
-    if b_models is None and pot is not None:
-        X_mod = max(cutoff_for_eta(pot, 1e-12, side), float(np.max(xs)) + 1.0)
-        b_models = _row_models(pot, side, kt.x_grid, X_mod, "b")
-    if b_models is not None:
-        model_tab = np.stack([mo.on_y(y_abs) for mo in b_models])
-        model_fine = np.stack([mo.on_y(y_t) for mo in b_models])
-        B_t = CubicSpline(y_abs, B - model_tab, axis=1)(y_t) + model_fine
-    else:
-        B_t = CubicSpline(y_abs, B, axis=1)(y_t)
+    b_models = kt.meta["models"]
+    model_tab = np.stack([mo.on_y(y_abs) for mo in b_models])
+    model_fine = np.stack([mo.on_y(y_t) for mo in b_models])
+    B_t = CubicSpline(y_abs, B - model_tab, axis=1)(y_t) + model_fine
     y_eval = y_abs[::eval_stride]
     B_eval = B[:, ::eval_stride]
     res = np.empty_like(B_eval)

@@ -33,22 +33,17 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ResonanceError
 from .jost import (
+    ODE_ATOL,
+    ODE_RTOL,
     JostField,
     ZeroEnergyState,
     _wronskian,
-    compute_h,
     compute_h_bound,
     zero_energy_state,
 )
 from .oscquad import fresnel_weights, full_line_integral, truncation_tail
 from .potentials import Potential
-from .scattering import (
-    ScatteringData,
-    bound_states,
-    classify_resonance,
-    scattering_matrix,
-    wronskians,
-)
+from .scattering import ScatteringData, scattering_data
 from . import wiener
 from .wiener import _uniform_step
 
@@ -129,10 +124,14 @@ class PropagatorData:
         return self.sd.T
 
     def x_index(self, x: float) -> int:
-        i = int(np.argmin(np.abs(self.x_grid - x)))
-        if abs(self.x_grid[i] - x) > 1e-9:
-            raise KeyError(f"x={x} not on the propagator grid")
-        return i
+        return _grid_index(self.x_grid, x)
+
+
+def _grid_index(x_grid, x: float) -> int:
+    i = int(np.argmin(np.abs(x_grid - x)))
+    if abs(x_grid[i] - x) > 1e-9:
+        raise KeyError(f"x={x} not on the propagator grid")
+    return i
 
 
 def prepare_propagator(
@@ -140,12 +139,19 @@ def prepare_propagator(
     x_grid=None,
     k_grid=None,
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
 ) -> PropagatorData:
     """Jost fields, scattering matrix and (if resonant) the threshold
     state, tabulated once on a uniform (x, k) grid and shared by every
-    kernel evaluation."""
+    kernel evaluation.
+
+    One pipeline: scattering_data integrates both Jost fields on x_grid,
+    checks the Wronskian at its two ends and its middle, classifies the
+    resonance and finds the bound states.  f₀ is then built from the
+    zero-energy scan the resonance report was decided from, so a resonant
+    potential is scanned once.  The grid point within 1e-12 of 0 is set to
+    exactly 0, which keeps the Jost rows aligned with x_grid."""
     if x_grid is None:
         n_half = int(round(DEFAULT_X_MAX / DEFAULT_X_STEP))
         x_grid = np.linspace(-DEFAULT_X_MAX, DEFAULT_X_MAX, 2 * n_half + 1)
@@ -155,24 +161,20 @@ def prepare_propagator(
     k_grid = np.asarray(k_grid, dtype=float)
     _uniform_step(x_grid, "x_grid")
     _uniform_step(k_grid, "k_grid")
-    if not np.any(np.abs(x_grid) < 1e-12):
+    zero = np.abs(x_grid) < 1e-12
+    if not np.any(zero):
         raise ValueError("x_grid must contain 0 (Wronskian anchor)")
+    # scattering_data adds an exact 0 to the rows it integrates
+    x_grid = np.where(zero, 0.0, x_grid)
 
-    jp = compute_h(pot, x_grid, k_grid, +1, rtol=rtol, atol=atol)
-    jm = compute_h(pot, x_grid, k_grid, -1, rtol=rtol, atol=atol)
-    # Wronskian constancy probes: three well separated grid points
     probes = tuple(float(x_grid[i]) for i in (0, x_grid.size // 2, x_grid.size - 1))
-    w, w_plus, w_minus, spread = wronskians(jp, jm, x_check=probes)
-    rep = classify_resonance(pot, rtol=rtol, atol=atol)
-    bnd = bound_states(pot, rtol=rtol, atol=atol)
-    sd = scattering_matrix(
-        w, (w_plus, w_minus), k_grid, resonance=rep, wronskian_spread=spread, bound=bnd
+    sd, jp, jm = scattering_data(
+        pot, k_grid, x_check=probes, extra_x=x_grid, rtol=rtol, atol=atol
     )
-
     zs = None
     f0_x = np.zeros(x_grid.size)
-    if rep.resonant:
-        zs = zero_energy_state(pot, rtol=rtol, atol=atol)
+    if sd.resonance.resonant:
+        zs = zero_energy_state(pot, sd.resonance.zero_energy)
         f0_x = CubicSpline(zs.x_grid, zs.f0)(x_grid)
     return PropagatorData(
         pot=pot,
@@ -210,7 +212,7 @@ def resolvent_kernel(jf_plus: JostField, jf_minus: JostField, T, x, y, k, branch
     return -sgn * fp * fm * T[ik] / (2j * k)
 
 
-def resolvent_imag_axis(pot: Potential, x, y, kappa, *, rtol=1e-10, atol=1e-12) -> float:
+def resolvent_imag_axis(pot: Potential, x, y, kappa) -> float:
     """Resolvent kernel at the spectral point −κ² (k = iκ on the physical
     sheet); real, and divergent as κ approaches a bound state."""
     if kappa <= 0.0:
@@ -218,8 +220,8 @@ def resolvent_imag_axis(pot: Potential, x, y, kappa, *, rtol=1e-10, atol=1e-12) 
     if x > y:
         x, y = y, x
     xs = np.unique(np.array([x, 0.0, y], dtype=float))
-    hp, hpp = compute_h_bound(pot, xs, [kappa], +1, rtol=rtol, atol=atol)
-    hm, hmp = compute_h_bound(pot, xs, [kappa], -1, rtol=rtol, atol=atol)
+    hp, hpp = compute_h_bound(pot, xs, [kappa], +1)
+    hm, hmp = compute_h_bound(pot, xs, [kappa], -1)
     i0 = int(np.searchsorted(xs, 0.0))
     iy = int(np.searchsorted(xs, y))
     ix = int(np.searchsorted(xs, x))
@@ -392,19 +394,18 @@ def threshold_projection_residual(pd: PropagatorData) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def apply_kernel(ks: KernelSlice, psi0, part: str = "pac") -> np.ndarray:
-    """Integrate kernel(x, y) ψ₀(y) dy over the slice grid (Simpson)."""
-    mat = getattr(ks, part)
+def apply_kernel(ks: KernelSlice, psi0) -> np.ndarray:
+    """Integrate pac(x, y) ψ₀(y) dy over the slice grid (Simpson)."""
     psi0 = np.asarray(psi0)
     if psi0.shape != ks.y_grid.shape:
         raise ValueError("psi0 must be sampled on the slice y grid")
-    return simpson(mat * psi0[None, :], x=ks.y_grid, axis=1)
+    return simpson(ks.pac * psi0[None, :], x=ks.y_grid, axis=1)
 
 
 # -- stationary-phase integrand ----------------------------------------------
 
 
-def s_field(pd: PropagatorData, x: float, y: float, *, taper_frac: float = 0.1) -> SField:
+def s_field(pd: PropagatorData, x: float, y: float) -> SField:
     """Derivative of the once-subtracted kernel amplitude over k.
 
     With N(k) = e^{i|y−x|k} h₊(y,k)h₋(x,k)T(k) − h₊(y,0)h₋(x,0)T(0) the
@@ -426,27 +427,37 @@ def s_field(pd: PropagatorData, x: float, y: float, *, taper_frac: float = 0.1) 
     q[i0] = (num[i0 - 2] - 8.0 * num[i0 - 1] + 8.0 * num[i0 + 1] - num[i0 + 2]) / (12.0 * h)
     s = wiener._derivative(q, h)
     k_in = k[2:-2]
-    est = wiener.a_norm(k_in, s, 0.0, taper_frac=taper_frac)
+    est = wiener.a_norm(k_in, s, 0.0)
     return SField(x=float(x), y=float(y), k_grid=k_in, S=s, a_norm=est)
 
 
-def s_growth_fit(pd: PropagatorData, *, x_max: float = 5.0, step: float = 1.0):
+def _growth_lattice(x_grid, step: float = 1.0) -> list[float]:
+    """The grid values at the lattice points m·step, |m·step| ≤ 5, that
+    s_growth_fit pairs up; ValueError naming the first point missing from
+    x_grid."""
+    n_half = int(np.floor(5.0 / step + 1e-9))
+    sel = []
+    for v in step * np.arange(-n_half, n_half + 1):
+        try:
+            sel.append(float(x_grid[_grid_index(x_grid, v)]))
+        except KeyError:
+            raise ValueError(f"lattice point x={v:g} is not on the propagator grid") from None
+    return sel
+
+
+def s_growth_fit(pd: PropagatorData, *, step: float = 1.0):
     """Growth of ‖S(x,y,·)‖ against s = |x|+|y| over the pair lattice
-    |x|,|y| ≤ x_max.
+    |x|,|y| ≤ 5.
 
     The claim under test is an upper bound ≲ (1+s)², so the exponent is
     fitted on the envelope (the per-s maximum of the norm): a scatter fit
     would be dominated by same-side pairs whose norms are tiny.  Returns
     (C, p, pairs, norms) with C = max ‖S‖/(1+s)² and p the least-squares
     slope of the log envelope in log(1+s).  Every lattice point m·step
-    with |m·step| ≤ x_max must lie on pd.x_grid (ValueError otherwise)."""
-    n_half = int(np.floor(x_max / step + 1e-9))
-    sel = []
-    for v in step * np.arange(-n_half, n_half + 1):
-        try:
-            sel.append(float(pd.x_grid[pd.x_index(v)]))
-        except KeyError:
-            raise ValueError(f"lattice point x={v:g} is not on the propagator grid") from None
+    with |m·step| ≤ 5 must lie on pd.x_grid; _growth_lattice raises
+    ValueError otherwise, and the CLI decay stage runs the same check on
+    its configured grid before any solve."""
+    sel = _growth_lattice(pd.x_grid, step)
     pairs = [(a, c) for ai, a in enumerate(sel) for c in sel[ai:]]
     norms = np.array([s_field(pd, a, c).a_norm.a1_norm for a, c in pairs])
     s = np.abs([a for a, _ in pairs]) + np.abs([c for _, c in pairs])

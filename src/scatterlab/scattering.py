@@ -23,14 +23,18 @@ from scipy.optimize import brentq
 
 from .errors import CrossCheckError, ResonanceError
 from .jost import (
+    ODE_ATOL,
+    ODE_RTOL,
     JostField,
+    ZeroEnergyData,
     _resonance_threshold,
+    _scan_half_width,
     _wronskian,
     compute_h,
     compute_h_bound,
     zero_energy_scan,
 )
-from .potentials import Potential, cutoff_for_eta
+from .potentials import Potential
 
 __all__ = [
     "ScatteringData",
@@ -56,7 +60,8 @@ _NEAR_THRESHOLD_KAPPA = 1e-3
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    """Outcome of the zero-energy dichotomy for one potential."""
+    """Outcome of the zero-energy dichotomy for one potential, with the
+    zero-energy scan it was decided from (for f₀; not compared, not shown)."""
 
     label: str
     resonant: bool
@@ -70,6 +75,7 @@ class ResonanceReport:
     R0_plus: complex
     R0_minus: complex
     limit_consistency: float  # |k→0 extrapolation of T, R± − algebraic values|
+    zero_energy: ZeroEnergyData = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -221,9 +227,8 @@ def scattering_data(
     k_grid,
     *,
     x_check=(-2.0, 0.0, 2.0),
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    cutoff_tol: float = 1e-10,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
     extra_x=(),
     with_bound_states: bool = True,
 ) -> tuple[ScatteringData, JostField, JostField]:
@@ -232,8 +237,8 @@ def scattering_data(
     xs = np.unique(
         np.concatenate([[0.0], np.asarray(x_check, float), np.asarray(extra_x, float)])
     )
-    jp = compute_h(pot, xs, k_grid, +1, rtol=rtol, atol=atol, cutoff_tol=cutoff_tol)
-    jm = compute_h(pot, xs, k_grid, -1, rtol=rtol, atol=atol, cutoff_tol=cutoff_tol)
+    jp = compute_h(pot, xs, k_grid, +1, rtol=rtol, atol=atol)
+    jm = compute_h(pot, xs, k_grid, -1, rtol=rtol, atol=atol)
     rep = classify_resonance(pot, rtol=rtol, atol=atol)
     w, w_plus, w_minus, spread = wronskians(jp, jm, x_check)
     bound = bound_states(pot, rtol=rtol, atol=atol) if with_bound_states else ()
@@ -254,8 +259,8 @@ _PROBE_K = (0.002, 0.004, 0.006, 0.008)
 def classify_resonance(
     pot: Potential,
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
 ) -> ResonanceReport:
     """Decide the zero-energy dichotomy and report the k → 0 algebra.
 
@@ -265,7 +270,8 @@ def classify_resonance(
     |W(0)| within a factor 10 of the threshold flags the classification
     ambiguous.  limit_consistency measures the gap between a small-k
     polynomial extrapolation of the computed T(k), R±(k) and the algebraic
-    limit values.
+    limit values.  The report keeps the scan (zero_energy), from which
+    zero_energy_state builds f₀ without solving again.
     """
     zed = zero_energy_scan(pot, rtol=rtol, atol=atol)
     threshold = zed.threshold
@@ -304,10 +310,11 @@ def classify_resonance(
         R0_plus=complex(R0p),
         R0_minus=complex(R0m),
         limit_consistency=float(lim),
+        zero_energy=zed,
     )
 
 
-def _w_at_ikappa(pot, kappas, rtol=1e-10, atol=1e-12):
+def _w_at_ikappa(pot, kappas, rtol, atol):
     """W(iκ) (real) at x = 0 for a batch of κ > 0."""
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     hp_, hpp = compute_h_bound(pot, [0.0], kappas, +1, rtol=rtol, atol=atol)
@@ -318,8 +325,8 @@ def _w_at_ikappa(pot, kappas, rtol=1e-10, atol=1e-12):
 def bound_states(
     pot: Potential,
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
 ) -> tuple[BoundState, ...]:
     """All bound states Eₙ = −κₙ² as real zeros of κ ↦ W(iκ).
 
@@ -329,7 +336,7 @@ def bound_states(
     tail corrections, so the norming constants stay reliable for shallow
     wells where κ·X∞ is order one.
     """
-    X = max(cutoff_for_eta(pot, 1e-10, +1), cutoff_for_eta(pot, 1e-10, -1), 6.0)
+    X = _scan_half_width(pot)
     scan = np.linspace(-X, X, 4001)
     vmin = float(np.min(pot(scan)))
     if vmin >= 0.0:
@@ -391,7 +398,7 @@ def bound_states(
     return tuple(states)
 
 
-def resonance_threshold(family, lo: float, hi: float, *, xtol: float = 1e-6) -> float:
+def resonance_threshold(family, lo: float, hi: float) -> float:
     """Parameter value where W(0) changes sign for a potential family.
 
     family maps a scalar parameter to a Potential; the bracket [lo, hi] must
@@ -407,4 +414,4 @@ def resonance_threshold(family, lo: float, hi: float, *, xtol: float = 1e-6) -> 
         return hi
     if wlo * whi > 0:
         raise ValueError(f"W(0) does not change sign on [{lo}, {hi}]")
-    return float(brentq(w0_of, lo, hi, xtol=xtol, rtol=8.9e-16))
+    return float(brentq(w0_of, lo, hi, xtol=1e-6, rtol=8.9e-16))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from scatterlab import cli
 from scatterlab.cli import main
 
 
@@ -18,3 +19,19 @@ def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"grids": {"x_stepp": 0.5}}))
     assert main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # step 0.4 misses x = -5 of the exterior proxy's integer lattice; the
+    # stage must say so before preparing the propagator
+    def no_solve(*args, **kwargs):
+        raise AssertionError("prepare_propagator ran")
+
+    monkeypatch.setattr(cli, "prepare_propagator", no_solve)
+    args = ["decay", "--out", str(tmp_path)]
+    for kv in ("grids.x_step=0.4", "grids.k_max=20", "grids.k_count=2001"):
+        args += ["--override", kv]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "grids.x_step=0.4" in err and "x=-5 " in err
+    assert not (tmp_path / "decay_report.json").exists()

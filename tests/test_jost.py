@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterlab.errors import CutoffError, ResonanceError
 from scatterlab.jost import (
@@ -58,6 +60,22 @@ def test_conjugation_folding_matches_direct_integration():
     b = compute_h(pt, XS, ks, +1, fold_conjugate=False)
     assert np.max(np.abs(a.h - b.h)) < 1e-12
     assert np.max(np.abs(a.h_prime - b.h_prime)) < 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(["poeschl_teller", "square_well", "gaussian_well"]),
+    side=st.sampled_from([+1, -1]),
+    ks=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True),
+)
+def test_conjugation_symmetry_unfolded(name, side, ks):
+    # h(x,−k) = conj h(x,k) for real V, as an honest check: both signs of k
+    # are integrated
+    ks = np.array(ks)
+    jf = compute_h(catalog(name), XS, np.concatenate([-ks, ks]), side, fold_conjugate=False)
+    n = ks.size
+    assert np.max(np.abs(jf.h[:, :n] - np.conj(jf.h[:, n:]))) < 1e-12
+    assert np.max(np.abs(jf.h_prime[:, :n] - np.conj(jf.h_prime[:, n:]))) < 1e-12
 
 
 def test_f_at_x_phases():

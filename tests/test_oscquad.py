@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import fresnel
 
 from scatterlab.oscquad import (
     fresnel_weights,
@@ -55,6 +58,35 @@ def test_linear_amplitude_exact_on_irregular_nodes():
     got = complex(quad_quadratic_phase(k, amp, t, b))
     ref = _quad_oracle(lambda k: 0.7 - 0.3 * k, t, b, -5.0, 5.0, pieces=80)
     assert abs(got - ref) < 5e-13  # exact up to roundoff despite huge panels
+
+
+def _linear_oracle(alpha, beta, t, b, lo, hi):
+    """∫_lo^hi e^{−i(tk²−bk)} (α + βk) dk without erf: the part along
+    φ′ = 2tk − b integrates in closed form, the constant part through the
+    Fresnel integrals C, S."""
+    c1, c0 = beta / (2.0 * t), alpha + beta * b / (2.0 * t)
+    phase = lambda k: np.exp(-1j * (t * k * k - b * k))  # noqa: E731
+    along = 1j * (phase(hi) - phase(lo))
+    sc = np.sqrt(2.0 * t / np.pi)
+    S, C = fresnel(np.array([lo, hi]) * sc - b / (2.0 * t) * sc)
+    const = np.exp(1j * b * b / (4.0 * t)) * np.diff(C - 1j * S)[0] / sc
+    return c1 * along + c0 * const
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.floats(-6.0, 0.0),
+    gaps=st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=39),
+    t=st.floats(1.0, 100.0),
+    b=st.floats(-10.0, 10.0),
+    alpha=st.floats(-2.0, 2.0),
+    beta=st.floats(-2.0, 2.0),
+)
+def test_linear_amplitude_exact_on_random_nodes(start, gaps, t, b, alpha, beta):
+    k = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    got = complex(fresnel_weights(k, t, b) @ (alpha + beta * k))
+    ref = _linear_oracle(alpha, beta, t, b, k[0], k[-1])
+    assert abs(got - ref) <= 1e-13 * (1.0 + abs(alpha) + 6.0 * abs(beta))
 
 
 def test_gaussian_amplitude_closed_form():

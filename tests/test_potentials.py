@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterlab.errors import TruncationError
 from scatterlab.potentials import (
@@ -129,6 +131,50 @@ def test_spec_round_trip():
     probe = np.linspace(-8, 8, 33)
     assert np.array_equal(back(probe), sampled(probe))
     assert back.tail == sampled.tail
+
+
+_CATALOG = st.one_of(
+    st.sampled_from(["free", "poeschl_teller"]).map(catalog),
+    st.builds(
+        lambda v0, a: catalog("square_well", v0=v0, a=a),
+        st.floats(0.1, 20.0),
+        st.floats(0.1, 3.0),
+    ),
+    st.builds(
+        lambda d, w: catalog("gaussian_well", depth=d, width=w),
+        st.floats(0.01, 5.0),
+        st.floats(0.2, 3.0),
+    ),
+)
+_SAMPLED = st.builds(
+    lambda start, gaps, v: load_sampled(start + np.cumsum([0.0] + gaps), v[: len(gaps) + 1]),
+    st.floats(-6.0, 0.0),
+    st.lists(st.floats(0.05, 1.0), min_size=3, max_size=23),
+    st.lists(st.floats(-3.0, 3.0), min_size=24, max_size=24),
+)
+
+
+@st.composite
+def _potentials(draw):
+    pot = draw(st.one_of(_CATALOG, _SAMPLED))
+    for s in draw(st.lists(st.floats(-4.0, 4.0).filter(lambda s: s != 0.0), max_size=2)):
+        pot = scale_potential(pot, s)
+    return pot
+
+
+@settings(max_examples=40, deadline=None)
+@given(pot=_potentials())
+def test_spec_round_trip_drawn(pot):
+    spec = to_spec(pot)
+    back = from_spec(spec)
+    probe = np.linspace(-8.0, 8.0, 41)
+    # the same function back, NaN included: a sample near the underflow
+    # limit gives a fitted tail coef of inf and NaN values past the samples
+    assert np.array_equal(back(probe), pot(probe), equal_nan=True)
+    assert back.label == pot.label
+    assert back.tail == pot.tail
+    assert back.breakpoints == pot.breakpoints
+    assert to_spec(back) == spec
 
 
 def test_load_sampled_arrays_and_csv(tmp_path):

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from scatterlab import jost, scattering
 from scatterlab.errors import ResonanceError
+from scatterlab.jost import zero_energy_state
 from scatterlab.oscquad import full_line_integral
 from scatterlab.propagator import (
     apply_kernel,
@@ -249,6 +251,21 @@ def test_pac_validation(pt_pd):
 
 
 # ------------------------------------------------------- threshold projection
+
+
+def test_resonant_prepare_scans_zero_energy_once(pt_pot, monkeypatch):
+    # f₀ comes from the scan that decided the resonance, not from a second one
+    scan, calls = jost.zero_energy_scan, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].label)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(jost, "zero_energy_scan", counted)
+    monkeypatch.setattr(scattering, "zero_energy_scan", counted)
+    pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 17), np.linspace(-5.0, 5.0, 201))
+    assert pd.resonant and calls == ["poeschl_teller"]
+    assert np.array_equal(pd.zero_state.f0, zero_energy_state(pt_pot).f0)
 
 
 def test_threshold_projection_residual(pt_pd, sw_pd):
