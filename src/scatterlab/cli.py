@@ -42,7 +42,7 @@ from .kernels import (
     kernel_table_csv,
     resonance_functionals,
 )
-from .potentials import CATALOG_NAMES, catalog, to_spec
+from .potentials import CATALOG_NAMES, catalog, from_spec, to_spec
 from .propagator import (
     DEFAULT_K_COUNT,
     DEFAULT_K_MAX,
@@ -146,8 +146,10 @@ class RunConfig:
         c = self.data
         if c["schema_version"] != 1:
             raise ValueError("unsupported config schema_version")
-        if c["potential"]["name"] not in CATALOG_NAMES:
-            raise ValueError(f"unknown potential {c['potential']['name']!r}")
+        try:
+            self.potential()
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"potential spec {c['potential']!r}: {exc!r}") from None
         for name, val in c["tolerances"].items():
             if not (isinstance(val, (int, float)) and val > 0.0):
                 raise ValueError(f"tolerance {name} must be positive")
@@ -174,8 +176,7 @@ class RunConfig:
     # -- derived pieces ------------------------------------------------
 
     def potential(self):
-        p = self.data["potential"]
-        return catalog(p["name"], **p["params"])
+        return from_spec(self.data["potential"])
 
     def x_grid(self) -> np.ndarray:
         g = self.data["grids"]
@@ -301,7 +302,7 @@ def cmd_scatter(rc: RunConfig, out: Path) -> int:
         "max_unitarity_residual": worst,
         "unitarity_tolerance": tol,
         "wronskian_spread": sd.wronskian_spread,
-        "resonant": bool(sd.resonance.resonant) if sd.resonance else None,
+        "resonant": bool(sd.resonance.resonant),
         "bound_states": [
             {"kappa": b.kappa, "energy": b.energy} for b in sd.bound_states
         ],

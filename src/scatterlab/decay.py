@@ -51,23 +51,22 @@ class DecayReport:
     runtime_seconds: float
 
 
-def _weights(grid, sigma):
-    return (1.0 + np.abs(grid)) ** (-sigma)
+def _weighted_abs(mat, ks: KernelSlice, sigma: float) -> np.ndarray:
+    """(1+|x|)^{−σ} |mat(x,y)| (1+|y|)^{−σ} on the slice grid."""
+    wx = (1.0 + np.abs(ks.x_grid)) ** (-sigma)
+    wy = (1.0 + np.abs(ks.y_grid)) ** (-sigma)
+    return wx[:, None] * np.abs(mat) * wy[None, :]
 
 
 def weighted_norm(ks: KernelSlice, sigma: float = 2.0) -> float:
     """sup over the slice grid of (1+|x|)^{−σ} |G(x,y)| (1+|y|)^{−σ}."""
-    wx = _weights(ks.x_grid, sigma)
-    wy = _weights(ks.y_grid, sigma)
-    return float(np.max(wx[:, None] * np.abs(ks.G) * wy[None, :]))
+    return float(np.max(_weighted_abs(ks.G, ks, sigma)))
 
 
 def _norm_and_error_ratio(mat, ks, sigma):
     """Weighted sup of |mat| and the worst error share on the candidate
     region (weighted entries within a factor 2 of the sup)."""
-    wx = _weights(ks.x_grid, sigma)
-    wy = _weights(ks.y_grid, sigma)
-    wmat = wx[:, None] * np.abs(mat) * wy[None, :]
+    wmat = _weighted_abs(mat, ks, sigma)
     top = float(np.max(wmat))
     if top == 0.0:
         return 0.0, 0.0
@@ -132,10 +131,7 @@ def run_experiment(
     ctrl_norms = np.empty(ts.size)
     for i, ks in enumerate(slices):
         norms[i], ratios[i] = _norm_and_error_ratio(ks.G, ks, sigma)
-        ctrl_norms[i] = float(
-            np.max(_weights(ks.x_grid, sigma)[:, None] * np.abs(ks.pac)
-                   * _weights(ks.y_grid, sigma)[None, :])
-        )
+        ctrl_norms[i] = float(np.max(_weighted_abs(ks.pac, ks, sigma)))
     if np.any(norms <= 0.0) or not np.all(np.isfinite(norms)):
         raise ValueError("weighted norms must be positive and finite")
 

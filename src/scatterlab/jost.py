@@ -73,10 +73,7 @@ class JostField:
     report: IntegrationReport
 
     def x_index(self, x: float) -> int:
-        i = int(np.argmin(np.abs(self.x_grid - x)))
-        if abs(self.x_grid[i] - x) > 1e-9:
-            raise KeyError(f"x={x} not on the field grid")
-        return i
+        return _grid_index(self.x_grid, x, "x")
 
     def at_x(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         """(h(x,·), ∂ₓh(x,·)) along the k grid."""
@@ -90,6 +87,14 @@ class JostField:
         f = phase * h
         fp = phase * (self.side * 1j * self.k_grid * h + hp)
         return f, fp
+
+
+def _grid_index(grid, value: float, name: str) -> int:
+    """Index of the grid point within 1e-9 of value; KeyError otherwise."""
+    i = int(np.argmin(np.abs(grid - value)))
+    if abs(grid[i] - value) > 1e-9:
+        raise KeyError(f"{name}={value} not on the grid")
+    return i
 
 
 def _rhs_factory(pot: Potential, ks: np.ndarray, side: int):
@@ -310,17 +315,12 @@ class ZeroEnergyData:
 
     @property
     def threshold(self) -> float:
-        return _resonance_threshold(self.scale)
+        """|W(0)| below this counts as resonant."""
+        return RESONANCE_EPS * max(self.scale, _SCALE_FLOOR)
 
     @property
     def resonant(self) -> bool:
         return abs(self.w0) < self.threshold
-
-
-def _resonance_threshold(scale: float) -> float:
-    """|W(0)| below this counts as resonant; scale is the natural size of
-    the cancelling Wronskian terms."""
-    return RESONANCE_EPS * max(scale, _SCALE_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,8 @@ class _RowModel:
         return g
 
     def on_y(self, y: np.ndarray) -> np.ndarray:
-        r = np.zeros(y.size)
+        y = np.asarray(y, dtype=float)
+        r = np.zeros(y.shape)
         for y0, cj in self.jumps:
             r += cj * np.exp(-2.0 * (y - y0)) * (y >= y0)
         for y0, cg in self.kinks:
@@ -220,9 +221,23 @@ def _limit(f: Callable, t: float, direction: float, eps: float = 1e-7) -> float:
     return float(f(t + direction * eps))
 
 
-def _row_models(pot: Potential | None, jf: JostField, kind: str) -> list[_RowModel]:
+def _v_jumps(pot: Potential, side: int) -> list[tuple[float, float]]:
+    """Jumps (t̃_j, ΔW_j) of W(t) = V(side·t) at its breakpoints, t̃ increasing."""
+
+    def w_of(t: float) -> float:
+        return float(pot(side * t))
+
+    jumps = []
+    for b in sorted(side * b for b in pot.breakpoints):
+        dw = _limit(w_of, b, +1.0) - _limit(w_of, b, -1.0)
+        if dw != 0.0:
+            jumps.append((b, dw))
+    return jumps
+
+
+def _row_models(jf: JostField, kind: str, *, pot: Potential) -> list[_RowModel]:
     """Jump/kink/curvature structure of B± (\"b\") or ∂ₓB± (\"db\") rows
-    of jf, from pot when given, else from the large-k tail of the data.
+    of jf, from the potential.
 
     In the reflected frame W(t) = V(side·t), x̃ = side·x the profiles behave
     like r(u) = ∫_{x̃+u} W  (B) and −side·W(x̃+u) (∂ₓB) plus smoother terms;
@@ -236,17 +251,6 @@ def _row_models(pot: Potential | None, jf: JostField, kind: str) -> list[_RowMod
     unchanged along the characteristic u = x + y); the curvature step
     follows from one more transport pass on the same line.
     """
-    if pot is None:
-        # fit the leading jump from the large-k tail of the data itself
-        k = jf.k_grid
-        sel = k > 0.9 * np.max(k)
-        data = jf.h - 1.0 if kind == "b" else jf.h_prime
-        z = data[:, sel] * (2.0 - 2j * k[sel])
-        coef = np.polynomial.polynomial.polyfit(1.0 / k[sel], z.T, deg=1)
-        return [
-            _RowModel([(0.0, float(j0))], [(0.0, 2.0 * float(j0))]) for j0 in coef[0].real
-        ]
-
     side, X = jf.side, jf.report.cutoff
 
     def w_of(t: float) -> float:
@@ -258,6 +262,7 @@ def _row_models(pot: Potential | None, jf: JostField, kind: str) -> list[_RowMod
 
     models = []
     bps = sorted(side * b for b in pot.breakpoints)
+    v_jumps = _v_jumps(pot, side)
     for x in jf.x_grid:
         xt = side * float(x)
         inner = [b for b in bps if xt < b < X]
@@ -275,12 +280,9 @@ def _row_models(pot: Potential | None, jf: JostField, kind: str) -> list[_RowMod
             j0 = -side * w0
             jumps.append((0.0, j0))
             kinks.append((0.0, -side * (w0 * m_val + wp0) + 2.0 * j0))
-        for b in bps:
+        for b, dw in v_jumps:
             yj = b - xt
             if yj <= 1e-9:
-                continue
-            dw = _limit(w_of, b, +1.0) - _limit(w_of, b, -1.0)
-            if dw == 0.0:
                 continue
             if kind == "b":
                 kinks.append((yj, -dw))
@@ -301,23 +303,19 @@ def b_kernel(
     jf: JostField,
     y_grid=None,
     *,
-    pot: Potential | None = None,
+    pot: Potential,
     pad: int = 1,
 ) -> KernelTable:
     """Kernel table B±(x,·) for every x in the field's grid.
 
     With y_grid = None the table lives on the transform's native y points
     (spacing π/(pad·N·δk), 0 ≤ |y| ≤ 16); an explicit y_grid is filled by
-    cubic interpolation in |y|.  Passing pot pins the y → 0 jump
-    B±(x,0) = ∫V exactly; otherwise it is fitted from the large-k tail of
-    h−1.
+    cubic interpolation in |y|.  pot (the potential jf was computed for)
+    pins the y → 0 jump B±(x,0) = ∫V and the kinks its jumps transport.
     """
     k = jf.k_grid
-    models = _row_models(pot, jf, "b")
-    # without the potential the fallback kink guess is rough, so let the
-    # tail fit adjust the 1/k² coefficients as well
-    orders = (3, 4) if pot is not None else (2, 3, 4)
-    y_abs, G, models = _structured_rows(jf.h - 1.0, models, k, pad=pad, fit_orders=orders)
+    models = _row_models(jf, "b", pot=pot)
+    y_abs, G, models = _structured_rows(jf.h - 1.0, models, k, pad=pad)
     scale = float(np.max(np.abs(G.real))) + 1e-30
     imag_res = float(np.max(np.abs(G.imag))) / scale
     if imag_res > _IMAG_TOL:
@@ -346,11 +344,12 @@ def _tail_cumulative(rows: np.ndarray, y_abs: np.ndarray) -> np.ndarray:
     return total - anti(y_abs)
 
 
-def kd_kernels(kt: KernelTable, jf: JostField, *, pot: Potential | None = None) -> KernelTable:
+def kd_kernels(kt: KernelTable, jf: JostField, *, pot: Potential) -> KernelTable:
     """Fill K± (tail integral of B±) and D± (tail integral of ∂ₓB±).
 
     ∂ₓB± is the inverse transform of the integrator's ∂ₓh±, so no
-    finite-difference step enters; jf must be the field kt was built from.
+    finite-difference step enters; jf must be the field kt was built from
+    and pot its potential, whose value and jumps fix the jumps of ∂ₓB±.
     """
     if kt.meta is None or not np.array_equal(kt.meta["k_grid"], jf.k_grid):
         raise ValueError("kernel table and Jost field disagree on the k grid")
@@ -358,7 +357,7 @@ def kd_kernels(kt: KernelTable, jf: JostField, *, pot: Potential | None = None) 
     if np.any(np.diff(y_abs) <= 0):
         raise ValueError("kd_kernels needs a native (monotone |y|) table")
     k = jf.k_grid
-    models = _row_models(pot, jf, "db")
+    models = _row_models(jf, "db", pot=pot)
     y2, Gd, _ = _structured_rows(jf.h_prime, models, k, pad=kt.meta["pad"], fit_orders=(2, 3, 4))
     if y2.size != y_abs.size or abs(y2[-1] - y_abs[-1]) > 1e-9:
         raise ValueError("kernel table was resampled; rebuild it on the native grid")
@@ -463,8 +462,8 @@ def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals
         raise ValueError("resonance functionals need k = 0 on the grid")
     delta = _uniform_step(k, "k grid")
     pad = max(1, int(np.ceil(np.pi / (_PSI_Y_STEP * k.size * delta))))
-    model_b = _row_models(pot, jf, "b")[ix]
-    model_d = _row_models(pot, jf, "db")[ix]
+    model_b = _row_models(jf, "b", pot=pot)[ix]
+    model_d = _row_models(jf, "db", pot=pot)[ix]
     y_abs, Gb, _ = _structured_rows(jf.h[ix] - 1.0, [model_b], k, pad=pad)
     _, Gd, _ = _structured_rows(jf.h_prime[ix], [model_d], k, pad=pad, fit_orders=(2, 3, 4))
     B0 = Gb[0].real
@@ -540,7 +539,7 @@ def glm_residual(
     kt: KernelTable,
     sd: ScatteringData,
     *,
-    pot: Potential | None = None,
+    pot: Potential,
     eval_stride: int = 1,
 ) -> GlmReport:
     """Residual of the inverse-scattering (Marchenko) equation for B±.
@@ -549,10 +548,12 @@ def glm_residual(
     must satisfy F±(x+y) + B±(x,y) ± ∫_0^{±∞} B±(x,t) F±(x+y+t) dt = 0 on
     ±y > 0.  The reflection integral is evaluated by linear-Filon quadrature
     on the scattering grid (no windowing), bound-state terms analytically.
-    Passing pot lets jumps of V be split off R (they carry its whole 1/k²
-    tail, which the finite window would otherwise truncate into F).
-    eval_stride > 1 checks the residual on every stride-th table point
-    only; the t integral itself keeps full resolution.
+    Each jump ΔV of pot at s puts a kink into F at w = side·s, which carries
+    the whole 1/k² tail of R that the finite window would otherwise
+    truncate; it is split off R as a _RowModel kink at y₀ = −side·s (with
+    the fitted 1/k³ remainder as curvature steps) and F(q) reads the model
+    at y = −q.  eval_stride > 1 checks the residual on every stride-th
+    table point only; the t integral itself keeps full resolution.
     """
     if kt.meta is None or not np.array_equal(kt.meta["k_grid"], sd.k_grid):
         raise ValueError("kernel table and scattering data disagree on the k grid")
@@ -561,40 +562,26 @@ def glm_residual(
     # reflect side − onto the side + formulas: x → −x, R → R₋, c → c₋
     xs = side * kt.x_grid
     B = kt.B
-    R = sd.R_plus if side > 0 else sd.R_minus
+    R = np.asarray(sd.R_plus if side > 0 else sd.R_minus, dtype=complex)
     k = sd.k_grid
 
     w_lo = float(np.min(xs))
     w_hi = float(np.max(xs) + 2.0 * y_abs[-1])
     w = np.arange(w_lo, w_hi + _GLM_W_STEP, _GLM_W_STEP)
-    R_eff = np.asarray(R, dtype=complex).copy()
-    kink_terms = []
-    if pot is not None:
-        den2 = (2j * (k + 1j)) ** 2
-
-        def w_of(t: float) -> float:
-            return float(pot(side * t))
-
-        for s in pot.breakpoints:
-            st = side * float(s)
-            dv = _limit(w_of, st, +1.0) - _limit(w_of, st, -1.0)
-            if dv == 0.0:
-                continue
-            kink_terms.append((st, dv))
-            R_eff -= dv * np.exp(-2j * k * st) / den2
-    curve_terms = []
-    if kink_terms:
-        # the remaining 1/k³ tail (second-order Born terms plus the k vs
-        # k+i denominator mismatch above) still rings at the kink points
-        # when truncated; fit it per phase on the outer fifth of the window
+    model = _RowModel((), [(-st, dv) for st, dv in _v_jumps(pot, side)])
+    R_eff = R - model.on_k(k)
+    if model.kinks:
+        # the remaining 1/k³ tail (second-order Born terms plus the 2ik vs
+        # 2 − 2ik denominator mismatch of the kinks) still rings at the kink
+        # points when truncated; fit it per phase on the outer fifth of the
+        # window
         sel = np.abs(k) > 0.8 * np.max(np.abs(k))
-        den3 = (2j * (k[sel] + 1j)) ** 3
-        A = np.stack([np.exp(-2j * k[sel] * st) / den3 for st, _ in kink_terms]).T
+        den3 = (2.0 - 2j * k[sel]) ** 3
+        A = np.stack([np.exp(2j * k[sel] * y0) / den3 for y0, _ in model.kinks]).T
         cfit, *_ = np.linalg.lstsq(A, R_eff[sel], rcond=None)
-        for (st, _), c in zip(kink_terms, cfit):
-            cr = float(c.real)
-            curve_terms.append((st, cr))
-            R_eff -= cr * np.exp(-2j * k * st) / (2j * (k + 1j)) ** 3
+        curves = [(y0, float(c.real)) for (y0, _), c in zip(model.kinks, cfit)]
+        model = _RowModel((), model.kinks, curves)
+        R_eff = R - model.on_k(k)
     F_refl = _filon_linear(k, R_eff, w) / np.pi
     imag = float(np.max(np.abs(F_refl.imag)))
     if imag > 1e-3:
@@ -607,12 +594,7 @@ def glm_residual(
     def F_spline(q):
         # kinked and exponential pieces stay analytic: a spline through a
         # kink rings at exactly the points the residual probes
-        out = smooth_spline(q)
-        for st, dv in kink_terms:
-            out = out + dv * (st - q) * np.exp(-2.0 * (st - q)) * (st >= q)
-        for st, cc in curve_terms:
-            d = st - q
-            out = out - cc * 0.5 * d * d * np.exp(-2.0 * d) * (st >= q)
+        out = smooth_spline(q) + model.on_y(-q)
         for kap, c in bound_terms:
             out = out + 2.0 * c * c * np.exp(-2.0 * kap * q)
         return out

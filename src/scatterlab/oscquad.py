@@ -41,8 +41,9 @@ def fresnel_weights(k_grid, t: float, b: float) -> np.ndarray:
     if k.ndim != 1 or k.size < 2:
         raise ValueError("need at least two nodes")
     h = np.diff(k)
-    if np.any(h <= 0.0):
-        raise ValueError("nodes must be strictly increasing")
+    # a subnormal gap overflows 1/h in the weights
+    if np.any(h < np.finfo(float).tiny):
+        raise ValueError("nodes must increase by at least the smallest normal double")
 
     u = k - b / (2.0 * t)
     w45 = np.exp(0.25j * np.pi) * np.sqrt(t)

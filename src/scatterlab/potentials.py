@@ -122,6 +122,8 @@ def catalog(name: str, **params) -> Potential:
     square_well(v0, a) (V = -v0 on [-a, a]); gaussian_well(depth, width)
     (V = -depth * exp(-(x/width)²)).
     """
+    if name in ("free", "poeschl_teller"):
+        _reject_extras(name, params)
     if name == "free":
         return Potential(
             label="free",
@@ -412,15 +414,24 @@ def _read_two_column(path: str) -> np.ndarray:
 
 
 def _fit_exponential_tail(x, v) -> TailBound:
-    """Fit C e^{-r|x|} to the outer decades of the samples (both sides pooled)."""
+    """Fit C e^{-r|x|} to the outer decades of the samples (both sides pooled).
+
+    Samples below the smallest normal double are left out (their logarithm
+    is not resolved); a fit whose C or r is not finite raises ValueError.
+    """
     n = x.size
     m = max(4, n // 10)
     xs = np.concatenate([np.abs(x[:m]), np.abs(x[-m:])])
     vs = np.concatenate([np.abs(v[:m]), np.abs(v[-m:])])
-    mask = vs > 0
+    mask = vs >= np.finfo(float).tiny
     if mask.sum() < 4:
         return TailBound("compact", float(np.max(np.abs(x))))
     slope, intercept = np.polyfit(xs[mask], np.log(vs[mask]), 1)
     rate = max(-slope, 1e-3)
-    coef = float(np.exp(intercept)) * 2.0  # headroom so the fit stays an upper bound
+    with np.errstate(over="ignore"):
+        coef = float(np.exp(intercept)) * 2.0  # headroom so the fit stays an upper bound
+    if not (math.isfinite(coef) and math.isfinite(rate)):
+        raise ValueError(
+            f"exponential tail fit failed (coef={coef}, rate={rate}); pass an explicit TailBound"
+        )
     return TailBound("exp", float(np.max(np.abs(x))), coef, rate)

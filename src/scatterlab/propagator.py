@@ -37,6 +37,7 @@ from .jost import (
     ODE_RTOL,
     JostField,
     ZeroEnergyState,
+    _grid_index,
     _wronskian,
     compute_h_bound,
     zero_energy_state,
@@ -124,14 +125,7 @@ class PropagatorData:
         return self.sd.T
 
     def x_index(self, x: float) -> int:
-        return _grid_index(self.x_grid, x)
-
-
-def _grid_index(x_grid, x: float) -> int:
-    i = int(np.argmin(np.abs(x_grid - x)))
-    if abs(x_grid[i] - x) > 1e-9:
-        raise KeyError(f"x={x} not on the propagator grid")
-    return i
+        return _grid_index(self.x_grid, x, "x")
 
 
 def prepare_propagator(
@@ -204,9 +198,7 @@ def resolvent_kernel(jf_plus: JostField, jf_minus: JostField, T, x, y, k, branch
     if T.shape != jf_plus.k_grid.shape:
         raise ValueError("T must be tabulated on the field k grid")
     sgn = 1.0 if branch == "+i0" else -1.0
-    ik = int(np.argmin(np.abs(jf_plus.k_grid - sgn * k)))
-    if abs(jf_plus.k_grid[ik] - sgn * k) > 1e-9:
-        raise KeyError(f"k={sgn * k} not on the field grid")
+    ik = _grid_index(jf_plus.k_grid, sgn * k, "k")
     fp = jf_plus.f_at_x(y)[0][ik]
     fm = jf_minus.f_at_x(x)[0][ik]
     return -sgn * fp * fm * T[ik] / (2j * k)
@@ -439,7 +431,7 @@ def _growth_lattice(x_grid, step: float = 1.0) -> list[float]:
     sel = []
     for v in step * np.arange(-n_half, n_half + 1):
         try:
-            sel.append(float(x_grid[_grid_index(x_grid, v)]))
+            sel.append(float(x_grid[_grid_index(x_grid, v, "x")]))
         except KeyError:
             raise ValueError(f"lattice point x={v:g} is not on the propagator grid") from None
     return sel

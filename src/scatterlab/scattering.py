@@ -21,13 +21,12 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import CrossCheckError, ResonanceError
+from .errors import CrossCheckError
 from .jost import (
     ODE_ATOL,
     ODE_RTOL,
     JostField,
     ZeroEnergyData,
-    _resonance_threshold,
     _scan_half_width,
     _wronskian,
     compute_h,
@@ -100,7 +99,7 @@ class ScatteringData:
     W_minus: np.ndarray
     unitarity_residual: np.ndarray
     wronskian_spread: float
-    resonance: ResonanceReport | None = None
+    resonance: ResonanceReport
     bound_states: tuple[BoundState, ...] = field(default=())
 
 
@@ -137,71 +136,40 @@ def wronskians(jf_plus: JostField, jf_minus: JostField, x_check=(-2.0, 0.0, 2.0)
     return w, w_plus, w_minus, spread
 
 
-def _fill_zero_from_quotients(k, w, w_plus, w_minus):
-    """k = 0 scattering values from difference quotients of the Wronskians.
-
-    At a resonance W and W± vanish together at k = 0, so T(0) = 2i/W′(0)
-    and R±(0) = ∓W±′(0)/W′(0).  The derivatives come from a cubic fit over
-    the smallest nonzero |k| grid points."""
-    nz = k != 0.0
-    idx = np.argsort(np.abs(k[nz]))[:6]
-    ks = k[nz][idx]
-    if len(ks) < 4:
-        raise ResonanceError("not enough small-k grid points for the k=0 limit")
-    dW = np.polynomial.polynomial.polyfit(ks, w[nz][idx], deg=3)[1]
-    dWp = np.polynomial.polynomial.polyfit(ks, w_plus[nz][idx], deg=3)[1]
-    dWm = np.polynomial.polynomial.polyfit(ks, w_minus[nz][idx], deg=3)[1]
-    return 2j / dW, -dWp / dW, dWm / dW
-
-
 def scattering_matrix(
     W,
     W_pm,
     k_grid,
     *,
-    resonance: ResonanceReport | None = None,
+    resonance: ResonanceReport,
     wronskian_spread: float = 0.0,
     bound: tuple[BoundState, ...] = (),
 ) -> ScatteringData:
     """T(k), R±(k) from precomputed Wronskians.
 
-    A k = 0 grid entry is never formed as 0/0.  For a resonant potential
-    the algebraic values from a ResonanceReport take precedence; without a
-    report the limit comes from difference quotients of W, W± near 0.  In
-    the non-resonant case the direct ratio at W(0) ≠ 0 gives T(0) = 0,
-    R±(0) = −1.
+    A k = 0 grid entry is never formed as 0/0: the resonance report decides
+    it.  Resonant: the report's algebraic values T(0), R±(0) from γ.
+    Non-resonant: T(0) = 0 exactly and R±(0) = ∓W±(0)/W(0) (≈ −1).  A W
+    that vanishes anywhere else, or at k = 0 against a non-resonant report,
+    raises CrossCheckError.
     """
     k = np.asarray(k_grid, dtype=float)
     w = np.asarray(W)
     w_plus, w_minus = W_pm
-    bad = (np.abs(w) == 0.0) & (k != 0.0)
-    if np.any(bad):
-        raise CrossCheckError("W(k) vanished at k ≠ 0; integration failed")
     zero = k == 0.0
-    wsafe = np.where(zero, 1.0, w)
+    explained = zero & resonance.resonant
+    if np.any((np.abs(w) == 0.0) & ~explained):
+        raise CrossCheckError("W vanished where the resonance report does not explain it")
+    wsafe = np.where(explained, 1.0, w)
     T = 2j * k / wsafe
     R_plus = -w_plus / wsafe
     R_minus = w_minus / wsafe
-
-    if np.any(zero):
-        i0 = int(np.where(zero)[0][0])
-        w0 = w[i0]
-        # resonant ⇒ W(k) ≈ W′(0)k near 0, so |W(k₁)|/k₁ at the nearest grid
-        # point estimates the natural comparison scale either way
-        nz = np.abs(k) > 0
-        j1 = int(np.argmin(np.where(nz, np.abs(k), np.inf)))
-        looks_resonant = abs(w0) < _resonance_threshold(float(np.abs(w[j1]) / np.abs(k[j1])))
-        if resonance is not None and resonance.resonant:
-            T[zero] = resonance.T0
-            R_plus[zero] = resonance.R0_plus
-            R_minus[zero] = resonance.R0_minus
-        elif looks_resonant:
-            t0, rp0, rm0 = _fill_zero_from_quotients(k, w, w_plus, w_minus)
-            T[zero], R_plus[zero], R_minus[zero] = t0, rp0, rm0
-        else:
-            T[zero] = 0.0
-            R_plus[zero] = -w_plus[i0] / w0
-            R_minus[zero] = w_minus[i0] / w0
+    if resonance.resonant:
+        T[zero] = resonance.T0
+        R_plus[zero] = resonance.R0_plus
+        R_minus[zero] = resonance.R0_minus
+    else:
+        T[zero] = 0.0  # 2ik/W would leave signed zeros
 
     unit = np.maximum(
         np.abs(np.abs(T) ** 2 + np.abs(R_plus) ** 2 - 1.0),

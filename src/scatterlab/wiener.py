@@ -230,25 +230,19 @@ def vdc_check(
     b: float,
     t: float,
     *,
-    f_a1_norm: float | None = None,
+    f_a1_norm: float,
 ) -> tuple[float, float, float]:
     """(|I(t)|, bound, ratio) for I(t) = ∫_a^b e^{itφ(k)} f(k) dk.
 
     bound = 2^{8/3} (t·min|φ″|)^{−1/2} ‖f‖_{𝒜₁}; ratio ≤ 1 is the expected
-    outcome for t ≥ 1.  Pass f_a1_norm when it is known analytically;
-    otherwise it is estimated on the window |k| ≤ 60 with the constant
-    taken from the window edges.
+    outcome for t ≥ 1.  f_a1_norm is ‖f‖_{𝒜₁}, known analytically (a_norm
+    estimates it from samples when it is not).
     """
     if t < 1.0:
         raise ValueError("the stationary-phase bound is stated for t >= 1")
     min_pp, max_dp = _phase_scan(phase, a, b)
     if min_pp < 1e-12:
         raise ValueError("phase curvature vanishes on the interval")
-    if f_a1_norm is None:
-        kk = np.linspace(-60.0, 60.0, 24001)
-        fv = np.asarray(amplitude(kk), dtype=complex)
-        c = 0.5 * (fv[0] + fv[-1])
-        f_a1_norm = a_norm(kk, fv, c).a1_norm
     I = _osc_quad(phase, amplitude, a, b, t, max_dp)
     bound = C2_VDC * f_a1_norm / np.sqrt(t * min_pp)
     return abs(I), float(bound), abs(I) / float(bound)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import scatterlab
-from scatterlab import cli, kernels, scattering
+from scatterlab import cli, kernels, scattering, wiener
 from scatterlab.cli import STAGES, RunConfig
 from scatterlab.jost import IntegrationReport
 
@@ -45,6 +45,21 @@ def test_benchmark_call_shapes_bind():
     for attr in ("potential", "k_grid", "rtol", "atol"):
         assert hasattr(RunConfig, attr)
     assert "bands" in IntegrationReport.__dataclass_fields__
+
+
+def test_one_path_inputs_are_required():
+    # k = 0 comes from the resonance report, kernel jumps from the
+    # potential, the van der Corput bound from a given 𝒜₁ norm
+    required = [
+        (scattering.scattering_matrix, "resonance"),
+        (kernels.b_kernel, "pot"),
+        (kernels.kd_kernels, "pot"),
+        (kernels.glm_residual, "pot"),
+        (wiener.vdc_check, "f_a1_norm"),
+    ]
+    for fn, name in required:
+        param = inspect.signature(fn).parameters[name]
+        assert param.default is param.empty, f"{fn.__name__}({name}) has a default"
 
 
 def _public_functions():

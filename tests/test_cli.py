@@ -21,6 +21,25 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+def test_unknown_potential_parameter_exits_2(tmp_path, capsys):
+    for name in ("poeschl_teller", "square_well"):
+        args = ["scatter", "--out", str(tmp_path / name)]
+        args += ["--override", f"potential.name={name}", "--override", "potential.params.foo=1"]
+        assert main(args) == 2
+        assert "foo" in capsys.readouterr().err
+
+
+def test_scaled_spec_runs_through_resonance(tmp_path):
+    cfg = tmp_path / "config.json"
+    base = {"name": "poeschl_teller", "params": {}}
+    cfg.write_text(json.dumps({"potential": {"name": "scaled", "params": {"base": base, "s": 0.5}}}))
+    out = tmp_path / "out"
+    assert main(["resonance", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "resonance.json").read_text())
+    assert report["potential"] == "scaled(poeschl_teller,s=0.5)"
+    assert not report["resonant"]
+
+
 def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
     # step 0.4 misses x = -5 of the exterior proxy's integer lattice; the
     # stage must say so before preparing the propagator

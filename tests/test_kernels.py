@@ -78,16 +78,6 @@ def test_pt_resampled_table(pt_pot, pt_wiener):
         b_kernel(jp, y_grid=np.array([-0.5, 0.5]), pot=pt_pot)
 
 
-def test_pt_tables_without_potential(pt_wiener):
-    # the y → 0 jump is then fitted from the large-k tail of h − 1
-    _, jp, _ = pt_wiener
-    kt = kd_kernels(b_kernel(jp), jp)
-    y_abs = np.abs(kt.y_grid)
-    B, _, _, dB = _pt_closed_forms(+1, y_abs)
-    assert np.max(np.abs(kt.B - B)) < 1e-8
-    assert np.max(np.abs(kt.dB - dB)) < 1e-8
-
-
 def test_pt_roundtrip(pt_pot, pt_wiener):
     _, jp, _ = pt_wiener
     kt = b_kernel(jp, pot=pt_pot, pad=32)  # resolving 1e-6 needs a dense table

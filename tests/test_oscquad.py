@@ -133,6 +133,13 @@ def test_truncation_tail_value_and_guard():
         truncation_tail(0.3, 0.1, 0.01, 50.0, 10.0)  # phase turns inside the cut
 
 
+def test_subnormal_gap_raises():
+    # 1/h overflows for a subnormal gap; the smallest normal gap is fine
+    with pytest.raises(ValueError):
+        fresnel_weights([0.0, 2.225e-311], 1.0, 0.0)
+    assert np.all(np.isfinite(fresnel_weights([0.0, np.finfo(float).tiny], 1.0, 0.0)))
+
+
 def test_validation():
     k = np.linspace(-1.0, 1.0, 11)
     with pytest.raises(ValueError):

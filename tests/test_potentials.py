@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from scatterlab.errors import TruncationError
@@ -146,8 +146,17 @@ _CATALOG = st.one_of(
         st.floats(0.2, 3.0),
     ),
 )
+
+
+def _sampled(start, gaps, v):
+    try:
+        return load_sampled(start + np.cumsum([0.0] + gaps), v[: len(gaps) + 1])
+    except ValueError:  # no finite tail fit: the loader asks for a TailBound
+        reject()
+
+
 _SAMPLED = st.builds(
-    lambda start, gaps, v: load_sampled(start + np.cumsum([0.0] + gaps), v[: len(gaps) + 1]),
+    _sampled,
     st.floats(-6.0, 0.0),
     st.lists(st.floats(0.05, 1.0), min_size=3, max_size=23),
     st.lists(st.floats(-3.0, 3.0), min_size=24, max_size=24),
@@ -168,13 +177,26 @@ def test_spec_round_trip_drawn(pot):
     spec = to_spec(pot)
     back = from_spec(spec)
     probe = np.linspace(-8.0, 8.0, 41)
-    # the same function back, NaN included: a sample near the underflow
-    # limit gives a fitted tail coef of inf and NaN values past the samples
-    assert np.array_equal(back(probe), pot(probe), equal_nan=True)
+    assert np.array_equal(back(probe), pot(probe))
     assert back.label == pot.label
     assert back.tail == pot.tail
     assert back.breakpoints == pot.breakpoints
     assert to_spec(back) == spec
+
+
+def test_sampled_tail_fit_near_underflow():
+    # a subnormal sample stays out of the fit: no inf coef, no NaN past the
+    # samples
+    pot = load_sampled([-4.0, -3.0, -2.0, -1.0], [0.0, 0.0, 2.225e-311, 1.0])
+    assert math.isfinite(pot.tail.coef) and math.isfinite(pot.tail.rate)
+    probe = np.concatenate([np.linspace(-8.0, -5.0, 7), np.linspace(2.0, 8.0, 13)])
+    assert np.all(np.isfinite(pot(probe)))
+
+    # a fit that extrapolates past the largest double asks for a TailBound
+    xs = np.array([100.0, 101.0, 102.0, 103.0])
+    with pytest.raises(ValueError, match="TailBound"):
+        load_sampled(xs, np.exp(-10.0 * (xs - 100.0)))
+    assert load_sampled(xs, np.exp(-10.0 * (xs - 100.0)), tail=TailBound("compact", 103.0))
 
 
 def test_load_sampled_arrays_and_csv(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from scatterlab.errors import ResonanceError
+from scatterlab.errors import CrossCheckError
 from scatterlab.jost import compute_h
 from scatterlab.potentials import catalog
 from scatterlab.scattering import (
@@ -16,7 +16,6 @@ from scatterlab.scattering import (
 )
 
 import oracles
-from conftest import K_SCATTER
 
 
 def test_wronskian_free(free_scatter):
@@ -78,16 +77,6 @@ def test_scattering_relation(pt_scatter, sw_scatter, gw_scatter):
             assert float(np.max(np.abs(res))) < 1e-6
 
 
-def test_k0_fill_from_difference_quotients(pt_pot):
-    jp = compute_h(pt_pot, [-2.0, 0.0, 2.0], K_SCATTER, +1)
-    jm = compute_h(pt_pot, [-2.0, 0.0, 2.0], K_SCATTER, -1)
-    w, wp, wm, spread = wronskians(jp, jm)
-    sd = scattering_matrix(w, (wp, wm), K_SCATTER, wronskian_spread=spread)
-    i0 = int(np.where(K_SCATTER == 0)[0][0])
-    assert abs(sd.T[i0] + 1.0) < 1e-2  # quotient fallback, no γ algebra
-    assert abs(sd.R_plus[i0]) < 1e-2
-
-
 def test_classify_catalog():
     pt = classify_resonance(catalog("poeschl_teller"))
     assert pt.resonant and not pt.ambiguous
@@ -113,21 +102,26 @@ def test_classify_catalog():
     assert gw.limit_consistency < 1e-3  # k→0 extrapolation of computed data
 
 
-def test_resonant_k0_needs_data(gw_pot, pt_pot):
-    # non-resonant: fine without a report
+def test_resonant_k0_needs_data(gw_pot):
+    # non-resonant: the direct ratio at k = 0, with T(0) exactly 0
     jp = compute_h(gw_pot, [-2.0, 0.0, 2.0], np.array([-0.4, 0.0, 0.4]), +1)
     jm = compute_h(gw_pot, [-2.0, 0.0, 2.0], np.array([-0.4, 0.0, 0.4]), -1)
     w, wp, wm, _ = wronskians(jp, jm)
-    sd = scattering_matrix(w, (wp, wm), jp.k_grid)
+    sd = scattering_matrix(w, (wp, wm), jp.k_grid, resonance=classify_resonance(gw_pot))
     assert sd.T[1] == 0.0
     assert sd.R_plus[1] == pytest.approx(-1.0, abs=1e-6)
 
-    # resonant on a grid with too few small-k points: no way to take the limit
-    jp = compute_h(pt_pot, [0.0], np.array([-0.4, 0.0, 0.4]), +1)
-    jm = compute_h(pt_pot, [0.0], np.array([-0.4, 0.0, 0.4]), -1)
+
+def test_unexplained_zero_wronskian_raises(gw_pot):
+    # W(0) = 0 on the grid contradicts a non-resonant report
+    rep = classify_resonance(gw_pot)
+    assert not rep.resonant
+    jp = compute_h(gw_pot, [0.0], np.array([-0.4, 0.0, 0.4]), +1)
+    jm = compute_h(gw_pot, [0.0], np.array([-0.4, 0.0, 0.4]), -1)
     w, wp, wm, _ = wronskians(jp, jm, x_check=(0.0,))
-    with pytest.raises(ResonanceError):
-        scattering_matrix(w, (wp, wm), jp.k_grid)
+    w[1] = 0.0
+    with pytest.raises(CrossCheckError):
+        scattering_matrix(w, (wp, wm), jp.k_grid, resonance=rep)
 
 
 def test_bound_states_pt():
