@@ -316,15 +316,8 @@ def cmd_scatter(rc: RunConfig, out: Path) -> int:
 def cmd_resonance(rc: RunConfig, out: Path) -> int:
     pot = rc.potential()
     rep = classify_resonance(pot, rtol=rc.rtol, atol=rc.atol)
-    if rep.resonant:
-        g = rep.gamma
-        algebra = max(
-            abs(rep.T0 - 2.0 * g / (1.0 + g * g)),
-            abs(rep.R0_plus - (1.0 - g * g) / (1.0 + g * g)),
-            abs(rep.R0_minus + (1.0 - g * g) / (1.0 + g * g)),
-        )
-    else:
-        algebra = max(abs(rep.T0), abs(rep.R0_plus + 1.0), abs(rep.R0_minus + 1.0))
+    # the k → 0 extrapolation of the computed T, R± against the threshold
+    # values the classification derived from γ
     tol = float(rc.data["tolerances"]["resonance_algebra"])
     report = {
         "potential": rep.label,
@@ -338,9 +331,8 @@ def cmd_resonance(rc: RunConfig, out: Path) -> int:
         "R0_plus": _c(rep.R0_plus),
         "R0_minus": _c(rep.R0_minus),
         "limit_consistency": rep.limit_consistency,
-        "algebra_residual": float(algebra),
-        "algebra_tolerance": tol,
-        "passed": (not rep.ambiguous) and algebra <= tol,
+        "limit_tolerance": tol,
+        "passed": (not rep.ambiguous) and rep.limit_consistency <= tol,
     }
     _atomic_write(out / "resonance.json", _json_text(report))
     return 0 if report["passed"] else 1

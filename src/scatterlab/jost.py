@@ -262,7 +262,7 @@ def _cutoff(pot, x_grid, side, cutoff_tol, x_inf):
     when x_inf is None, else x_inf checked against it (CutoffError)."""
     edge = x_grid[-1] if side > 0 else -x_grid[0]
     if x_inf is None:
-        return max(cutoff_for_eta(pot, cutoff_tol, side), edge)
+        return max(cutoff_for_eta(pot, cutoff_tol), edge)
     if x_inf < edge:
         raise CutoffError("x_inf lies inside the requested x grid")
     if pot.tail.eta_tail(x_inf) > cutoff_tol:
@@ -274,8 +274,8 @@ def _cutoff(pot, x_grid, side, cutoff_tol, x_inf):
 
 def _scan_half_width(pot) -> float:
     """Half width of the symmetric grids that sample whole zero-energy and
-    bound-state solutions: both cutoffs, and at least 6."""
-    return max(cutoff_for_eta(pot, _CUTOFF_TOL, +1), cutoff_for_eta(pot, _CUTOFF_TOL, -1), 6.0)
+    bound-state solutions: the cutoff, and at least 6."""
+    return max(cutoff_for_eta(pot, _CUTOFF_TOL), 6.0)
 
 
 def _inward(pot, x_grid, ks, side, rtol, atol, x_inf):

@@ -3,10 +3,9 @@
 The Jost factor h±(x,k) − 1 is the half-line Fourier transform of a real
 kernel B±(x,y),
 
-    h±(x,k) = 1 + ∫_0^{±∞} B±(x,y) e^{±2iky} dy,
+    h±(x,k) = 1 + ∫_0^{±∞} B±(x,y) e^{±2iky} dy.
 
-so B± is recovered by the inverse transform in the 2y variable.  From B±
-come the tail integrals K±(x,y) (of B±) and D±(x,y) (of ∂ₓB±), the
+From B± come the tail integrals K±(x,y) (of B±) and D±(x,y) (of ∂ₓB±), the
 zero-energy functional
 
     H±(y) = K±(y) h′±(0) − D±(y) h±(0),      h±(0) = h±(0,0),
@@ -14,11 +13,17 @@ zero-energy functional
 and its transform Ψ±(k), which satisfies Φ±(k) = 2ik Ψ±(k) with
 Φ±(k) = h±(0,k) h′±(0) − ∂ₓh±(0,k) h±(0).
 
-Numerics: h−1 decays like B±(x,0)/(2ik), so a hard cutoff at |k| = K rings.
-The transform subtracts m(x)/(2i(k+1j)) with m(x) = B±(x,0) = ∫ V over the
-relevant half line (adding back its exact transform m e^{−2|y|}), leaving a
-1/k² integrand that a mild raised-cosine taper handles cleanly.  ∂ₓB± uses
-the integrator's own ∂ₓh±, never finite differences.
+Numerics: B± depends on V alone.  In the reflected frame W(t) = V(±t) it
+solves (Deift & Trubowitz, Comm. Pure Appl. Math. 32, 1979)
+
+    B(x,y) = ∫_{x+y}^∞ W + ∫_0^y dz ∫_{x+y−z}^∞ W(t) B(t,z) dt,
+    ∂ₓB(x,y) = −W(x+y) − ∫_0^y W(x+y−z) B(x+y−z,z) dz,
+
+by the trapezoid rule on a uniform (t, y) lattice through the breakpoints
+of V, with one Richardson step (_kernel_rows).  The Jost rows never enter,
+so roundtrip_residual and the identity Φ = 2ikΨ compare two independent
+routes.  Each row is smooth in y between its kinks y = b̃ − x̃;
+_piecewise_cubic carries the lattice rows to finer grids and integrates.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.fft import fft, next_fast_len
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
@@ -35,7 +39,6 @@ from .errors import CrossCheckError
 from .jost import JostField
 from .potentials import Potential, cutoff_for_eta, eta, gamma_moment
 from .scattering import ScatteringData
-from .wiener import TAPER_FRAC, _taper, _uniform_step
 
 __all__ = [
     "KernelTable",
@@ -51,25 +54,27 @@ __all__ = [
     "functionals_json",
 ]
 
-_IMAG_TOL = 1e-4
 _Y_MAX = 16.0  # reach in |y| of every kernel table and of H±
-_PSI_Y_STEP = 1e-3  # y step of the Ψ± quadrature
+_H = 0.005  # target step of the kernel lattice in t and y
+_TABLE_STRIDE = 5  # tables keep every 5th lattice point in |y|
+_ETA_TOL = 1e-14  # tail mass of V past the kernel lattice and the η interpolant
+_FINE_N = 16001  # points of the Ψ± and roundtrip y grids, a step near 1e-3
 _PSI_K_STRIDE = 20  # Ψ±, Φ± on every 20th grid wavenumber
 _GLM_W_STEP = 0.01  # spline grid of the GLM input F±
 
 
 @dataclass(frozen=True)
 class KernelTable:
-    """B±(x,y) (and optionally K±, D±, ∂ₓB±) on an x × y grid.
+    """B±(x,y) (and, from kd_kernels, K±, D±, ∂ₓB±) on an x × y grid.
 
-    y_grid is signed (±y ≥ 0 for side ±) but stored with |y| increasing.
+    y_grid is signed (±y ≥ 0 for side ±) but stored with |y| increasing;
+    meta keeps the lattice rows the table was taken from.
     """
 
     side: int
     x_grid: np.ndarray
     y_grid: np.ndarray
     B: np.ndarray
-    imag_residual: float
     K: np.ndarray | None = None
     D: np.ndarray | None = None
     dB: np.ndarray | None = None
@@ -99,286 +104,189 @@ class GlmReport:
     max_residual: float
 
 
-# ---------------------------------------------------------------- transforms
+# ------------------------------------------------------------ kernel lattice
 
 
-def half_line_transform(g, k_grid, *, y_max: float, pad: int = 1):
-    """(y, G) with G(y) ≈ (1/π) ∫ g(k) e^{−2iky} dk on 0 ≤ y ≤ y_max.
+def _rev_cumsum(v: np.ndarray) -> np.ndarray:
+    """Σ_{k ≥ i} v_k."""
+    return np.cumsum(v[::-1])[::-1]
 
-    g has shape (..., nk) on a uniform k grid.  Zero padding by `pad`
-    refines the output spacing π/(pad·N·δk); a raised-cosine window covers
-    the outer tenth (TAPER_FRAC) of the grid.
+
+def _w_sided(pot: Potential, side: int, t, direction: float) -> np.ndarray:
+    """W(t) = V(side·t), with the one-sided limit from `direction` at a breakpoint."""
+    t = np.asarray(t, dtype=float)
+    bps = np.array([side * b for b in pot.breakpoints])
+    at_bp = np.any(np.abs(t[..., None] - bps) < 1e-9, axis=-1)
+    return np.asarray(pot(side * np.where(at_bp, t + direction * 1e-9, t)), dtype=float)
+
+
+def _hat_moments(pot: Potential, side: int, t: np.ndarray):
+    """(α, β) per cell of the sorted nodes t: the integrals of W against the
+    hats (t_{c+1} − τ)/Δ and (τ − t_c)/Δ over [t_c, t_{c+1}].  Gauss–Legendre
+    on each cell, split at the breakpoints of W, so a jump anywhere is
+    integrated exactly."""
+    inner = [side * b for b in pot.breakpoints if t[0] < side * b < t[-1]]
+    cuts = np.union1d(t, [b for b in inner if np.min(np.abs(t - b)) > 1e-9])
+    cell = np.searchsorted(t, cuts[:-1], side="right") - 1
+    xg, wg = np.polynomial.legendre.leggauss(4)
+    half = 0.5 * np.diff(cuts)[:, None]
+    tau = cuts[:-1, None] + half * (1.0 + xg)
+    wv = np.asarray(pot(side * tau), dtype=float) * half * wg
+    lo, hi = t[cell][:, None], t[cell + 1][:, None]
+    alpha = np.bincount(cell, np.sum(wv * (hi - tau) / (hi - lo), axis=1), t.size - 1)
+    beta = np.bincount(cell, np.sum(wv * (tau - lo) / (hi - lo), axis=1), t.size - 1)
+    return alpha, beta
+
+
+def _solve_lattice(pot: Potential, side: int, t: np.ndarray, f: int, n_y: int, keep):
+    """B and E = ∂ₓB + W(x+y) by one trapezoid solve on the uniform nodes t
+    refined f times, of step s (column j at y = j·s), at the nodes `keep` of
+    t and its first n_y columns, stacked as (2, column, node).
+
+    Column j reads the right-hand side R(u) = ∫_u W + the z-sums of ∫ W B
+    through its differences D along u = t + y, which each column updates as
+    running sums.  With the diagonal cell implicit, B_i = a_i B_{i+1} + c_i
+    in t, one reversed cumulative sum; B vanishes at the lattice's end.  E
+    is the z-trapezoid of −W B, its diagonal end at x included.
     """
-    k = np.asarray(k_grid, dtype=float)
-    delta = _uniform_step(k, "k grid")
-    gw = np.asarray(g) * _taper(k, TAPER_FRAC)
-    n = k.size
-    n_pad = next_fast_len(int(n * max(int(pad), 1)))
-    y_all = np.pi * np.arange(n_pad) / (n_pad * delta)
-    m = min(int(np.searchsorted(y_all, y_max, side="right")), n_pad // 2)
-    spec = fft(gw, n=n_pad, axis=-1)[..., :m]
-    y = y_all[:m]
-    return y, (delta / np.pi) * np.exp(-2j * k[0] * y) * spec
+    t = np.linspace(t[0], t[-1], f * (t.size - 1) + 1)
+    s, n, keep = t[1] - t[0], t.size - 1, f * keep
+    alpha, beta = _hat_moments(pot, side, t)
+    w_right, w_left = _w_sided(pot, side, t, +1.0), _w_sided(pot, side, t, -1.0)
+    inv = 1.0 / (1.0 - 0.5 * s * alpha)
+    P = np.cumprod(np.concatenate([[1.0], (1.0 + 0.5 * s * beta) * inv]))  # Π_{l<i} a_l
+    Q = P[:-1] * inv
+    sa, sb, sw = s * alpha, s * beta, 0.5 * s * (w_left + w_right)
+    out = np.zeros((2, n_y, keep.size))
+    D = alpha + beta  # R(u_i) − R(u_{i+1}); column 0 is B(x,0) = ∫_x W itself
+    B = np.append(_rev_cumsum(D), 0.0)
+    out[0, 0] = B[keep]
+    # the z = 0 end of the trapezoid, with W from below there
+    D += 0.5 * (sa * B[:-1] + sb * B[1:])
+    acc_e = 0.5 * s * w_left * B  # z-sums of W B along u
+    for j in range(1, min(f * (n_y - 1) + 1, n + 1)):
+        m = n + 1 - j  # nodes with t + y inside the lattice
+        B = np.append(_rev_cumsum(D[j:] * Q[: m - 1]) / P[: m - 1], 0.0)
+        if j % f == 0:
+            k = keep[keep < m]
+            out[:, j // f, keep < m] = B[k], -(acc_e[j + k] + 0.5 * s * w_right[k] * B[k])
+        D[j:] += sa[: m - 1] * B[:-1] + sb[: m - 1] * B[1:]
+        acc_e[j:] += sw[:m] * B
+    return out
 
 
-class _RowModel:
-    """Half-line profile model: jumps, kinks and curvature steps at y_j ≥ 0.
-
-    A jump (y_j, J) contributes J e^{−2(u−y_j)} Θ(u−y_j) in y and
-    J e^{2iky_j}/(2−2ik) in k; a kink (y_j, G) contributes
-    G (u−y_j) e^{−2(u−y_j)} Θ ↔ G e^{2iky_j}/(2−2ik)²; a curvature step
-    (y_j, C) contributes C ((u−y_j)²/2) e^{−2(u−y_j)} Θ ↔ C e^{2iky_j}/
-    (2−2ik)³.  Subtracting the k-side model before the FFT removes every
-    1/k, 1/k² and 1/k³ tail, so the window truncation acts only on a
-    rapidly decaying remainder.
-    """
-
-    __slots__ = ("jumps", "kinks", "curves")
-
-    def __init__(self, jumps, kinks, curves=()):
-        self.jumps = tuple(jumps)
-        self.kinks = tuple(kinks)
-        self.curves = tuple(curves)
-
-    def on_k(self, k: np.ndarray) -> np.ndarray:
-        g = np.zeros(k.size, dtype=complex)
-        den = 2.0 - 2j * k
-        for y0, cj in self.jumps:
-            g += cj * np.exp(2j * k * y0) / den
-        for y0, cg in self.kinks:
-            g += cg * np.exp(2j * k * y0) / den**2
-        for y0, cc in self.curves:
-            g += cc * np.exp(2j * k * y0) / den**3
-        return g
-
-    def on_y(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        r = np.zeros(y.shape)
-        for y0, cj in self.jumps:
-            r += cj * np.exp(-2.0 * (y - y0)) * (y >= y0)
-        for y0, cg in self.kinks:
-            r += cg * (y - y0) * np.exp(-2.0 * (y - y0)) * (y >= y0)
-        for y0, cc in self.curves:
-            u = y - y0
-            r += cc * 0.5 * u * u * np.exp(-2.0 * u) * (y >= y0)
-        return r
+def _x_weights(theta: float, i0: int, p: np.ndarray, n_y: int) -> np.ndarray:
+    """(n_y, 6) weights on the nodes i0−2 … i0+3 for a row at i0 + θ: per
+    column j, up to 4 nodes inside the smooth piece bounded by the singular
+    positions p and p − j (index units, both on nodes)."""
+    rel = np.concatenate([p[:, None] + np.zeros(n_y), p[:, None] - np.arange(n_y)]) - i0
+    lo = np.max(np.where(rel <= theta, rel, -np.inf), axis=0, initial=-np.inf)
+    hi = np.min(np.where(rel >= theta, rel, np.inf), axis=0, initial=np.inf)
+    lo = np.clip(np.ceil(lo - 1e-9), -2, 0).astype(int)
+    hi = np.clip(np.floor(hi + 1e-9), 1, 3).astype(int)
+    if theta == 0.0:  # a row on the lattice reads its node
+        lo[:], hi[:] = 0, 0
+    w = np.zeros((n_y, 6))
+    for a, b in set(zip(lo.tolist(), hi.tolist())):
+        start = min(max(-1, a), b - 3) if b - a >= 3 else a
+        nodes = np.arange(start, min(b, start + 3) + 1)
+        vander = np.vander(nodes, increasing=True).T  # Lagrange weights at θ
+        lagrange = np.linalg.solve(vander, theta ** np.arange(nodes.size))
+        w[np.ix_((lo == a) & (hi == b), nodes + 2)] = lagrange
+    return w
 
 
-def _tail_fit(
-    model: _RowModel,
-    rem: np.ndarray,
-    k: np.ndarray,
-    band: float = 0.8,
-    orders: tuple = (3, 4),
-) -> _RowModel:
-    """Mop up residual 1/kⁿ tails the analytic model missed.
-
-    Low-order coefficients at interior crossings pick up interaction terms
-    between jumps that are hard to track analytically; they are real by the
-    k → −k symmetry of the data, so fit them on the outer band (highest
-    order per phase is a nuisance column soaking up the next correction)
-    and fold the rest back into the model's kink/curvature terms.
-    """
-    phases = sorted(
-        {y0 for y0, _ in model.jumps}
-        | {y0 for y0, _ in model.kinks}
-        | {y0 for y0, _ in model.curves}
-        | {0.0}
-    )
-    sel = np.abs(k) >= band * np.max(np.abs(k))
-    den = 2.0 - 2j * k[sel]
-    cols = []
-    for order in orders:
-        cols += [np.exp(2j * k[sel] * y0) / den**order for y0 in phases]
-    A = np.stack(cols).T
-    coef, *_ = np.linalg.lstsq(A, rem[sel], rcond=None)
-    kinks, curves = list(model.kinks), list(model.curves)
-    for pos, order in enumerate(orders[:-1]):
-        block = coef[pos * len(phases) : (pos + 1) * len(phases)]
-        slot = kinks if order == 2 else curves
-        slot.extend((y0, float(c.real)) for y0, c in zip(phases, block))
-    return _RowModel(model.jumps, kinks, curves)
-
-
-def _structured_rows(vals, models, k, *, pad, fit_orders=(3, 4)):
-    """Inverse transform with the per-row jump/kink model split off.
-
-    Returns the tail-fitted models alongside the transform so callers can
-    reuse the same value/slope/curvature split (resampling, convolutions).
-    """
-    vals = np.atleast_2d(np.asarray(vals))
-    models = [
-        _tail_fit(m, row - m.on_k(k), k, orders=fit_orders)
-        for m, row in zip(models, vals)
-    ]
-    g = vals - np.stack([m.on_k(k) for m in models])
-    y, G = half_line_transform(g, k, y_max=_Y_MAX, pad=pad)
-    G = G + np.stack([m.on_y(y) for m in models])
-    return y, G, models
-
-
-def _limit(f: Callable, t: float, direction: float, eps: float = 1e-7) -> float:
-    return float(f(t + direction * eps))
-
-
-def _v_jumps(pot: Potential, side: int) -> list[tuple[float, float]]:
-    """Jumps (t̃_j, ΔW_j) of W(t) = V(side·t) at its breakpoints, t̃ increasing."""
-
-    def w_of(t: float) -> float:
-        return float(pot(side * t))
-
-    jumps = []
-    for b in sorted(side * b for b in pot.breakpoints):
-        dw = _limit(w_of, b, +1.0) - _limit(w_of, b, -1.0)
-        if dw != 0.0:
-            jumps.append((b, dw))
-    return jumps
-
-
-def _row_models(jf: JostField, kind: str, *, pot: Potential) -> list[_RowModel]:
-    """Jump/kink/curvature structure of B± (\"b\") or ∂ₓB± (\"db\") rows
-    of jf, from the potential.
-
-    In the reflected frame W(t) = V(side·t), x̃ = side·x the profiles behave
-    like r(u) = ∫_{x̃+u} W  (B) and −side·W(x̃+u) (∂ₓB) plus smoother terms;
-    the exact expansion gives the y = 0 coefficients
-        B:   J₀ = m̃,            G₀ = m̃²/2 − W(x̃⁺)
-             Q₀ = m̃³/6 − ∫W² − m̃ W(x̃⁺) − W′(x̃⁺)
-        ∂ₓB: J₀ = −side·W(x̃⁺),  G₀ = −side·(W(x̃⁺) m̃ + W′(x̃⁺))
-    and every jump of W at t̃_j > x̃ adds, at y_j = t̃_j − x̃, a kink −ΔW
-    with curvature step ΔW·∫_{x̃}^{t̃_j}W − ΔW′ to B and a jump −side·ΔW
-    to ∂ₓB.  The kink coefficient is exact (the discontinuity transports
-    unchanged along the characteristic u = x + y); the curvature step
-    follows from one more transport pass on the same line.
-    """
-    side, X = jf.side, jf.report.cutoff
-
-    def w_of(t: float) -> float:
-        return float(pot(side * t))
-
-    def wp_at(t: float) -> float:
-        d = 4e-5
-        return (w_of(t + d) - w_of(t - d)) / (2.0 * d)
-
-    models = []
+def _kernel_rows(pot: Potential, side: int, xs: np.ndarray) -> dict:
+    """B, E = ∂ₓB + W(x̃+y) and the kinks y = b̃ − x̃ of the reflected rows xs
+    on the lattice y ≤ 16.  The nodes t = b̃_min + i·h with h = (b̃_max −
+    b̃_min)/n near _H put every breakpoint b̃ and every b̃ − y on a node; they
+    run from the smallest row to the cutoff for _ETA_TOL."""
     bps = sorted(side * b for b in pot.breakpoints)
-    v_jumps = _v_jumps(pot, side)
-    for x in jf.x_grid:
-        xt = side * float(x)
-        inner = [b for b in bps if xt < b < X]
-        m_val, _ = quad(w_of, xt, X, points=inner or None, limit=200)
-        w0 = _limit(w_of, xt, +1.0)
-        wp0 = wp_at(xt + 1e-4)
-        jumps, kinks, curves = [], [], []
-        if kind == "b":
-            msq, _ = quad(lambda t: w_of(t) ** 2, xt, X, points=inner or None, limit=200)
-            q0 = m_val**3 / 6.0 - msq - m_val * w0 - wp0
-            jumps.append((0.0, m_val))
-            kinks.append((0.0, (0.5 * m_val * m_val - w0) + 2.0 * m_val))
-            curves.append((0.0, q0 + 4.0 * m_val + 2.0 * m_val * m_val - 4.0 * w0))
-        else:
-            j0 = -side * w0
-            jumps.append((0.0, j0))
-            kinks.append((0.0, -side * (w0 * m_val + wp0) + 2.0 * j0))
-        for b, dw in v_jumps:
-            yj = b - xt
-            if yj <= 1e-9:
-                continue
-            if kind == "b":
-                kinks.append((yj, -dw))
-                seg, _ = quad(
-                    w_of, xt, b, points=[c for c in inner if c < b] or None, limit=200
-                )
-                dwp = wp_at(b + 1e-4) - wp_at(b - 1e-4)
-                curves.append((yj, (dw * seg - dwp) - 4.0 * dw))
+    anchor = bps[0] if bps else 0.0
+    span = bps[-1] - anchor if bps else 0.0
+    h = span / max(1, round(span / _H)) if span > 0 else _H
+    q = (xs - anchor) / h
+    on = np.abs(q - np.round(q)) < 1e-9
+    i0 = np.where(on, np.round(q), np.floor(q)).astype(int)
+    theta = np.where(on, 0.0, q - i0)
+    lo = int(i0.min()) - 2
+    hi = max(int(np.ceil((cutoff_for_eta(pot, _ETA_TOL) - anchor) / h)), int(i0.max()) + 3)
+    n_y = _TABLE_STRIDE * int(_Y_MAX / (_TABLE_STRIDE * h) + 1e-9) + 1
+    keep = (i0[:, None] - lo + np.arange(-2, 4)).ravel()
+    t = anchor + h * np.arange(lo, hi + 1)
+    coarse, fine = (_solve_lattice(pot, side, t, f, n_y, keep) for f in (1, 2))
+    BE = ((4.0 * fine - coarse) / 3.0).reshape(2, n_y, xs.size, 6)  # one Richardson step
+    p = (np.array(bps) - anchor) / h
+    w = np.stack([_x_weights(float(a), int(b), p, n_y) for a, b in zip(theta, i0)], axis=1)
+    B, E = np.einsum("qyrn,yrn->qry", BE, w)
+    kinks = [[b - x for b in bps if b - x > 1e-9 * h] for x in xs]
+    return {"y": h * np.arange(n_y), "B": B, "E": E, "kinks": kinks}
+
+
+def _piecewise_cubic(y, rows, kinks, y_new, *, tail: bool = False) -> np.ndarray:
+    """Rows sampled on the uniform grid y, one cubic spline per smooth piece
+    between each row's kinks: their values at y_new or, with tail, the
+    integrals ∫_{y_new}^{y[-1]}."""
+    out = np.empty((len(rows), y_new.size))
+    for r, (row, ks) in enumerate(zip(rows, kinks)):
+        edges = [y[0], *(k for k in ks if y[0] < k < y[-2]), y[-1]]
+        acc = 0.0
+        for a, b in reversed(list(zip(edges[:-1], edges[1:]))):
+            idx = np.flatnonzero((y >= a - 1e-9) & (y <= b + 1e-9))
+            ys, vs = y[idx], row[idx]
+            if idx.size < 2:  # shorter than a step: closed by the next piece's value at b
+                ys, vs = np.append(ys, b), np.append(vs, right)
+            spl = CubicSpline(ys, vs)
+            right = spl(a)
+            at = (y_new >= a) & (y_new <= b)
+            if tail:
+                spl = spl.antiderivative()
+                out[r, at] = acc + spl(b) - spl(y_new[at])
+                acc += spl(b) - spl(a)
             else:
-                jb = -side * dw
-                jumps.append((yj, jb))
-                kinks.append((yj, 2.0 * jb))
-        models.append(_RowModel(jumps, kinks, curves))
-    return models
+                out[r, at] = spl(y_new[at])
+    return out
 
 
-def b_kernel(
-    jf: JostField,
-    y_grid=None,
-    *,
-    pot: Potential,
-    pad: int = 1,
-) -> KernelTable:
-    """Kernel table B±(x,·) for every x in the field's grid.
-
-    With y_grid = None the table lives on the transform's native y points
-    (spacing π/(pad·N·δk), 0 ≤ |y| ≤ 16); an explicit y_grid is filled by
-    cubic interpolation in |y|.  pot (the potential jf was computed for)
-    pins the y → 0 jump B±(x,0) = ∫V and the kinks its jumps transport.
-    """
-    k = jf.k_grid
-    models = _row_models(jf, "b", pot=pot)
-    y_abs, G, models = _structured_rows(jf.h - 1.0, models, k, pad=pad)
-    scale = float(np.max(np.abs(G.real))) + 1e-30
-    imag_res = float(np.max(np.abs(G.imag))) / scale
-    if imag_res > _IMAG_TOL:
-        raise CrossCheckError(
-            f"imaginary residual {imag_res:.2e} in B: k window too small or aliased"
-        )
-    B = G.real
-    meta = {"pad": pad, "k_grid": k, "models": models}
-    if y_grid is not None:
-        y_req = np.asarray(y_grid, dtype=float)
-        if np.any(jf.side * y_req < -1e-12):
-            raise ValueError("y grid must satisfy ±y >= 0 for side ±")
-        req_abs = np.abs(y_req)
-        # resample the smooth remainder only; the model carries the kinks
-        mod_tab = np.stack([m.on_y(y_abs) for m in models])
-        mod_req = np.stack([m.on_y(req_abs) for m in models])
-        B = CubicSpline(y_abs, B - mod_tab, axis=1)(req_abs) + mod_req
-        return KernelTable(jf.side, jf.x_grid, y_req, B, imag_res, meta=meta)
-    return KernelTable(jf.side, jf.x_grid, jf.side * y_abs, B, imag_res, meta=meta)
+def _tails(pot: Potential, side: int, xs: np.ndarray, lat: dict, y_new: np.ndarray):
+    """(K, D) in the reflected frame at y_new (ending at the lattice's last y):
+    ∫_y B and ∫_y ∂ₓB = ∫_y E − ∫_{x̃+y} W, piece by piece."""
+    K = _piecewise_cubic(lat["y"], lat["B"], lat["kinks"], y_new, tail=True)
+    D = _piecewise_cubic(lat["y"], lat["E"], lat["kinks"], y_new, tail=True)
+    w_tails = [_rev_cumsum(np.add(*_hat_moments(pot, side, x + y_new))) for x in xs]
+    return K, D - np.array([np.append(wt, 0.0) for wt in w_tails])
 
 
-def _tail_cumulative(rows: np.ndarray, y_abs: np.ndarray) -> np.ndarray:
-    """∫_{|y|}^{|y|max} rows d|y| via the cubic-spline antiderivative."""
-    anti = CubicSpline(y_abs, rows, axis=-1).antiderivative()
-    total = np.asarray(anti(y_abs[-1]))[..., None]
-    return total - anti(y_abs)
+def b_kernel(jf: JostField, *, pot: Potential) -> KernelTable:
+    """Kernel table B±(x,·) for every x in the field's grid, from pot (the
+    potential jf was computed for) alone, on every 5th lattice |y| ≤ 16."""
+    lat = _kernel_rows(pot, jf.side, jf.side * jf.x_grid)
+    y = lat["y"][::_TABLE_STRIDE]
+    return KernelTable(jf.side, jf.x_grid, jf.side * y, lat["B"][:, ::_TABLE_STRIDE], meta=lat)
 
 
 def kd_kernels(kt: KernelTable, jf: JostField, *, pot: Potential) -> KernelTable:
-    """Fill K± (tail integral of B±) and D± (tail integral of ∂ₓB±).
-
-    ∂ₓB± is the inverse transform of the integrator's ∂ₓh±, so no
-    finite-difference step enters; jf must be the field kt was built from
-    and pot its potential, whose value and jumps fix the jumps of ∂ₓB±.
-    """
-    if kt.meta is None or not np.array_equal(kt.meta["k_grid"], jf.k_grid):
-        raise ValueError("kernel table and Jost field disagree on the k grid")
-    y_abs = np.abs(kt.y_grid)
-    if np.any(np.diff(y_abs) <= 0):
-        raise ValueError("kd_kernels needs a native (monotone |y|) table")
-    k = jf.k_grid
-    models = _row_models(jf, "db", pot=pot)
-    y2, Gd, _ = _structured_rows(jf.h_prime, models, k, pad=kt.meta["pad"], fit_orders=(2, 3, 4))
-    if y2.size != y_abs.size or abs(y2[-1] - y_abs[-1]) > 1e-9:
-        raise ValueError("kernel table was resampled; rebuild it on the native grid")
-    dB = Gd.real
-    K = _tail_cumulative(kt.B, y_abs)
-    D = _tail_cumulative(dB, y_abs)
-    return replace(kt, K=K, D=D, dB=dB)
+    """Fill K± and D± (tail integrals of B± and ∂ₓB±) and ∂ₓB± of the table
+    b_kernel built from jf and pot; ∂ₓB± is right-continuous in |y| on the
+    jump lines x + y = b."""
+    if kt.side != jf.side or not np.array_equal(kt.x_grid, jf.x_grid):
+        raise ValueError("kernel table and Jost field disagree on side or rows")
+    side, lat = kt.side, kt.meta
+    xs, y = side * kt.x_grid, np.abs(kt.y_grid)
+    K, D = _tails(pot, side, xs, lat, y)
+    dB = lat["E"][:, ::_TABLE_STRIDE] - _w_sided(pot, side, xs[:, None] + y, +1.0)
+    return replace(kt, K=K, D=side * D, dB=side * dB)
 
 
 def roundtrip_residual(kt: KernelTable, jf: JostField) -> float:
     """max |forward transform of B − (h−1)| over every 10th wavenumber of
-    the interior |k| ≤ K/2.
-
-    The forward direction uses the same linear-Filon rule as Ψ, so the
-    check is aliasing-free; resolving 1e-6 needs a padded table (pad ≳ 16).
-    """
+    the interior |k| ≤ K/2, by the linear-Filon rule on half Ψ's y step (its
+    error, step²/12 times the slope jumps of B, is 1e-6 at Ψ's step)."""
     k = jf.k_grid
     sel = np.flatnonzero(np.abs(k) <= 0.5 * np.max(np.abs(k)))[::10]
-    ks = k[sel]
-    y_abs = np.abs(kt.y_grid)
-    forward = _filon_linear(y_abs, kt.B, ks)
+    lat = kt.meta
+    y = np.linspace(0.0, lat["y"][-1], 2 * _FINE_N - 1)
+    forward = _filon_linear(y, _piecewise_cubic(lat["y"], lat["B"], lat["kinks"], y), k[sel])
     return float(np.max(np.abs(forward - (jf.h[:, sel] - 1.0))))
 
 
@@ -421,7 +329,7 @@ def _eta_interp(
     arguments of the kernel bounds reach down to min x).
     """
     u_lo, u_hi = sorted((side * w_lo, side * w_hi))
-    X = max(cutoff_for_eta(pot, 1e-14, side), u_hi + 1.0)
+    X = max(cutoff_for_eta(pot, _ETA_TOL), u_hi + 1.0)
 
     def w_abs(t: float) -> float:
         return abs(float(pot(side * t)))
@@ -449,9 +357,10 @@ def _eta_interp(
 def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals:
     """H±, Ψ±, Φ± at x = 0 with the identity residual max|Φ − 2ikΨ|.
 
-    H± lives on 0 ≤ |y| ≤ 16, the reach of the kernel tables.  Ψ±(k) =
-    ∫_0^{±∞} H±(y) e^{±2iky} dy is evaluated by linear-Filon quadrature on
-    a y grid of step about 1e-3, so the residual stays meaningful at the
+    H± lives on 0 ≤ |y| ≤ 16, the reach of the kernel tables, on a y step
+    of about 1e-3 (K± and D± of the x = 0 lattice row, piece by piece).
+    Ψ±(k) = ∫_0^{±∞} H±(y) e^{±2iky} dy is evaluated by linear-Filon
+    quadrature on that grid, so the residual stays meaningful at the
     largest grid wavenumbers; Ψ± and Φ± are kept on every 20th grid
     wavenumber.  Ĉ is the grid maximum of |H±(y)| / η±(y).
     """
@@ -460,19 +369,12 @@ def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals
     i0 = int(np.argmin(np.abs(k)))
     if abs(k[i0]) > 1e-12:
         raise ValueError("resonance functionals need k = 0 on the grid")
-    delta = _uniform_step(k, "k grid")
-    pad = max(1, int(np.ceil(np.pi / (_PSI_Y_STEP * k.size * delta))))
-    model_b = _row_models(jf, "b", pot=pot)[ix]
-    model_d = _row_models(jf, "db", pot=pot)[ix]
-    y_abs, Gb, _ = _structured_rows(jf.h[ix] - 1.0, [model_b], k, pad=pad)
-    _, Gd, _ = _structured_rows(jf.h_prime[ix], [model_d], k, pad=pad, fit_orders=(2, 3, 4))
-    B0 = Gb[0].real
-    dB0 = Gd[0].real
-    K0 = _tail_cumulative(B0, y_abs)
-    D0 = _tail_cumulative(dB0, y_abs)
-    h0 = float(jf.h[ix, i0].real)
-    hp0 = float(jf.h_prime[ix, i0].real)
-    H = K0 * hp0 - D0 * h0
+    side, x0 = jf.side, np.array([0.0])
+    lat = _kernel_rows(pot, side, x0)
+    y_abs = np.linspace(0.0, lat["y"][-1], _FINE_N)
+    K0, D0 = _tails(pot, side, x0, lat, y_abs)
+    h0, hp0 = float(jf.h[ix, i0].real), float(jf.h_prime[ix, i0].real)
+    H = K0[0] * hp0 - side * D0[0] * h0
 
     # in |y| both sides read Ψ±(k) = ∫_0^∞ H±(±u) e^{2iku} du
     k_eval = k[::_PSI_K_STRIDE]
@@ -480,13 +382,13 @@ def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals
     Phi = jf.h[ix, ::_PSI_K_STRIDE] * hp0 - jf.h_prime[ix, ::_PSI_K_STRIDE] * h0
     residual = float(np.max(np.abs(Phi - 2j * k_eval * Psi)))
 
-    eta_fn = _eta_interp(pot, jf.side, 0.0, jf.side * _Y_MAX)
-    ev = eta_fn(jf.side * y_abs)
+    eta_fn = _eta_interp(pot, side, 0.0, side * _Y_MAX)
+    ev = eta_fn(side * y_abs)
     ok = ev > 1e-9 * float(np.max(ev))
     c_hat = float(np.max(np.abs(H[ok]) / ev[ok])) if np.any(ok) else 0.0
     return ResonanceFunctionals(
-        side=jf.side,
-        y_grid=jf.side * y_abs,
+        side=side,
+        y_grid=side * y_abs,
         H=H,
         k_grid=k_eval,
         Psi=Psi,
@@ -522,8 +424,8 @@ def kernel_bound_report(kt: KernelTable, pot: Potential) -> dict:
         "est1_max_ratio": ratio,
     }
     if kt.dB is not None:
-        # ∂ₓB is reconstructed right-continuous in |y|, so probe V with the
-        # matching one-sided limit at support edges
+        # ∂ₓB is right-continuous in |y| on the jump lines x + y = b, so
+        # probe V with the matching one-sided limit there
         v_arg = np.asarray(pot(args + side * 1e-9), dtype=float)
         lhs = np.abs(kt.dB + side * v_arg)
         bound11 = 2.0 * np.exp(gam)[:, None] * eta_xy * eta_x[:, None]
@@ -533,6 +435,49 @@ def kernel_bound_report(kt: KernelTable, pot: Potential) -> dict:
 
 
 # ------------------------------------------------------------------- GLM
+
+
+class _RowModel:
+    """Half-line profile model of F's kinks: kinks and curvature steps at y_j.
+
+    A kink (y_j, G) contributes G (u−y_j) e^{−2(u−y_j)} Θ(u−y_j) in y and
+    G e^{2iky_j}/(2−2ik)² in k; a curvature step (y_j, C) contributes
+    C ((u−y_j)²/2) e^{−2(u−y_j)} Θ ↔ C e^{2iky_j}/(2−2ik)³.  Subtracting the
+    k-side model before the synthesis removes the 1/k² and 1/k³ tails, so
+    the window truncation acts only on a rapidly decaying remainder.
+    """
+
+    __slots__ = ("kinks", "curves")
+
+    def __init__(self, kinks, curves=()):
+        self.kinks = tuple(kinks)
+        self.curves = tuple(curves)
+
+    def on_k(self, k: np.ndarray) -> np.ndarray:
+        g = np.zeros(k.size, dtype=complex)
+        den = 2.0 - 2j * k
+        for y0, cg in self.kinks:
+            g += cg * np.exp(2j * k * y0) / den**2
+        for y0, cc in self.curves:
+            g += cc * np.exp(2j * k * y0) / den**3
+        return g
+
+    def on_y(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        r = np.zeros(y.shape)
+        for y0, cg in self.kinks:
+            r += cg * (y - y0) * np.exp(-2.0 * (y - y0)) * (y >= y0)
+        for y0, cc in self.curves:
+            u = y - y0
+            r += cc * 0.5 * u * u * np.exp(-2.0 * u) * (y >= y0)
+        return r
+
+
+def _v_jumps(pot: Potential, side: int) -> list[tuple[float, float]]:
+    """Jumps (t̃_j, ΔW_j) of W(t) = V(side·t) at its breakpoints, t̃ increasing."""
+    bps = np.array(sorted(side * b for b in pot.breakpoints))
+    dw = _w_sided(pot, side, bps, +1.0) - _w_sided(pot, side, bps, -1.0)
+    return [(float(b), float(d)) for b, d in zip(bps, dw) if d != 0.0]
 
 
 def glm_residual(
@@ -552,23 +497,21 @@ def glm_residual(
     the whole 1/k² tail of R that the finite window would otherwise
     truncate; it is split off R as a _RowModel kink at y₀ = −side·s (with
     the fitted 1/k³ remainder as curvature steps) and F(q) reads the model
-    at y = −q.  eval_stride > 1 checks the residual on every stride-th
-    table point only; the t integral itself keeps full resolution.
+    at y = −q.  The t integral is Simpson's 3/8 rule on a third of the
+    lattice step, panels between the kinks of B and F, so it is O(h⁴).
+    eval_stride > 1 checks the residual on every stride-th table point only.
     """
-    if kt.meta is None or not np.array_equal(kt.meta["k_grid"], sd.k_grid):
-        raise ValueError("kernel table and scattering data disagree on the k grid")
     side = kt.side
     y_abs = np.abs(kt.y_grid)
     # reflect side − onto the side + formulas: x → −x, R → R₋, c → c₋
     xs = side * kt.x_grid
-    B = kt.B
     R = np.asarray(sd.R_plus if side > 0 else sd.R_minus, dtype=complex)
     k = sd.k_grid
 
     w_lo = float(np.min(xs))
     w_hi = float(np.max(xs) + 2.0 * y_abs[-1])
     w = np.arange(w_lo, w_hi + _GLM_W_STEP, _GLM_W_STEP)
-    model = _RowModel((), [(-st, dv) for st, dv in _v_jumps(pot, side)])
+    model = _RowModel([(-st, dv) for st, dv in _v_jumps(pot, side)])
     R_eff = R - model.on_k(k)
     if model.kinks:
         # the remaining 1/k³ tail (second-order Born terms plus the 2ik vs
@@ -580,7 +523,7 @@ def glm_residual(
         A = np.stack([np.exp(2j * k[sel] * y0) / den3 for y0, _ in model.kinks]).T
         cfit, *_ = np.linalg.lstsq(A, R_eff[sel], rcond=None)
         curves = [(y0, float(c.real)) for (y0, _), c in zip(model.kinks, cfit)]
-        model = _RowModel((), model.kinks, curves)
+        model = _RowModel(model.kinks, curves)
         R_eff = R - model.on_k(k)
     F_refl = _filon_linear(k, R_eff, w) / np.pi
     imag = float(np.max(np.abs(F_refl.imag)))
@@ -601,25 +544,22 @@ def glm_residual(
 
     F = F_spline(w)
 
-    # the t integrand is only piecewise smooth (kinks of F and of B cross
-    # the panels), so the spline quadrature converges at O(h²) there and
-    # the grid has to be pushed well past the table spacing.  Refine the
-    # smooth remainder of B only; its kinked model part is restored
-    # analytically below.
-    dy = float(np.median(np.diff(y_abs)))
-    fac = max(1, int(np.ceil(dy / 0.0017)))
-    y_t = np.linspace(y_abs[0], y_abs[-1], fac * (y_abs.size - 1) + 1)
-    b_models = kt.meta["models"]
-    model_tab = np.stack([mo.on_y(y_abs) for mo in b_models])
-    model_fine = np.stack([mo.on_y(y_t) for mo in b_models])
-    B_t = CubicSpline(y_abs, B - model_tab, axis=1)(y_t) + model_fine
+    # the kinks t = b̃ − x̃ of B and b̃ − x̃ − y of F all lie on (b̃ − x̃ mod h)
+    # + m·h (b̃ on the lattice, y on its steps), so each panel is smooth;
+    # past the last one B is below the lattice's tail tolerance
+    lat = kt.meta
+    h = lat["y"][1]
     y_eval = y_abs[::eval_stride]
-    B_eval = B[:, ::eval_stride]
+    B_eval = kt.B[:, ::eval_stride]
     res = np.empty_like(B_eval)
-    for i, x in enumerate(xs):
-        args = x + y_eval[:, None] + y_t[None, :]  # (y, t)
-        prod = F_spline(args) * B_t[i][None, :]
-        conv = CubicSpline(y_t, prod, axis=1).antiderivative()(y_t[-1])
+    for i, (x, ks) in enumerate(zip(xs, lat["kinks"])):
+        edges = np.r_[0.0, np.arange(ks[0] % h if ks else 0.0, lat["y"][-1] - 1e-9, h)]
+        width = np.diff(edges)
+        t = np.r_[(edges[:-1, None] + np.outer(width, [0.0, 1.0, 2.0]) / 3.0).ravel(), edges[-1]]
+        wt = np.r_[np.outer(width, [1.0, 3.0, 3.0]).ravel(), 0.0] / 8.0
+        wt[3::3] += width / 8.0
+        B_t = _piecewise_cubic(lat["y"], lat["B"][i : i + 1], [ks], t)[0]
+        conv = F_spline(x + y_eval[:, None] + t[None, :]) @ (wt * B_t)
         res[i] = F_spline(x + y_eval) + B_eval[i] + conv
     return GlmReport(
         side=side,

@@ -275,8 +275,9 @@ def gamma_moment(pot: Potential, x: float, side: int) -> float:
     return val
 
 
-def cutoff_for_eta(pot: Potential, tol: float, side: int = +1) -> float:
-    """Smallest convenient X with η±(X) (tail-bound estimate) below tol."""
+def cutoff_for_eta(pot: Potential, tol: float) -> float:
+    """Smallest convenient X with η±(±X) (tail-bound estimate, the same on
+    both sides) below tol."""
     tail = pot.tail
     if tail.kind == "compact":
         return tail.radius

@@ -62,6 +62,28 @@ def test_one_path_inputs_are_required():
         assert param.default is param.empty, f"{fn.__name__}({name}) has a default"
 
 
+def test_every_parameter_is_read():
+    # a parameter that its function's body never reads changes nothing; the
+    # scan also pins that kd_kernels reads both its Jost field and potential
+    unread = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.stem}.{name}({p})" for p in params if p not in read]
+    assert not unread, "parameters never read: " + ", ".join(unread)
+
+
 def _public_functions():
     out = {}
     for name in MODULES:

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
-from scatterlab import cli
+from scatterlab import cli, scattering
 from scatterlab.cli import main
 
 
@@ -38,6 +39,25 @@ def test_scaled_spec_runs_through_resonance(tmp_path):
     report = json.loads((out / "resonance.json").read_text())
     assert report["potential"] == "scaled(poeschl_teller,s=0.5)"
     assert not report["resonant"]
+
+
+def test_resonance_gate_fails_on_a_wrong_gamma(tmp_path, monkeypatch):
+    # T(0), R±(0) follow from γ; the gate compares them with the independent
+    # k → 0 extrapolation of the computed T, R±.  A γ 1% off moves R±(0) of
+    # the sech² well by about 1e-2.
+    assert main(["resonance", "--out", str(tmp_path / "ok")]) == 0
+    scan = scattering.zero_energy_scan
+
+    def off_gamma(pot, **kwargs):
+        zed = scan(pot, **kwargs)
+        return replace(zed, gamma=1.01 * zed.gamma)
+
+    monkeypatch.setattr(scattering, "zero_energy_scan", off_gamma)
+    out = tmp_path / "off"
+    assert main(["resonance", "--out", str(out)]) == 1
+    report = json.loads((out / "resonance.json").read_text())
+    assert report["resonant"] and not report["passed"]
+    assert report["limit_consistency"] > 1e-3
 
 
 def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):

@@ -86,11 +86,11 @@ def test_eta_gamma_closed_form():
 
 def test_cutoff_for_eta_honours_tolerance():
     pt = catalog("poeschl_teller")
-    X = cutoff_for_eta(pt, 1e-10, +1)
+    X = cutoff_for_eta(pt, 1e-10)
     assert pt.tail.eta_tail(X) <= 1e-10
     assert eta(pt, X, +1) <= 1e-10  # the true tail respects the bound
     sw = catalog("square_well")
-    assert cutoff_for_eta(sw, 1e-14, +1) == 1.0  # compact support
+    assert cutoff_for_eta(sw, 1e-14) == 1.0  # compact support
 
 
 def test_truncation_error_for_slow_tails():
