@@ -88,12 +88,18 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+def _open_key(key: str) -> bool:
+    """Potential params are potential-specific and the tail bound is
+    optional (absent from the defaults), so both accept keys the defaults
+    lack; potentials.from_spec validates them."""
+    return key.startswith("potential.params.") or key == "potential.tail_bound"
+
+
 def _merge(base: dict, patch: dict, path: str = "") -> None:
     for key, val in patch.items():
         here = f"{path}{key}"
         if key not in base:
-            # potential params are potential-specific, so that dict is open
-            if path == "potential.params.":
+            if _open_key(here):
                 base[key] = val
                 continue
             raise ValueError(f"unknown config key: {here}")
@@ -120,7 +126,7 @@ def _apply_override(cfg: dict, spec: str) -> None:
             raise ValueError(f"unknown config section in override: {key!r}")
         node = node[p]
     leaf = parts[-1]
-    if leaf not in node and not key.startswith("potential.params."):
+    if leaf not in node and not _open_key(key):
         raise ValueError(f"unknown config key in override: {key!r}")
     node[leaf] = val
 

@@ -10,6 +10,12 @@ so a piecewise-linear amplitude integrates exactly panel by panel.  The
 rule needs no t-dependent grid refinement: accuracy is set only by how
 well straight segments follow the amplitude.  On the 45° ray erf stays
 bounded (|e^{−(wu)²}| = 1), so large t·k² is safe.
+
+Nested uniform node sets need one weight vector only, on the finest set:
+a hat function of every second node is a piecewise-linear function on the
+finer nodes (1 at its own node, ½ at its two neighbours), so the coarser
+weights follow by full-weighting restriction (_restrict), with no further
+erf evaluation.
 """
 
 from __future__ import annotations
@@ -55,6 +61,19 @@ def fresnel_weights(k_grid, t: float, b: float) -> np.ndarray:
     wgt[:-1] += (k[1:] * m0 - m1) / h
     wgt[1:] += (m1 - k[:-1] * m0) / h
     return wgt
+
+
+def _restrict(w: np.ndarray) -> np.ndarray:
+    """Weights on every second node of a uniform node set from the weights
+    on all of them: w_c[J] = w[2J] + ½(w[2J−1] + w[2J+1]), one-sided at the
+    ends.  Exact for weights of any rule that is exact on piecewise-linear
+    amplitudes, such as fresnel_weights."""
+    if w.size % 2 == 0:
+        raise ValueError("restriction needs an odd number of nodes")
+    out = w[::2].copy()
+    out[:-1] += 0.5 * w[1::2]
+    out[1:] += 0.5 * w[1::2]
+    return out
 
 
 def quad_quadratic_phase(k_grid, amplitude, t: float, b: float):

@@ -58,6 +58,14 @@ class TailBound:
     coef: float = 0.0
     rate: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("compact", "exp", "power"):
+            raise ValueError(f"tail bound kind must be compact, exp or power, got {self.kind!r}")
+        for name in ("radius", "coef", "rate"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val >= 0.0):
+                raise ValueError(f"tail bound {name} must be finite and >= 0, got {val!r}")
+
     def envelope(self, x: float) -> float:
         if self.kind == "compact":
             return 0.0

@@ -10,8 +10,7 @@ contributes the free kernel (4πit)^{−1/2} e^{i(y−x)²/(4t)} in closed form
 and the decaying remainder h₊h₋T − 1 is integrated over |k| ≤ K with the
 quadratic-phase panel rule from oscquad.  On a uniform position grid the
 phase depends only on the separation b = y − x, so all pairs of one
-diagonal share a single weight vector and the slice assembles from one
-matrix product per (diagonal, time).
+diagonal share their weights.
 
 The rule runs on three nested node sets (panel midpoints filled by cubic
 interpolation); the value is the Richardson extrapolant of the finest
@@ -21,6 +20,15 @@ tail.  That bound needs the phase to be monotone beyond the cut, so every
 evaluation with 2tK ≤ |b| raises ValueError.  Single pairs (pac_kernel,
 g_kernel) and whole slices (pac_slices) run through the same routine, so
 they share this rule, their values and their error estimates.
+
+Per (t, b) there is one Fresnel weight vector, on the finest node set;
+the two coarser levels come from it by restriction.  For a real potential
+the amplitude satisfies A(−k) = conj A(k), so only k ≥ 0 is refined and
+built, and the k < 0 half of each weight vector, mirrored and conjugated,
+acts on conj A: Σ w A = A·w₊ + conj(A·conj w₋).  The weights of all times
+and levels of one diagonal form one matrix, so each row chunk of the
+diagonal's amplitude costs one matrix product; the chunks keep the
+amplitude's memory bounded whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -42,11 +50,11 @@ from .jost import (
     compute_h_bound,
     zero_energy_state,
 )
-from .oscquad import fresnel_weights, full_line_integral, truncation_tail
+from .oscquad import _restrict, fresnel_weights, full_line_integral, truncation_tail
 from .potentials import Potential
 from .scattering import ScatteringData, scattering_data
 from . import wiener
-from .wiener import _uniform_step
+from .wiener import _uniform_step, _uniform_symmetric
 
 __all__ = [
     "KernelSlice",
@@ -71,6 +79,10 @@ DEFAULT_X_STEP = 0.25
 DEFAULT_X_MAX = 8.0
 DEFAULT_K_MAX = 60.0
 DEFAULT_K_COUNT = 24001
+
+# complex amplitude entries per row chunk of a diagonal (16 MiB); the rows
+# per chunk follow from the number of refined nodes
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,9 @@ def prepare_propagator(
     resonance and finds the bound states.  f₀ is then built from the
     zero-energy scan the resonance report was decided from, so a resonant
     potential is scanned once.  The grid point within 1e-12 of 0 is set to
-    exactly 0, which keeps the Jost rows aligned with x_grid."""
+    exactly 0, which keeps the Jost rows aligned with x_grid.  The k grid
+    must be symmetric about 0 with a node at 0 (the kernel quadrature folds
+    k < 0 onto k ≥ 0); ValueError otherwise, before any solve."""
     if x_grid is None:
         n_half = int(round(DEFAULT_X_MAX / DEFAULT_X_STEP))
         x_grid = np.linspace(-DEFAULT_X_MAX, DEFAULT_X_MAX, 2 * n_half + 1)
@@ -154,7 +168,9 @@ def prepare_propagator(
     x_grid = np.asarray(x_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=float)
     _uniform_step(x_grid, "x_grid")
-    _uniform_step(k_grid, "k_grid")
+    _uniform_symmetric(k_grid)
+    if k_grid.size % 2 == 0:
+        raise ValueError("k grid needs a node at 0 (an odd number of points)")
     zero = np.abs(x_grid) < 1e-12
     if not np.any(zero):
         raise ValueError("x_grid must contain 0 (Wronskian anchor)")
@@ -252,10 +268,42 @@ def _refine_rows(rows):
     return rows
 
 
+def _refine_half(rows):
+    """The k ≥ 0 part of _refine_rows(rows) for rows on a k grid symmetric
+    about 0 with a node at 0.  The midpoint stencils next to 0 read the two
+    coarse nodes below it, so those are refined along and dropped; the
+    values are identical to refining the whole line."""
+    c = rows.shape[-1] // 2
+    return _refine_rows(rows[..., c - 2 :])[..., 8:]
+
+
 def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
     if not pd.resonant:
         return np.zeros((pd.x_grid.size, pd.x_grid.size), dtype=complex)
     return np.outer(pd.f0_x, pd.f0_x) / np.sqrt(4j * np.pi * t)
+
+
+def _level_weights(kff, ts, b: float) -> np.ndarray:
+    """Weights of the three Richardson levels for every time, folded onto
+    the m finest nodes with k ≥ 0; returns a (2·3·len(ts), m) matrix with
+    rows (half, level, time) flattened.
+
+    Half 0 weights A(k); half 1 holds the conjugated weights of −k and acts
+    on conj A.  Level 2 (finest) covers every node, level 1 every second,
+    level 0 (the k grid) every fourth; the others stay 0.  fresnel_weights
+    runs once per time, on the finest nodes; the coarser levels come from
+    it by restriction."""
+    m = (kff.size + 1) // 2
+    wts = np.zeros((2, 3, ts.size, m), dtype=complex)
+    for i_t, t in enumerate(ts):
+        w = fresnel_weights(kff, t, b)
+        for lev, step in ((2, 1), (1, 2), (0, 4)):
+            if step > 1:
+                w = _restrict(w)
+            c = w.size // 2
+            wts[0, lev, i_t, ::step] = w[c:]
+            wts[1, lev, i_t, step::step] = np.conj(w[c - 1 :: -1])
+    return wts.reshape(-1, m)
 
 
 def _pac_rows(hp_ff, hm_ff, t_ff, k, ts, b: float):
@@ -263,47 +311,49 @@ def _pac_rows(hp_ff, hm_ff, t_ff, k, ts, b: float):
     b ≥ 0 for every time in ts; returns (value, error), each (len(ts), rows).
 
     hp_ff, hm_ff hold rows of h₊(y,·) and h₋(x,·) and t_ff holds T, all
-    refined twice from the k grid; the amplitude on the finest grid
-    subsamples to the two coarser levels because refinement keeps the
-    original nodes in place.  The level copies are made once, outside the
-    time loop."""
+    refined twice from the symmetric k grid on k ≥ 0 only (_refine_half);
+    refinement keeps the original nodes in place, so the finest nodes
+    carry all three levels.  The amplitude is built and contracted in row
+    chunks of _CHUNK_ENTRIES entries."""
     if np.any(ts < 1.0):
         raise ValueError("kernel evaluation needs t >= 1")
-    kf = np.linspace(k[0], k[-1], 2 * k.size - 1)
-    kff = np.linspace(k[0], k[-1], 4 * k.size - 3)
     k_max = float(k[-1])
     inv2pi = 1.0 / (2.0 * np.pi)
-    amp_ff = hp_ff * hm_ff * t_ff[None, :] - 1.0
-    amp_f = np.ascontiguousarray(amp_ff[:, ::2])
-    amp = np.ascontiguousarray(amp_ff[:, ::4])
-    val = np.empty((ts.size, amp.shape[0]), dtype=complex)
-    err = np.empty((ts.size, amp.shape[0]))
-    for i_t, t in enumerate(ts):
-        tail = truncation_tail(amp[:, 0], amp[:, -1], t, b, k_max)
-        coarse = amp @ fresnel_weights(k, t, b)
-        fine = amp_f @ fresnel_weights(kf, t, b)
-        finest = amp_ff @ fresnel_weights(kff, t, b)
+    # |A(−K)| = |A(K)| for the two ends of the tail bound
+    end = np.abs(hp_ff[:, -1] * hm_ff[:, -1] * t_ff[-1] - 1.0)
+    tail = np.array([truncation_tail(end, end, t, b, k_max) for t in ts])
+    full = np.array([full_line_integral(t, b) for t in ts])
+    wts = _level_weights(np.linspace(k[0], k[-1], 4 * k.size - 3), ts, b)
+    n_rows = hp_ff.shape[0]
+    val = np.empty((ts.size, n_rows), dtype=complex)
+    err = np.empty((ts.size, n_rows))
+    chunk = max(1, _CHUNK_ENTRIES // t_ff.size)
+    for lo in range(0, n_rows, chunk):
+        rows = slice(lo, lo + chunk)
+        amp = hp_ff[rows] * hm_ff[rows] * t_ff - 1.0
+        s = (amp @ wts.T).reshape(amp.shape[0], 2, 3, ts.size)
+        coarse, fine, finest = (s[:, 0] + np.conj(s[:, 1])).transpose(1, 2, 0)
         r1 = fine + (fine - coarse) / 3.0
         r2 = finest + (finest - fine) / 3.0
-        val[i_t] = (full_line_integral(t, b) + r2) * inv2pi
-        err[i_t] = (np.abs(r2 - r1) + tail) * inv2pi
+        val[:, rows] = (full[:, None] + r2) * inv2pi
+        err[:, rows] = (np.abs(r2 - r1) + tail[:, rows]) * inv2pi
     return val, err
 
 
 def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     """Kernel slices on pd.x_grid × pd.x_grid for every time in ts.
 
-    One amplitude matrix is built per diagonal and reused across times;
-    only the Fresnel weights depend on t.  Raises ValueError for t < 1 and
-    when 2tK ≤ |b| for the widest separation b on the grid (K = max k), as
-    pac_kernel does for one pair."""
+    The weights of one diagonal serve all its pairs and times; the
+    amplitude is built per diagonal in row chunks.  Raises ValueError for
+    t < 1 and when 2tK ≤ |b| for the widest separation b on the grid
+    (K = max k), as pac_kernel does for one pair."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x = pd.x_grid
     n = x.size
     dx = _uniform_step(x, "x_grid")
-    hp_ff = _refine_rows(pd.h_plus)
-    hm_ff = _refine_rows(pd.h_minus)
-    t_ff = _refine_rows(pd.T[None, :])[0]
+    hp_ff = _refine_half(pd.h_plus)
+    hm_ff = _refine_half(pd.h_minus)
+    t_ff = _refine_half(pd.T)
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
     for d in range(n):
@@ -339,9 +389,9 @@ def _pac_pair(pd: PropagatorData, x: float, y: float, t: float):
     lo, hi = (x, y) if x <= y else (y, x)
     i, j = pd.x_index(lo), pd.x_index(hi)
     val, err = _pac_rows(
-        _refine_rows(pd.h_plus[j : j + 1, :]),
-        _refine_rows(pd.h_minus[i : i + 1, :]),
-        _refine_rows(pd.T[None, :])[0],
+        _refine_half(pd.h_plus[j : j + 1, :]),
+        _refine_half(pd.h_minus[i : i + 1, :]),
+        _refine_half(pd.T),
         pd.k_grid,
         np.array([float(t)]),
         float(pd.x_grid[j] - pd.x_grid[i]),

@@ -3,8 +3,11 @@
 Everything here is derived by a different route than the code under test:
 closed forms for the sech² (Poeschl–Teller) well, plane-wave transfer
 matching for the square well, a transcendental-equation solver for finite
-well bound states, a brute-force oscillatory quadrature, and a split-step
-Fourier evolver for e^{−itH}.  No imports from the package.
+well bound states, a brute-force oscillatory quadrature, a split-step
+Fourier evolver for e^{−itH}, and the evolution-kernel slice rule in its
+plain form (three weight vectors per time, one product per time and level,
+the whole k line).  No imports from the package: the slice rule takes the
+panel-weight function as an argument.
 """
 
 from __future__ import annotations
@@ -172,3 +175,54 @@ def split_step_evolve(v, psi0, t_final, *, box=64.0, n=4096, dt=0.002,
         psi *= exp_v
         psi = np.fft.ifft(exp_k * np.fft.fft(psi))
     return x, psi
+
+
+# ------------------------------------------- evolution-kernel slice rule
+def refine_twice(rows):
+    """Insert cubic panel midpoints along the last axis twice (uniform
+    nodes); length n → 4n − 3, the original nodes at every fourth sample."""
+    for _ in range(2):
+        n = rows.shape[-1]
+        out = np.empty(rows.shape[:-1] + (2 * n - 1,), dtype=rows.dtype)
+        out[..., ::2] = rows
+        mid = out[..., 1::2]
+        mid[..., 1:-1] = (-rows[..., :-3] + 9.0 * rows[..., 1:-2]
+                          + 9.0 * rows[..., 2:-1] - rows[..., 3:]) / 16.0
+        mid[..., 0] = (5.0 * rows[..., 0] + 15.0 * rows[..., 1]
+                       - 5.0 * rows[..., 2] + rows[..., 3]) / 16.0
+        mid[..., -1] = (rows[..., -4] - 5.0 * rows[..., -3]
+                        + 15.0 * rows[..., -2] + 5.0 * rows[..., -1]) / 16.0
+        rows = out
+    return rows
+
+
+def pac_slices_reference(h_plus, h_minus, T, k, dx, ts, weights):
+    """(pac, error) arrays of shape (len(ts), n, n) for the continuous-
+    spectrum kernel on a uniform position grid of step dx.
+
+    For each separation b = d·dx and time t: weights(nodes, t, b) on the k
+    grid and on its two refinements, one product with the amplitude
+    h₊(y,k)h₋(x,k)T(k) − 1 per level over the whole line, Richardson on
+    the finest pair, and the error |r2 − r1| plus the integration-by-parts
+    tail (|A(−K)| + |A(K)|)/(2tK − b); the free part √(π/(it))e^{ib²/4t}
+    is added in closed form."""
+    n = h_plus.shape[0]
+    hp, hm, tt = refine_twice(h_plus), refine_twice(h_minus), refine_twice(T)
+    nodes = [np.linspace(k[0], k[-1], m) for m in (k.size, 2 * k.size - 1, 4 * k.size - 3)]
+    pac = np.empty((len(ts), n, n), dtype=complex)
+    err = np.empty((len(ts), n, n))
+    for d in range(n):
+        b = d * dx
+        amp_ff = hp[d:] * hm[: n - d] * tt - 1.0
+        amps = (amp_ff[:, ::4], amp_ff[:, ::2], amp_ff)
+        rows = np.arange(n - d)
+        for i_t, t in enumerate(ts):
+            coarse, fine, finest = (a @ weights(q, t, b) for a, q in zip(amps, nodes))
+            r1 = fine + (fine - coarse) / 3.0
+            r2 = finest + (finest - fine) / 3.0
+            free = np.sqrt(np.pi / (1j * t)) * np.exp(1j * b * b / (4.0 * t))
+            tail = (np.abs(amps[0][:, 0]) + np.abs(amps[0][:, -1])) / (2.0 * t * k[-1] - b)
+            for i, j in ((rows, rows + d), (rows + d, rows)):
+                pac[i_t, i, j] = (free + r2) / (2.0 * np.pi)
+                err[i_t, i, j] = (np.abs(r2 - r1) + tail) / (2.0 * np.pi)
+    return pac, err

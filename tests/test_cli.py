@@ -74,3 +74,21 @@ def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, ca
     err = capsys.readouterr().err
     assert "config error" in err and "grids.x_step=0.4" in err and "x=-5 " in err
     assert not (tmp_path / "decay_report.json").exists()
+
+
+def test_sampled_spec_with_explicit_tail_bound_runs_through_resonance(tmp_path, capsys):
+    # the automatic exponential fit of these samples overflows (coef = inf);
+    # an explicit tail bound in the config lets the stage run (its own
+    # limit check may fail on so odd a potential; that is not under test)
+    args = ["resonance", "--override", "potential.name=sampled"]
+    args += ["--override", 'potential.params={"x":[100,101,102,103],"v":[1,4.5e-5,2e-9,9.4e-14]}']
+    assert main(args + ["--out", str(tmp_path / "fit")]) == 2
+    assert "pass an explicit TailBound" in capsys.readouterr().err
+    bound = {"kind": "exp", "radius": 103.0, "coef": 1.0, "rate": 10.0}
+    out = tmp_path / "bound"
+    assert main(args + ["--override", f"potential.tail_bound={json.dumps(bound)}", "--out", str(out)]) != 2
+    assert json.loads((out / "resonance.json").read_text())["potential"] == "sampled(n=4)"
+    assert json.loads((out / "manifest.json").read_text())["config"]["potential"]["tail_bound"] == bound
+    bad = dict(bound, kind="gaussian")
+    assert main(args + ["--override", f"potential.tail_bound={json.dumps(bad)}", "--out", str(tmp_path / "bad")]) == 2
+    assert "tail bound kind" in capsys.readouterr().err

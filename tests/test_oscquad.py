@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import fresnel
 
 from scatterlab.oscquad import (
+    _restrict,
     fresnel_weights,
     full_line_integral,
     quad_quadratic_phase,
@@ -89,6 +90,27 @@ def test_linear_amplitude_exact_on_random_nodes(start, gaps, t, b, alpha, beta):
     assert abs(got - ref) <= 1e-13 * (1.0 + abs(alpha) + 6.0 * abs(beta))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(-4.0, 0.0),
+    h=st.floats(0.05, 0.5),
+    panels=st.integers(1, 16),
+    t=st.floats(1.0, 1000.0),
+    b=st.floats(-10.0, 10.0),
+)
+def test_restriction_equals_coarse_weights(lo, h, panels, t, b):
+    # a coarse hat function is piecewise linear on the fine nodes, so the
+    # restricted weights are the weights of the 2h and 4h node sets.  The
+    # weights' own roundoff grows like max|k − b/2t|/h (k·m0 − m1 cancels),
+    # so the node sets keep that ratio below 250.
+    k = lo + h * np.arange(4 * panels + 1)
+    w = fresnel_weights(k, t, b)
+    scale = np.max(np.abs(w))
+    w2 = _restrict(w)
+    assert np.max(np.abs(w2 - fresnel_weights(k[::2], t, b))) <= 1e-12 * scale
+    assert np.max(np.abs(_restrict(w2) - fresnel_weights(k[::4], t, b))) <= 1e-12 * scale
+
+
 def test_gaussian_amplitude_closed_form():
     # ∫ e^{−i(tk²−bk)} e^{−k²} dk = √(π/(1+it)) e^{−b²/(4(1+it))}
     t, b, K = 3.0, 1.5, 60.0
@@ -152,3 +174,5 @@ def test_validation():
         fresnel_weights(np.array([0.5]), 1.0, 0.0)
     with pytest.raises(ValueError):
         quad_quadratic_phase(k, np.ones(7), 1.0, 0.0)
+    with pytest.raises(ValueError):
+        _restrict(np.ones(4))

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from scatterlab import jost, scattering
+from scatterlab import jost, propagator, scattering
 from scatterlab.errors import ResonanceError
 from scatterlab.jost import zero_energy_state
-from scatterlab.oscquad import full_line_integral
+from scatterlab.oscquad import fresnel_weights, full_line_integral
+from scatterlab.potentials import catalog
 from scatterlab.propagator import (
     apply_kernel,
     g_kernel,
@@ -239,6 +242,46 @@ def test_g_kernel_error_estimate_covers_truth(free_pd, pt_pd):
     vf, ef = g_kernel(free_pd, -2.0, 3.5, 5.0)
     exact = _heat_kernel(-2.0, 3.5, 5.0) - 1.0 / np.sqrt(20j * np.pi)
     assert abs(vf - exact) < max(ef, 1e-12)
+
+
+@pytest.mark.parametrize("name", ["poeschl_teller", "square_well", "gaussian_well"])
+def test_slices_match_reference_rule(name):
+    # the folded, restricted, chunked rule against the plain one: three
+    # weight vectors per time, one product per time and level, whole line
+    pd = prepare_propagator(catalog(name), np.linspace(-4.0, 4.0, 17), np.linspace(-20.0, 20.0, 2001))
+    ts = np.array([1.0, 2.5, 10.0, 100.0, 1000.0])
+    ref_pac, ref_err = oracles.pac_slices_reference(
+        pd.h_plus, pd.h_minus, pd.T, pd.k_grid, 0.5, ts, fresnel_weights
+    )
+    for ks, rp, re in zip(pac_slices(pd, ts), ref_pac, ref_err):
+        assert np.max(np.abs(ks.pac - rp)) <= 1e-12 * np.max(np.abs(rp))
+        assert np.max(np.abs(ks.quadrature_error - re) / re) <= 1e-5
+
+
+def test_k_grid_must_be_symmetric_about_zero(pt_pot, monkeypatch):
+    # the quadrature folds k < 0 onto k >= 0: other grids fail before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("scattering_data ran")
+
+    monkeypatch.setattr(propagator, "scattering_data", no_solve)
+    x = np.linspace(-8.0, 8.0, 17)
+    for k in (np.linspace(-5.0, 5.0, 201) + 0.01, np.linspace(-5.0, 5.0, 200)):
+        with pytest.raises(ValueError, match="k grid"):
+            prepare_propagator(pt_pot, x, k)
+
+
+def test_slices_memory_bounded(pt_pot):
+    # the amplitude is built in row chunks over k >= 0 and the weights of
+    # one diagonal are one matrix; measured peak 25.4 MiB, bound with 20%
+    # headroom
+    pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 33), np.linspace(-60.0, 60.0, 4001))
+    tracemalloc.start()
+    try:
+        pac_slices(pd, np.geomspace(10.0, 1000.0, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30.5 * 2**20
 
 
 def test_pac_validation(pt_pd):
