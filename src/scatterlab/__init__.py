@@ -4,7 +4,6 @@ and dispersive decay of e^{−itH}P_ac."""
 
 from .errors import (
     CrossCheckError,
-    CutoffError,
     ResonanceError,
     ScatterlabError,
     TruncationError,
@@ -19,7 +18,6 @@ __all__ = [
     "load_sampled",
     "ScatterlabError",
     "TruncationError",
-    "CutoffError",
     "CrossCheckError",
     "ResonanceError",
     "__version__",

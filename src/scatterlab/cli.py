@@ -32,7 +32,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .decay import run_experiment
+from .decay import _check_fit_times, run_experiment
 from .jost import ODE_ATOL, ODE_RTOL
 from .kernels import (
     b_kernel,
@@ -48,11 +48,12 @@ from .propagator import (
     DEFAULT_K_MAX,
     DEFAULT_X_MAX,
     DEFAULT_X_STEP,
+    _check_times,
     _growth_lattice,
     prepare_propagator,
 )
 from .scattering import classify_resonance, scattering_data
-from .wiener import TAPER_FRAC, derivative_a_norms, difference_quotient_norm
+from .wiener import TAPER_FRAC, _check_max_order, derivative_a_norms, difference_quotient_norm
 
 __all__ = ["DEFAULT_CONFIG", "RunConfig", "main"]
 
@@ -243,6 +244,23 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts) -> None:
     _atomic_write(out / "manifest.json", _json_text(manifest))
 
 
+def _config_ok(rc: RunConfig, checks) -> bool:
+    """Run the library's own input rules on configured values before any
+    solve.  checks holds (config keys, rule) pairs; the first rule that
+    raises ValueError is printed as a config error naming its keys."""
+    for keys, rule in checks:
+        try:
+            rule()
+        except ValueError as exc:
+            vals = []
+            for key in keys:
+                section, name = key.split(".")
+                vals.append(f"{key}={rc.data[section][name]:g}")
+            print(f"config error: {', '.join(vals)}: {exc}", file=sys.stderr)
+            return False
+    return True
+
+
 def _c(z) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -367,13 +385,15 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
 
 
 def cmd_wiener(rc: RunConfig, out: Path) -> int:
+    wopts = rc.data["wiener"]
+    orders = int(wopts["derivative_orders"])
+    taper = float(wopts["taper_frac"])
+    if not _config_ok(rc, [(("wiener.derivative_orders",), lambda: _check_max_order(orders))]):
+        return 2
     pot = rc.potential()
     sd, _, _ = scattering_data(pot, rc.k_grid(), rtol=rc.rtol, atol=rc.atol)
     k = sd.k_grid
     i0 = int(np.argmin(np.abs(k)))
-    wopts = rc.data["wiener"]
-    orders = int(wopts["derivative_orders"])
-    taper = float(wopts["taper_frac"])
     rows = []
     for name, vals, limit in (
         ("T-1", sd.T, 1.0),
@@ -409,17 +429,21 @@ def cmd_wiener(rc: RunConfig, out: Path) -> int:
 def cmd_decay(rc: RunConfig, out: Path) -> int:
     t = rc.data["times"]
     tol = rc.data["tolerances"]
-    g = rc.data["grids"]
-    x_grid = rc.x_grid()
-    try:
-        _growth_lattice(x_grid)  # the exterior proxy's lattice, checked before any solve
-    except ValueError as exc:
-        print(
-            f"config error: grids.x_max={g['x_max']:g}, grids.x_step={g['x_step']:g}: {exc}",
-            file=sys.stderr,
-        )
+    x_grid, k_grid = rc.x_grid(), rc.k_grid()
+    ts = np.geomspace(float(t["t_min"]), float(t["t_max"]), int(t["count"]))
+    # the exterior proxy's lattice, the fit's times and the kernel rule's
+    # times at the widest separation, each checked before any solve
+    checks = [
+        (("grids.x_max", "grids.x_step"), lambda: _growth_lattice(x_grid)),
+        (("times.t_min", "times.t_max", "times.count"), lambda: _check_fit_times(ts)),
+        (
+            ("times.t_min", "grids.k_max", "grids.x_max"),
+            lambda: _check_times(ts, float(k_grid[-1]), float(x_grid[-1] - x_grid[0])),
+        ),
+    ]
+    if not _config_ok(rc, checks):
         return 2
-    pd = prepare_propagator(rc.potential(), x_grid, rc.k_grid(), rtol=rc.rtol, atol=rc.atol)
+    pd = prepare_propagator(rc.potential(), x_grid, k_grid, rtol=rc.rtol, atol=rc.atol)
     rep = run_experiment(
         pd,
         t_window=(float(t["t_min"]), float(t["t_max"])),

@@ -47,7 +47,7 @@ class DecayReport:
     error_ratios: np.ndarray
     error_dominated: bool
     control_exponent: float | None
-    exterior_coefficient: float | None
+    exterior_coefficient: float
     runtime_seconds: float
 
 
@@ -58,7 +58,7 @@ def _weighted_abs(mat, ks: KernelSlice, sigma: float) -> np.ndarray:
     return wx[:, None] * np.abs(mat) * wy[None, :]
 
 
-def weighted_norm(ks: KernelSlice, sigma: float = 2.0) -> float:
+def weighted_norm(ks: KernelSlice, sigma: float) -> float:
     """sup over the slice grid of (1+|x|)^{−σ} |G(x,y)| (1+|y|)^{−σ}."""
     return float(np.max(_weighted_abs(ks.G, ks, sigma)))
 
@@ -75,6 +75,16 @@ def _norm_and_error_ratio(mat, ks, sigma):
     return top, ratio
 
 
+def _check_fit_times(t: np.ndarray) -> None:
+    """decay_fit's rule on its time samples: at least 8, positive, and
+    spanning at least 1.5 decades; ValueError otherwise.  run_experiment
+    and the CLI decay stage check their times with it before any work."""
+    if t.size < 8:
+        raise ValueError("decay fit needs at least 8 time samples")
+    if np.any(t <= 0.0) or t[-1] / t[0] < 10.0**1.5:
+        raise ValueError("time samples must span at least 1.5 decades")
+
+
 def decay_fit(times, norms):
     """Least-squares slope of log(norm) against log(t).
 
@@ -88,10 +98,7 @@ def decay_fit(times, norms):
     n = np.asarray(norms, dtype=float)
     if t.ndim != 1 or t.shape != n.shape:
         raise ValueError("times and norms must be matching 1d arrays")
-    if t.size < 8:
-        raise ValueError("decay fit needs at least 8 time samples")
-    if np.any(t <= 0.0) or t[-1] / t[0] < 10.0**1.5:
-        raise ValueError("time samples must span at least 1.5 decades")
+    _check_fit_times(t)
     if np.any(n <= 0.0) or not np.all(np.isfinite(n)):
         raise ValueError("norms must be positive and finite")
     if np.any(np.diff(n) > 0.0):
@@ -111,8 +118,6 @@ def run_experiment(
     t_window: tuple[float, float] = (10.0, 1000.0),
     n_times: int = 12,
     sigma: float = 2.0,
-    control: bool = True,
-    exterior_proxy: bool = True,
 ) -> DecayReport:
     """Evolve, take weighted norms on log-spaced times, fit the exponent.
 
@@ -124,6 +129,7 @@ def run_experiment(
     t0 = time.perf_counter()
     lo, hi = float(t_window[0]), float(t_window[1])
     ts = np.geomspace(lo, hi, int(n_times))
+    _check_fit_times(ts)
     slices = pac_slices(pd, ts)
 
     norms = np.empty(ts.size)
@@ -137,11 +143,9 @@ def run_experiment(
 
     exponent, confidence = decay_fit(ts, norms)
     control_exponent = None
-    if control and pd.resonant:
+    if pd.resonant:
         control_exponent = decay_fit(ts, ctrl_norms)[0]
-    c_hat = None
-    if exterior_proxy:
-        c_hat = s_growth_fit(pd)[0]
+    c_hat = s_growth_fit(pd)[0]
 
     dx = float(pd.x_grid[1] - pd.x_grid[0])
     grid_spec = {

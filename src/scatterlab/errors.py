@@ -9,10 +9,6 @@ class TruncationError(ScatterlabError):
     """A tail-truncation tolerance could not be met."""
 
 
-class CutoffError(ScatterlabError):
-    """Integration cutoff does not satisfy the requested tail smallness."""
-
-
 class CrossCheckError(ScatterlabError):
     """An internal consistency cross-check exceeded its tolerance."""
 

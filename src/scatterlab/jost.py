@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from .errors import CrossCheckError, CutoffError, ResonanceError
+from .errors import CrossCheckError, ResonanceError
 from .potentials import Potential, cutoff_for_eta, eta
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 
 ODE_RTOL = 1e-10  # default solver tolerances of every Jost integration
 ODE_ATOL = 1e-12
-_CUTOFF_TOL = 1e-10  # default bound on the tail mass η±(X∞) past the cutoff
+_CUTOFF_TOL = 1e-10  # bound on the tail mass η±(X∞) past the cutoff
 RESONANCE_EPS = 1e-6  # |W(0)| below this multiple of the natural scale => resonant
 # floor for the resonance scale so V ≡ 0 (all Wronskian terms vanish
 # identically) still classifies as resonant
@@ -191,21 +191,13 @@ def compute_h(
     *,
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
-    cutoff_tol: float = _CUTOFF_TOL,
-    x_inf: float | None = None,
-    fold_conjugate: bool = True,
 ) -> JostField:
     """Tabulate h±(x,k), ∂ₓh±(x,k) on x_grid × k_grid.
 
-    Parameters
-    ----------
-    side : +1 for h₊ (integrated inward from +X∞), -1 for h₋.
-    cutoff_tol : required bound on η±(X∞) when X∞ is chosen automatically.
-    x_inf : override the integration start; it must still satisfy the tail
-        bound η±(x_inf) <= cutoff_tol or CutoffError is raised.
-    fold_conjugate : compute only k >= 0 and fill h(x,−k) = conj h(x,k)
-        (exact for real potentials).  Disable to make the conjugation
-        symmetry an honest solver check.
+    side is +1 for h₊ (integrated inward from +X∞) and −1 for h₋.  X∞ is
+    the larger of the grid's edge and the point past which the tail mass
+    η±(X∞) is below 1e-10.  Only |k| is integrated: h(x,−k) = conj h(x,k)
+    for a real potential, so k < 0 is filled from k > 0.
     """
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
@@ -214,28 +206,23 @@ def compute_h(
     if x_grid.size == 0 or k_grid.size == 0:
         raise ValueError("empty grids")
 
-    x_inf = _cutoff(pot, x_grid, side, cutoff_tol, x_inf)
-
-    if fold_conjugate:
-        base = np.unique(np.abs(k_grid))
-    else:
-        base = np.unique(k_grid)
+    x_inf = _cutoff(pot, x_grid, side)
+    base = np.unique(np.abs(k_grid))
 
     H = np.empty((x_grid.size, base.size), dtype=complex)
     HP = np.empty_like(H)
     band_info = []
-    for lo, hi, sel in _band_split(np.abs(base)):
+    for lo, hi, sel in _band_split(base):
         H[:, sel], HP[:, sel], nfev = _inward(pot, x_grid, base[sel], side, rtol, atol, x_inf)
         band_info.append((float(lo), float(hi), int(nfev)))
 
     # scatter back onto the requested k grid
-    idx = np.searchsorted(base, np.abs(k_grid) if fold_conjugate else k_grid)
+    idx = np.searchsorted(base, np.abs(k_grid))
     h_full = H[:, idx]
     hp_full = HP[:, idx]
-    if fold_conjugate:
-        neg = k_grid < 0
-        h_full[:, neg] = np.conj(h_full[:, neg])
-        hp_full[:, neg] = np.conj(hp_full[:, neg])
+    neg = k_grid < 0
+    h_full[:, neg] = np.conj(h_full[:, neg])
+    hp_full[:, neg] = np.conj(hp_full[:, neg])
 
     report = IntegrationReport(
         cutoff=float(x_inf),
@@ -252,24 +239,16 @@ def compute_h_bound(pot, x_grid, kappas, side, *, rtol=ODE_RTOL, atol=ODE_ATOL):
     arrays of shape (x, κ).  κ = 0 is the zero-energy equation h″ = V h."""
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     x_grid = np.unique(np.asarray(x_grid, dtype=float))
-    x_inf = _cutoff(pot, x_grid, side, _CUTOFF_TOL, None)
+    x_inf = _cutoff(pot, x_grid, side)
     h, hp, _ = _inward(pot, x_grid, 1j * kappas, side, rtol, atol, x_inf)
     return h.real.copy(), hp.real.copy()
 
 
-def _cutoff(pot, x_grid, side, cutoff_tol, x_inf):
-    """Integration start X∞ for a sorted x_grid: chosen from the tail bound
-    when x_inf is None, else x_inf checked against it (CutoffError)."""
+def _cutoff(pot, x_grid, side):
+    """Integration start X∞ for a sorted x_grid: past its edge and past the
+    point where the tail mass η± falls below _CUTOFF_TOL."""
     edge = x_grid[-1] if side > 0 else -x_grid[0]
-    if x_inf is None:
-        return max(cutoff_for_eta(pot, cutoff_tol), edge)
-    if x_inf < edge:
-        raise CutoffError("x_inf lies inside the requested x grid")
-    if pot.tail.eta_tail(x_inf) > cutoff_tol:
-        raise CutoffError(
-            f"η tail at x_inf={x_inf:g} is {pot.tail.eta_tail(x_inf):.2e} > {cutoff_tol:g}"
-        )
-    return x_inf
+    return max(cutoff_for_eta(pot, _CUTOFF_TOL), edge)
 
 
 def _scan_half_width(pot) -> float:

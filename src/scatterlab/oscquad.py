@@ -26,7 +26,6 @@ from scipy.special import erf
 __all__ = [
     "full_line_integral",
     "fresnel_weights",
-    "quad_quadratic_phase",
     "truncation_tail",
 ]
 
@@ -74,16 +73,6 @@ def _restrict(w: np.ndarray) -> np.ndarray:
     out[:-1] += 0.5 * w[1::2]
     out[1:] += 0.5 * w[1::2]
     return out
-
-
-def quad_quadratic_phase(k_grid, amplitude, t: float, b: float):
-    """∫ e^{−i(tk²−bk)} A(k) dk with A sampled on k_grid; amplitude may be
-    a vector or a stack of rows (integration along the last axis)."""
-    wgt = fresnel_weights(k_grid, t, b)
-    amp = np.asarray(amplitude)
-    if amp.shape[-1] != wgt.size:
-        raise ValueError("amplitude and node count differ")
-    return amp @ wgt
 
 
 def truncation_tail(amp_left: float, amp_right: float, t: float, b: float, k_max: float) -> float:

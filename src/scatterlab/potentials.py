@@ -348,17 +348,21 @@ def to_spec(pot: Potential) -> dict:
 
 
 def from_spec(spec: dict) -> Potential:
-    """Build a potential from a {name, params, tail_bound} mapping."""
+    """Build a potential from a {name, params, tail_bound} mapping.  A
+    sampled potential takes its samples as params {x, v} or from the CSV
+    file params {csv: path}."""
     name = spec["name"]
     params = dict(spec.get("params", {}))
     if name == "scaled":
         base = from_spec(params["base"])
         return scale_potential(base, params["s"])
     if name == "sampled":
-        x = np.asarray(params["x"], dtype=float)
-        v = np.asarray(params["v"], dtype=float)
         tb = spec.get("tail_bound")
         tail = TailBound(**tb) if tb else None
+        if "csv" in params:  # a two-column file of (x, V) samples
+            return load_sampled(params["csv"], tail=tail)
+        x = np.asarray(params["x"], dtype=float)
+        v = np.asarray(params["v"], dtype=float)
         return load_sampled(x, v, tail=tail)
     pot = catalog(name, **params)
     tb = spec.get("tail_bound")

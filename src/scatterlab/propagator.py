@@ -1,5 +1,5 @@
-"""Resolvent boundary values, the continuous-spectrum evolution kernel,
-the threshold projection, and the integrand of the stationary-phase bound.
+"""The continuous-spectrum evolution kernel, the threshold projection, and
+the integrand of the stationary-phase bound.
 
 For x ≤ y the kernel of e^{−itH}P_ac is the improper integral
 
@@ -17,9 +17,11 @@ interpolation); the value is the Richardson extrapolant of the finest
 pair and the error estimate is the difference between the two successive
 extrapolants plus a first integration-by-parts bound for the |k| > K
 tail.  That bound needs the phase to be monotone beyond the cut, so every
-evaluation with 2tK ≤ |b| raises ValueError.  Single pairs (pac_kernel,
-g_kernel) and whole slices (pac_slices) run through the same routine, so
-they share this rule, their values and their error estimates.
+evaluation with 2tK ≤ |b| raises ValueError.  One pair (pac_kernel, which
+returns the value with its error estimate) and whole slices (pac_slices)
+run through the same routine, so they share this rule, their values and
+their error estimates.  The threshold term (4πit)^{−1/2} f₀(x)f₀(y) has
+one route, the tabulated f₀ of PropagatorData.f0_x.
 
 Per (t, b) there is one Fresnel weight vector, on the finest node set;
 the two coarser levels come from it by restriction.  For a real potential
@@ -36,18 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import ResonanceError
 from .jost import (
     ODE_ATOL,
     ODE_RTOL,
-    JostField,
     ZeroEnergyState,
     _grid_index,
-    _wronskian,
-    compute_h_bound,
     zero_energy_state,
 )
 from .oscquad import _restrict, fresnel_weights, full_line_integral, truncation_tail
@@ -61,18 +59,11 @@ __all__ = [
     "SField",
     "PropagatorData",
     "prepare_propagator",
-    "resolvent_kernel",
-    "resolvent_imag_axis",
     "pac_slices",
-    "pac_slice",
     "pac_kernel",
-    "p0_kernel",
-    "g_kernel",
     "threshold_projection_residual",
-    "apply_kernel",
     "s_field",
     "s_growth_fit",
-    "slice_csv",
 ]
 
 DEFAULT_X_STEP = 0.25
@@ -198,48 +189,6 @@ def prepare_propagator(
     )
 
 
-# -- resolvent ---------------------------------------------------------------
-
-
-def resolvent_kernel(jf_plus: JostField, jf_minus: JostField, T, x, y, k, branch="+i0"):
-    """Boundary value of the resolvent kernel at energy k² > 0:
-    ∓ f₊(y,±k) f₋(x,±k) T(±k) / (2ik), upper signs for branch '+i0'."""
-    if branch not in ("+i0", "-i0"):
-        raise ValueError("branch must be '+i0' or '-i0'")
-    if k <= 0.0:
-        raise ValueError("k = 0 is the edge of the continuous spectrum")
-    if x > y:
-        x, y = y, x
-    T = np.asarray(T)
-    if T.shape != jf_plus.k_grid.shape:
-        raise ValueError("T must be tabulated on the field k grid")
-    sgn = 1.0 if branch == "+i0" else -1.0
-    ik = _grid_index(jf_plus.k_grid, sgn * k, "k")
-    fp = jf_plus.f_at_x(y)[0][ik]
-    fm = jf_minus.f_at_x(x)[0][ik]
-    return -sgn * fp * fm * T[ik] / (2j * k)
-
-
-def resolvent_imag_axis(pot: Potential, x, y, kappa) -> float:
-    """Resolvent kernel at the spectral point −κ² (k = iκ on the physical
-    sheet); real, and divergent as κ approaches a bound state."""
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    if x > y:
-        x, y = y, x
-    xs = np.unique(np.array([x, 0.0, y], dtype=float))
-    hp, hpp = compute_h_bound(pot, xs, [kappa], +1)
-    hm, hmp = compute_h_bound(pot, xs, [kappa], -1)
-    i0 = int(np.searchsorted(xs, 0.0))
-    iy = int(np.searchsorted(xs, y))
-    ix = int(np.searchsorted(xs, x))
-    w = _wronskian(-2.0 * kappa, hp[i0, 0], hpp[i0, 0], hm[i0, 0], hmp[i0, 0])
-    t_ik = -2.0 * kappa / w
-    f_p = np.exp(-kappa * y) * hp[iy, 0]
-    f_m = np.exp(kappa * x) * hm[ix, 0]
-    return float(f_p * f_m * t_ik / (2.0 * kappa))
-
-
 # -- evolution kernel --------------------------------------------------------
 
 
@@ -306,6 +255,17 @@ def _level_weights(kff, ts, b: float) -> np.ndarray:
     return wts.reshape(-1, m)
 
 
+def _check_times(ts, k_max: float, b: float) -> None:
+    """The kernel rule's conditions on the times at separation b ≥ 0: every
+    t ≥ 1, and the phase monotone beyond the cut at the earliest t
+    (truncation_tail's 2tK > b); ValueError otherwise.  pac_kernel checks
+    its pair, pac_slices and the CLI decay stage the widest separation on
+    the grid, each before any work."""
+    if np.any(ts < 1.0):
+        raise ValueError("kernel evaluation needs t >= 1")
+    truncation_tail(0.0, 0.0, float(np.min(ts)), b, k_max)
+
+
 def _pac_rows(hp_ff, hm_ff, t_ff, k, ts, b: float):
     """Continuous-spectrum kernel of row-aligned pairs at one separation
     b ≥ 0 for every time in ts; returns (value, error), each (len(ts), rows).
@@ -315,8 +275,6 @@ def _pac_rows(hp_ff, hm_ff, t_ff, k, ts, b: float):
     refinement keeps the original nodes in place, so the finest nodes
     carry all three levels.  The amplitude is built and contracted in row
     chunks of _CHUNK_ENTRIES entries."""
-    if np.any(ts < 1.0):
-        raise ValueError("kernel evaluation needs t >= 1")
     k_max = float(k[-1])
     inv2pi = 1.0 / (2.0 * np.pi)
     # |A(−K)| = |A(K)| for the two ends of the tail bound
@@ -346,11 +304,12 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     The weights of one diagonal serve all its pairs and times; the
     amplitude is built per diagonal in row chunks.  Raises ValueError for
     t < 1 and when 2tK ≤ |b| for the widest separation b on the grid
-    (K = max k), as pac_kernel does for one pair."""
+    (K = max k), as pac_kernel does for one pair; both before any work."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x = pd.x_grid
     n = x.size
     dx = _uniform_step(x, "x_grid")
+    _check_times(ts, float(pd.k_grid[-1]), float(x[-1] - x[0]))
     hp_ff = _refine_half(pd.h_plus)
     hm_ff = _refine_half(pd.h_minus)
     t_ff = _refine_half(pd.T)
@@ -381,45 +340,23 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     return out
 
 
-def pac_slice(pd: PropagatorData, t: float) -> KernelSlice:
-    return pac_slices(pd, [t])[0]
-
-
-def _pac_pair(pd: PropagatorData, x: float, y: float, t: float):
+def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[complex, float]:
+    """Continuous-spectrum evolution kernel at one (x, y, t) triple and its
+    error estimate, by the same rule as pac_slices; raises ValueError for
+    t < 1 and when 2tK ≤ |y − x|."""
     lo, hi = (x, y) if x <= y else (y, x)
     i, j = pd.x_index(lo), pd.x_index(hi)
+    ts, b = np.array([float(t)]), float(pd.x_grid[j] - pd.x_grid[i])
+    _check_times(ts, float(pd.k_grid[-1]), b)
     val, err = _pac_rows(
         _refine_half(pd.h_plus[j : j + 1, :]),
         _refine_half(pd.h_minus[i : i + 1, :]),
         _refine_half(pd.T),
         pd.k_grid,
-        np.array([float(t)]),
-        float(pd.x_grid[j] - pd.x_grid[i]),
+        ts,
+        b,
     )
     return complex(val[0, 0]), float(err[0, 0])
-
-
-def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> complex:
-    """Continuous-spectrum evolution kernel at one (x, y, t) triple, by the
-    same rule as pac_slices; raises ValueError for t < 1 and when
-    2tK ≤ |y − x|."""
-    return _pac_pair(pd, x, y, t)[0]
-
-
-def p0_kernel(zs: ZeroEnergyState, x, y, t: float) -> complex:
-    """(4πit)^{−1/2} f₀(x) f₀(y) from the normalised threshold state."""
-    if zs is None:
-        raise ResonanceError("threshold projection needs a resonant potential")
-    spl = CubicSpline(zs.x_grid, zs.f0)
-    return complex(spl(x) * spl(y) / np.sqrt(4j * np.pi * t))
-
-
-def g_kernel(pd: PropagatorData, x: float, y: float, t: float):
-    """pac − threshold term at one triple; returns (value, error_estimate)."""
-    val, err = _pac_pair(pd, x, y, t)
-    if pd.resonant:
-        val -= p0_kernel(pd.zero_state, x, y, t)
-    return val, err
 
 
 def threshold_projection_residual(pd: PropagatorData) -> float:
@@ -434,14 +371,6 @@ def threshold_projection_residual(pd: PropagatorData) -> float:
     lhs = np.outer(pd.f0_x, pd.f0_x)
     rhs = pd.T[i0] * np.outer(pd.h_minus[:, i0], pd.h_plus[:, i0])
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def apply_kernel(ks: KernelSlice, psi0) -> np.ndarray:
-    """Integrate pac(x, y) ψ₀(y) dy over the slice grid (Simpson)."""
-    psi0 = np.asarray(psi0)
-    if psi0.shape != ks.y_grid.shape:
-        raise ValueError("psi0 must be sampled on the slice y grid")
-    return simpson(ks.pac * psi0[None, :], x=ks.y_grid, axis=1)
 
 
 # -- stationary-phase integrand ----------------------------------------------
@@ -473,13 +402,11 @@ def s_field(pd: PropagatorData, x: float, y: float) -> SField:
     return SField(x=float(x), y=float(y), k_grid=k_in, S=s, a_norm=est)
 
 
-def _growth_lattice(x_grid, step: float = 1.0) -> list[float]:
-    """The grid values at the lattice points m·step, |m·step| ≤ 5, that
-    s_growth_fit pairs up; ValueError naming the first point missing from
-    x_grid."""
-    n_half = int(np.floor(5.0 / step + 1e-9))
+def _growth_lattice(x_grid) -> list[float]:
+    """The grid values at the integers m, |m| ≤ 5, that s_growth_fit pairs
+    up; ValueError naming the first point missing from x_grid."""
     sel = []
-    for v in step * np.arange(-n_half, n_half + 1):
+    for v in np.arange(-5.0, 6.0):
         try:
             sel.append(float(x_grid[_grid_index(x_grid, v, "x")]))
         except KeyError:
@@ -487,19 +414,19 @@ def _growth_lattice(x_grid, step: float = 1.0) -> list[float]:
     return sel
 
 
-def s_growth_fit(pd: PropagatorData, *, step: float = 1.0):
-    """Growth of ‖S(x,y,·)‖ against s = |x|+|y| over the pair lattice
-    |x|,|y| ≤ 5.
+def s_growth_fit(pd: PropagatorData):
+    """Growth of ‖S(x,y,·)‖ against s = |x|+|y| over the integer pair
+    lattice |x|,|y| ≤ 5.
 
     The claim under test is an upper bound ≲ (1+s)², so the exponent is
     fitted on the envelope (the per-s maximum of the norm): a scatter fit
     would be dominated by same-side pairs whose norms are tiny.  Returns
     (C, p, pairs, norms) with C = max ‖S‖/(1+s)² and p the least-squares
-    slope of the log envelope in log(1+s).  Every lattice point m·step
-    with |m·step| ≤ 5 must lie on pd.x_grid; _growth_lattice raises
-    ValueError otherwise, and the CLI decay stage runs the same check on
-    its configured grid before any solve."""
-    sel = _growth_lattice(pd.x_grid, step)
+    slope of the log envelope in log(1+s).  Every integer m with |m| ≤ 5
+    must lie on pd.x_grid; _growth_lattice raises ValueError otherwise, and
+    the CLI decay stage runs the same check on its configured grid before
+    any solve."""
+    sel = _growth_lattice(pd.x_grid)
     pairs = [(a, c) for ai, a in enumerate(sel) for c in sel[ai:]]
     norms = np.array([s_field(pd, a, c).a_norm.a1_norm for a, c in pairs])
     s = np.abs([a for a, _ in pairs]) + np.abs([c for _, c in pairs])
@@ -511,18 +438,3 @@ def s_growth_fit(pd: PropagatorData, *, step: float = 1.0):
     coef = np.polynomial.polynomial.polyfit(np.log(env_s), np.log(env_n), deg=1)
     c_hat = float(np.max(norms / (1.0 + s) ** 2))
     return c_hat, float(coef[1]), pairs, norms
-
-
-# -- export ------------------------------------------------------------------
-
-
-def slice_csv(ks: KernelSlice) -> str:
-    """CSV dump of one slice: x, y, Re G, Im G, error estimate."""
-    lines = ["x,y,G_real,G_imag,quadrature_error"]
-    for i, xv in enumerate(ks.x_grid):
-        for j, yv in enumerate(ks.y_grid):
-            g = ks.G[i, j]
-            lines.append(
-                f"{xv:.17g},{yv:.17g},{g.real:.17g},{g.imag:.17g},{ks.quadrature_error[i, j]:.6g}"
-            )
-    return "\n".join(lines) + "\n"

@@ -44,7 +44,6 @@ __all__ = [
     "scattering_data",
     "classify_resonance",
     "bound_states",
-    "resonance_threshold",
 ]
 
 _WRONSKIAN_SPREAD_TOL = 1e-6
@@ -364,22 +363,3 @@ def bound_states(
             )
         )
     return tuple(states)
-
-
-def resonance_threshold(family, lo: float, hi: float) -> float:
-    """Parameter value where W(0) changes sign for a potential family.
-
-    family maps a scalar parameter to a Potential; the bracket [lo, hi] must
-    straddle exactly one sign change of W(0)."""
-
-    def w0_of(s: float) -> float:
-        return zero_energy_scan(family(s)).w0
-
-    wlo, whi = w0_of(lo), w0_of(hi)
-    if wlo == 0.0:
-        return lo
-    if whi == 0.0:
-        return hi
-    if wlo * whi > 0:
-        raise ValueError(f"W(0) does not change sign on [{lo}, {hi}]")
-    return float(brentq(w0_of, lo, hi, xtol=1e-6, rtol=8.9e-16))

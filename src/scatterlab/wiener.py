@@ -8,18 +8,13 @@ here is a proxy: the profile is synthesized by FFT from a tapered window
 |k| ≤ K and the ℓ¹ mass is declared converged when growing the window from
 K/2 to K changes it by less than 5%.  Non-convergence is reported, not
 fatal (it is the numerical signature of g ∉ 𝒜).
-
-The van der Corput check bounds oscillatory integrals by
-C₂ (t·min|φ″|)^{−1/2} ‖f‖_{𝒜₁} with the optimal C₂ = 2^{8/3}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft, next_fast_len
 
 __all__ = [
@@ -27,12 +22,9 @@ __all__ = [
     "a_norm",
     "derivative_a_norms",
     "difference_quotient_norm",
-    "vdc_check",
-    "vdc_battery",
 ]
 
 GROWTH_TOL = 0.05
-C2_VDC = 2.0 ** (8.0 / 3.0)
 TAPER_FRAC = 0.1  # default raised-cosine share of the k window
 
 
@@ -139,6 +131,13 @@ def _derivative(values: np.ndarray, h: float) -> np.ndarray:
     return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
 
 
+def _check_max_order(max_order: int) -> None:
+    """derivative_a_norms' range of orders, 0..3; the CLI wiener stage
+    checks its configured order with it before any solve."""
+    if not 0 <= max_order <= 3:
+        raise ValueError("derivative orders 0..3 supported")
+
+
 def derivative_a_norms(
     k_grid: np.ndarray,
     values: np.ndarray,
@@ -150,10 +149,9 @@ def derivative_a_norms(
     """[a_norm(d^l f / dk^l) for l = 0..max_order], stencil differentiation.
 
     Each differentiation trims two grid points per side, keeping the
-    window symmetric.  max_order ≤ 3.
+    window symmetric.  0 ≤ max_order ≤ 3.
     """
-    if not 0 <= max_order <= 3:
-        raise ValueError("derivative orders 0..3 supported")
+    _check_max_order(max_order)
     k = np.asarray(k_grid, dtype=float)
     h = _uniform_symmetric(k)
     out = [a_norm(k, values, limit_at_infinity, taper_frac=taper_frac)]
@@ -169,11 +167,11 @@ def difference_quotient_norm(
     k_grid: np.ndarray,
     values: np.ndarray,
     value_at_zero: complex,
-    limit_at_infinity: complex = 0.0,
     *,
     taper_frac: float = TAPER_FRAC,
 ) -> WienerEstimate:
-    """a_norm of the difference quotient (f(k) − f(0))/k.
+    """a_norm of the difference quotient (f(k) − f(0))/k, which vanishes
+    at infinity for bounded f.
 
     The k = 0 sample of the quotient is filled with the 4th-order stencil
     derivative of f there (the limit value).
@@ -187,85 +185,4 @@ def difference_quotient_norm(
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (f - value_at_zero) / k
     q[i0] = (f[i0 - 2] - 8.0 * f[i0 - 1] + 8.0 * f[i0 + 1] - f[i0 + 2]) / (12.0 * h)
-    return a_norm(k, q, limit_at_infinity, taper_frac=taper_frac)
-
-
-# ------------------------------------------------------------ van der Corput
-
-
-def _phase_scan(phase: Callable, a: float, b: float, n: int = 4001):
-    """min |φ″| on [a,b] by central differences on a dense scan."""
-    kk = np.linspace(a, b, n)
-    h = kk[1] - kk[0]
-    ph = np.asarray(phase(kk), dtype=float)
-    pp = (ph[:-2] - 2.0 * ph[1:-1] + ph[2:]) / (h * h)
-    dp = (ph[2:] - ph[:-2]) / (2.0 * h)
-    return float(np.min(np.abs(pp))), float(np.max(np.abs(dp)))
-
-
-def _osc_quad(phase, amplitude, a, b, t, max_slope, nodes: int = 12) -> complex:
-    """∫_a^b e^{itφ} f dk by composite Gauss–Legendre.
-
-    Panels are at most a quarter period of the fastest oscillation wide,
-    so the rule keeps ~13 digits for smooth f; doubling the panel count
-    supplies the error estimate used by the battery.
-    """
-    width = min(b - a, np.pi / (2.0 * max(t * max_slope, 1e-3)))
-    n_pan = int(np.ceil((b - a) / width))
-    xg, wg = leggauss(nodes)
-    edges = np.linspace(a, b, n_pan + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    vals = np.asarray(amplitude(pts), dtype=complex) * np.exp(
-        1j * t * np.asarray(phase(pts), dtype=float)
-    )
-    return complex(np.sum(vals.reshape(-1, nodes) * wg[None, :] * half[:, None]))
-
-
-def vdc_check(
-    phase: Callable,
-    amplitude: Callable,
-    a: float,
-    b: float,
-    t: float,
-    *,
-    f_a1_norm: float,
-) -> tuple[float, float, float]:
-    """(|I(t)|, bound, ratio) for I(t) = ∫_a^b e^{itφ(k)} f(k) dk.
-
-    bound = 2^{8/3} (t·min|φ″|)^{−1/2} ‖f‖_{𝒜₁}; ratio ≤ 1 is the expected
-    outcome for t ≥ 1.  f_a1_norm is ‖f‖_{𝒜₁}, known analytically (a_norm
-    estimates it from samples when it is not).
-    """
-    if t < 1.0:
-        raise ValueError("the stationary-phase bound is stated for t >= 1")
-    min_pp, max_dp = _phase_scan(phase, a, b)
-    if min_pp < 1e-12:
-        raise ValueError("phase curvature vanishes on the interval")
-    I = _osc_quad(phase, amplitude, a, b, t, max_dp)
-    bound = C2_VDC * f_a1_norm / np.sqrt(t * min_pp)
-    return abs(I), float(bound), abs(I) / float(bound)
-
-
-def vdc_battery() -> list[dict]:
-    """Standard check set at t = 1, 10, 100: quadratic phases with flat,
-    rational and gaussian amplitudes (𝒜₁-norms 1 analytically)."""
-    cases = [
-        ("flat", lambda k: -(k**2), lambda k: np.ones_like(k), -10.0, 10.0, 1.0),
-        ("rational", lambda k: -(k**2), lambda k: 1.0 / (1.0 + k**2), -10.0, 10.0, 1.0),
-        (
-            "gauss_offset",
-            lambda k: k**2 - 3.0 * k,
-            lambda k: np.exp(-(k**2)),
-            -8.0,
-            8.0,
-            1.0,
-        ),
-    ]
-    rows = []
-    for label, ph, f, a, b, nrm in cases:
-        for t in (1.0, 10.0, 100.0):
-            abs_I, bound, ratio = vdc_check(ph, f, a, b, t, f_a1_norm=nrm)
-            rows.append({"case": label, "t": t, "abs_I": abs_I, "bound": bound, "ratio": ratio})
-    return rows
+    return a_norm(k, q, taper_frac=taper_frac)

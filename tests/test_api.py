@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import scatterlab
-from scatterlab import cli, kernels, scattering, wiener
+from scatterlab import cli, kernels, scattering
 from scatterlab.cli import STAGES, RunConfig
 from scatterlab.jost import IntegrationReport
 
@@ -48,14 +48,12 @@ def test_benchmark_call_shapes_bind():
 
 
 def test_one_path_inputs_are_required():
-    # k = 0 comes from the resonance report, kernel jumps from the
-    # potential, the van der Corput bound from a given 𝒜₁ norm
+    # k = 0 comes from the resonance report, kernel jumps from the potential
     required = [
         (scattering.scattering_matrix, "resonance"),
         (kernels.b_kernel, "pot"),
         (kernels.kd_kernels, "pot"),
         (kernels.glm_residual, "pot"),
-        (wiener.vdc_check, "f_a1_norm"),
     ]
     for fn, name in required:
         param = inspect.signature(fn).parameters[name]
@@ -121,13 +119,14 @@ def _optional(params):
 
 
 def test_every_optional_parameter_has_a_caller():
-    # an option that no call in src/, tests/ or perfbench/ sets is a knob
-    # nobody turns: it should be a constant.  Forwarding an option of the
-    # enclosing public function (rtol=rtol) counts only once that option
-    # is set by some caller itself.
+    # an option that no call in src/ or perfbench/ sets is a knob nobody
+    # turns but the tests: it should be a constant, and a test that needs
+    # another value should reach the private helper.  Forwarding an option
+    # of the enclosing public function (rtol=rtol) counts only once that
+    # option is set by some caller itself.
     public = _public_functions()
     visitor = _CallSites()
-    for top in ("src", "tests", "perfbench"):
+    for top in ("src", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             visitor.visit(ast.parse(path.read_text()))
     is_set = {name: set() for name in public}

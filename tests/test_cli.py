@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 from scatterlab import cli, scattering
 from scatterlab.cli import main
 
@@ -74,6 +77,50 @@ def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, ca
     err = capsys.readouterr().err
     assert "config error" in err and "grids.x_step=0.4" in err and "x=-5 " in err
     assert not (tmp_path / "decay_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "stage, overrides",
+    [
+        ("decay", ["times.count=7"]),  # decay_fit needs 8 samples
+        ("decay", ["times.t_max=300"]),  # ... spanning 1.5 decades
+        ("decay", ["times.t_min=0.5"]),  # the kernel rule needs t >= 1
+        ("decay", ["grids.k_max=0.5"]),  # 2 t_min k_max <= 2 x_max: no tail bound
+        ("decay", ["times.t_min=1", "grids.k_max=8"]),  # the same, at equality
+        ("wiener", ["wiener.derivative_orders=4"]),
+        ("wiener", ["wiener.derivative_orders=-1"]),
+    ],
+)
+def test_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, stage, overrides):
+    # each value passes RunConfig.validate but breaks a rule of the stage's
+    # library call; the stage checks that rule on the config first
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "prepare_propagator", no_solve)
+    monkeypatch.setattr(cli, "scattering_data", no_solve)
+    args = [stage, "--out", str(tmp_path)]
+    for kv in overrides:
+        args += ["--override", kv]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert all(kv in err for kv in overrides)
+    assert not (tmp_path / f"{stage}_report.json").exists()
+
+
+def test_sampled_csv_spec_runs_and_a_missing_file_exits_2(tmp_path, capsys):
+    xs = np.linspace(-10.0, 10.0, 201)
+    path = tmp_path / "well.csv"
+    np.savetxt(path, np.column_stack([xs, -2.0 / np.cosh(xs) ** 2]), delimiter=",")
+    args = ["resonance", "--override", "potential.name=sampled"]
+    out = tmp_path / "out"
+    assert main(args + ["--override", f"potential.params.csv={path}", "--out", str(out)]) != 2
+    assert json.loads((out / "resonance.json").read_text())["potential"] == "sampled(n=201)"
+    missing = tmp_path / "missing.csv"
+    assert main(args + ["--override", f"potential.params.csv={missing}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {missing} not found" in err
 
 
 def test_sampled_spec_with_explicit_tail_bound_runs_through_resonance(tmp_path, capsys):

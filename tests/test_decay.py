@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scatterlab.decay import decay_fit, run_experiment, weighted_norm
-from scatterlab.propagator import KernelSlice, pac_slice, pac_slices
+from scatterlab.propagator import KernelSlice, pac_slices
 
 
 def _slice_of(G, t=10.0, x=None):
@@ -50,24 +50,24 @@ def test_decay_fit_validation():
 
 
 def test_weighted_norm_zero_kernel():
-    assert weighted_norm(_slice_of(np.zeros((9, 9), dtype=complex))) == 0.0
+    assert weighted_norm(_slice_of(np.zeros((9, 9), dtype=complex)), 2.0) == 0.0
 
 
 def test_weighted_norm_picks_weighted_max():
     G = np.zeros((5, 5), dtype=complex)
     G[2, 2] = 1.0  # at x = y = 0 the weight is 1
     ks = _slice_of(G, x=np.linspace(-2.0, 2.0, 5))
-    assert weighted_norm(ks) == pytest.approx(1.0)
-    assert weighted_norm(ks, sigma=0.0) == pytest.approx(1.0)
+    assert weighted_norm(ks, 2.0) == pytest.approx(1.0)
+    assert weighted_norm(ks, 0.0) == pytest.approx(1.0)
 
 
 def test_weighted_norm_free_phase_bound(free_pd):
     # |e^{iθ}−1| ≤ |θ| turns the free G into an explicit pointwise bound
-    ks = pac_slice(free_pd, 100.0)
+    ks = pac_slices(free_pd, [100.0])[0]
     b = ks.y_grid[None, :] - ks.x_grid[:, None]
     w = (1.0 + np.abs(ks.x_grid)) ** -2.0
     bound = np.max(w[:, None] * (b * b / 400.0) / np.sqrt(400.0 * np.pi) * w[None, :])
-    norm = weighted_norm(ks)
+    norm = weighted_norm(ks, 2.0)
     assert 0.0 < norm <= bound * (1.0 + 1e-12)
 
 
@@ -88,12 +88,12 @@ def test_free_experiment(free_pd):
 
 def test_pt_two_point_ratio(pt_pd):
     slices = pac_slices(pt_pd, [10.0, 100.0, 1000.0])
-    n10, n100, n1000 = (weighted_norm(ks) for ks in slices)
+    n10, n100, n1000 = (weighted_norm(ks, 2.0) for ks in slices)
     assert abs(n100 / n10 / 10.0**-1.5 - 1.0) < 0.3
     assert abs(n1000 / n100 / 10.0**-1.5 - 1.0) < 0.3
 
 
 def test_exponent_stable_under_grid_refinement(pt_pd, pt_pd_fine):
-    coarse = run_experiment(pt_pd, n_times=8, control=False, exterior_proxy=False)
-    fine = run_experiment(pt_pd_fine, n_times=8, control=False, exterior_proxy=False)
+    coarse = run_experiment(pt_pd, n_times=8)
+    fine = run_experiment(pt_pd_fine, n_times=8)
     assert abs(coarse.fitted_exponent - fine.fitted_exponent) < 0.05

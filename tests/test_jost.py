@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterlab.errors import CutoffError, ResonanceError
+from scatterlab import jost
+from scatterlab.errors import ResonanceError
 from scatterlab.jost import (
+    ODE_ATOL,
+    ODE_RTOL,
     compute_h,
     compute_h_bound,
     zero_energy_scan,
@@ -53,13 +56,24 @@ def test_square_well_breakpoints():
         assert abs(fp[j] - fp_ref[0]) < 1e-9
 
 
+def _direct(pot, ks, side):
+    """h, h′ on XS with every k, negative ones too, integrated as given
+    (compute_h integrates |k| only), in compute_h's |k| bands."""
+    x_inf = jost._cutoff(pot, XS, side)
+    h = np.empty((XS.size, ks.size), dtype=complex)
+    hp = np.empty_like(h)
+    for _, _, sel in jost._band_split(np.abs(ks)):
+        h[:, sel], hp[:, sel], _ = jost._inward(pot, XS, ks[sel], side, ODE_RTOL, ODE_ATOL, x_inf)
+    return h, hp
+
+
 def test_conjugation_folding_matches_direct_integration():
     pt = catalog("poeschl_teller")
     ks = np.array([-4.0, -1.0, -0.2, 0.3, 2.2])
-    a = compute_h(pt, XS, ks, +1, fold_conjugate=True)
-    b = compute_h(pt, XS, ks, +1, fold_conjugate=False)
-    assert np.max(np.abs(a.h - b.h)) < 1e-12
-    assert np.max(np.abs(a.h_prime - b.h_prime)) < 1e-12
+    a = compute_h(pt, XS, ks, +1)
+    h, hp = _direct(pt, ks, +1)
+    assert np.max(np.abs(a.h - h)) < 1e-12
+    assert np.max(np.abs(a.h_prime - hp)) < 1e-12
 
 
 @settings(max_examples=12, deadline=None)
@@ -72,10 +86,10 @@ def test_conjugation_symmetry_unfolded(name, side, ks):
     # h(x,−k) = conj h(x,k) for real V, as an honest check: both signs of k
     # are integrated
     ks = np.array(ks)
-    jf = compute_h(catalog(name), XS, np.concatenate([-ks, ks]), side, fold_conjugate=False)
+    h, hp = _direct(catalog(name), np.concatenate([-ks, ks]), side)
     n = ks.size
-    assert np.max(np.abs(jf.h[:, :n] - np.conj(jf.h[:, n:]))) < 1e-12
-    assert np.max(np.abs(jf.h_prime[:, :n] - np.conj(jf.h_prime[:, n:]))) < 1e-12
+    assert np.max(np.abs(h[:, :n] - np.conj(h[:, n:]))) < 1e-12
+    assert np.max(np.abs(hp[:, :n] - np.conj(hp[:, n:]))) < 1e-12
 
 
 def test_f_at_x_phases():
@@ -88,17 +102,6 @@ def test_f_at_x_phases():
         -1j * KS * oracles.pt_h_minus(2.5, KS) + oracles.pt_hprime_minus(2.5, KS)
     )
     assert np.max(np.abs(fp - step)) < 1e-8
-
-
-def test_cutoff_override_validation():
-    pt = catalog("poeschl_teller")
-    with pytest.raises(CutoffError):
-        compute_h(pt, XS, KS, +1, x_inf=3.0)  # tail mass still ~1e-2 there
-    jf = compute_h(pt, XS, KS, +1, x_inf=5.0, cutoff_tol=1e-3)
-    assert jf.report.cutoff == 5.0
-    assert jf.report.eta_at_cutoff <= 1e-3
-    with pytest.raises(CutoffError):
-        compute_h(pt, XS, KS, +1, x_inf=1.0, cutoff_tol=1e-3)  # inside x grid
 
 
 def test_bound_state_h():

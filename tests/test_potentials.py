@@ -199,6 +199,22 @@ def test_sampled_tail_fit_near_underflow():
     assert load_sampled(xs, np.exp(-10.0 * (xs - 100.0)), tail=TailBound("compact", 103.0))
 
 
+def test_sampled_spec_from_csv_equals_arrays(tmp_path):
+    xs = np.linspace(-6, 6, 121)
+    vs = -2.0 / np.cosh(xs) ** 2
+    path = tmp_path / "well.csv"
+    np.savetxt(path, np.column_stack([xs, vs]), delimiter=",")
+    probe = np.linspace(-8, 8, 33)
+    for tb in (None, {"kind": "compact", "radius": 6.0, "coef": 0.0, "rate": 0.0}):
+        extra = {} if tb is None else {"tail_bound": tb}
+        from_csv = from_spec({"name": "sampled", "params": {"csv": str(path)}, **extra})
+        from_arrays = from_spec(
+            {"name": "sampled", "params": {"x": xs.tolist(), "v": vs.tolist()}, **extra}
+        )
+        assert to_spec(from_csv) == to_spec(from_arrays)
+        assert np.array_equal(from_csv(probe), from_arrays(probe))
+
+
 def test_load_sampled_arrays_and_csv(tmp_path):
     xs = np.linspace(-10, 10, 801)
     vs = -2.0 / np.cosh(xs) ** 2

@@ -10,7 +10,6 @@ from scatterlab.potentials import catalog
 from scatterlab.scattering import (
     bound_states,
     classify_resonance,
-    resonance_threshold,
     scattering_matrix,
     wronskians,
 )
@@ -167,10 +166,3 @@ def test_bound_states_gaussian_fd_crosscheck():
 
 def test_bound_states_free_empty():
     assert bound_states(catalog("free")) == ()
-
-
-def test_resonance_threshold_bisection():
-    # family: V = −s² on [−1, 1]; the zero-energy flip sits at s = π/2
-    fam = lambda s: catalog("square_well", v0=s * s, a=1.0)
-    s_star = resonance_threshold(fam, 1.4, 1.7)
-    assert abs(s_star - np.pi / 2) < 1e-4
