@@ -89,6 +89,10 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# counts and orders: a JSON integer, never a float that int() would truncate
+_INTEGER_KEYS = ("grids.k_count", "grids.scatter_k_count", "times.count", "wiener.derivative_orders")
+
+
 def _open_key(key: str) -> bool:
     """Potential params are potential-specific and the tail bound is
     optional (absent from the defaults), so both accept keys the defaults
@@ -157,6 +161,11 @@ class RunConfig:
             self.potential()
         except (KeyError, TypeError) as exc:
             raise ValueError(f"potential spec {c['potential']!r}: {exc!r}") from None
+        for key in _INTEGER_KEYS:
+            section, name = key.split(".")
+            val = c[section][name]
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ValueError(f"{key}={json.dumps(val)}: must be an integer")
         for name, val in c["tolerances"].items():
             if not (isinstance(val, (int, float)) and val > 0.0):
                 raise ValueError(f"tolerance {name} must be positive")
@@ -169,10 +178,10 @@ class RunConfig:
         if abs(g["x_max"] / g["x_step"] - round(g["x_max"] / g["x_step"])) > 1e-9:
             raise ValueError("x_step must divide x_max (grid must contain 0)")
         for kmax, kcount in ((g["k_max"], g["k_count"]), (g["scatter_k_max"], g["scatter_k_count"])):
-            if kmax <= 0 or int(kcount) < 9 or int(kcount) % 2 == 0:
+            if kmax <= 0 or kcount < 9 or kcount % 2 == 0:
                 raise ValueError("k grids need k_max > 0 and an odd count >= 9 (0 on grid)")
         t = c["times"]
-        if not (0 < t["t_min"] < t["t_max"]) or int(t["count"]) < 2:
+        if not (0 < t["t_min"] < t["t_max"]) or t["count"] < 2:
             raise ValueError("times need 0 < t_min < t_max and count >= 2")
         if c["sigma"] <= 0:
             raise ValueError("sigma must be positive")
@@ -192,11 +201,11 @@ class RunConfig:
 
     def k_grid(self) -> np.ndarray:
         g = self.data["grids"]
-        return np.linspace(-g["k_max"], g["k_max"], int(g["k_count"]))
+        return np.linspace(-g["k_max"], g["k_max"], g["k_count"])
 
     def scatter_k_grid(self) -> np.ndarray:
         g = self.data["grids"]
-        return np.linspace(-g["scatter_k_max"], g["scatter_k_max"], int(g["scatter_k_count"]))
+        return np.linspace(-g["scatter_k_max"], g["scatter_k_max"], g["scatter_k_count"])
 
     @property
     def rtol(self) -> float:
@@ -386,7 +395,7 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
 
 def cmd_wiener(rc: RunConfig, out: Path) -> int:
     wopts = rc.data["wiener"]
-    orders = int(wopts["derivative_orders"])
+    orders = wopts["derivative_orders"]
     taper = float(wopts["taper_frac"])
     if not _config_ok(rc, [(("wiener.derivative_orders",), lambda: _check_max_order(orders))]):
         return 2
@@ -430,7 +439,7 @@ def cmd_decay(rc: RunConfig, out: Path) -> int:
     t = rc.data["times"]
     tol = rc.data["tolerances"]
     x_grid, k_grid = rc.x_grid(), rc.k_grid()
-    ts = np.geomspace(float(t["t_min"]), float(t["t_max"]), int(t["count"]))
+    ts = np.geomspace(float(t["t_min"]), float(t["t_max"]), t["count"])
     # the exterior proxy's lattice, the fit's times and the kernel rule's
     # times at the widest separation, each checked before any solve
     checks = [
@@ -447,7 +456,7 @@ def cmd_decay(rc: RunConfig, out: Path) -> int:
     rep = run_experiment(
         pd,
         t_window=(float(t["t_min"]), float(t["t_max"])),
-        n_times=int(t["count"]),
+        n_times=t["count"],
         sigma=float(rc.data["sigma"]),
     )
     in_window = float(tol["exponent_low"]) <= rep.fitted_exponent <= float(tol["exponent_high"])

@@ -1,30 +1,48 @@
 """Jost solutions of −f″ + V f = k² f by inward integration.
 
-The Jost solutions f±(x,k) ~ e^{±ikx} (x → ±∞) are computed through the
-slowly varying factors h±(x,k) = e^{∓ikx} f±(x,k), which satisfy
+The Jost solutions f±(x,k) ~ e^{±ikx} (x → ±∞) are reported through the
+slowly varying factors h±(x,k) = e^{∓ikx} f±(x,k), with h±(±∞) = 1 and
+h′±(±∞) = 0.  Integration starts at a cutoff X∞ where the tail mass
+η±(X∞) = ±∫ |V| is below a tolerance and proceeds inward.
 
-    h″ ± 2ik h′ = V h,     h±(±∞) = 1,  h′±(±∞) = 0.
+The integrator is the fourth-order Magnus method with two Gauss points,
+applied to the first-order form of f″ = (V − k²) f (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 2009).  One step of length H maps (f, f′) by exp Ω with
 
-Working with h removes the free oscillation e^{±ikx} from the state, so the
-integrator only has to track the potential-induced structure (plus the
-neutrally stable e^{∓2ikx} homogeneous mode, which sets the step size at
-large |k|).  Integration starts at a cutoff X∞ where the tail mass
-η±(X∞) = ±∫ |V| is below a tolerance and proceeds inward; the k grid is
-batched into bands of comparable |k| so that one vectorised solver call
-serves many wavenumbers without the largest k forcing tiny steps on all of
-them.
+    Ω = [[a, H], [H q̄, −a]],   q̄ = (V₁ + V₂)/2 − k²,   a = √3 H² (V₁ − V₂)/12,
 
-Purely imaginary k = iκ reduce to the real equations h″ = V h ± 2κ h′
-(compute_h_bound), used for bound-state searches.  k = 0 is the case κ = 0
-of the same routine: the genuine real ODE h″ = V h, with no limit taken.
+V₁, V₂ being V at the Gauss points.  Ω² = (a² + H² q̄) I, so
+exp Ω = C I + (S/s) Ω with cos/sin of s = √|a² + H² q̄| (cosh/sinh where
+a² + H² q̄ > 0): a real 2×2 matrix that depends on k only through k².  So
+h(x,−k) = conj h(x,k) holds exactly, k = iκ runs in real arithmetic, and a
+piecewise-constant V is integrated exactly by steps that end at its
+breakpoints.
+
+One step sequence serves every k.  Its edges are the breakpoints of V and
+every output x; between them the step is chosen by step doubling.  A
+candidate step starts at (1 + |x|)/4 and is halved until one step F and
+two half steps P differ by |P − F|/15 <= (rtol + atol)·|H| in the norm that
+weighs f′ by 1/max(|k|, 1): at k = 0 for real k, since the error of a
+resolved step does not grow with k, and at every κ for k = iκ.  A step is
+resolved for real k when |kH| <= 1.2 for the largest |k| or V varies on it
+by at most (rtol + atol)/|H|; an unresolved one is halved too.  Steps stay
+long where V is small or smooth, so a power-law tail out to X∞ ≈ 10³ is
+cheap.  The accepted steps use the Richardson map (16 P − F)/15; the
+whole-step solution, marched beside it on up to 64 of the k, gives the
+reported error estimate max |P-solution − F-solution|/15 over the outputs.
+
+Purely imaginary k = iκ give h±(x, iκ) (compute_h_bound), used for
+bound-state searches; k = 0 is the case κ = 0 of the same routine.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import simpson
 
 from .errors import CrossCheckError, ResonanceError
 from .potentials import Potential, cutoff_for_eta, eta
@@ -49,7 +67,15 @@ RESONANCE_EPS = 1e-6  # |W(0)| below this multiple of the natural scale => reson
 # identically) still classifies as resonant
 _SCALE_FLOOR = 1e-6
 
-_BAND_EDGES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+_GAUSS = np.sqrt(3.0) / 6.0  # Gauss nodes of a step at 1/2 ∓ √3/6 of it
+_COMM = np.sqrt(3.0) / 12.0  # weight of the commutator term of Ω
+_STEP0 = 0.25  # candidate steps start at _STEP0·(1 + |x|)
+_MAX_HALVINGS = 40
+_KH_RESOLVED = 1.2  # steps with |kH| above this are not in the asymptotic regime
+_CHUNK = 2**15  # entries of one (steps × k) working array (256 KiB)
+_SAMPLE_K = 64  # k that carry the whole-step solution of the error estimate
+_PARALLEL_K = 2048  # k grids at least this large are marched in threads
+_WORKERS = min(2, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -58,7 +84,11 @@ class IntegrationReport:
     eta_at_cutoff: float
     rtol: float
     atol: float
-    bands: tuple[tuple[float, float, int], ...]  # (|k| low, |k| high, nfev)
+    # (|k| low, |k| high, Magnus step evaluations): one sequence serves every k
+    bands: tuple[tuple[float, float, int], ...]
+    # estimated error of the two-half-step solution at the outputs, the
+    # largest over up to 64 sampled k; h itself is the Richardson value
+    error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -97,90 +127,231 @@ def _grid_index(grid, value: float, name: str) -> int:
     return i
 
 
-def _rhs_factory(pot: Potential, ks: np.ndarray, side: int):
-    m = ks.size
-    twoik = side * 2j * np.asarray(ks, dtype=complex)
+def _step_maps(pot, x0, H, k2):
+    """exp Ω of the Magnus steps [x0, x0 + H] (x0, H of shape (S,)) for each
+    k² (shape (K,)), as the real (S, K) arrays (m00, m01, m10 + k² m01,
+    m11 − m00).  The last two are the parts of exp Ω that V alone makes, so
+    they vanish where V does, with no cancellation between k² terms."""
+    v1 = pot(x0 + (0.5 - _GAUSS) * H)
+    v2 = pot(x0 + (0.5 + _GAUSS) * H)
+    h = H[:, None]
+    vbar = 0.5 * (v1 + v2)[:, None]
+    a = (_COMM * H * H * (v1 - v2))[:, None]
+    nd = k2 - vbar
+    nd -= (a / h) ** 2  # Ω² = −H² nd·I; s = |H|√|nd| is exactly |kH| where V = 0
+    if nd.min(initial=1.0) > 0.0:
+        C, S = _cos_sinc(np.sqrt(nd, out=nd), 0.5 * np.abs(h))
+    else:
+        r = np.abs(h) * np.sqrt(np.abs(nd))
+        osc = nd > 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            C, S = np.cosh(r), np.sinh(r)  # an overflow fails the step, which is halved
+            np.divide(S, r, out=S, where=r > 0.0)
+        S[r == 0.0] = 1.0
+        C[osc], S[osc] = _cos_sinc(r[osc], 0.5)
+    Sa = S * a
+    S *= h
+    return C + Sa, S, S * vbar, -2.0 * Sa
 
-    def rhs(x, z):
-        h = z[:m]
-        hp = z[m:]
-        v = float(pot(x))
-        return np.concatenate([hp, v * h - twoik * hp])
 
-    return rhs
+def _cos_sinc(rho, half):
+    """(cos r, sin(r)/r) for r = 2·half·rho > 0, from τ = tan(r/2): numpy
+    vectorises tan but not cos and sin, and the half-angle forms lose no
+    accuracy.  rho is overwritten."""
+    rho *= half  # r/2
+    tau = np.tan(rho)
+    q = tau * tau
+    q += 1.0
+    np.reciprocal(q, out=q)
+    tau *= q
+    tau /= rho
+    q *= 2.0
+    q -= 1.0
+    return q, tau
 
 
-def _integrate_batch(pot, x_targets, ks, side, rtol, atol, x_start):
-    """March the h-ODE from x_start through x_targets (given in integration
-    order), splitting at potential breakpoints.  Returns (h, hp, nfev) with
-    arrays of shape (len(x_targets), len(ks))."""
-    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    m = ks.size
-    rhs = _rhs_factory(pot, ks, side)
-    x_end = float(x_targets[-1])
-    x_start = float(x_start)
-    inward = x_end < x_start  # side +
-    bps = [b for b in pot.breakpoints if min(x_start, x_end) < b < max(x_start, x_end)]
-    bps.sort(reverse=inward)
-    edges = [float(x_start)] + bps + [x_end]
+def _mul(A, B, k2):
+    """The product A·B of two maps in _step_maps' form."""
+    c2, b2, e2, t2 = A
+    c1, b1, e1, t1 = B
+    return (
+        c2 * c1 + b2 * (e1 - k2 * b1),
+        c2 * b1 + b2 * (c1 + t1),
+        e2 * c1 + (c2 + t2) * e1 + k2 * (b2 * t1 - b1 * t2),
+        e2 * b1 - b2 * e1 + t2 * c1 + c2 * t1 + t1 * t2,
+    )
 
-    y = np.concatenate([np.ones(m, dtype=complex), np.zeros(m, dtype=complex)])
-    out_h = np.empty((len(x_targets), m), dtype=complex)
-    out_hp = np.empty_like(out_h)
-    pos = 0
-    nfev = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        take = []
-        while pos + len(take) < len(x_targets):
-            t = x_targets[pos + len(take)]
-            # a target the tolerance admits may sit just past b: clamp it
-            if inward and t >= b - 1e-14:
-                take.append(max(float(t), b))
-            elif not inward and t <= b + 1e-14:
-                take.append(min(float(t), b))
-            else:
-                break
-        if abs(b - a) < 1e-15:  # degenerate segment (start on the grid edge)
-            for j in range(len(take)):
-                out_h[pos + j] = y[:m]
-                out_hp[pos + j] = y[m:]
-            pos += len(take)
-            continue
-        t_eval = list(take)
-        if not t_eval or abs(t_eval[-1] - b) > 1e-14:
-            t_eval.append(b)
-        sol = solve_ivp(
-            rhs,
-            (a, b),
-            y,
-            method="DOP853",
-            t_eval=np.asarray(t_eval),
-            rtol=rtol,
-            atol=atol,
+
+def _doubled(pot, x0, H, lam, g):
+    """(R, F) for the steps, each (S, K) in _step_maps' form: the whole step
+    F and the Richardson map R = (16 P − F)/15 of the two half steps P.  The
+    step-doubling difference P − F is 15/16 of R − F.  For k = iκ
+    (g = −σκ, else None) both are scaled by e^{−gH}, so the state does not
+    grow like e^{κ|x|}."""
+    k2 = -(lam * lam).real
+    F = _step_maps(pot, x0, H, k2)
+    P = _mul(_step_maps(pot, x0 + 0.5 * H, 0.5 * H, k2), _step_maps(pot, x0, 0.5 * H, k2), k2)
+    R = tuple((16.0 * p - f) / 15.0 for p, f in zip(P, F))
+    if g is not None:
+        scale = np.exp(-np.multiply.outer(H, g))
+        R, F = (tuple(m * scale for m in M) for M in (R, F))
+    return R, F
+
+
+def _indicator(pot, x0, H, lam, g, tol) -> np.ndarray:
+    """Local error indicator of each step (S,), compared with a tolerance
+    per unit length: the step-doubling difference (P − F)/15 per unit
+    length, in the norm that weighs f′ by 1/max(|k|, 1), at k = 0 for real k
+    (the error of a resolved Magnus step does not grow with k) and at every
+    κ for k = iκ.  A step longer than _KH_RESOLVED/max|k| is not resolved
+    for the largest k; it is halved unless V varies on it by at most tol/|H|
+    (then no k sees more than tol of V's variation there)."""
+    lam0 = lam if g is not None else np.zeros(1)
+    w = np.maximum(np.abs(lam0), 1.0)
+    R, F = _doubled(pot, x0, H, lam0, g)
+    dc, db, de, dt = (np.abs(r - f) / 16.0 for r, f in zip(R, F))
+    est = ((dc + 2.0 * dt + 2.0 * w * db + de / w) / np.abs(H)[:, None]).max(axis=1)
+    if g is None:
+        wide = np.abs(H) * np.max(np.abs(lam)) > _KH_RESOLVED
+        if wide.any():
+            xw, hw = x0[wide], H[wide]
+            v = np.array([pot(xw + o * hw) for o in (0.0, 0.25, 0.5, 0.75, 1.0)])
+            spread = np.abs(hw) * (v.max(axis=0) - v.min(axis=0))
+            est[wide] = np.where(spread > tol, np.inf, est[wide])
+    return est
+
+
+def _step_chunks(n_steps: int, n_k: int) -> list[slice]:
+    size = max(1, _CHUNK // max(n_k, 1))
+    return [slice(i, min(i + size, n_steps)) for i in range(0, n_steps, size)]
+
+
+def _step_sequence(pot, edges, lam, g, tol):
+    """(x0, H, segment, evaluations): the steps whose _indicator is at most
+    tol on the given k, in integration order.  Segment j runs from edges[j]
+    to edges[j + 1]."""
+    a, b = edges[:-1], edges[1:]
+    cap = _STEP0 * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+    n = np.maximum(np.ceil(np.abs(b - a) / cap), 1.0).astype(int)
+    seg = np.repeat(np.arange(a.size), n)
+    H = np.repeat((b - a) / n, n)
+    x0 = np.repeat(a, n) + H * (np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n))
+    accepted = []
+    evals = 0
+    for _ in range(_MAX_HALVINGS):
+        est = np.empty(x0.size)
+        for s in _step_chunks(x0.size, 1 if g is None else lam.size):
+            est[s] = _indicator(pot, x0[s], H[s], lam, g, tol)
+        evals += 3 * x0.size
+        ok = est <= tol
+        accepted.append((x0[ok], H[ok], seg[ok]))
+        if ok.all():
+            break
+        x0, H, seg = x0[~ok], 0.5 * H[~ok], seg[~ok]
+        x0, H, seg = np.concatenate([x0, x0 + H]), np.tile(H, 2), np.tile(seg, 2)
+    else:
+        raise CrossCheckError(
+            f"Magnus steps near x = {x0[0]:.6g} stay above {tol:.3g} per unit length after "
+            f"{_MAX_HALVINGS} halvings"
         )
-        if not sol.success:
-            raise CrossCheckError(f"ODE integration failed on [{a}, {b}]: {sol.message}")
-        nfev += sol.nfev
-        for j in range(len(take)):
-            out_h[pos + j] = sol.y[:m, j]
-            out_hp[pos + j] = sol.y[m:, j]
-        pos += len(take)
-        y = sol.y[:, -1].copy()
-    return out_h, out_hp, nfev
+    x0, H, seg = (np.concatenate(part) for part in zip(*accepted))
+    order = np.lexsort((x0 * np.sign(edges[-1] - edges[0]), seg))
+    return x0[order], H[order], seg[order], evals
 
 
-def _band_split(kabs: np.ndarray):
-    bands = []
-    lo = -1.0  # include 0 in the first band
-    for hi in _BAND_EDGES:
-        sel = np.where((kabs > lo) & (kabs <= hi))[0]
-        if sel.size:
-            bands.append((max(lo, 0.0), hi, sel))
-        lo = hi
-    sel = np.where(kabs > lo)[0]
-    if sel.size:
-        bands.append((lo, float(kabs.max()), sel))
-    return bands
+def _march(pot, x0, H, slot, n_out, lam, g):
+    """March (h, h′) from (1, 0) through the Richardson steps R for every k.
+    The maps act on (f, u) = (f, f′ − λf), λ = f′/f at X∞; each step is
+    followed by its factor e^{−λH}, so the state is (h, h′) =
+    e^{−λ(x − X∞)} (f, u) throughout (for k = iκ the factor is in the maps
+    already).  Beside it, on at most _SAMPLE_K k spread over the grid, runs
+    the whole-step solution of the maps F.
+
+    slot[s] is the output that step s ends on (−1: none; slot[−1] is the
+    output at the start, if any).  Returns ((h, h′) at the outputs, and the
+    largest estimated error |δh| + |δh′|/max(|k|, 1) of the two-half-step
+    solution over the outputs and sampled k, δ = (Richardson − whole
+    step)/16).  Large k grids are split between _WORKERS threads (numpy
+    releases the GIL)."""
+    K = lam.size
+    y_out = np.zeros((2, n_out, K), dtype=lam.dtype)
+    w = np.maximum(np.abs(lam), 1.0)
+    sample = np.unique(np.linspace(0, K - 1, min(K, _SAMPLE_K)).round().astype(int))
+    errs = []
+
+    def run(k_lo, k_hi):
+        err = 0.0
+        for k0 in range(k_lo, k_hi, _CHUNK):
+            kc = slice(k0, min(k0 + _CHUNK, k_hi))
+            lk = lam[kc]
+            gk = None if g is None else g[kc]
+            ps = sample[(sample >= kc.start) & (sample < kc.stop)] - kc.start
+            lp, wp = lk[ps], w[kc][ps]
+            f = np.ones(lk.size, dtype=lam.dtype)
+            u = np.zeros_like(f)
+            fF, pF = f[ps], lp.copy()  # whole-step (f, f′) on the sampled k
+            if slot[-1] >= 0:
+                y_out[0, slot[-1], kc] = f
+            phases = {}
+            for sc in _step_chunks(x0.size, lk.size):
+                (c, b, e, t), F = _doubled(pot, x0[sc], H[sc], lk, gk)
+                lb = lk * b
+                ff, uf, uu = c + lb, e + lk * t, c + t - lb
+                cF, bF, eF, tF = (m[:, ps] for m in F)
+                mF10, mF11 = eF + (lp * lp).real * bF, cF + tF
+                for j, s in enumerate(range(sc.start, sc.stop)):
+                    f, u = ff[j] * f + b[j] * u, uf[j] * f + uu[j] * u
+                    fF, pF = cF[j] * fF + bF[j] * pF, mF10[j] * fF + mF11[j] * pF
+                    if gk is None:
+                        ph = phases.get(H[s])
+                        if ph is None:  # e^{−λH}; steps repeat few lengths
+                            if len(phases) >= _SAMPLE_K:
+                                phases.clear()
+                            tau = np.tan(0.5 * H[s] * lk.imag)
+                            ph = phases[H[s]] = (1.0 - 1j * tau) ** 2 / (1.0 + tau * tau)
+                        f *= ph
+                        u *= ph
+                        fF, pF = fF * ph[ps], pF * ph[ps]
+                    if slot[s] >= 0:
+                        y_out[0, slot[s], kc], y_out[1, slot[s], kc] = f, u
+                        d = np.abs(f[ps] - fF) + np.abs(u[ps] - (pF - lp * fF)) / wp
+                        err = max(err, float(d.max(initial=0.0)) / 16.0)
+        errs.append(err)
+
+    parts = _WORKERS if K >= _PARALLEL_K else 1
+    edges = np.linspace(0, K, parts + 1).astype(int)
+    if parts == 1:
+        run(0, K)
+    else:
+        with ThreadPoolExecutor(parts) as pool:
+            list(pool.map(run, edges[:-1], edges[1:]))
+    return y_out, max(errs)
+
+
+def _inward(pot, x_grid, ks, side, rtol, atol, x_inf):
+    """(h, h′, Magnus step evaluations, error estimate) on the sorted
+    x_grid, integrated from side·X∞ inward; ks real, or iκ."""
+    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+    lam = side * 1j * ks  # f′/f at X∞
+    g = None
+    if not np.any(lam.imag):
+        lam = lam.real.copy()
+        g = lam
+    tol = rtol + atol
+    start = side * x_inf
+    lo, hi = sorted((start, x_grid[0] if side > 0 else x_grid[-1]))
+    inner = [b for b in pot.breakpoints if lo < b < hi]
+    edges = np.unique(np.concatenate([[start], x_grid, inner]))
+    pos = np.searchsorted(edges, x_grid)
+    if side > 0:
+        edges, pos = edges[::-1], edges.size - 1 - pos
+
+    x0, H, seg, evals = _step_sequence(pot, edges, lam, g, tol)
+    slot = np.full(x0.size + 1, -1)
+    # output i sits at edge pos[i], the end of segment pos[i] − 1 (−1: the start)
+    slot[np.searchsorted(seg, pos - 1, side="right") - 1] = np.arange(x_grid.size)
+    y, err = _march(pot, x0, H, slot, x_grid.size, lam, g)
+    return y[0], y[1], evals + 3 * x0.size, err
 
 
 def compute_h(
@@ -208,13 +379,7 @@ def compute_h(
 
     x_inf = _cutoff(pot, x_grid, side)
     base = np.unique(np.abs(k_grid))
-
-    H = np.empty((x_grid.size, base.size), dtype=complex)
-    HP = np.empty_like(H)
-    band_info = []
-    for lo, hi, sel in _band_split(base):
-        H[:, sel], HP[:, sel], nfev = _inward(pot, x_grid, base[sel], side, rtol, atol, x_inf)
-        band_info.append((float(lo), float(hi), int(nfev)))
+    H, HP, evals, err = _inward(pot, x_grid, base, side, rtol, atol, x_inf)
 
     # scatter back onto the requested k grid
     idx = np.searchsorted(base, np.abs(k_grid))
@@ -229,7 +394,8 @@ def compute_h(
         eta_at_cutoff=float(pot.tail.eta_tail(x_inf)),
         rtol=rtol,
         atol=atol,
-        bands=tuple(band_info),
+        bands=((float(base[0]), float(base[-1]), int(evals)),),
+        error_estimate=err,
     )
     return JostField(side, x_grid, k_grid, h_full, hp_full, report)
 
@@ -240,8 +406,8 @@ def compute_h_bound(pot, x_grid, kappas, side, *, rtol=ODE_RTOL, atol=ODE_ATOL):
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     x_grid = np.unique(np.asarray(x_grid, dtype=float))
     x_inf = _cutoff(pot, x_grid, side)
-    h, hp, _ = _inward(pot, x_grid, 1j * kappas, side, rtol, atol, x_inf)
-    return h.real.copy(), hp.real.copy()
+    h, hp, _, _ = _inward(pot, x_grid, 1j * kappas, side, rtol, atol, x_inf)
+    return h, hp
 
 
 def _cutoff(pot, x_grid, side):
@@ -255,15 +421,6 @@ def _scan_half_width(pot) -> float:
     """Half width of the symmetric grids that sample whole zero-energy and
     bound-state solutions: the cutoff, and at least 6."""
     return max(cutoff_for_eta(pot, _CUTOFF_TOL), 6.0)
-
-
-def _inward(pot, x_grid, ks, side, rtol, atol, x_inf):
-    """(h, h′, nfev) on the sorted x_grid, integrated from side·X∞ inward."""
-    targets = x_grid[::-1] if side > 0 else x_grid
-    h, hp, nfev = _integrate_batch(pot, targets, ks, side, rtol, atol, side * x_inf)
-    if side > 0:
-        return h[::-1], hp[::-1], nfev
-    return h, hp, nfev
 
 
 def _wronskian(two_ik, h_plus, hp_plus, h_minus, hp_minus):

@@ -98,7 +98,10 @@ class Potential:
     """A real potential on the line with tail metadata.
 
     evaluator must accept scalars and numpy arrays.  breakpoints lists any
-    discontinuities of V (the ODE integrators split there).  moment_order is
+    discontinuities of V (the ODE integrators split there); kinks lists
+    points where V is continuous but not smooth (a sampled potential's
+    spline knots and the points where its tail takes over), where the tail
+    moments split their quadrature as they do at breakpoints.  moment_order is
     the largest σ with ∫(1+|x|)^σ |V| < ∞ guaranteed by the tail bound
     (math.inf for compact/exponential tails).
     """
@@ -108,6 +111,7 @@ class Potential:
     tail: TailBound = TailBound("compact", 0.0)
     breakpoints: tuple[float, ...] = ()
     params: dict = field(default_factory=dict)
+    kinks: tuple[float, ...] = ()
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -199,6 +203,7 @@ def scale_potential(pot: Potential, s: float) -> Potential:
         tail=tail,
         breakpoints=pot.breakpoints,
         params={"base": to_spec(pot), "s": s},
+        kinks=pot.kinks,
     )
 
 
@@ -227,8 +232,14 @@ def _truncation_radius(pot: Potential, weight_power: float, scale: float, tol_re
 
 def _adaptive(f, a, b, pts):
     inner = sorted(p for p in pts if a < p < b)
-    val, err = quad(f, a, b, points=inner or None, limit=400, epsabs=1e-14, epsrel=1e-12)
+    limit = max(400, 4 * len(inner))
+    val, err = quad(f, a, b, points=inner or None, limit=limit, epsabs=1e-14, epsrel=1e-12)
     return val, err
+
+
+def _splits(pot: Potential) -> tuple[float, ...]:
+    """Points where |V| is not smooth: breakpoints and kinks."""
+    return pot.breakpoints + pot.kinks
 
 
 def moment_norm(pot: Potential, sigma: float, p: float = 1.0) -> float:
@@ -247,9 +258,9 @@ def moment_norm(pot: Potential, sigma: float, p: float = 1.0) -> float:
 
     # first pass on a provisional window to get the scale, then enforce the tail
     X0 = max(pot.tail.radius, 1.0) * 4
-    rough, _ = _adaptive(integrand, -X0, X0, pot.breakpoints)
+    rough, _ = _adaptive(integrand, -X0, X0, _splits(pot))
     X = _truncation_radius(pot, sigma * p, max(rough, 1e-30), _REL_TAIL)
-    val, err = _adaptive(integrand, -X, X, pot.breakpoints)
+    val, err = _adaptive(integrand, -X, X, _splits(pot))
     return val ** (1.0 / p)
 
 
@@ -261,11 +272,11 @@ def eta(pot: Potential, x: float, side: int) -> float:
     if side > 0:
         if x >= X:
             return pot.tail.eta_tail(x)
-        val, _ = _adaptive(lambda y: abs(float(pot(y))), x, X, pot.breakpoints)
+        val, _ = _adaptive(lambda y: abs(float(pot(y))), x, X, _splits(pot))
     else:
         if -x >= X:
             return pot.tail.eta_tail(-x)
-        val, _ = _adaptive(lambda y: abs(float(pot(y))), -X, x, pot.breakpoints)
+        val, _ = _adaptive(lambda y: abs(float(pot(y))), -X, x, _splits(pot))
     return val
 
 
@@ -276,10 +287,10 @@ def gamma_moment(pot: Potential, x: float, side: int) -> float:
     X = _truncation_radius(pot, 1.0, scale0, _REL_TAIL)
     if side > 0:
         lo, hi = x, max(X, x + 1.0)
-        val, _ = _adaptive(lambda y: (y - x) * abs(float(pot(y))), lo, hi, pot.breakpoints)
+        val, _ = _adaptive(lambda y: (y - x) * abs(float(pot(y))), lo, hi, _splits(pot))
     else:
         lo, hi = min(-X, x - 1.0), x
-        val, _ = _adaptive(lambda y: (x - y) * abs(float(pot(y))), lo, hi, pot.breakpoints)
+        val, _ = _adaptive(lambda y: (x - y) * abs(float(pot(y))), lo, hi, _splits(pot))
     return val
 
 
@@ -411,12 +422,30 @@ def load_sampled(x, v=None, tail: TailBound | None = None) -> Potential:
             out = np.where((z < lo) | (z > hi), 0.0, out)
         return out
 
+    # past each edge |V| is min(envelope(|z|), |edge sample|): kinks where
+    # the two meet, and at z = 0 when the envelope's |z| is used there
+    kinks = list(x) + ([0.0] if not lo <= 0.0 <= hi else [])
+    for val, outside in ((v[0], lambda z: z < lo), (v[-1], lambda z: z > hi)):
+        meet = _envelope_meets(tail, abs(val))
+        if meet is not None:
+            kinks += [z for z in (-meet, meet) if outside(z)]
     return Potential(
         label=f"sampled(n={x.size})",
         evaluator=evaluator,
         tail=tail,
         params={"x": x.tolist(), "v": v.tolist()},
+        kinks=tuple(float(k) for k in kinks),
     )
+
+
+def _envelope_meets(tail: TailBound, level: float) -> float | None:
+    """The |x| where the tail envelope falls to level (None if it never does)."""
+    if tail.kind == "compact" or level <= 0.0 or tail.coef <= level or tail.rate <= 0.0:
+        return None
+    decay = (math.log(tail.coef) - math.log(level)) / tail.rate  # rate·|x| or rate·log(1+|x|)
+    if tail.kind == "exp":
+        return decay
+    return math.expm1(decay) if decay < 700.0 else None
 
 
 def _read_two_column(path: str) -> np.ndarray:

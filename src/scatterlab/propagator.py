@@ -232,7 +232,7 @@ def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
     return np.outer(pd.f0_x, pd.f0_x) / np.sqrt(4j * np.pi * t)
 
 
-def _level_weights(kff, ts, b: float) -> np.ndarray:
+def _level_weights(kff, ts, b: float, wts=None) -> np.ndarray:
     """Weights of the three Richardson levels for every time, folded onto
     the m finest nodes with k ≥ 0; returns a (2·3·len(ts), m) matrix with
     rows (half, level, time) flattened.
@@ -241,9 +241,12 @@ def _level_weights(kff, ts, b: float) -> np.ndarray:
     on conj A.  Level 2 (finest) covers every node, level 1 every second,
     level 0 (the k grid) every fourth; the others stay 0.  fresnel_weights
     runs once per time, on the finest nodes; the coarser levels come from
-    it by restriction."""
+    it by restriction.  wts, a (2, 3, len(ts), m) array from an earlier
+    call with the same nodes and times, is overwritten in place: the slots
+    left 0 are the same for every b."""
     m = (kff.size + 1) // 2
-    wts = np.zeros((2, 3, ts.size, m), dtype=complex)
+    if wts is None:
+        wts = np.zeros((2, 3, ts.size, m), dtype=complex)
     for i_t, t in enumerate(ts):
         w = fresnel_weights(kff, t, b)
         for lev, step in ((2, 1), (1, 2), (0, 4)):
@@ -266,7 +269,7 @@ def _check_times(ts, k_max: float, b: float) -> None:
     truncation_tail(0.0, 0.0, float(np.min(ts)), b, k_max)
 
 
-def _pac_rows(hp_ff, hm_ff, t_ff, k, ts, b: float):
+def _pac_rows(hp_ff, hm_ff, t_ff, k, ts, b: float, wts=None):
     """Continuous-spectrum kernel of row-aligned pairs at one separation
     b ≥ 0 for every time in ts; returns (value, error), each (len(ts), rows).
 
@@ -281,7 +284,7 @@ def _pac_rows(hp_ff, hm_ff, t_ff, k, ts, b: float):
     end = np.abs(hp_ff[:, -1] * hm_ff[:, -1] * t_ff[-1] - 1.0)
     tail = np.array([truncation_tail(end, end, t, b, k_max) for t in ts])
     full = np.array([full_line_integral(t, b) for t in ts])
-    wts = _level_weights(np.linspace(k[0], k[-1], 4 * k.size - 3), ts, b)
+    wts = _level_weights(np.linspace(k[0], k[-1], 4 * k.size - 3), ts, b, wts)
     n_rows = hp_ff.shape[0]
     val = np.empty((ts.size, n_rows), dtype=complex)
     err = np.empty((ts.size, n_rows))
@@ -315,8 +318,9 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     t_ff = _refine_half(pd.T)
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
+    wts = np.zeros((2, 3, ts.size, t_ff.size), dtype=complex)  # reused on every diagonal
     for d in range(n):
-        val, err = _pac_rows(hp_ff[d:, :], hm_ff[: n - d, :], t_ff, pd.k_grid, ts, d * dx)
+        val, err = _pac_rows(hp_ff[d:, :], hm_ff[: n - d, :], t_ff, pd.k_grid, ts, d * dx, wts)
         rows = np.arange(n - d)
         pac[:, rows, rows + d] = val
         pac[:, rows + d, rows] = val

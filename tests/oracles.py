@@ -4,16 +4,18 @@ Everything here is derived by a different route than the code under test:
 closed forms for the sech² (Poeschl–Teller) well, plane-wave transfer
 matching for the square well, a transcendental-equation solver for finite
 well bound states, a brute-force oscillatory quadrature, a split-step
-Fourier evolver for e^{−itH}, and the evolution-kernel slice rule in its
+Fourier evolver for e^{−itH}, the evolution-kernel slice rule in its
 plain form (three weight vectors per time, one product per time and level,
-the whole k line).  No imports from the package: the slice rule takes the
-panel-weight function as an argument.
+the whole k line), and a DOP853 integration of the Jost factors.  No
+imports from the package: the slice rule takes the panel-weight function
+as an argument, and the Jost reference takes V, its breakpoints and X∞.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 
@@ -226,3 +228,33 @@ def pac_slices_reference(h_plus, h_minus, T, k, dx, ts, weights):
                 pac[i_t, i, j] = (free + r2) / (2.0 * np.pi)
                 err[i_t, i, j] = (np.abs(r2 - r1) + tail) / (2.0 * np.pi)
     return pac, err
+
+
+# --------------------------------------------------- Jost factors by DOP853
+def jost_h_dop853(v, breakpoints, x_inf, x, k, side, *, rtol=1e-12, atol=1e-14):
+    """(h, h′) of h″ ± 2ik h′ = V h, h(±X∞) = 1, h′(±X∞) = 0, at the points
+    x (sorted), for one k (real, or iκ), by scipy's DOP853 from side·X∞
+    inward, restarted at every breakpoint of V."""
+    x = np.asarray(x, dtype=float)
+    twoik = side * 2j * complex(k)
+    start = side * x_inf
+    stop = x[0] if side > 0 else x[-1]
+    lo, hi = sorted((start, stop))
+    edges = sorted({start, stop, *(b for b in breakpoints if lo < b < hi)}, reverse=side > 0)
+
+    def rhs(s, z):
+        return [z[1], float(v(s)) * z[0] - twoik * z[1]]
+
+    y = np.array([1.0, 0.0], dtype=complex)
+    h = np.empty(x.size, dtype=complex)
+    hp = np.empty_like(h)
+    for a, b in zip(edges[:-1], edges[1:]):
+        idx = np.flatnonzero((x >= min(a, b)) & (x <= max(a, b)) & (x != b))
+        idx = idx[np.argsort(-side * x[idx])]  # in integration order
+        sol = solve_ivp(
+            rhs, (a, b), y, method="DOP853", t_eval=np.append(x[idx], b), rtol=rtol, atol=atol
+        )
+        h[idx], hp[idx] = sol.y[0, :-1], sol.y[1, :-1]
+        y = sol.y[:, -1]
+        h[x == b], hp[x == b] = y
+    return h, hp

@@ -89,6 +89,8 @@ def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, ca
         ("decay", ["times.t_min=1", "grids.k_max=8"]),  # the same, at equality
         ("wiener", ["wiener.derivative_orders=4"]),
         ("wiener", ["wiener.derivative_orders=-1"]),
+        ("decay", ["times.count=12.9"]),  # int() would run 12 times
+        ("wiener", ["wiener.derivative_orders=2.5"]),  # ... and orders 0-2
     ],
 )
 def test_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, stage, overrides):

@@ -15,7 +15,7 @@ from scatterlab.jost import (
     zero_energy_scan,
     zero_energy_state,
 )
-from scatterlab.potentials import catalog
+from scatterlab.potentials import Potential, TailBound, catalog
 
 import oracles
 
@@ -58,13 +58,70 @@ def test_square_well_breakpoints():
 
 def _direct(pot, ks, side):
     """h, h′ on XS with every k, negative ones too, integrated as given
-    (compute_h integrates |k| only), in compute_h's |k| bands."""
+    (compute_h integrates |k| only), on compute_h's Magnus path."""
     x_inf = jost._cutoff(pot, XS, side)
-    h = np.empty((XS.size, ks.size), dtype=complex)
-    hp = np.empty_like(h)
-    for _, _, sel in jost._band_split(np.abs(ks)):
-        h[:, sel], hp[:, sel], _ = jost._inward(pot, XS, ks[sel], side, ODE_RTOL, ODE_ATOL, x_inf)
+    h, hp, _, _ = jost._inward(pot, XS, ks, side, ODE_RTOL, ODE_ATOL, x_inf)
     return h, hp
+
+
+def test_square_well_exact_per_step():
+    # V is constant between the breakpoints, where every step ends, so each
+    # Magnus step is the exact map; f′ ~ k f carries the roundoff of k
+    sw = catalog("square_well")
+    ks = np.array([0.4, 1.3, 5.0, 40.0])
+    jf = compute_h(sw, XS, ks, +1)
+    for j, k in enumerate(ks):
+        f_ref, fp_ref = oracles.square_well_f_plus(np.pi**2 / 4, 1.0, XS, k)
+        for i, x in enumerate(XS):
+            f, fp = jf.f_at_x(x)
+            assert abs(f[j] - f_ref[i]) < 1e-13
+            assert abs(fp[j] - fp_ref[i]) < 1e-13 * max(1.0, k)
+
+
+def test_error_estimate_covers_pt_error():
+    pt = catalog("poeschl_teller")
+    xs = np.linspace(-8.0, 8.0, 33)
+    ks = np.linspace(-60.0, 60.0, 481)
+    for side, ref in ((+1, oracles.pt_h_plus), (-1, oracles.pt_h_minus)):
+        jf = compute_h(pt, xs, ks, side)
+        err = np.max(np.abs(jf.h - ref(xs[:, None], ks[None, :])))
+        assert err < 2e-10
+        assert err <= jf.report.error_estimate < 1e-7
+
+
+def test_power_tail_integrates():
+    # |V| <= (1+|x|)^-4 puts the cutoff past x = 1000
+    tail = TailBound("power", 0.0, 0.5, 4.0)
+    pot = Potential("power_tail", lambda x: -0.5 * (1.0 + np.abs(np.asarray(x, float))) ** -4, tail)
+    ks = np.array([0.0, 0.7, 3.0])
+    jf = compute_h(pot, XS, ks, +1)
+    assert jf.report.cutoff > 1000.0
+    assert jf.report.bands[0][2] < 20000
+    for j, k in enumerate(ks):
+        h, hp = oracles.jost_h_dop853(pot, (), jf.report.cutoff, XS, k, +1)
+        assert np.max(np.abs(jf.h[:, j] - h)) < 1e-10
+        assert np.max(np.abs(jf.h_prime[:, j] - hp)) < 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    name=st.sampled_from(["poeschl_teller", "square_well", "gaussian_well"]),
+    side=st.sampled_from([+1, -1]),
+    k=st.floats(0.0, 20.0),
+    kappa=st.floats(0.0, 2.0),
+)
+def test_magnus_matches_dop853(name, side, k, kappa):
+    pot = catalog(name)
+    x_inf = jost._cutoff(pot, XS, side)
+    jf = compute_h(pot, XS, [k], side)
+    h, hp = oracles.jost_h_dop853(pot, pot.breakpoints, x_inf, XS, k, side)
+    assert np.max(np.abs(jf.h[:, 0] - h)) < 1e-9
+    assert np.max(np.abs(jf.h_prime[:, 0] - hp)) < 1e-9 * max(1.0, k)
+    hb, hbp = compute_h_bound(pot, XS, [kappa], side)
+    h, hp = oracles.jost_h_dop853(pot, pot.breakpoints, x_inf, XS, 1j * kappa, side)
+    scale = max(1.0, float(np.max(np.abs(h))))  # h(·, iκ) grows like e^{2κ|x|} past 0
+    assert np.max(np.abs(hb[:, 0] - h)) < 1e-9 * scale
+    assert np.max(np.abs(hbp[:, 0] - hp)) < 1e-9 * scale * max(1.0, kappa)
 
 
 def test_conjugation_folding_matches_direct_integration():
@@ -167,3 +224,26 @@ def test_band_report():
     lows = [b[0] for b in jf.report.bands]
     assert lows == sorted(lows)
     assert all(nfev > 0 for _, _, nfev in jf.report.bands)
+    assert 0.0 < jf.report.error_estimate < 1e-8
+
+
+def test_threaded_march_equals_one_thread(monkeypatch):
+    # the k grid is split between threads that write disjoint columns; with
+    # more threads than cores and a short switch interval the result is
+    # still bit for bit the one-thread result
+    import sys
+
+    pt = catalog("poeschl_teller")
+    ks = np.linspace(-20.0, 20.0, 301)
+    monkeypatch.setattr(jost, "_PARALLEL_K", 1)
+    monkeypatch.setattr(jost, "_WORKERS", 1)
+    one = compute_h(pt, XS, ks, +1)
+    monkeypatch.setattr(jost, "_WORKERS", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = compute_h(pt, XS, ks, +1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(one.h, many.h) and np.array_equal(one.h_prime, many.h_prime)
+    assert one.report == many.report

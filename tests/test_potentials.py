@@ -236,3 +236,29 @@ def test_load_sampled_arrays_and_csv(tmp_path):
 
     with pytest.raises(ValueError):
         load_sampled(xs[:3], vs[:3])
+
+
+def test_sampled_tail_moments_need_no_quadrature_warning(tmp_path):
+    # the CSV-sampled sech² well with the automatic exponential tail: |V| is a
+    # C² spline up to the window edges, then min(envelope, |edge sample|);
+    # quad gets every knot and kink and raises no IntegrationWarning
+    import dataclasses
+    import warnings
+
+    from scipy.integrate import IntegrationWarning
+
+    xs = np.linspace(-10.0, 10.0, 201)
+    path = tmp_path / "well.csv"
+    np.savetxt(path, np.column_stack([xs, -2.0 / np.cosh(xs) ** 2]), delimiter=",")
+    pot = from_spec({"name": "sampled", "params": {"csv": str(path)}})
+    blind = dataclasses.replace(pot, kinks=())  # quadrature without the kinks
+    for fn in (eta, gamma_moment):
+        for x in (-12.0, 0.0, 3.0):
+            for side in (+1, -1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", IntegrationWarning)
+                    value = fn(pot, x, side)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", IntegrationWarning)
+                    before = fn(blind, x, side)
+                assert abs(value - before) <= 1e-9 * max(1.0, abs(before))
