@@ -41,6 +41,7 @@ from .kernels import (
     kernel_bound_report,
     kernel_table_csv,
     resonance_functionals,
+    roundtrip_residual,
 )
 from .potentials import CATALOG_NAMES, catalog, from_spec, to_spec
 from .propagator import (
@@ -383,9 +384,12 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
         kt = kd_kernels(b_kernel(jf, pot=pot), jf, pot=pot)
         rf = resonance_functionals(jf, pot)
         _atomic_write(out / f"kernel_{tag}.csv", kernel_table_csv(kt))
-        report[tag] = functionals_json(
-            rf, extra={"bound_margins": kernel_bound_report(kt, pot)}
-        )
+        # roundtrip_residual is reported only: it does not enter `passed`
+        extra = {
+            "bound_margins": kernel_bound_report(kt, pot),
+            "roundtrip_residual": roundtrip_residual(kt, jf),
+        }
+        report[tag] = functionals_json(rf, extra=extra)
         passed = passed and rf.identity_residual <= tol
     report["identity_tolerance"] = tol
     report["passed"] = passed

@@ -6,7 +6,8 @@ matching for the square well, a transcendental-equation solver for finite
 well bound states, a brute-force oscillatory quadrature, a split-step
 Fourier evolver for e^{−itH}, the evolution-kernel slice rule in its
 plain form (three weight vectors per time, one product per time and level,
-the whole k line), and a DOP853 integration of the Jost factors.  No
+the whole k line), a DOP853 integration of the Jost factors, and the
+linear-Filon Fourier sum as a dense phase matrix.  No
 imports from the package: the slice rule takes the panel-weight function
 as an argument, and the Jost reference takes V, its breakpoints and X∞.
 """
@@ -258,3 +259,25 @@ def jost_h_dop853(v, breakpoints, x_inf, x, k, side, *, rtol=1e-12, atol=1e-14):
         y = sol.y[:, -1]
         h[x == b], hp[x == b] = y
     return h, hp
+
+
+# ------------------------------------------------- linear Filon, dense form
+def filon_linear_dense(y, rows, k_eval, chunk=128):
+    """∫ rows(y) e^{2iky} dy on the uniform grid y, exact for a piecewise-
+    linear amplitude: the panel sums s0, s1 as products with the (k × y)
+    phase matrix, built in chunks of k."""
+    h = float(y[1] - y[0])
+    out = np.empty(rows.shape[:-1] + (k_eval.size,), dtype=complex)
+    a = rows[..., :-1]
+    b = rows[..., 1:]
+    for lo in range(0, k_eval.size, chunk):
+        kc = k_eval[lo : lo + chunk]
+        iu = 2j * kc * h
+        small = np.abs(iu) < 1e-6
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.exp(iu)
+            m0 = np.where(small, 1.0 + iu / 2.0 + iu**2 / 6.0, (e - 1.0) / iu)
+            m1 = np.where(small, 0.5 + iu / 3.0 + iu**2 / 8.0, (e * (iu - 1.0) + 1.0) / iu**2)
+        phase = np.exp(2j * np.outer(kc, y[:-1]))
+        out[..., lo : lo + kc.size] = h * ((a @ phase.T) * m0 + ((b - a) @ phase.T) * m1)
+    return out

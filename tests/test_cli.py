@@ -141,3 +141,16 @@ def test_sampled_spec_with_explicit_tail_bound_runs_through_resonance(tmp_path, 
     bad = dict(bound, kind="gaussian")
     assert main(args + ["--override", f"potential.tail_bound={json.dumps(bad)}", "--out", str(tmp_path / "bad")]) == 2
     assert "tail bound kind" in capsys.readouterr().err
+
+
+def test_kernels_report_carries_the_roundtrip_residual(tmp_path, monkeypatch):
+    args = ["kernels", "--override", "potential.name=square_well", "--out"]
+    assert main(args + [str(tmp_path / "ok")]) == 0
+    report = json.loads((tmp_path / "ok" / "kernels_report.json").read_text())
+    for side in ("plus", "minus"):
+        assert 0.0 < report[side]["roundtrip_residual"] < 1e-6
+    # the residual is reported, not gated
+    monkeypatch.setattr(cli, "roundtrip_residual", lambda kt, jf: 1.0)
+    assert main(args + [str(tmp_path / "off")]) == 0
+    report = json.loads((tmp_path / "off" / "kernels_report.json").read_text())
+    assert report["passed"] and report["plus"]["roundtrip_residual"] == 1.0

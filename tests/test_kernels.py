@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from scatterlab import kernels
 from scatterlab.jost import compute_h
 from scatterlab.kernels import (
     b_kernel,
@@ -16,10 +21,11 @@ from scatterlab.kernels import (
     resonance_functionals,
     roundtrip_residual,
 )
-from scatterlab.potentials import catalog
+from scatterlab.potentials import catalog, cutoff_for_eta
 from scatterlab.scattering import scattering_data
 
 from conftest import K_WIENER, XS_KERNEL
+from oracles import filon_linear_dense
 
 # The sech² well has closed forms for the whole chain (B, K, D, ∂ₓB, H),
 # so it pins absolute accuracy.  The square well exercises jump transport
@@ -236,3 +242,112 @@ def test_json_export(pt_pot, pt_wiener):
     assert out["label"] == "pt"
     assert out["C_hat_estimate"] == pytest.approx(0.5, abs=1e-8)
     assert out["H_max"] == pytest.approx(1.0, abs=1e-6)
+
+
+# ------------------------------------------------ the Filon transform layer
+
+
+@pytest.mark.parametrize(
+    "y, k_eval",
+    [
+        (np.array([0.0]), np.linspace(-1.0, 1.0, 5)),  # one y point
+        (np.linspace(0.0, 1.0, 9), np.array([0.5])),  # one k point
+        (np.r_[0.0, 0.1, 0.2, 0.3001, 0.4], np.linspace(-1.0, 1.0, 5)),  # y not uniform
+        (np.linspace(0.0, 1.0, 9), np.r_[0.0, 1.0, 2.0, 3.0 + 1e-6, 4.0]),  # k not uniform
+    ],
+)
+def test_filon_linear_rejects_grids_the_transform_cannot_take(y, k_eval):
+    with pytest.raises(ValueError):
+        kernels._filon_linear(y, np.ones((1, y.size)), k_eval)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.integers(1, 3),
+    complex_rows=st.booleans(),
+    n=st.integers(2, 1500),
+    m=st.integers(2, 1500),
+    y_exp=st.integers(3, 10),
+    y_start=st.integers(-2000, 2000),
+    k_exp=st.integers(-4, 6),
+    k_zero=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # N < M
+    n_rows=2, complex_rows=True, n=300, m=1100, y_exp=8, y_start=-100, k_exp=2, k_zero=0.5, seed=1
+)
+@example(  # N > M
+    n_rows=3, complex_rows=False, n=1100, m=300, y_exp=8, y_start=7, k_exp=0, k_zero=0.0, seed=2
+)
+@example(  # both grids one node past whole tiles
+    n_rows=1, complex_rows=True, n=2 * kernels._TILE + 2, m=2 * kernels._TILE + 1,
+    y_exp=6, y_start=0, k_exp=3, k_zero=1.0, seed=3,
+)
+def test_filon_linear_matches_the_dense_sums(
+    n_rows, complex_rows, n, m, y_exp, y_start, k_exp, k_zero, seed
+):
+    # dyadic steps, so that the dense form's step y[1] − y[0] is exact as
+    # well; the k grid runs through 0, where the end factors switch to
+    # their series
+    dy, dk = 2.0**-y_exp, 2.0**-k_exp
+    y = (y_start + np.arange(n)) * dy
+    k = (np.arange(m) - round(k_zero * (m - 1))) * dk
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_rows, n))
+    if complex_rows:
+        rows = rows + 1j * rng.standard_normal((n_rows, n))
+    dense = filon_linear_dense(y, rows, k)
+    assert np.max(np.abs(kernels._filon_linear(y, rows, k) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_glm_synthesis_meets_the_dense_sums_and_mpmath(sw_wiener):
+    # the raw synthesis (1/π)∫R₊(k)e^{2ikw}dk of the default square well on
+    # the GLM grid w = −2 … 34: the whole grid against the dense sums, and
+    # three points (the window's ends and the kink at w = 1) against the
+    # same rule summed in 25 digits
+    sd = sw_wiener[0]
+    k, R = sd.k_grid, np.asarray(sd.R_plus, dtype=complex)
+    w = np.arange(-2.0, 34.0 + kernels._GLM_W_STEP, kernels._GLM_W_STEP)
+    F = kernels._filon_linear(k, R, w) / np.pi
+    scale = np.max(np.abs(F))
+    assert np.max(np.abs(F - filon_linear_dense(k, R, w) / np.pi)) <= 1e-12 * scale
+    with mpmath.workdps(25):
+        kn = [mpmath.mpf(float(v)) for v in k]
+        h = (kn[-1] - kn[0]) / (len(kn) - 1)
+        a = [mpmath.mpc(complex(v)) for v in R]
+        for i in (0, int(np.argmin(np.abs(w - 1.0))), w.size - 1):
+            wi = mpmath.mpf(float(w[i]))
+            iu = 2j * wi * h
+            e = mpmath.exp(iu)
+            m0, m1 = (e - 1) / iu, (e * (iu - 1) + 1) / iu**2
+            s = mpmath.fsum(
+                (a[j] * m0 + (a[j + 1] - a[j]) * m1) * mpmath.expj(2 * kn[j] * wi)
+                for j in range(len(kn) - 1)
+            )
+            ref = complex(h * s / mpmath.pi)
+            assert abs(F[i] - ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["poeschl_teller", "square_well", "gaussian_well"])
+@pytest.mark.parametrize("side", [+1, -1])
+def test_eta_interp_masses_meet_a_tight_quadrature(name, side):
+    # the anchors' masses, at the two ranges the stage asks for, against
+    # one adaptive quad per anchor run to 1e-13 relative
+    pot = catalog(name)
+    bps = sorted(side * b for b in pot.breakpoints)
+    for u_lo, u_hi in ((0.0, 16.0), (-2.0, 18.0)):
+        eta_fn = kernels._eta_interp(pot, side, side * u_lo, side * u_hi)
+        X = max(cutoff_for_eta(pot, kernels._ETA_TOL), u_hi + 1.0)
+        us = np.linspace(u_lo, u_hi, 600)  # every one an anchor
+        ref = np.array([
+            quad(
+                lambda t: abs(float(pot(side * t))), u, X,
+                points=[b for b in bps if u < b < X] or None,
+                limit=400, epsabs=0.0, epsrel=1e-13,
+            )[0]
+            for u in us
+        ])
+        got = eta_fn(side * us)
+        pos = ref > 0.0
+        assert np.max(np.abs(got[pos] - ref[pos]) / ref[pos]) < 1e-12
+        assert np.all(got[~pos] == 0.0)
