@@ -32,7 +32,10 @@ whole-step solution, marched beside it on up to 64 of the k, gives the
 reported error estimate max |P-solution − F-solution|/15 over the outputs.
 
 Purely imaginary k = iκ give h±(x, iκ) (compute_h_bound), used for
-bound-state searches; k = 0 is the case κ = 0 of the same routine.
+bound-state searches.  k = 0 is an ordinary column of a real k grid: the
+zero-energy solutions f±(·,0) = h±(·,0) that decide the resonance
+(scattering.classify_resonance) and give the threshold state f₀
+(propagator.prepare_propagator) are read from compute_h's k = 0 column.
 """
 
 from __future__ import annotations
@@ -42,30 +45,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .errors import CrossCheckError, ResonanceError
-from .potentials import Potential, cutoff_for_eta, eta
+from .errors import CrossCheckError
+from .potentials import Potential, cutoff_for_eta
 
 __all__ = [
     "JostField",
     "IntegrationReport",
-    "ZeroEnergyData",
-    "ZeroEnergyState",
     "compute_h",
     "compute_h_bound",
-    "zero_energy_scan",
-    "zero_energy_state",
-    "RESONANCE_EPS",
 ]
 
 ODE_RTOL = 1e-10  # default solver tolerances of every Jost integration
 ODE_ATOL = 1e-12
 _CUTOFF_TOL = 1e-10  # bound on the tail mass η±(X∞) past the cutoff
-RESONANCE_EPS = 1e-6  # |W(0)| below this multiple of the natural scale => resonant
-# floor for the resonance scale so V ≡ 0 (all Wronskian terms vanish
-# identically) still classifies as resonant
-_SCALE_FLOOR = 1e-6
 
 _GAUSS = np.sqrt(3.0) / 6.0  # Gauss nodes of a step at 1/2 ∓ √3/6 of it
 _COMM = np.sqrt(3.0) / 12.0  # weight of the commutator term of Ω
@@ -417,140 +410,7 @@ def _cutoff(pot, x_grid, side):
     return max(cutoff_for_eta(pot, _CUTOFF_TOL), edge)
 
 
-def _scan_half_width(pot) -> float:
-    """Half width of the symmetric grids that sample whole zero-energy and
-    bound-state solutions: the cutoff, and at least 6."""
-    return max(cutoff_for_eta(pot, _CUTOFF_TOL), 6.0)
-
-
 def _wronskian(two_ik, h_plus, hp_plus, h_minus, hp_minus):
     """W = 2ik h₊h₋ + h₋h′₊ − h′₋h₊ at x = 0 from h± and ∂ₓh± there;
     two_ik is 2ik (0 at k = 0, −2κ at k = iκ)."""
     return two_ik * h_plus * h_minus + h_minus * hp_plus - hp_minus * h_plus
-
-
-# ---------------------------------------------------------------------------
-# zero energy
-
-
-@dataclass(frozen=True)
-class ZeroEnergyData:
-    """Both zero-energy Jost solutions on a shared fine grid, with the
-    Wronskian W(0), its natural comparison scale, and the proportionality
-    ratio γ fitted over |x| <= 2."""
-
-    x_grid: np.ndarray
-    h_plus: np.ndarray
-    hp_plus: np.ndarray
-    h_minus: np.ndarray
-    hp_minus: np.ndarray
-    w0: float
-    scale: float
-    gamma: float
-    gamma_residual: float
-
-    @property
-    def threshold(self) -> float:
-        """|W(0)| below this counts as resonant."""
-        return RESONANCE_EPS * max(self.scale, _SCALE_FLOOR)
-
-    @property
-    def resonant(self) -> bool:
-        return abs(self.w0) < self.threshold
-
-
-@dataclass(frozen=True)
-class ZeroEnergyState:
-    """Normalised bounded zero-energy solution f₀ (resonant case).
-
-    f₀ = c₊ f₊(·,0) = c₋ f₋(·,0) with c₋ = γ c₊ and c₊ = sqrt(2/(1+γ²)) > 0,
-    which realises lim(|f₀(x)|² + |f₀(−x)|²) = 2.
-    """
-
-    x_grid: np.ndarray
-    f0: np.ndarray
-    gamma: float
-    c_plus: float
-    c_minus: float
-    normalization_residual: float
-    gamma_residual: float
-    ode_residual: float
-
-
-def zero_energy_scan(
-    pot: Potential, *, rtol: float = ODE_RTOL, atol: float = ODE_ATOL
-) -> ZeroEnergyData:
-    """Solve both k = 0 problems on a symmetric grid of step 0.01."""
-    half_width = _scan_half_width(pot)
-    n = int(round(2 * half_width / 0.01))
-    xg = np.linspace(-half_width, half_width, n + 1)
-    hp_, hpp = compute_h_bound(pot, xg, [0.0], +1, rtol=rtol, atol=atol)
-    hm_, hmp = compute_h_bound(pot, xg, [0.0], -1, rtol=rtol, atol=atol)
-    hp_, hpp, hm_, hmp = hp_[:, 0], hpp[:, 0], hm_[:, 0], hmp[:, 0]
-    i0 = int(np.argmin(np.abs(xg)))
-    w0 = _wronskian(0.0, hp_[i0], hpp[i0], hm_[i0], hmp[i0])
-    scale = (
-        abs(hm_[i0] * hpp[i0])
-        + abs(hmp[i0] * hp_[i0])
-        + eta(pot, 0.0, +1)
-        + eta(pot, 0.0, -1)
-    )
-    win = np.abs(xg) <= 2.0
-    denom = float(np.sum(hm_[win] ** 2))
-    gamma = float(np.sum(hp_[win] * hm_[win]) / denom)
-    gmax = float(np.max(np.abs(hp_[win])))
-    gamma_residual = float(np.max(np.abs(hp_[win] - gamma * hm_[win])) / max(gmax, 1e-30))
-    return ZeroEnergyData(xg, hp_, hpp, hm_, hmp, float(w0), float(scale), gamma, gamma_residual)
-
-
-def zero_energy_state(pot: Potential, zed: ZeroEnergyData | None = None) -> ZeroEnergyState:
-    """Normalised zero-energy resonance function f₀ (ResonanceError if
-    non-resonant).
-
-    zed is the scan the resonance was decided from (classify_resonance
-    keeps it in its report), so f₀ comes from the same solutions; without
-    it the potential is scanned here at the default tolerances."""
-    if zed is None:
-        zed = zero_energy_scan(pot)
-    if not zed.resonant:
-        raise ResonanceError(
-            f"{pot.label}: W(0) = {zed.w0:.3e} exceeds the resonance threshold "
-            f"{zed.threshold:.3e}"
-        )
-    gamma = zed.gamma
-    c_plus = float(np.sqrt(2.0 / (1.0 + gamma**2)))
-    c_minus = gamma * c_plus
-    f0 = c_plus * zed.h_plus  # f = h at k = 0
-    norm_res = abs(f0[-1] ** 2 + f0[0] ** 2 - 2.0)
-    ode_res = max(
-        _volterra_residual(pot, zed.x_grid, zed.h_plus, +1),
-        _volterra_residual(pot, zed.x_grid, zed.h_minus, -1),
-    )
-    return ZeroEnergyState(
-        x_grid=zed.x_grid,
-        f0=f0,
-        gamma=gamma,
-        c_plus=c_plus,
-        c_minus=c_minus,
-        normalization_residual=float(norm_res),
-        gamma_residual=zed.gamma_residual,
-        ode_residual=float(ode_res),
-    )
-
-
-def _volterra_residual(pot, xg, h0, side, probes=(-2.0, 0.0, 2.0)) -> float:
-    """Independent check that h(·,0) satisfies its Volterra equation
-    h(x) = 1 ± ∫_x^{±∞} (s−x) V(s) h(s) ds, by Simpson quadrature on the
-    scan grid (the ODE solver never sees this form)."""
-    v = pot(xg)
-    worst = 0.0
-    for x0 in probes:
-        i = int(np.argmin(np.abs(xg - x0)))
-        if side > 0:
-            s = xg[i:]
-            integ = simpson((s - xg[i]) * v[i:] * h0[i:], x=s)
-        else:
-            s = xg[: i + 1]
-            integ = simpson((xg[i] - s) * v[: i + 1] * h0[: i + 1], x=s)
-        worst = max(worst, abs(h0[i] - 1.0 - integ))
-    return worst

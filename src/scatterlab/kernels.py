@@ -70,6 +70,7 @@ _Y_MAX = 16.0  # reach in |y| of every kernel table and of H±
 _H = 0.005  # target step of the kernel lattice in t and y
 _TABLE_STRIDE = 5  # tables keep every 5th lattice point in |y|
 _ETA_TOL = 1e-14  # tail mass of V past the kernel lattice and the η interpolant
+_ETA_ANCHORS = 600  # evenly spaced anchors of the η interpolant
 _FINE_N = 16001  # points of the Ψ± and roundtrip y grids, a step near 1e-3
 _PSI_K_STRIDE = 20  # Ψ±, Φ± on every 20th grid wavenumber
 _GLM_W_STEP = 0.01  # spline grid of the GLM input F±
@@ -370,9 +371,7 @@ def _filon_linear(y: np.ndarray, rows: np.ndarray, k_eval: np.ndarray):
     return h * (s0 * m0 + s1 * m1)
 
 
-def _eta_interp(
-    pot: Potential, side: int, w_lo: float, w_hi: float, n_anchor: int = 600
-) -> Callable:
+def _eta_interp(pot: Potential, side: int, w_lo: float, w_hi: float) -> Callable:
     """η±(w) on [w_lo, w_hi] as a monotone interpolant anchored on exact
     segment integrals (breakpoints included as anchors).
 
@@ -393,7 +392,7 @@ def _eta_interp(
     anchors = np.unique(
         np.concatenate(
             [
-                np.linspace(u_lo, u_hi, n_anchor),
+                np.linspace(u_lo, u_hi, _ETA_ANCHORS),
                 [b for b in bps if u_lo <= b <= u_hi],
             ]
         )

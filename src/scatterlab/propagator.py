@@ -21,7 +21,8 @@ evaluation with 2tK ≤ |b| raises ValueError.  One pair (pac_kernel, which
 returns the value with its error estimate) and whole slices (pac_slices)
 run through the same routine, so they share this rule, their values and
 their error estimates.  The threshold term (4πit)^{−1/2} f₀(x)f₀(y) has
-one route, the tabulated f₀ of PropagatorData.f0_x.
+one route, the tabulated f₀ of PropagatorData.f0_x, which is the k = 0
+column of the h₊ field scaled by c₊.
 
 Per (t, b) there is one Fresnel weight vector, on the finest node set;
 the two coarser levels come from it by restriction.  For a real potential
@@ -38,16 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ResonanceError
-from .jost import (
-    ODE_ATOL,
-    ODE_RTOL,
-    ZeroEnergyState,
-    _grid_index,
-    zero_energy_state,
-)
+from .jost import ODE_ATOL, ODE_RTOL, _grid_index
 from .oscquad import _restrict, fresnel_weights, full_line_integral, truncation_tail
 from .potentials import Potential
 from .scattering import ScatteringData, scattering_data
@@ -116,12 +110,11 @@ class PropagatorData:
     h_plus: np.ndarray
     h_minus: np.ndarray
     sd: ScatteringData
-    zero_state: ZeroEnergyState | None
     f0_x: np.ndarray
 
     @property
     def resonant(self) -> bool:
-        return self.zero_state is not None
+        return self.sd.resonance.resonant
 
     @property
     def T(self) -> np.ndarray:
@@ -145,12 +138,15 @@ def prepare_propagator(
 
     One pipeline: scattering_data integrates both Jost fields on x_grid,
     checks the Wronskian at its two ends and its middle, classifies the
-    resonance and finds the bound states.  f₀ is then built from the
-    zero-energy scan the resonance report was decided from, so a resonant
-    potential is scanned once.  The grid point within 1e-12 of 0 is set to
-    exactly 0, which keeps the Jost rows aligned with x_grid.  The k grid
-    must be symmetric about 0 with a node at 0 (the kernel quadrature folds
-    k < 0 onto k ≥ 0); ValueError otherwise, before any solve."""
+    resonance and finds the bound states.  The threshold state is read
+    from the k = 0 column of the h₊ field: f₀(x) = c₊ Re h₊(x,0) with
+    c₊ = √(2/(1+γ²)), so that |f₀(x)|² + |f₀(−x)|² → 2 (f₀ = 0 when
+    non-resonant).  The grid point within 1e-12 of 0 is set to
+    exactly 0, which keeps the Jost rows aligned with x_grid; the k grid
+    is the one scattering_data returns, with its middle node exactly 0.
+    The k grid must be symmetric about 0 with a node at 0 (the kernel
+    quadrature folds k < 0 onto k ≥ 0); ValueError otherwise, before any
+    solve."""
     if x_grid is None:
         n_half = int(round(DEFAULT_X_MAX / DEFAULT_X_STEP))
         x_grid = np.linspace(-DEFAULT_X_MAX, DEFAULT_X_MAX, 2 * n_half + 1)
@@ -172,19 +168,17 @@ def prepare_propagator(
     sd, jp, jm = scattering_data(
         pot, k_grid, x_check=probes, extra_x=x_grid, rtol=rtol, atol=atol
     )
-    zs = None
     f0_x = np.zeros(x_grid.size)
     if sd.resonance.resonant:
-        zs = zero_energy_state(pot, sd.resonance.zero_energy)
-        f0_x = CubicSpline(zs.x_grid, zs.f0)(x_grid)
+        c_plus = np.sqrt(2.0 / (1.0 + sd.resonance.gamma**2))
+        f0_x = c_plus * jp.h[:, k_grid.size // 2].real
     return PropagatorData(
         pot=pot,
         x_grid=x_grid,
-        k_grid=k_grid,
+        k_grid=sd.k_grid,
         h_plus=jp.h,
         h_minus=jm.h,
         sd=sd,
-        zero_state=zs,
         f0_x=f0_x,
     )
 
@@ -366,7 +360,10 @@ def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[comple
 def threshold_projection_residual(pd: PropagatorData) -> float:
     """max |f₀(x)f₀(y) − T(0) f₋(x,0) f₊(y,0)| over the grid: the
     normalised-state route against the scattering route to the same
-    projection kernel."""
+    projection kernel.  f₀ is c₊h₊(·,0) and T(0) = c₊²γ, so the residual is
+    c₊² max|h₊(x,0) − γh₋(x,0)|·|h₊(y,0)|: it checks the proportionality
+    h₊ = γh₋ on the propagator grid, far past the |x| ≤ 2 that γ is fitted
+    on, together with the T(0) of the resonance report."""
     if not pd.resonant:
         raise ResonanceError("threshold projection needs a resonant potential")
     i0 = int(np.argmin(np.abs(pd.k_grid)))

@@ -10,7 +10,10 @@ and T(k) = 2ik/W(k), R±(k) = ∓W±(k)/W(k).  A potential is resonant when
 W(0) = 0, i.e. when the two zero-energy Jost solutions are proportional
 (f₊(·,0) = γ f₋(·,0)); then the k → 0 values follow from γ alone:
 T(0) = 2γ/(1+γ²), R±(0) = ±(1−γ²)/(1+γ²).  Otherwise T(0) = 0 and
-R±(0) = −1.  Bound states sit at the real zeros of κ ↦ W(iκ).
+R±(0) = −1.  classify_resonance decides the dichotomy from one Jost solve
+per side on |x| ≤ 2 whose k grid is k = 0 and a few small probe k: the
+k = 0 column gives W(0) and γ, the probe columns the k → 0 extrapolation
+that checks the algebra.  Bound states sit at the real zeros of κ ↦ W(iκ).
 """
 
 from __future__ import annotations
@@ -23,22 +26,21 @@ from scipy.optimize import brentq
 
 from .errors import CrossCheckError
 from .jost import (
+    _CUTOFF_TOL,
     ODE_ATOL,
     ODE_RTOL,
     JostField,
-    ZeroEnergyData,
-    _scan_half_width,
     _wronskian,
     compute_h,
     compute_h_bound,
-    zero_energy_scan,
 )
-from .potentials import Potential
+from .potentials import Potential, cutoff_for_eta, eta
 
 __all__ = [
     "ScatteringData",
     "ResonanceReport",
     "BoundState",
+    "RESONANCE_EPS",
     "wronskians",
     "scattering_matrix",
     "scattering_data",
@@ -46,6 +48,10 @@ __all__ = [
     "bound_states",
 ]
 
+RESONANCE_EPS = 1e-6  # |W(0)| below this multiple of the natural scale => resonant
+# floor for the resonance scale so V ≡ 0 (all Wronskian terms vanish
+# identically) still classifies as resonant
+_SCALE_FLOOR = 1e-6
 _WRONSKIAN_SPREAD_TOL = 1e-6
 # bound-state search: log-spaced κ brackets, Brent tolerance, eigenfunction
 # grid step, and the κ below which a state counts as near threshold
@@ -58,8 +64,7 @@ _NEAR_THRESHOLD_KAPPA = 1e-3
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    """Outcome of the zero-energy dichotomy for one potential, with the
-    zero-energy scan it was decided from (for f₀; not compared, not shown)."""
+    """Outcome of the zero-energy dichotomy for one potential."""
 
     label: str
     resonant: bool
@@ -73,7 +78,6 @@ class ResonanceReport:
     R0_plus: complex
     R0_minus: complex
     limit_consistency: float  # |k→0 extrapolation of T, R± − algebraic values|
-    zero_energy: ZeroEnergyData = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,12 @@ def scattering_data(
     with_bound_states: bool = True,
 ) -> tuple[ScatteringData, JostField, JostField]:
     """One-call pipeline: Jost fields at {0} ∪ x_check ∪ extra_x, resonance
-    classification, bound states, scattering matrix."""
+    classification, bound states, scattering matrix.  The k node within
+    1e-12 of 0 is set to exactly 0 (a symmetric linspace may leave it at
+    ±1e-16), so the resonance report, not 2ik/W, decides T and R± there;
+    the returned data and Jost fields carry that grid."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    k_grid = np.where(np.abs(k_grid) < 1e-12, 0.0, k_grid)
     xs = np.unique(
         np.concatenate([[0.0], np.asarray(x_check, float), np.asarray(extra_x, float)])
     )
@@ -221,6 +230,7 @@ def scattering_data(
 
 
 _PROBE_K = (0.002, 0.004, 0.006, 0.008)
+_GAMMA_X = np.linspace(-2.0, 2.0, 401)  # rows of the γ fit; x = 0 is a node
 
 
 def classify_resonance(
@@ -231,36 +241,46 @@ def classify_resonance(
 ) -> ResonanceReport:
     """Decide the zero-energy dichotomy and report the k → 0 algebra.
 
+    One compute_h call per side on 401 x in [−2, 2] with k ∈ {0} ∪
+    _PROBE_K.  From the k = 0 column: W(0) at x = 0, and γ, the
+    least-squares ratio h₊(x,0)/h₋(x,0) over the rows, with
+    gamma_consistency the largest deviation from it relative to max|h₊|.
     resonant ⇔ |W(0)| < RESONANCE_EPS · scale, where scale collects the
     magnitudes of the cancelling Wronskian terms plus η±(0) (floored so
-    V ≡ 0 counts as resonant); the test is ZeroEnergyData.resonant.  A
-    |W(0)| within a factor 10 of the threshold flags the classification
-    ambiguous.  limit_consistency measures the gap between a small-k
-    polynomial extrapolation of the computed T(k), R±(k) and the algebraic
-    limit values.  The report keeps the scan (zero_energy), from which
-    zero_energy_state builds f₀ without solving again.
+    V ≡ 0 counts as resonant).  A |W(0)| within a factor 10 of the
+    threshold flags the classification ambiguous.  limit_consistency is
+    the gap between a cubic extrapolation to k = 0 of T(k), R±(k) on the
+    probe columns and the algebraic limit values.
     """
-    zed = zero_energy_scan(pot, rtol=rtol, atol=atol)
-    threshold = zed.threshold
-    resonant = zed.resonant
-    ambiguous = threshold / 10.0 < abs(zed.w0) < threshold * 10.0
-    gamma = zed.gamma
+    ks = np.concatenate([[0.0], _PROBE_K])
+    jp = compute_h(pot, _GAMMA_X, ks, +1, rtol=rtol, atol=atol)
+    jm = compute_h(pot, _GAMMA_X, ks, -1, rtol=rtol, atol=atol)
+    w, w_plus, w_minus, _ = wronskians(jp, jm, x_check=(0.0,))
+    (hp0, hpp0), (hm0, hmp0) = (jf.at_x(0.0) for jf in (jp, jm))
+    w0 = float(w[0].real)
+    scale = float(
+        abs(hm0[0] * hpp0[0]) + abs(hmp0[0] * hp0[0]) + eta(pot, 0.0, +1) + eta(pot, 0.0, -1)
+    )
+    threshold = RESONANCE_EPS * max(scale, _SCALE_FLOOR)
+    resonant = abs(w0) < threshold
+    ambiguous = threshold / 10.0 < abs(w0) < threshold * 10.0
+
+    hp, hm = jp.h[:, 0].real, jm.h[:, 0].real
+    gamma = float(np.sum(hp * hm) / np.sum(hm**2))
+    gamma_consistency = float(np.max(np.abs(hp - gamma * hm)) / max(np.max(np.abs(hp)), 1e-30))
     if resonant:
         T0 = 2.0 * gamma / (1.0 + gamma**2)
         R0p = (1.0 - gamma**2) / (1.0 + gamma**2)
-        R0m = -R0p
+        R0m = (gamma**2 - 1.0) / (1.0 + gamma**2)
     else:
         T0, R0p, R0m = 0.0, -1.0, -1.0
 
-    kp = np.asarray(_PROBE_K)
-    jp = compute_h(pot, [0.0], kp, +1, rtol=rtol, atol=atol)
-    jm = compute_h(pot, [0.0], kp, -1, rtol=rtol, atol=atol)
-    w, w_plus, w_minus, _ = wronskians(jp, jm, x_check=(0.0,))
+    kp = ks[1:]
     lim = 0.0
     for arr, target in (
-        (2j * kp / w, T0),
-        (-w_plus / w, R0p),
-        (w_minus / w, R0m),
+        (2j * kp / w[1:], T0),
+        (-w_plus[1:] / w[1:], R0p),
+        (w_minus[1:] / w[1:], R0m),
     ):
         coef = np.polynomial.polynomial.polyfit(kp, arr, deg=3)
         lim = max(lim, abs(coef[0] - target))
@@ -268,16 +288,15 @@ def classify_resonance(
         label=pot.label,
         resonant=bool(resonant),
         ambiguous=bool(ambiguous),
-        w0=zed.w0,
-        scale=zed.scale,
+        w0=w0,
+        scale=scale,
         threshold=threshold,
         gamma=gamma,
-        gamma_consistency=zed.gamma_residual,
+        gamma_consistency=gamma_consistency,
         T0=complex(T0),
         R0_plus=complex(R0p),
         R0_minus=complex(R0m),
         limit_consistency=float(lim),
-        zero_energy=zed,
     )
 
 
@@ -287,6 +306,12 @@ def _w_at_ikappa(pot, kappas, rtol, atol):
     hp_, hpp = compute_h_bound(pot, [0.0], kappas, +1, rtol=rtol, atol=atol)
     hm_, hmp = compute_h_bound(pot, [0.0], kappas, -1, rtol=rtol, atol=atol)
     return _wronskian(-2.0 * kappas, hp_[0], hpp[0], hm_[0], hmp[0])
+
+
+def _scan_half_width(pot) -> float:
+    """Half width of the symmetric grids that sample whole bound-state
+    solutions: the cutoff, and at least 6."""
+    return max(cutoff_for_eta(pot, _CUTOFF_TOL), 6.0)
 
 
 def bound_states(

@@ -6,8 +6,9 @@ matching for the square well, a transcendental-equation solver for finite
 well bound states, a brute-force oscillatory quadrature, a split-step
 Fourier evolver for e^{−itH}, the evolution-kernel slice rule in its
 plain form (three weight vectors per time, one product per time and level,
-the whole k line), a DOP853 integration of the Jost factors, and the
-linear-Filon Fourier sum as a dense phase matrix.  No
+the whole k line), a DOP853 integration of the Jost factors, the Volterra
+form of the zero-energy Jost equation, and the linear-Filon Fourier sum as
+a dense phase matrix.  No
 imports from the package: the slice rule takes the panel-weight function
 as an argument, and the Jost reference takes V, its breakpoints and X∞.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
+from scipy.integrate import simpson, solve_ivp
 from scipy.optimize import brentq
 
 
@@ -259,6 +260,29 @@ def jost_h_dop853(v, breakpoints, x_inf, x, k, side, *, rtol=1e-12, atol=1e-14):
         y = sol.y[:, -1]
         h[x == b], hp[x == b] = y
     return h, hp
+
+
+# --------------------------------------------- zero energy, Volterra form
+def volterra_residual(pieces, side, probes=(-2.0, 0.0, 2.0)):
+    """Largest |h(x) − 1 − ∫ |s − x| V(s) h(s) ds| over the samples x
+    nearest the probes, the integral running from x to the end of the samples on the side ±: the
+    Volterra form of h″ = V h, h(±∞) = 1, checked on zero-energy samples of
+    h±.  pieces holds (x, v, h) sample arrays, one per piece on which V is
+    smooth, in increasing x, with V's one-sided values at the piece ends;
+    V is negligible past the last piece.  Simpson's rule on each piece."""
+    xs = np.concatenate([p[0] for p in pieces])
+    hs = np.concatenate([p[2] for p in pieces])
+    worst = 0.0
+    for probe in probes:
+        i = int(np.argmin(np.abs(xs - probe)))  # the sample nearest the probe
+        x0, h_x0, integ = xs[i], hs[i], 0.0
+        for x, v, h in pieces:
+            keep = x >= x0 - 1e-9 if side > 0 else x <= x0 + 1e-9
+            if np.count_nonzero(keep) > 1:
+                s = x[keep]
+                integ += simpson(np.abs(s - x0) * v[keep] * h[keep], x=s)
+        worst = max(worst, abs(h_x0 - 1.0 - integ))
+    return worst
 
 
 # ------------------------------------------------- linear Filon, dense form

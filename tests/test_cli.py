@@ -46,21 +46,48 @@ def test_scaled_spec_runs_through_resonance(tmp_path):
 
 def test_resonance_gate_fails_on_a_wrong_gamma(tmp_path, monkeypatch):
     # T(0), R±(0) follow from γ; the gate compares them with the independent
-    # k → 0 extrapolation of the computed T, R±.  A γ 1% off moves R±(0) of
-    # the sech² well by about 1e-2.
+    # k → 0 extrapolation of the computed T, R±.  Dividing h₋(·,0) by 1.01
+    # puts γ 1% off, which moves R±(0) of the sech² well by about 1e-2.
     assert main(["resonance", "--out", str(tmp_path / "ok")]) == 0
-    scan = scattering.zero_energy_scan
+    solve = scattering.compute_h
 
-    def off_gamma(pot, **kwargs):
-        zed = scan(pot, **kwargs)
-        return replace(zed, gamma=1.01 * zed.gamma)
+    def off_gamma(pot, x_grid, k_grid, side, **kwargs):
+        jf = solve(pot, x_grid, k_grid, side, **kwargs)
+        if side > 0:
+            return jf
+        h = jf.h.copy()
+        h[:, jf.k_grid == 0.0] /= 1.01
+        return replace(jf, h=h)
 
-    monkeypatch.setattr(scattering, "zero_energy_scan", off_gamma)
+    monkeypatch.setattr(scattering, "compute_h", off_gamma)
     out = tmp_path / "off"
     assert main(["resonance", "--out", str(out)]) == 1
     report = json.loads((out / "resonance.json").read_text())
     assert report["resonant"] and not report["passed"]
     assert report["limit_consistency"] > 1e-3
+
+
+# linspace(−5, 5, 155) leaves its middle node at −8.9e-16, not 0; the sech²
+# well is reflectionless, so R±(0) = 0 there, where 2ik/W gives R₊ ≈ −1
+_K_155 = ["--override", "grids.scatter_k_max=5", "--override", "grids.scatter_k_count=155"]
+
+
+def test_scatter_sets_the_near_zero_k_node_to_zero(tmp_path):
+    assert main(["scatter", "--out", str(tmp_path), *_K_155]) == 0
+    rows = np.loadtxt(tmp_path / "scattering.csv", delimiter=",", skiprows=1)
+    row = rows[77]
+    assert row[0] == 0.0
+    assert abs(complex(row[1], row[2]) + 1.0) < 1e-8  # T(0) = −1
+    assert np.max(np.abs(row[3:7])) < 1e-8  # R±(0) = 0
+
+
+def test_wiener_quotients_use_the_exact_zero_k_node(tmp_path):
+    args = ["wiener", "--out", str(tmp_path)]
+    args += ["--override", "grids.k_max=5", "--override", "grids.k_count=155"]
+    main(args)  # exits 1: norms of pure roundoff (R± of this well) do not converge
+    lines = (tmp_path / "wiener.csv").read_text().splitlines()
+    norms = {ln.split(",")[0]: float(ln.split(",")[2]) for ln in lines[1:] if "/k" in ln}
+    assert norms["(Rp-Rp0)/k"] < 1e-6 and norms["(Rm-Rm0)/k"] < 1e-6
 
 
 def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):

@@ -6,16 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterlab import jost
-from scatterlab.errors import ResonanceError
-from scatterlab.jost import (
-    ODE_ATOL,
-    ODE_RTOL,
-    compute_h,
-    compute_h_bound,
-    zero_energy_scan,
-    zero_energy_state,
-)
-from scatterlab.potentials import Potential, TailBound, catalog
+from scatterlab.jost import ODE_ATOL, ODE_RTOL, compute_h, compute_h_bound
+from scatterlab.potentials import Potential, TailBound, catalog, cutoff_for_eta
+from scatterlab.scattering import classify_resonance
 
 import oracles
 
@@ -180,42 +173,51 @@ def test_jost_at_zero_real():
 
 
 def test_zero_energy_scan_pt():
-    zed = zero_energy_scan(catalog("poeschl_teller"))
-    assert zed.resonant
-    assert abs(zed.w0) < 1e-9
-    assert zed.gamma == pytest.approx(-1.0, abs=1e-8)
-    assert zed.gamma_residual < 1e-8
+    rep = classify_resonance(catalog("poeschl_teller"))
+    assert rep.resonant
+    assert abs(rep.w0) < 1e-9
+    assert rep.gamma == pytest.approx(-1.0, abs=1e-8)
+    assert rep.gamma_consistency < 1e-8
 
 
 def test_zero_energy_scan_nonresonant():
-    zed = zero_energy_scan(catalog("gaussian_well"))
-    assert not zed.resonant
-    with pytest.raises(ResonanceError):
-        zero_energy_state(catalog("gaussian_well"), zed)
+    rep = classify_resonance(catalog("gaussian_well"))
+    assert not rep.resonant
+    assert abs(rep.w0) > 1e3 * rep.threshold
 
 
 def test_zero_energy_scan_target_on_breakpoint():
-    # a = 1.1 puts the scan-grid point −1.0999999999999996 within the target
-    # tolerance of the breakpoint −1.1, just outside its segment
+    # a = 1.1 puts the breakpoints ±1.1 on nodes of the rows γ is fitted on
     a = 1.1
-    zed = zero_energy_scan(catalog("square_well", a=a, v0=(np.pi / (2 * a)) ** 2))
-    assert zed.resonant
+    rep = classify_resonance(catalog("square_well", a=a, v0=(np.pi / (2 * a)) ** 2))
+    assert rep.resonant
 
 
 def test_zero_energy_state_pt():
-    st = zero_energy_state(catalog("poeschl_teller"))
-    assert st.c_plus == pytest.approx(1.0, abs=1e-8)
-    assert st.c_minus == pytest.approx(-1.0, abs=1e-8)
-    i = int(np.argmin(np.abs(st.x_grid - 1.23)))
-    assert st.f0[i] == pytest.approx(np.tanh(st.x_grid[i]), abs=1e-9)
-    assert st.normalization_residual < 1e-8
-    assert st.ode_residual < 1e-7  # independent Volterra-form check
+    # on the sech² and the square well: f₀ = c₊h₊(·,0) with c₊² = 2/(1+γ²)
+    # gives |f₀(X)|² + |f₀(−X)|² = 2 at the cutoff X, and h±(·,0) meet their
+    # Volterra equations, a form the Magnus integrator never uses
+    for name in ("poeschl_teller", "square_well"):
+        pot = catalog(name)
+        c2 = 2.0 / (1.0 + classify_resonance(pot).gamma ** 2)
+        X = cutoff_for_eta(pot, 1e-10)
+        h = compute_h(pot, [-X, X], [0.0], +1).h[:, 0].real
+        assert abs(c2 * (h[0] ** 2 + h[1] ** 2) - 2.0) < 1e-8
+        # step-0.01 samples on ±max(X, 6), one piece between breakpoints
+        half = max(X, 6.0)
+        ends = [-half, *(b for b in pot.breakpoints if abs(b) < half), half]
+        xs = [np.linspace(a, b, int(round((b - a) / 0.01)) + 1) for a, b in zip(ends, ends[1:])]
+        vs = [pot(np.clip(x, x[0] + 1e-9, x[-1] - 1e-9)) for x in xs]  # one-sided at the ends
+        xg = np.unique(np.concatenate(xs))
+        for side in (+1, -1):
+            h0 = compute_h(pot, xg, [0.0], side).h[:, 0].real
+            pieces = [(x, v, h0[np.searchsorted(xg, x)]) for x, v in zip(xs, vs)]
+            assert oracles.volterra_residual(pieces, side) < 1e-7
 
 
-def test_zero_energy_state_free():
-    st = zero_energy_state(catalog("free"))
-    assert st.gamma == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(st.f0 - 1.0)) < 1e-12  # f₀ ≡ 1 on the line
+def test_zero_energy_state_free(free_pd):
+    assert classify_resonance(catalog("free")).gamma == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(free_pd.f0_x - 1.0)) < 1e-12  # f₀ ≡ 1 on the line
 
 
 def test_band_report():

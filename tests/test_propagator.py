@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from scatterlab import jost, propagator, scattering
+from scatterlab import propagator, scattering
 from scatterlab.errors import ResonanceError
-from scatterlab.jost import zero_energy_state
 from scatterlab.oscquad import fresnel_weights, full_line_integral
 from scatterlab.potentials import catalog
 from scatterlab.propagator import (
@@ -217,19 +216,27 @@ def test_pac_validation(pt_pd):
 # ------------------------------------------------------- threshold projection
 
 
-def test_resonant_prepare_scans_zero_energy_once(pt_pot, monkeypatch):
-    # f₀ comes from the scan that decided the resonance, not from a second one
-    scan, calls = jost.zero_energy_scan, []
+def test_resonant_prepare_scans_zero_energy_once(pt_pot, pt_pd_coarse, monkeypatch):
+    # zero energy is one solve: classify_resonance's compute_h call per side,
+    # and f₀ is the k = 0 column of the h₊ field the propagator already holds
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].label)
-        return scan(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(jost, "zero_energy_scan", counted)
-    monkeypatch.setattr(scattering, "zero_energy_scan", counted)
-    pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 17), np.linspace(-5.0, 5.0, 201))
-    assert pd.resonant and calls == ["poeschl_teller"]
-    assert np.array_equal(pd.zero_state.f0, zero_energy_state(pt_pot).f0)
+        return wrapper
+
+    for name in ("compute_h", "compute_h_bound"):
+        monkeypatch.setattr(scattering, name, counted(getattr(scattering, name)))
+    scattering.classify_resonance(pt_pot)
+    assert calls == ["compute_h", "compute_h"]
+    pd = pt_pd_coarse
+    c = pd.k_grid.size // 2
+    c_plus = np.sqrt(2.0 / (1.0 + pd.sd.resonance.gamma**2))
+    assert pd.resonant and pd.k_grid[c] == 0.0
+    assert np.array_equal(pd.f0_x, c_plus * pd.h_plus[:, c].real)
 
 
 def test_threshold_projection_residual(pt_pd, sw_pd):
@@ -242,7 +249,7 @@ def test_threshold_projection_needs_resonance(gw_pd):
     with pytest.raises(ResonanceError):
         threshold_projection_residual(gw_pd)
     # no threshold state, so no threshold term
-    assert gw_pd.zero_state is None and not np.any(gw_pd.f0_x)
+    assert not np.any(gw_pd.f0_x)
 
 
 def test_p0_pt_is_tanh_product(pt_pd, pt_slice7):
@@ -250,6 +257,14 @@ def test_p0_pt_is_tanh_product(pt_pd, pt_slice7):
     exact = np.outer(np.tanh(xg), np.tanh(xg)) / np.sqrt(4j * np.pi * 7.0)
     assert np.max(np.abs(pt_slice7.p0_term - exact)) < 1e-8
     assert np.max(np.abs(pt_pd.f0_x - np.tanh(xg))) < 1e-10
+
+
+def test_sw_threshold_state_is_the_odd_zero_mode(sw_pd):
+    # V = −(π/2)² on |x| < 1: f₀ = sin(πx/2) inside the well, ±1 outside,
+    # on the whole default grid (±8, past the cutoff 1)
+    x = sw_pd.x_grid
+    ref = np.where(np.abs(x) < 1.0, np.sin(0.5 * np.pi * x), np.sign(x))
+    assert np.max(np.abs(sw_pd.f0_x - ref)) < 1e-12
 
 
 def test_p0_free_constant(free_slice3):

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from scatterlab.errors import CrossCheckError
 from scatterlab.jost import compute_h
 from scatterlab.potentials import catalog
+from scatterlab.propagator import prepare_propagator
 from scatterlab.scattering import (
     bound_states,
     classify_resonance,
+    scattering_data,
     scattering_matrix,
     wronskians,
 )
@@ -99,6 +103,42 @@ def test_classify_catalog():
     assert gw.T0 == 0.0
     assert gw.R0_plus == pytest.approx(-1.0)
     assert gw.limit_consistency < 1e-3  # k→0 extrapolation of computed data
+
+
+@settings(max_examples=8, deadline=None)
+@given(a=st.floats(0.9, 1.2))
+def test_threshold_square_wells_classify_resonant(a):
+    # √v₀·a = π/2: the odd zero-energy solution is bounded, f₊(·,0) = −f₋(·,0)
+    rep = classify_resonance(catalog("square_well", a=a, v0=(np.pi / (2.0 * a)) ** 2))
+    assert rep.resonant and not rep.ambiguous
+    assert abs(rep.gamma + 1.0) < 1e-8
+    assert rep.limit_consistency <= 1e-4
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    a=st.floats(0.9, 1.2),
+    z=st.floats(0.05, np.pi - 0.05).filter(lambda z: abs(z - 0.5 * np.pi) >= 0.05),
+)
+def test_off_threshold_square_wells_classify_nonresonant(a, z):
+    # the well resonates where √v₀·a = nπ/2 (the odd zero mode at (n+½)π,
+    # the even one at nπ); z = √v₀·a stays 0.05 away from π/2 and π
+    rep = classify_resonance(catalog("square_well", a=a, v0=(z / a) ** 2))
+    assert not rep.resonant and not rep.ambiguous
+
+
+def test_near_zero_k_node_is_set_to_zero(pt_pot):
+    # linspace(−5, 5, 155) leaves its middle node at −8.9e-16; T, R± there
+    # must come from the resonance report (the sech² well: T(0) = −1, R±(0)
+    # = 0), not from 2ik/W, and the propagator keeps the exact node
+    k = np.linspace(-5.0, 5.0, 155)
+    assert k[77] != 0.0
+    sd, jp, _ = scattering_data(pt_pot, k, with_bound_states=False)
+    assert sd.k_grid[77] == 0.0 and jp.k_grid[77] == 0.0
+    assert abs(sd.T[77] + 1.0) < 1e-8
+    assert abs(sd.R_plus[77]) < 1e-8 and abs(sd.R_minus[77]) < 1e-8
+    pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 17), k)
+    assert pd.k_grid[77] == 0.0 and pd.T[77] == pd.sd.resonance.T0
 
 
 def test_resonant_k0_needs_data(gw_pot):
