@@ -286,7 +286,7 @@ _CATALOG_NOTES = {
         {"fact": "one bound state at E = -1", "source": "analytic"},
     ],
     "square_well": [
-        {"fact": "resonant iff sqrt(v0)*a = (n+1/2)*pi; default sits at pi/2", "source": "analytic"},
+        {"fact": "resonant iff sqrt(v0)*a = n*pi/2, n >= 1; default sits at pi/2", "source": "analytic"},
         {"fact": "an even bound state persists at the default resonant parameters", "source": "computed"},
     ],
     "gaussian_well": [
@@ -353,14 +353,15 @@ def cmd_resonance(rc: RunConfig, out: Path) -> int:
     # the k → 0 extrapolation of the computed T, R± against the threshold
     # values the classification derived from γ
     tol = float(rc.data["tolerances"]["resonance_algebra"])
+    # γ, with f₊(·,0) = γf₋(·,0), exists only at a resonance
     report = {
         "potential": rep.label,
         "resonant": rep.resonant,
         "ambiguous": rep.ambiguous,
         "w0": rep.w0,
         "w0_scale": rep.scale,
-        "gamma": rep.gamma,
-        "gamma_consistency": rep.gamma_consistency,
+        "gamma": rep.gamma if rep.resonant else None,
+        "gamma_consistency": rep.gamma_consistency if rep.resonant else None,
         "T0": _c(rep.T0),
         "R0_plus": _c(rep.R0_plus),
         "R0_minus": _c(rep.R0_minus),

@@ -1,33 +1,45 @@
-"""Panel quadrature for integrals with the quadratic phase e^{−i(tk²−bk)}.
+"""Panel quadrature for integrals with the quadratic phase e^{−iφ}, φ = tk² − bk.
 
-Completing the square with u = k − b/(2t) and w = e^{iπ/4}√t (so w² = it)
-gives closed panel moments through the error function along the 45° ray,
+Nodal weights w with Σ w_j A(k_j) = ∫ e^{−iφ} A dk, exact for
+piecewise-linear A, so accuracy is set by how well straight segments
+follow the amplitude, whatever t.  With k = c + σs on a panel of midpoint
+c and half-width σ, φ = φ(c) + αs + βs² (α = (2tc − b)σ, β = tσ²), and the
+panel's two hat pieces are σe^{−iφ(c)}(P₀ ∓ P₁)/2 with P_q =
+∫_{−1}^{1} s^q e^{−i(αs + βs²)} ds.  The large phase sits in e^{−iφ(c)}
+(double-double reduction of t·c² ~ 10⁷ rad); for β ≤ _BETA_MAX, P₀ and P₁
+are short Taylor series in β over exact moments in cos α, sin α and 1/α.
+Larger β (coarse grids) keeps the erf closed form, u = k − b/2t, w² = it:
 
-    ∫ e^{−i(tk²−bk)} dk       = e^{ib²/(4t)} √π/(2w) · erf(wu) + const,
-    ∫ k e^{−i(tk²−bk)} dk     = e^{ib²/(4t)} e^{−itu²}/(−2it) + (b/2t)·(above),
+    ∫ e^{−iφ} dk   = e^{ib²/(4t)} √π/(2w) · erf(wu) + const,
+    ∫ k e^{−iφ} dk = e^{ib²/(4t)} e^{−itu²}/(−2it) + (b/2t)·(above).
 
-so a piecewise-linear amplitude integrates exactly panel by panel.  The
-rule needs no t-dependent grid refinement: accuracy is set only by how
-well straight segments follow the amplitude.  On the 45° ray erf stays
-bounded (|e^{−(wu)²}| = 1), so large t·k² is safe.
-
-Nested uniform node sets need one weight vector only, on the finest set:
-a hat function of every second node is a piecewise-linear function on the
-finer nodes (1 at its own node, ½ at its two neighbours), so the coarser
-weights follow by full-weighting restriction (_restrict), with no further
-erf evaluation.
+The transcendental factors are per-panel tables, products of a factor of t
+alone, (σ/2)e^{−itc²} and e^{2itcσ}, and one of b alone, e^{ibc} and e^{−ibσ},
+so with many (t, b) on one node set a pair costs arithmetic only.  On
+nested uniform node sets the coarser weights follow from the finest by
+restriction (_restrict): a hat of every second node is 1 at its node and
+½ at its two neighbours.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erf
+from scipy.special import wofz
 
 __all__ = [
     "full_line_integral",
     "fresnel_weights",
     "truncation_tail",
 ]
+
+_BETA_MAX = 0.05  # above it the erf closed form; below, at most 8 β terms
+_ALPHA_SMALL = 1.0  # below it the moments start from a 10-term series in α
+_ODD_FACTORIALS = np.cumprod(np.arange(1.0, 21.0))[::2]
+# panels per pass of _panel_weights, so that its work arrays stay in cache
+_BLOCK = 8192
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16)  # hi + lo
 
 
 def full_line_integral(t: float, b: float) -> complex:
@@ -45,21 +57,124 @@ def fresnel_weights(k_grid, t: float, b: float) -> np.ndarray:
     k = np.asarray(k_grid, dtype=float)
     if k.ndim != 1 or k.size < 2:
         raise ValueError("need at least two nodes")
-    h = np.diff(k)
-    # a subnormal gap overflows 1/h in the weights
-    if np.any(h < np.finfo(float).tiny):
+    # a subnormal gap overflows 1/h in the erf closed form
+    if np.any(np.diff(k) < np.finfo(float).tiny):
         raise ValueError("nodes must increase by at least the smallest normal double")
+    c, c_lo, sig = _midpoints(k)
+    chirp_t, spin_t = 0.5 * sig * _chirp(t, c, c_lo), np.exp(2j * t * c * sig)
+    return _panel_weights(k, c, sig, t, b, chirp_t, np.exp(1j * b * c), spin_t, np.exp(-1j * b * sig))
 
-    u = k - b / (2.0 * t)
-    w45 = np.exp(0.25j * np.pi) * np.sqrt(t)
-    pref = np.exp(1j * b * b / (4.0 * t))
-    m0 = pref * (np.sqrt(np.pi) / (2.0 * w45)) * np.diff(erf(w45 * u))
-    m1 = pref * np.diff(np.exp(-1j * t * u * u)) / (-2j * t) + (b / (2.0 * t)) * m0
 
-    wgt = np.zeros(k.size, dtype=complex)
-    wgt[:-1] += (k[1:] * m0 - m1) / h
-    wgt[1:] += (m1 - k[:-1] * m0) / h
-    return wgt
+def _midpoints(k: np.ndarray):
+    """(c, c_lo, σ) per panel: the midpoint exactly as c + c_lo, by
+    two-sum, and the half-width."""
+    lo, hi = k[:-1], k[1:]
+    s = lo + hi
+    z = s - lo
+    return 0.5 * s, 0.5 * ((lo - (s - z)) + (hi - z)), 0.5 * (hi - lo)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(ab) and p + e = ab exactly (Veltkamp splits)."""
+    ah, bh = (134217729.0 * v - (134217729.0 * v - v) for v in (a, b))
+    al, bl, p = a - ah, b - bh, a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _chirp(t: float, c, c_lo=0.0) -> np.ndarray:
+    """e^{−it(c + c_lo)²}, with t·c² and its reduction mod 2π in
+    double-double arithmetic: one rounding of t·c² ~ 10⁷ is ~1e-9 rad."""
+    sq, sq_err = _two_prod(c, c)
+    q, q_err = _two_prod(t, sq)
+    n = np.rint(q / _TWO_PI[0])
+    g, g_err = _two_prod(n, _TWO_PI[0])
+    # q − g is exact (Sterbenz); the small terms carry the rest
+    r = (q - g) - g_err - n * _TWO_PI[1] + (q_err + t * sq_err + 2.0 * t * c * c_lo)
+    return np.exp(-1j * r)
+
+
+def _taylor_pieces(alpha, cos_a, sin_a, beta, small: bool):
+    """(P₀, P₁) = (2 Σ (−iβ)ⁿ/n! c₂ₙ, −2i Σ (−iβ)ⁿ/n! s₂ₙ₊₁), cut once the
+    largest term left out over P₀ ≈ 2, βⁿ⁺¹/((n+1)!(2n+3)), is below 2⁻⁵³.
+    The moments c_m = ∫₀¹ sᵐ cos αs and s_m = ∫₀¹ sᵐ sin αs follow from
+    c_m = (sin α − m s_{m−1})/α and s_m = (m c_{m−1} − cos α)/α: upward from
+    c₀ = sin α/α for |α| ≥ _ALPHA_SMALL (errors grow by m/|α|, but the high
+    moments carry powers of β ≤ _BETA_MAX), downward from the Taylor series
+    of the last one below it (errors shrink by |α|/m)."""
+    bmax = float(np.max(beta))
+    n_beta = next(n for n in range(9) if bmax ** (n + 1) / math.factorial(n + 1) / (2 * n + 3) < 2.0**-53)
+    top = 2 * n_beta + 1
+    if small:
+        j = np.arange(_ODD_FACTORIALS.size)
+        coef = (-1.0) ** j / (_ODD_FACTORIALS * (top + 2 * j + 2))
+        mom, neg_sin = [alpha * np.polynomial.polynomial.polyval(alpha * alpha, coef)], -sin_a
+        for m in range(top, 0, -1):
+            x = mom[-1] * alpha
+            x += cos_a if m % 2 else neg_sin
+            x *= (1.0 if m % 2 else -1.0) / m
+            mom.append(x)
+        mom.reverse()
+    else:
+        inv = 1.0 / alpha
+        mom, scale = [sin_a * inv], (-inv, inv)
+        for m in range(1, top + 1):
+            x = mom[-1] * m
+            x -= cos_a if m % 2 else sin_a
+            x *= scale[m % 2]
+            mom.append(x)
+    p0, p1 = np.zeros((2,) + alpha.shape, dtype=complex)
+    q = 2.0
+    for n in range(n_beta + 1):
+        if n:
+            q = q * beta / n
+        # the unit (−i)ᵏ cycles 1, −i, −1, i: each term adds to one part
+        for p, x, k in ((p0, mom[2 * n] * q, n), (p1, mom[2 * n + 1] * q, n + 1)):
+            part = p.imag if k % 2 else p.real
+            if k % 4 in (1, 2):
+                part -= x
+            else:
+                part += x
+    return p0, p1
+
+
+def _erf_pieces(k, t: float, b: float):
+    """(lo, hi) hat pieces of the panels of k by the erf closed form, with
+    erf(wu) = sign(u)(1 − e^{−itu²} w(iw|u|)) (Faddeeva's w): the 1s of a
+    panel on one side of u = 0 cancel exactly, and _chirp gives the phase."""
+    h, u = np.diff(k), k - b / (2.0 * t)
+    w45, pref = np.exp(0.25j * np.pi) * np.sqrt(t), np.exp(1j * b * b / (4.0 * t))
+    chirp, sign = _chirp(t, u), np.sign(u)
+    d_erf = np.diff(sign) - np.diff(sign * chirp * wofz(1j * w45 * np.abs(u)))
+    m0 = pref * (np.sqrt(np.pi) / (2.0 * w45)) * d_erf
+    m1 = pref * np.diff(chirp) / (-2j * t) + (b / (2.0 * t)) * m0
+    return (k[1:] * m0 - m1) / h, (m1 - k[:-1] * m0) / h
+
+
+def _panel_weights(k, c, sig, t: float, b: float, chirp_t, chirp_b, spin_t, spin_b) -> np.ndarray:
+    """Nodal weights on k from the panels' midpoints c, half-widths sig and
+    the factors of (σ/2)e^{−iφ(c)} = chirp_t·chirp_b and e^{iα} =
+    spin_t·spin_b.  Panels go in blocks of _BLOCK, each in runs of one
+    kind: 0 for |α| ≥ _ALPHA_SMALL, 1 below it, 2 for β > _BETA_MAX (at
+    most three runs on a uniform node set: β is constant, α increasing)."""
+    w = np.zeros(k.size, dtype=complex)
+    for b0 in range(0, c.size, _BLOCK):
+        s = sig[b0 : b0 + _BLOCK]
+        alpha = (2.0 * t * c[b0 : b0 + _BLOCK] - b) * s
+        beta = t * s * s
+        kind = np.where(beta > _BETA_MAX, 2, np.abs(alpha) < _ALPHA_SMALL)
+        edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), alpha.size]
+        for i0, i1 in zip(edges[:-1], edges[1:]):
+            run = slice(b0 + i0, b0 + i1)
+            if kind[i0] == 2:
+                lo, hi = _erf_pieces(k[b0 + i0 : b0 + i1 + 1], t, b)
+            else:
+                e = spin_t[run] * spin_b[run]
+                p0, p1 = _taylor_pieces(alpha[i0:i1], e.real, e.imag, beta[i0:i1], kind[i0] == 1)
+                g = chirp_t[run] * chirp_b[run]
+                lo, hi = g * (p0 - p1), g * (p0 + p1)
+            w[b0 + i0 : b0 + i1] += lo
+            w[b0 + i0 + 1 : b0 + i1 + 1] += hi
+    return w
 
 
 def _restrict(w: np.ndarray) -> np.ndarray:
@@ -70,8 +185,9 @@ def _restrict(w: np.ndarray) -> np.ndarray:
     if w.size % 2 == 0:
         raise ValueError("restriction needs an odd number of nodes")
     out = w[::2].copy()
-    out[:-1] += 0.5 * w[1::2]
-    out[1:] += 0.5 * w[1::2]
+    half = 0.5 * w[1::2]
+    out[:-1] += half
+    out[1:] += half
     return out
 
 

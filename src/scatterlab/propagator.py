@@ -24,14 +24,15 @@ their error estimates.  The threshold term (4πit)^{−1/2} f₀(x)f₀(y) has
 one route, the tabulated f₀ of PropagatorData.f0_x, which is the k = 0
 column of the h₊ field scaled by c₊.
 
-Per (t, b) there is one Fresnel weight vector, on the finest node set;
-the two coarser levels come from it by restriction.  For a real potential
-the amplitude satisfies A(−k) = conj A(k), so only k ≥ 0 is refined and
+Per (t, b) there is one weight vector, on the finest node set; the two
+coarser levels come from it by restriction.  For a real potential the
+amplitude satisfies A(−k) = conj A(k), so only k ≥ 0 is refined and
 built, and the k < 0 half of each weight vector, mirrored and conjugated,
-acts on conj A: Σ w A = A·w₊ + conj(A·conj w₋).  The weights of all times
-and levels of one diagonal form one matrix, so each row chunk of the
-diagonal's amplitude costs one matrix product; the chunks keep the
-amplitude's memory bounded whatever the number of rows.
+acts on conj A: Σ w A = A·w₊ + conj(A·conj w₋).  The weights' t and b
+factors are tabulated once (_WeightTables), so a pair (t, b) costs
+arithmetic only.  In level order each level's nodes are a column prefix,
+so a row chunk of a diagonal's amplitude costs one matrix product per
+level; the chunks bound its memory whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import ResonanceError
 from .jost import ODE_ATOL, ODE_RTOL, _grid_index
-from .oscquad import _restrict, fresnel_weights, full_line_integral, truncation_tail
+from .oscquad import _chirp, _midpoints, _panel_weights, _restrict, full_line_integral, truncation_tail
 from .potentials import Potential
 from .scattering import ScatteringData, scattering_data
 from . import wiener
@@ -186,38 +187,45 @@ def prepare_propagator(
 # -- evolution kernel --------------------------------------------------------
 
 
-def _refine_rows(rows):
-    """Insert panel midpoints along the last axis twice (uniform spacing
-    assumed) by cubic interpolation; returns the interleaved array of
-    length 4n−3, whose every second and every fourth sample are the two
-    coarser levels."""
-    if rows.shape[-1] < 4:
+def _cubic_midpoints(r):
+    """Midpoints of uniformly spaced samples along the last axis by cubic
+    interpolation (one-sided at the two ends)."""
+    if r.shape[-1] < 4:
         raise ValueError("need at least four samples to refine")
-    for _ in range(2):
-        n = rows.shape[-1]
-        out = np.empty(rows.shape[:-1] + (2 * n - 1,), dtype=rows.dtype)
-        out[..., ::2] = rows
-        mid = out[..., 1::2]
-        mid[..., 1:-1] = (
-            -rows[..., :-3] + 9.0 * rows[..., 1:-2] + 9.0 * rows[..., 2:-1] - rows[..., 3:]
-        ) / 16.0
-        mid[..., 0] = (
-            5.0 * rows[..., 0] + 15.0 * rows[..., 1] - 5.0 * rows[..., 2] + rows[..., 3]
-        ) / 16.0
-        mid[..., -1] = (
-            rows[..., -4] - 5.0 * rows[..., -3] + 15.0 * rows[..., -2] + 5.0 * rows[..., -1]
-        ) / 16.0
-        rows = out
-    return rows
+    mid = np.empty(r.shape[:-1] + (r.shape[-1] - 1,), dtype=r.dtype)
+    mid[..., 1:-1] = (9.0 * (r[..., 1:-2] + r[..., 2:-1]) - r[..., :-3] - r[..., 3:]) / 16.0
+    mid[..., 0] = (5.0 * r[..., 0] + 15.0 * r[..., 1] - 5.0 * r[..., 2] + r[..., 3]) / 16.0
+    mid[..., -1] = (r[..., -4] - 5.0 * r[..., -3] + 15.0 * r[..., -2] + 5.0 * r[..., -1]) / 16.0
+    return mid
 
 
 def _refine_half(rows):
-    """The k ≥ 0 part of _refine_rows(rows) for rows on a k grid symmetric
-    about 0 with a node at 0.  The midpoint stencils next to 0 read the two
-    coarse nodes below it, so those are refined along and dropped; the
-    values are identical to refining the whole line."""
+    """Rows on a k grid symmetric about 0 with a node at 0, refined twice by
+    cubic panel midpoints on k ≥ 0, in level order: the n grid nodes k ≥ 0,
+    the n − 1 midpoints between them, then the 2n − 2 midpoints of that set,
+    so each level's nodes are a column prefix (n, 2n − 1, 4n − 3).  The
+    stencils next to 0 read the two grid nodes below it, as on the line."""
     c = rows.shape[-1] // 2
-    return _refine_rows(rows[..., c - 2 :])[..., 8:]
+    r = rows[..., c - 2 :]
+    n = r.shape[-1] - 2
+    once = np.empty(r.shape[:-1] + (2 * n + 3,), dtype=rows.dtype)
+    once[..., ::2] = r
+    once[..., 1::2] = _cubic_midpoints(r)
+    out = np.empty(r.shape[:-1] + (4 * n - 3,), dtype=rows.dtype)
+    out[..., :n] = r[..., 2:]
+    out[..., n : 2 * n - 1] = once[..., 5::2]
+    out[..., 2 * n - 1 :] = _cubic_midpoints(once)[..., 4:]
+    return out
+
+
+def _to_level_order(v, depth: int, out) -> None:
+    """Write v into out in _refine_half's level order over depth halvings:
+    every 2^depth-th entry, then the rest of every 2^(depth−1)-th, …"""
+    for _ in range(depth):
+        n = (v.shape[-1] + 1) // 2
+        out[..., n:] = v[..., 1::2]
+        v, out = v[..., ::2], out[..., :n]
+    out[...] = v
 
 
 def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
@@ -226,30 +234,40 @@ def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
     return np.outer(pd.f0_x, pd.f0_x) / np.sqrt(4j * np.pi * t)
 
 
-def _level_weights(kff, ts, b: float, wts=None) -> np.ndarray:
-    """Weights of the three Richardson levels for every time, folded onto
-    the m finest nodes with k ≥ 0; returns a (2·3·len(ts), m) matrix with
-    rows (half, level, time) flattened.
+class _WeightTables:
+    """oscquad's per-time panel tables on the finest nodes k ≥ 0, and the
+    level weight matrices they fill per separation.  k → −k maps the panels
+    of k ≤ 0 at separation b onto those of k ≥ 0 at −b, whose b factors are
+    the conjugates of those at b, so one table per time serves the line."""
 
-    Half 0 weights A(k); half 1 holds the conjugated weights of −k and acts
-    on conj A.  Level 2 (finest) covers every node, level 1 every second,
-    level 0 (the k grid) every fourth; the others stay 0.  fresnel_weights
-    runs once per time, on the finest nodes; the coarser levels come from
-    it by restriction.  wts, a (2, 3, len(ts), m) array from an earlier
-    call with the same nodes and times, is overwritten in place: the slots
-    left 0 are the same for every b."""
-    m = (kff.size + 1) // 2
-    if wts is None:
-        wts = np.zeros((2, 3, ts.size, m), dtype=complex)
-    for i_t, t in enumerate(ts):
-        w = fresnel_weights(kff, t, b)
-        for lev, step in ((2, 1), (1, 2), (0, 4)):
-            if step > 1:
-                w = _restrict(w)
-            c = w.size // 2
-            wts[0, lev, i_t, ::step] = w[c:]
-            wts[1, lev, i_t, step::step] = np.conj(w[c - 1 :: -1])
-    return wts.reshape(-1, m)
+    def __init__(self, k_grid, ts):
+        self.ts = ts
+        self.nodes = np.linspace(k_grid[0], k_grid[-1], 4 * k_grid.size - 3)[2 * k_grid.size - 2 :]
+        self.c, c_lo, self.sig = _midpoints(self.nodes)
+        self.chirp = np.array([0.5 * self.sig * _chirp(t, self.c, c_lo) for t in ts])
+        self.spin = np.exp(2j * np.multiply.outer(ts, self.c * self.sig))
+        n = k_grid.size // 2 + 1
+        # per level, coarse to fine: rows (half, time), the level's columns
+        self.wts = [np.empty((2 * ts.size, m), dtype=complex) for m in (n, 2 * n - 1, 4 * n - 3)]
+
+    def fill(self, b: float) -> list[np.ndarray]:
+        """The level weights at b ≥ 0: row i_t weights A(k), row len(ts) + i_t
+        the conjugated weights of −k, acting on conj A (k = 0 in the first
+        half).  Restriction runs half by half; at k = 0 the halves add."""
+        nt = self.ts.size
+        cb, sb = np.exp(1j * b * self.c), np.exp(-1j * b * self.sig)
+        for i_t, (t, chirp, spin) in enumerate(zip(self.ts, self.chirp, self.spin)):
+            w_p = _panel_weights(self.nodes, self.c, self.sig, t, b, chirp, cb, spin, sb)
+            w_m = _panel_weights(self.nodes, self.c, self.sig, t, -b, chirp, cb.conj(), spin, sb.conj())
+            for level in (2, 1, 0):
+                if level < 2:
+                    w_p, w_m = _restrict(w_p), _restrict(w_m)
+                w = self.wts[level]
+                _to_level_order(w_p, level, w[i_t])
+                w[i_t, 0] += w_m[0]
+                _to_level_order(np.conj(w_m), level, w[nt + i_t])
+                w[nt + i_t, 0] = 0.0
+        return self.wts
 
 
 def _check_times(ts, k_max: float, b: float) -> None:
@@ -263,31 +281,34 @@ def _check_times(ts, k_max: float, b: float) -> None:
     truncation_tail(0.0, 0.0, float(np.min(ts)), b, k_max)
 
 
-def _pac_rows(hp_ff, hm_ff, t_ff, k, ts, b: float, wts=None):
-    """Continuous-spectrum kernel of row-aligned pairs at one separation
-    b ≥ 0 for every time in ts; returns (value, error), each (len(ts), rows).
-
-    hp_ff, hm_ff hold rows of h₊(y,·) and h₋(x,·) and t_ff holds T, all
-    refined twice from the symmetric k grid on k ≥ 0 only (_refine_half);
-    refinement keeps the original nodes in place, so the finest nodes
-    carry all three levels.  The amplitude is built and contracted in row
-    chunks of _CHUNK_ENTRIES entries."""
-    k_max = float(k[-1])
+def _pac_rows(hp_ff, hm_ff, t_ff, tables: _WeightTables, b: float):
+    """Continuous-spectrum kernel of row-aligned pairs at separation b ≥ 0
+    for every time of the tables: (value, error), each (len(ts), rows).
+    hp_ff, hm_ff hold rows of h₊(y,·) and h₋(x,·) and t_ff holds T, refined
+    on k ≥ 0 in level order (_refine_half).  The amplitude goes in row
+    chunks of _CHUNK_ENTRIES entries, one matrix product per level each."""
     inv2pi = 1.0 / (2.0 * np.pi)
-    # |A(−K)| = |A(K)| for the two ends of the tail bound
-    end = np.abs(hp_ff[:, -1] * hm_ff[:, -1] * t_ff[-1] - 1.0)
-    tail = np.array([truncation_tail(end, end, t, b, k_max) for t in ts])
+    ts, wts = tables.ts, tables.fill(b)
+    nt = ts.size
+    # K, the last k-grid node, closes level 0's prefix; |A(−K)| = |A(K)|
+    kk = wts[0].shape[1] - 1
+    end = np.abs(hp_ff[:, kk] * hm_ff[:, kk] * t_ff[kk] - 1.0)
+    tail = np.array([truncation_tail(end, end, t, b, tables.nodes[-1]) for t in ts])
     full = np.array([full_line_integral(t, b) for t in ts])
-    wts = _level_weights(np.linspace(k[0], k[-1], 4 * k.size - 3), ts, b, wts)
     n_rows = hp_ff.shape[0]
-    val = np.empty((ts.size, n_rows), dtype=complex)
-    err = np.empty((ts.size, n_rows))
+    val = np.empty((nt, n_rows), dtype=complex)
+    err = np.empty((nt, n_rows))
     chunk = max(1, _CHUNK_ENTRIES // t_ff.size)
+    buf = np.empty((min(chunk, n_rows), t_ff.size), dtype=complex)
     for lo in range(0, n_rows, chunk):
         rows = slice(lo, lo + chunk)
-        amp = hp_ff[rows] * hm_ff[rows] * t_ff - 1.0
-        s = (amp @ wts.T).reshape(amp.shape[0], 2, 3, ts.size)
-        coarse, fine, finest = (s[:, 0] + np.conj(s[:, 1])).transpose(1, 2, 0)
+        amp = buf[: min(chunk, n_rows - lo)]
+        np.multiply(hp_ff[rows], hm_ff[rows], out=amp)
+        amp *= t_ff
+        amp -= 1.0
+        coarse, fine, finest = (
+            (s[:, :nt] + np.conj(s[:, nt:])).T for s in (amp[:, : w.shape[1]] @ w.T for w in wts)
+        )
         r1 = fine + (fine - coarse) / 3.0
         r2 = finest + (finest - fine) / 3.0
         val[:, rows] = (full[:, None] + r2) * inv2pi
@@ -310,11 +331,11 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     hp_ff = _refine_half(pd.h_plus)
     hm_ff = _refine_half(pd.h_minus)
     t_ff = _refine_half(pd.T)
+    tables = _WeightTables(pd.k_grid, ts)
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
-    wts = np.zeros((2, 3, ts.size, t_ff.size), dtype=complex)  # reused on every diagonal
     for d in range(n):
-        val, err = _pac_rows(hp_ff[d:, :], hm_ff[: n - d, :], t_ff, pd.k_grid, ts, d * dx, wts)
+        val, err = _pac_rows(hp_ff[d:, :], hm_ff[: n - d, :], t_ff, tables, d * dx)
         rows = np.arange(n - d)
         pac[:, rows, rows + d] = val
         pac[:, rows + d, rows] = val
@@ -324,17 +345,7 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     out = []
     for i_t, t in enumerate(ts):
         p0 = _p0_matrix(pd, t)
-        out.append(
-            KernelSlice(
-                x_grid=x,
-                y_grid=x,
-                t=float(t),
-                pac=pac[i_t],
-                p0_term=p0,
-                G=pac[i_t] - p0,
-                quadrature_error=qerr[i_t],
-            )
-        )
+        out.append(KernelSlice(x, x, float(t), pac[i_t], p0, pac[i_t] - p0, qerr[i_t]))
     return out
 
 
@@ -346,14 +357,8 @@ def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[comple
     i, j = pd.x_index(lo), pd.x_index(hi)
     ts, b = np.array([float(t)]), float(pd.x_grid[j] - pd.x_grid[i])
     _check_times(ts, float(pd.k_grid[-1]), b)
-    val, err = _pac_rows(
-        _refine_half(pd.h_plus[j : j + 1, :]),
-        _refine_half(pd.h_minus[i : i + 1, :]),
-        _refine_half(pd.T),
-        pd.k_grid,
-        ts,
-        b,
-    )
+    rows = (_refine_half(pd.h_plus[j : j + 1, :]), _refine_half(pd.h_minus[i : i + 1, :]))
+    val, err = _pac_rows(*rows, _refine_half(pd.T), _WeightTables(pd.k_grid, ts), b)
     return complex(val[0, 0]), float(err[0, 0])
 
 

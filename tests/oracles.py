@@ -8,13 +8,15 @@ Fourier evolver for e^{−itH}, the evolution-kernel slice rule in its
 plain form (three weight vectors per time, one product per time and level,
 the whole k line), a DOP853 integration of the Jost factors, the Volterra
 form of the zero-energy Jost equation, and the linear-Filon Fourier sum as
-a dense phase matrix.  No
-imports from the package: the slice rule takes the panel-weight function
-as an argument, and the Jost reference takes V, its breakpoints and X∞.
+a dense phase matrix, and the quadratic-phase panel weights in 40-digit
+arithmetic.  No imports from the package: the slice rule takes the
+panel-weight function as an argument, and the Jost reference takes V, its
+breakpoints and X∞.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson, solve_ivp
@@ -179,6 +181,41 @@ def split_step_evolve(v, psi0, t_final, *, box=64.0, n=4096, dt=0.002,
         psi *= exp_v
         psi = np.fft.ifft(exp_k * np.fft.fft(psi))
     return x, psi
+
+
+# ------------------------------------------- quadratic-phase panel weights
+def fresnel_weight_mp(k, j, t, b, dps=40):
+    """Weight of node j of the node set k in the rule Σ w_j A(k_j) =
+    ∫ e^{−i(tk²−bk)} A(k) dk for piecewise-linear A, in dps-digit arithmetic
+    on the double values of the nodes.  Per panel [p, q] the moments
+    m0 = ∫ e^{−iφ} and m1 = ∫ k e^{−iφ} come from the erf closed form along
+    the 45° ray (u = k − b/2t, w = e^{iπ/4}√t):
+    m0 = e^{ib²/4t} √π/(2w) [erf(wu)], m1 = e^{ib²/4t} [e^{−itu²}]/(−2it)
+    + (b/2t) m0; the hat pieces are (q·m0 − m1)/(q − p) at p and
+    (m1 − p·m0)/(q − p) at q."""
+    with mpmath.workdps(dps):
+        t, b = mpmath.mpf(float(t)), mpmath.mpf(float(b))
+        w = mpmath.exp(1j * mpmath.pi / 4) * mpmath.sqrt(t)
+        pref = mpmath.exp(1j * b * b / (4 * t))
+        shift = b / (2 * t)
+
+        def moments(p, q):
+            up, uq = p - shift, q - shift
+            m0 = pref * mpmath.sqrt(mpmath.pi) / (2 * w) * (mpmath.erf(w * uq) - mpmath.erf(w * up))
+            m1 = pref * (mpmath.exp(-1j * t * uq**2) - mpmath.exp(-1j * t * up**2)) / (-2j * t)
+            return m0, m1 + shift * m0
+
+        node = mpmath.mpf(float(k[j]))
+        total = mpmath.mpc(0)
+        if j > 0:
+            p = mpmath.mpf(float(k[j - 1]))
+            m0, m1 = moments(p, node)
+            total += (m1 - p * m0) / (node - p)
+        if j < len(k) - 1:
+            q = mpmath.mpf(float(k[j + 1]))
+            m0, m1 = moments(node, q)
+            total += (q * m0 - m1) / (q - node)
+        return complex(total)
 
 
 # ------------------------------------------- evolution-kernel slice rule

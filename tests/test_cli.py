@@ -8,6 +8,8 @@ import pytest
 
 from scatterlab import cli, scattering
 from scatterlab.cli import main
+from scatterlab.potentials import catalog
+from scatterlab.scattering import classify_resonance
 
 
 def test_catalog_writes_tail_bound(tmp_path):
@@ -42,6 +44,26 @@ def test_scaled_spec_runs_through_resonance(tmp_path):
     report = json.loads((out / "resonance.json").read_text())
     assert report["potential"] == "scaled(poeschl_teller,s=0.5)"
     assert not report["resonant"]
+
+
+def test_square_well_note_matches_classification():
+    # the well has width 2a: zero energy is resonant when √v₀·a is a multiple
+    # of π/2 (odd zero modes at odd multiples, even ones at multiples of π)
+    fact = cli._CATALOG_NOTES["square_well"][0]["fact"]
+    assert "sqrt(v0)*a = n*pi/2, n >= 1" in fact
+    for root_v0_a, resonant in ((np.pi / 2, True), (np.pi, True), (1.5 * np.pi, True), (np.pi - 0.05, False)):
+        rep = classify_resonance(catalog("square_well", a=1.0, v0=root_v0_a**2))
+        assert rep.resonant == resonant and not rep.ambiguous, root_v0_a
+
+
+def test_non_resonant_report_has_no_gamma(tmp_path):
+    # γ is the ratio f₊(·,0)/f₋(·,0); it exists only at a resonance
+    out = tmp_path / "out"
+    assert main(["resonance", "--override", "potential.name=gaussian_well", "--out", str(out)]) == 0
+    report = json.loads((out / "resonance.json").read_text())
+    assert not report["resonant"]
+    assert report["gamma"] is None and report["gamma_consistency"] is None
+    assert report["passed"]
 
 
 def test_resonance_gate_fails_on_a_wrong_gamma(tmp_path, monkeypatch):

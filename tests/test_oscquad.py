@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import fresnel
 
+import oracles
 from scatterlab.oscquad import (
     _restrict,
     fresnel_weights,
@@ -164,3 +165,43 @@ def test_validation():
         fresnel_weights(np.array([0.5]), 1.0, 0.0)
     with pytest.raises(ValueError):
         _restrict(np.ones(4))
+
+
+# the finest node set of the decay stage's default k grid
+_DECAY_NODES = np.linspace(-60.0, 60.0, 96001)
+
+
+@pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])
+def test_weights_match_mpmath_on_decay_grid(t):
+    # t·k² reaches 3.6e6 rad on these nodes: the weights must carry that
+    # phase to ~1e-12 rad.  25 drawn nodes (ends and k = 0 included) per
+    # (t, b), 225 in all
+    k = _DECAY_NODES
+    rng = np.random.default_rng(int(t))
+    idx = np.r_[0, k.size // 2, k.size - 1, rng.integers(1, k.size - 1, 22)]
+    for b in (0.0, 4.0, 16.0):
+        w = fresnel_weights(k, t, b)
+        ref = np.array([oracles.fresnel_weight_mp(k, j, t, b) for j in idx])
+        assert np.max(np.abs(w[idx] - ref)) <= 1e-11 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])
+def test_restriction_equals_coarse_weights_on_decay_grid(t):
+    # the propagator's coarse Richardson levels come by restriction.  It is
+    # exact when every second node halves its coarse panel, as on a dyadic
+    # grid of the same size.  The decay grid's nodes miss those midpoints
+    # by δ (up to 7e-15); the restricted hat then differs from the coarse
+    # hat by a tent of height |δ|/g on a panel pair of width g, whose
+    # integral against a unimodular phase is at most |δ|, once per level
+    dyadic = (np.arange(_DECAY_NODES.size) - _DECAY_NODES.size // 2) / 1024.0
+    for k, exact in ((dyadic, True), (_DECAY_NODES, False)):
+        slack = [0.0]
+        for fine in (k, k[::2]):
+            dev = fine[1::2] - 0.5 * (fine[:-1:2] + fine[2::2])
+            slack.append(slack[-1] + (0.0 if exact else float(np.max(np.abs(dev)))))
+        for b in (0.0, 4.0, 16.0):
+            w = fresnel_weights(k, t, b)
+            scale = np.max(np.abs(w))
+            w2 = _restrict(w)
+            assert np.max(np.abs(w2 - fresnel_weights(k[::2], t, b))) <= 1e-12 * scale + slack[1]
+            assert np.max(np.abs(_restrict(w2) - fresnel_weights(k[::4], t, b))) <= 1e-12 * scale + slack[2]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from scatterlab import propagator, scattering
+from scatterlab import oscquad, propagator, scattering
 from scatterlab.errors import ResonanceError
 from scatterlab.oscquad import fresnel_weights, full_line_integral
 from scatterlab.potentials import catalog
@@ -192,8 +192,8 @@ def test_k_grid_must_be_symmetric_about_zero(pt_pot, monkeypatch):
 
 def test_slices_memory_bounded(pt_pot):
     # the amplitude is built in row chunks over k >= 0 and the weights of
-    # one diagonal are one matrix; measured peak 25.4 MiB, bound with 20%
-    # headroom
+    # one diagonal are one matrix per level; measured peak 20.9 MiB (25.4
+    # with one matrix for all levels), bound unchanged
     pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 33), np.linspace(-60.0, 60.0, 4001))
     tracemalloc.start()
     try:
@@ -202,6 +202,36 @@ def test_slices_memory_bounded(pt_pot):
     finally:
         tracemalloc.stop()
     assert peak <= 30.5 * 2**20
+
+
+def test_slices_need_no_erf_and_one_product_per_level(pt_pot, monkeypatch):
+    # on a grid like the decay stage's (K = 60, t ≤ 1000) every panel has
+    # tσ² ≤ 0.014, so its weights come from the β series alone, with no
+    # call of the Faddeeva function behind the erf closed form; and each
+    # Richardson level's product runs on that level's own column prefix,
+    # with no column left at zero
+    erf_calls = []
+    wofz = oscquad.wofz
+    monkeypatch.setattr(oscquad, "wofz", lambda z: erf_calls.append(np.size(z)) or wofz(z))
+    shapes = []
+    fill = propagator._WeightTables.fill
+
+    def recorded(self, b):
+        wts = fill(self, b)
+        shapes.append([w.shape for w in wts])
+        assert all(np.all(np.any(w != 0.0, axis=0)) for w in wts)
+        return wts
+
+    monkeypatch.setattr(propagator._WeightTables, "fill", recorded)
+    pd = prepare_propagator(pt_pot, np.linspace(-4.0, 4.0, 9), np.linspace(-60.0, 60.0, 4001))
+    pac_slices(pd, np.geomspace(10.0, 1000.0, 12))
+    assert erf_calls == []
+    n = 2001  # grid nodes k >= 0
+    assert len(shapes) == 9
+    assert all(s == [(24, n), (24, 2 * n - 1), (24, 4 * n - 3)] for s in shapes)
+    # the counter sees erf where coarse panels need it
+    fresnel_weights(np.linspace(-5.0, 5.0, 11), 100.0, 0.0)
+    assert erf_calls
 
 
 def test_pac_validation(pt_pd):
