@@ -22,6 +22,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -90,8 +91,26 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# counts and orders: a JSON integer, never a float that int() would truncate
-_INTEGER_KEYS = ("grids.k_count", "grids.scatter_k_count", "times.count", "wiener.derivative_orders")
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number",
+          str: "a string", list: "a list", dict: "an object"}
+
+
+def _check_kind(val, default, key: str) -> None:
+    """ValueError naming key, or a key inside it, whose value lacks the JSON
+    kind of its default; a bool is never a number, and counts and orders
+    are never a float that int() would truncate."""
+    if isinstance(default, float):
+        ok = isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    else:
+        ok = type(val) is type(default)
+    if not ok:
+        raise ValueError(f"{key}={json.dumps(val)}: must be {_KINDS[type(default)]}")
+    if isinstance(default, dict):
+        for name, d in default.items():
+            _check_kind(val[name], d, f"{key}.{name}".lstrip("."))
+    elif isinstance(default, list):
+        for i, v in enumerate(val):
+            _check_kind(v, default[0], f"{key}[{i}]")
 
 
 def _open_key(key: str) -> bool:
@@ -158,17 +177,14 @@ class RunConfig:
         c = self.data
         if c["schema_version"] != 1:
             raise ValueError("unsupported config schema_version")
+        # before any value is compared or converted
+        _check_kind(c, DEFAULT_CONFIG, "")
         try:
             self.potential()
         except (KeyError, TypeError) as exc:
             raise ValueError(f"potential spec {c['potential']!r}: {exc!r}") from None
-        for key in _INTEGER_KEYS:
-            section, name = key.split(".")
-            val = c[section][name]
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ValueError(f"{key}={json.dumps(val)}: must be an integer")
         for name, val in c["tolerances"].items():
-            if not (isinstance(val, (int, float)) and val > 0.0):
+            if not val > 0.0:
                 raise ValueError(f"tolerance {name} must be positive")
         tol = c["tolerances"]
         if tol["exponent_low"] >= tol["exponent_high"]:
@@ -465,9 +481,7 @@ def cmd_decay(rc: RunConfig, out: Path) -> int:
         sigma=float(rc.data["sigma"]),
     )
     in_window = float(tol["exponent_low"]) <= rep.fitted_exponent <= float(tol["exponent_high"])
-    control_ok = rep.control_exponent is None or rep.control_exponent < float(
-        tol["control_exponent_max"]
-    )
+    control_ok = rep.control_exponent is None or rep.control_exponent < tol["control_exponent_max"]
     passed = in_window and control_ok and not rep.error_dominated
     # runtime_seconds stays out of the artifacts: outputs must byte-reproduce
     report = {

@@ -13,12 +13,14 @@ Larger β (coarse grids) keeps the erf closed form, u = k − b/2t, w² = it:
     ∫ e^{−iφ} dk   = e^{ib²/(4t)} √π/(2w) · erf(wu) + const,
     ∫ k e^{−iφ} dk = e^{ib²/(4t)} e^{−itu²}/(−2it) + (b/2t)·(above).
 
-The transcendental factors are per-panel tables, products of a factor of t
-alone, (σ/2)e^{−itc²} and e^{2itcσ}, and one of b alone, e^{ibc} and e^{−ibσ},
-so with many (t, b) on one node set a pair costs arithmetic only.  On
-nested uniform node sets the coarser weights follow from the finest by
-restriction (_restrict): a hat of every second node is 1 at its node and
-½ at its two neighbours.
+The transcendental factors are per-panel tables (PanelTables): (σ/2)e^{−itc²}
+and e^{2itcσ} once per time, e^{ibc} and e^{−ibσ} once per separation (the
+conjugates for −b), so a pair (t, b) costs arithmetic only.  On nested
+uniform node sets the coarser weights follow from the finest w by
+restriction R: a hat of every second node is 1 at its node and ½ at its
+two neighbours.  With E placing a coarse vector on every second node,
+V = (4w − E·Rw)/3 and U = (4Rw − E·RRw)/3 give the Richardson extrapolants
+of the finest and of the fine pair of levels as one sum each.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from scipy.special import wofz
 
 __all__ = [
+    "PanelTables",
     "full_line_integral",
     "fresnel_weights",
     "truncation_tail",
@@ -60,9 +63,7 @@ def fresnel_weights(k_grid, t: float, b: float) -> np.ndarray:
     # a subnormal gap overflows 1/h in the erf closed form
     if np.any(np.diff(k) < np.finfo(float).tiny):
         raise ValueError("nodes must increase by at least the smallest normal double")
-    c, c_lo, sig = _midpoints(k)
-    chirp_t, spin_t = 0.5 * sig * _chirp(t, c, c_lo), np.exp(2j * t * c * sig)
-    return _panel_weights(k, c, sig, t, b, chirp_t, np.exp(1j * b * c), spin_t, np.exp(-1j * b * sig))
+    return next(PanelTables(k, np.array([float(t)])).weights(b))
 
 
 def _midpoints(k: np.ndarray):
@@ -175,6 +176,37 @@ def _panel_weights(k, c, sig, t: float, b: float, chirp_t, chirp_b, spin_t, spin
             w[b0 + i0 : b0 + i1] += lo
             w[b0 + i0 + 1 : b0 + i1 + 1] += hi
     return w
+
+
+class PanelTables:
+    """The panel tables of the node set k for the times ts."""
+
+    def __init__(self, k, ts):
+        self.k, self.ts = k, ts
+        self.c, c_lo, self.sig = _midpoints(k)
+        self.chirp = np.array([0.5 * self.sig * _chirp(t, self.c, c_lo) for t in ts])
+        self.spin = np.exp(2j * np.multiply.outer(ts, self.c * self.sig))
+
+    def weights(self, b: float):
+        """Yield the nodal weights of each time at b, then at −b."""
+        chirp_b, spin_b = np.exp(1j * b * self.c), np.exp(-1j * b * self.sig)
+        for sb, chirp_sb, spin_sb in ((b, chirp_b, spin_b), (-b, chirp_b.conj(), spin_b.conj())):
+            for t, chirp, spin in zip(self.ts, self.chirp, self.spin):
+                yield _panel_weights(self.k, self.c, self.sig, t, sb, chirp, chirp_sb, spin, spin_sb)
+
+    def richardson_weights(self, b: float) -> tuple[np.ndarray, np.ndarray]:
+        """(V, U) on a uniform node set of 4n − 3 nodes, (2·len(ts), 4n − 3)
+        and (2·len(ts), 2n − 1), with rows in the order of weights(b)."""
+        v = np.empty((2 * self.ts.size, self.k.size), dtype=complex)
+        u = np.empty((2 * self.ts.size, (self.k.size + 1) // 2), dtype=complex)
+        for w, wv, wu in zip(self.weights(b), v, u):
+            rw = _restrict(w)
+            for x, rx in ((w, rw), (rw, _restrict(rw))):  # (4x − E·Rx)/3
+                x *= 4.0
+                x[::2] -= rx
+                x /= 3.0
+            wv[...], wu[...] = w, rw
+        return v, u
 
 
 def _restrict(w: np.ndarray) -> np.ndarray:

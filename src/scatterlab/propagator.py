@@ -24,15 +24,15 @@ their error estimates.  The threshold term (4πit)^{−1/2} f₀(x)f₀(y) has
 one route, the tabulated f₀ of PropagatorData.f0_x, which is the k = 0
 column of the h₊ field scaled by c₊.
 
-Per (t, b) there is one weight vector, on the finest node set; the two
-coarser levels come from it by restriction.  For a real potential the
-amplitude satisfies A(−k) = conj A(k), so only k ≥ 0 is refined and
-built, and the k < 0 half of each weight vector, mirrored and conjugated,
-acts on conj A: Σ w A = A·w₊ + conj(A·conj w₋).  The weights' t and b
-factors are tabulated once (_WeightTables), so a pair (t, b) costs
-arithmetic only.  In level order each level's nodes are a column prefix,
-so a row chunk of a diagonal's amplitude costs one matrix product per
-level; the chunks bound its memory whatever the number of rows.
+Per (t, b) there is one weight vector, on the finest node set; the coarser
+levels come by restriction, and oscquad folds Richardson into the weights:
+V on the finest nodes and U on every second one give the two extrapolants
+as one sum each.  For a real potential A(−k) = conj A(k), so only k ≥ 0 is
+refined and built: the k < 0 half of a weight vector, mirrored, is the
+k ≥ 0 half at −b, and conjugated it acts on conj A, Σ w A = A·w₊ +
+conj(A·conj w₋), with its k = 0 weight added to w₊.  A row chunk of a
+diagonal's amplitude costs two matrix products; the chunks bound its
+memory whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ResonanceError
 from .jost import ODE_ATOL, ODE_RTOL, _grid_index
-from .oscquad import _chirp, _midpoints, _panel_weights, _restrict, full_line_integral, truncation_tail
+from .oscquad import PanelTables, full_line_integral, truncation_tail
 from .potentials import Potential
 from .scattering import ScatteringData, scattering_data
 from . import wiener
@@ -66,8 +66,8 @@ DEFAULT_X_MAX = 8.0
 DEFAULT_K_MAX = 60.0
 DEFAULT_K_COUNT = 24001
 
-# complex amplitude entries per row chunk of a diagonal (16 MiB); the rows
-# per chunk follow from the number of refined nodes
+# complex amplitude entries per row chunk of a diagonal, its even-column
+# copy included (16 MiB); the rows per chunk follow from the refined nodes
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -187,87 +187,38 @@ def prepare_propagator(
 # -- evolution kernel --------------------------------------------------------
 
 
-def _cubic_midpoints(r):
-    """Midpoints of uniformly spaced samples along the last axis by cubic
-    interpolation (one-sided at the two ends)."""
+def _refine(r):
+    """Uniformly spaced samples along the last axis with the panel midpoints
+    inserted by cubic interpolation (one-sided at the two ends)."""
     if r.shape[-1] < 4:
         raise ValueError("need at least four samples to refine")
-    mid = np.empty(r.shape[:-1] + (r.shape[-1] - 1,), dtype=r.dtype)
-    mid[..., 1:-1] = (9.0 * (r[..., 1:-2] + r[..., 2:-1]) - r[..., :-3] - r[..., 3:]) / 16.0
+    out = np.empty(r.shape[:-1] + (2 * r.shape[-1] - 1,), dtype=r.dtype)
+    out[..., ::2] = r
+    mid = out[..., 1::2]
+    mid[..., 1:-1] = (-r[..., :-3] + 9.0 * r[..., 1:-2] + 9.0 * r[..., 2:-1] - r[..., 3:]) / 16.0
     mid[..., 0] = (5.0 * r[..., 0] + 15.0 * r[..., 1] - 5.0 * r[..., 2] + r[..., 3]) / 16.0
     mid[..., -1] = (r[..., -4] - 5.0 * r[..., -3] + 15.0 * r[..., -2] + 5.0 * r[..., -1]) / 16.0
-    return mid
+    return out
 
 
 def _refine_half(rows):
     """Rows on a k grid symmetric about 0 with a node at 0, refined twice by
-    cubic panel midpoints on k ≥ 0, in level order: the n grid nodes k ≥ 0,
-    the n − 1 midpoints between them, then the 2n − 2 midpoints of that set,
-    so each level's nodes are a column prefix (n, 2n − 1, 4n − 3).  The
-    stencils next to 0 read the two grid nodes below it, as on the line."""
+    cubic panel midpoints on k ≥ 0 (n grid nodes become 4n − 3, in natural
+    order).  Refinement starts two grid nodes below 0, so the stencils next
+    to 0 read the nodes the line has there, and drops the 8 columns below 0."""
     c = rows.shape[-1] // 2
-    r = rows[..., c - 2 :]
-    n = r.shape[-1] - 2
-    once = np.empty(r.shape[:-1] + (2 * n + 3,), dtype=rows.dtype)
-    once[..., ::2] = r
-    once[..., 1::2] = _cubic_midpoints(r)
-    out = np.empty(r.shape[:-1] + (4 * n - 3,), dtype=rows.dtype)
-    out[..., :n] = r[..., 2:]
-    out[..., n : 2 * n - 1] = once[..., 5::2]
-    out[..., 2 * n - 1 :] = _cubic_midpoints(once)[..., 4:]
-    return out
+    return _refine(_refine(rows[..., c - 2 :]))[..., 8:]
 
 
-def _to_level_order(v, depth: int, out) -> None:
-    """Write v into out in _refine_half's level order over depth halvings:
-    every 2^depth-th entry, then the rest of every 2^(depth−1)-th, …"""
-    for _ in range(depth):
-        n = (v.shape[-1] + 1) // 2
-        out[..., n:] = v[..., 1::2]
-        v, out = v[..., ::2], out[..., :n]
-    out[...] = v
+def _half_nodes(k_grid) -> np.ndarray:
+    """The nodes k ≥ 0 of the twice-refined grid (_refine_half's columns)."""
+    return np.linspace(k_grid[0], k_grid[-1], 4 * k_grid.size - 3)[2 * k_grid.size - 2 :]
 
 
 def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
     if not pd.resonant:
         return np.zeros((pd.x_grid.size, pd.x_grid.size), dtype=complex)
     return np.outer(pd.f0_x, pd.f0_x) / np.sqrt(4j * np.pi * t)
-
-
-class _WeightTables:
-    """oscquad's per-time panel tables on the finest nodes k ≥ 0, and the
-    level weight matrices they fill per separation.  k → −k maps the panels
-    of k ≤ 0 at separation b onto those of k ≥ 0 at −b, whose b factors are
-    the conjugates of those at b, so one table per time serves the line."""
-
-    def __init__(self, k_grid, ts):
-        self.ts = ts
-        self.nodes = np.linspace(k_grid[0], k_grid[-1], 4 * k_grid.size - 3)[2 * k_grid.size - 2 :]
-        self.c, c_lo, self.sig = _midpoints(self.nodes)
-        self.chirp = np.array([0.5 * self.sig * _chirp(t, self.c, c_lo) for t in ts])
-        self.spin = np.exp(2j * np.multiply.outer(ts, self.c * self.sig))
-        n = k_grid.size // 2 + 1
-        # per level, coarse to fine: rows (half, time), the level's columns
-        self.wts = [np.empty((2 * ts.size, m), dtype=complex) for m in (n, 2 * n - 1, 4 * n - 3)]
-
-    def fill(self, b: float) -> list[np.ndarray]:
-        """The level weights at b ≥ 0: row i_t weights A(k), row len(ts) + i_t
-        the conjugated weights of −k, acting on conj A (k = 0 in the first
-        half).  Restriction runs half by half; at k = 0 the halves add."""
-        nt = self.ts.size
-        cb, sb = np.exp(1j * b * self.c), np.exp(-1j * b * self.sig)
-        for i_t, (t, chirp, spin) in enumerate(zip(self.ts, self.chirp, self.spin)):
-            w_p = _panel_weights(self.nodes, self.c, self.sig, t, b, chirp, cb, spin, sb)
-            w_m = _panel_weights(self.nodes, self.c, self.sig, t, -b, chirp, cb.conj(), spin, sb.conj())
-            for level in (2, 1, 0):
-                if level < 2:
-                    w_p, w_m = _restrict(w_p), _restrict(w_m)
-                w = self.wts[level]
-                _to_level_order(w_p, level, w[i_t])
-                w[i_t, 0] += w_m[0]
-                _to_level_order(np.conj(w_m), level, w[nt + i_t])
-                w[nt + i_t, 0] = 0.0
-        return self.wts
 
 
 def _check_times(ts, k_max: float, b: float) -> None:
@@ -281,36 +232,37 @@ def _check_times(ts, k_max: float, b: float) -> None:
     truncation_tail(0.0, 0.0, float(np.min(ts)), b, k_max)
 
 
-def _pac_rows(hp_ff, hm_ff, t_ff, tables: _WeightTables, b: float):
+def _pac_rows(hp_ff, hm_ff, t_ff, tables: PanelTables, b: float):
     """Continuous-spectrum kernel of row-aligned pairs at separation b ≥ 0
     for every time of the tables: (value, error), each (len(ts), rows).
     hp_ff, hm_ff hold rows of h₊(y,·) and h₋(x,·) and t_ff holds T, refined
-    on k ≥ 0 in level order (_refine_half).  The amplitude goes in row
-    chunks of _CHUNK_ENTRIES entries, one matrix product per level each."""
+    on k ≥ 0 (_refine_half) onto the tables' nodes.  The amplitude goes in
+    row chunks, each one product with V and one, on its even columns, with U."""
     inv2pi = 1.0 / (2.0 * np.pi)
-    ts, wts = tables.ts, tables.fill(b)
-    nt = ts.size
-    # K, the last k-grid node, closes level 0's prefix; |A(−K)| = |A(K)|
-    kk = wts[0].shape[1] - 1
-    end = np.abs(hp_ff[:, kk] * hm_ff[:, kk] * t_ff[kk] - 1.0)
-    tail = np.array([truncation_tail(end, end, t, b, tables.nodes[-1]) for t in ts])
+    ts, nt = tables.ts, tables.ts.size
+    v, u = tables.richardson_weights(b)
+    for w in (v, u):  # the −b rows act on conj A, and their k = 0 weight on A
+        w[:nt, 0] += w[nt:, 0]
+        w[nt:, 0] = 0.0
+        np.conjugate(w[nt:], out=w[nt:])
+    # K, the last node; |A(−K)| = |A(K)|
+    end = np.abs(hp_ff[:, -1] * hm_ff[:, -1] * t_ff[-1] - 1.0)
+    tail = np.array([truncation_tail(end, end, t, b, tables.k[-1]) for t in ts])
     full = np.array([full_line_integral(t, b) for t in ts])
     n_rows = hp_ff.shape[0]
     val = np.empty((nt, n_rows), dtype=complex)
     err = np.empty((nt, n_rows))
-    chunk = max(1, _CHUNK_ENTRIES // t_ff.size)
-    buf = np.empty((min(chunk, n_rows), t_ff.size), dtype=complex)
+    chunk = max(1, _CHUNK_ENTRIES // (v.shape[1] + u.shape[1]))
+    buf = np.empty((min(chunk, n_rows), v.shape[1]), dtype=complex)
+    even_buf = np.empty((buf.shape[0], u.shape[1]), dtype=complex)
     for lo in range(0, n_rows, chunk):
         rows = slice(lo, lo + chunk)
-        amp = buf[: min(chunk, n_rows - lo)]
+        amp, even = buf[: min(chunk, n_rows - lo)], even_buf[: min(chunk, n_rows - lo)]
         np.multiply(hp_ff[rows], hm_ff[rows], out=amp)
         amp *= t_ff
         amp -= 1.0
-        coarse, fine, finest = (
-            (s[:, :nt] + np.conj(s[:, nt:])).T for s in (amp[:, : w.shape[1]] @ w.T for w in wts)
-        )
-        r1 = fine + (fine - coarse) / 3.0
-        r2 = finest + (finest - fine) / 3.0
+        np.copyto(even, amp[:, ::2])
+        r2, r1 = ((s[:, :nt] + np.conj(s[:, nt:])).T for s in (amp @ v.T, even @ u.T))
         val[:, rows] = (full[:, None] + r2) * inv2pi
         err[:, rows] = (np.abs(r2 - r1) + tail[:, rows]) * inv2pi
     return val, err
@@ -331,7 +283,7 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     hp_ff = _refine_half(pd.h_plus)
     hm_ff = _refine_half(pd.h_minus)
     t_ff = _refine_half(pd.T)
-    tables = _WeightTables(pd.k_grid, ts)
+    tables = PanelTables(_half_nodes(pd.k_grid), ts)
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
     for d in range(n):
@@ -358,7 +310,7 @@ def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[comple
     ts, b = np.array([float(t)]), float(pd.x_grid[j] - pd.x_grid[i])
     _check_times(ts, float(pd.k_grid[-1]), b)
     rows = (_refine_half(pd.h_plus[j : j + 1, :]), _refine_half(pd.h_minus[i : i + 1, :]))
-    val, err = _pac_rows(*rows, _refine_half(pd.T), _WeightTables(pd.k_grid, ts), b)
+    val, err = _pac_rows(*rows, _refine_half(pd.T), PanelTables(_half_nodes(pd.k_grid), ts), b)
     return complex(val[0, 0]), float(err[0, 0])
 
 

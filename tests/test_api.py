@@ -96,6 +96,22 @@ def test_every_parameter_is_read():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
+def test_only_oscquad_reaches_its_private_names():
+    # oscquad owns the panel rule and its tables; other modules use its
+    # public names only
+    reached = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.stem == "oscquad":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("oscquad"):
+                reached += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                if isinstance(node.value, ast.Name) and node.value.id == "oscquad":
+                    reached.append(f"{path.stem}: oscquad.{node.attr}")
+    assert not reached, "private oscquad names used elsewhere: " + ", ".join(reached)
+
+
 def _public_functions():
     out = {}
     for name in MODULES:

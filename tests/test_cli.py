@@ -160,6 +160,33 @@ def test_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, st
     assert not (tmp_path / f"{stage}_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "stage, override",
+    [
+        ("resonance", "sigma=abc"),
+        ("resonance", 'grids.x_max="8"'),
+        ("resonance", "times.t_min=null"),
+        ("resonance", "tolerances.unitarity=true"),  # a bool is not 1.0
+        ("resonance", "grids.k_max=NaN"),
+        ("kernels", "grids.kernel_rows=3"),
+        ("kernels", 'grids.kernel_rows=[0, "1"]'),
+        ("wiener", 'wiener.taper_frac="x"'),
+        ("wiener", "wiener.require_converged=1"),
+    ],
+)
+def test_malformed_config_values_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, stage, override):
+    # a value of the wrong JSON kind is a config error naming its key, not a
+    # traceback (exit 1 means a residual exceeded its tolerance)
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for name in ("prepare_propagator", "scattering_data", "classify_resonance"):
+        monkeypatch.setattr(cli, name, no_solve)
+    assert main([stage, "--out", str(tmp_path), "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and override.split("=")[0] in err
+
+
 def test_sampled_csv_spec_runs_and_a_missing_file_exits_2(tmp_path, capsys):
     xs = np.linspace(-10.0, 10.0, 201)
     path = tmp_path / "well.csv"

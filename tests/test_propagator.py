@@ -191,9 +191,10 @@ def test_k_grid_must_be_symmetric_about_zero(pt_pot, monkeypatch):
 
 
 def test_slices_memory_bounded(pt_pot):
-    # the amplitude is built in row chunks over k >= 0 and the weights of
-    # one diagonal are one matrix per level; measured peak 20.9 MiB (25.4
-    # with one matrix for all levels), bound unchanged
+    # the amplitude is built in row chunks over k >= 0, with one buffer for
+    # its even columns, and the weights of one diagonal are V and U;
+    # measured peak 22.2 MiB (20.9 with one weight matrix per Richardson
+    # level and no even-column buffer), bound unchanged
     pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 33), np.linspace(-60.0, 60.0, 4001))
     tracemalloc.start()
     try:
@@ -207,31 +208,42 @@ def test_slices_memory_bounded(pt_pot):
 def test_slices_need_no_erf_and_one_product_per_level(pt_pot, monkeypatch):
     # on a grid like the decay stage's (K = 60, t ≤ 1000) every panel has
     # tσ² ≤ 0.014, so its weights come from the β series alone, with no
-    # call of the Faddeeva function behind the erf closed form; and each
-    # Richardson level's product runs on that level's own column prefix,
-    # with no column left at zero
+    # call of the Faddeeva function behind the erf closed form; and the
+    # Richardson weights of a diagonal are two matrices, V on every refined
+    # node and U on every second one, with no column left at zero
     erf_calls = []
     wofz = oscquad.wofz
     monkeypatch.setattr(oscquad, "wofz", lambda z: erf_calls.append(np.size(z)) or wofz(z))
     shapes = []
-    fill = propagator._WeightTables.fill
+    richardson = oscquad.PanelTables.richardson_weights
 
     def recorded(self, b):
-        wts = fill(self, b)
+        wts = richardson(self, b)
         shapes.append([w.shape for w in wts])
         assert all(np.all(np.any(w != 0.0, axis=0)) for w in wts)
         return wts
 
-    monkeypatch.setattr(propagator._WeightTables, "fill", recorded)
+    monkeypatch.setattr(oscquad.PanelTables, "richardson_weights", recorded)
     pd = prepare_propagator(pt_pot, np.linspace(-4.0, 4.0, 9), np.linspace(-60.0, 60.0, 4001))
-    pac_slices(pd, np.geomspace(10.0, 1000.0, 12))
+    ts = np.geomspace(10.0, 1000.0, 12)
+    pac_slices(pd, ts)
     assert erf_calls == []
     n = 2001  # grid nodes k >= 0
     assert len(shapes) == 9
-    assert all(s == [(24, n), (24, 2 * n - 1), (24, 4 * n - 3)] for s in shapes)
+    assert all(s == [(2 * len(ts), 4 * n - 3), (2 * len(ts), 2 * n - 1)] for s in shapes)
     # the counter sees erf where coarse panels need it
     fresnel_weights(np.linspace(-5.0, 5.0, 11), 100.0, 0.0)
     assert erf_calls
+
+
+def test_refinement_is_exact(pt_pd, sw_pd):
+    # the k >= 0 half of the refined rows is the line's refinement, in its
+    # natural order, bit for bit
+    for pd in (pt_pd, sw_pd):
+        c = pd.k_grid.size // 2
+        for rows in (pd.h_plus, pd.h_minus, pd.T):
+            got = propagator._refine_half(rows)
+            assert np.array_equal(got, oracles.refine_twice(rows)[..., 4 * c :])
 
 
 def test_pac_validation(pt_pd):
