@@ -6,19 +6,32 @@ follow the amplitude, whatever t.  With k = c + σs on a panel of midpoint
 c and half-width σ, φ = φ(c) + αs + βs² (α = (2tc − b)σ, β = tσ²), and the
 panel's two hat pieces are σe^{−iφ(c)}(P₀ ∓ P₁)/2 with P_q =
 ∫_{−1}^{1} s^q e^{−i(αs + βs²)} ds.  The large phase sits in e^{−iφ(c)}
-(double-double reduction of t·c² ~ 10⁷ rad); for β ≤ _BETA_MAX, P₀ and P₁
-are short Taylor series in β over exact moments in cos α, sin α and 1/α.
+(double-double reduction of t·c² ~ 10⁷ rad); for β ≤ _BETA_MAX, P_q are
+short Taylor series in β over exact moments in cos α, sin α and 1/α.
 Larger β (coarse grids) keeps the erf closed form, u = k − b/2t, w² = it:
 
     ∫ e^{−iφ} dk   = e^{ib²/(4t)} √π/(2w) · erf(wu) + const,
     ∫ k e^{−iφ} dk = e^{ib²/(4t)} e^{−itu²}/(−2it) + (b/2t)·(above).
 
-The transcendental factors are per-panel tables (PanelTables): (σ/2)e^{−itc²}
-and e^{2itcσ} once per time, e^{ibc} and e^{−ibσ} once per separation (the
-conjugates for −b), so a pair (t, b) costs arithmetic only.  On nested
-uniform node sets the coarser weights follow from the finest w by
-restriction R: a hat of every second node is 1 at its node and ½ at its
-two neighbours.  With E placing a coarse vector on every second node,
+fresnel_weights is this direct rule on any node set.  On a uniform node
+set of half-width σ̄, PanelTables shares the series between separations:
+b only moves the panel α = (2tc − b)σ along the lattice A_L = 2t(k₀ +
+(2L+1)σ̄)σ̄ of step Δ = 4tσ̄², by m = round(bσ̄/Δ) points and ε = bσ̄ − mΔ
+further.  So each time keeps one table of P_q, q ≤ N + 1, on every
+_STRIDE-th lattice point, reaching past the panels by the largest shift,
+and the weights at any ±b come from three pieces: the shift m; the series
+Σₙ (−iδ)ⁿ/n! P_{q+n} over the offset δ = rΔ − ε from the nearest table
+point, r ∈ {−2, …, 1}, with N terms for 2⁻⁵³; and the first-order term
+−i·d·P_{q+1}, where d is the true α of the float panel less its lattice α,
+which restores each panel's own midpoint and width (without it the
+weights are off by ~6e-12 · max|w| at t = 1000).  A time with β >
+_BETA_MAX keeps the direct rule per (t, b), erf pieces included.  The
+phase factors are per-time tables, (σ/2)e^{−itc²}, and per-separation
+ones, e^{ibc} (its conjugate for −b).
+
+On nested uniform node sets the coarser weights follow from the finest w
+by restriction R: a hat of every second node is 1 at its node and ½ at
+its two neighbours.  With E placing a coarse vector on every second node,
 V = (4w − E·Rw)/3 and U = (4Rw − E·RRw)/3 give the Richardson extrapolants
 of the finest and of the fine pair of levels as one sum each.
 """
@@ -39,7 +52,9 @@ __all__ = [
 
 _BETA_MAX = 0.05  # above it the erf closed form; below, at most 8 β terms
 _ALPHA_SMALL = 1.0  # below it the moments start from a 10-term series in α
-_ODD_FACTORIALS = np.cumprod(np.arange(1.0, 21.0))[::2]
+_FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, 40.0)])
+_ODD_FACTORIALS = _FACTORIALS[1:21:2]
+_STRIDE = 4  # lattice points per table row; the offset residues run −2…1
 # panels per pass of _panel_weights, so that its work arrays stay in cache
 _BLOCK = 8192
 _TWO_PI = (6.283185307179586, 2.4492935982947064e-16)  # hi + lo
@@ -55,6 +70,9 @@ def full_line_integral(t: float, b: float) -> complex:
 def fresnel_weights(k_grid, t: float, b: float) -> np.ndarray:
     """Nodal weights w with Σ w_j A(k_j) = ∫ e^{−i(tk²−bk)} A(k) dk for
     piecewise-linear A on the (strictly increasing) node set."""
+    for name, value in (("t", t), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: quadratic-phase rule needs a finite value, got {value}")
     if t <= 0.0:
         raise ValueError("quadratic-phase rule needs t > 0")
     k = np.asarray(k_grid, dtype=float)
@@ -63,7 +81,8 @@ def fresnel_weights(k_grid, t: float, b: float) -> np.ndarray:
     # a subnormal gap overflows 1/h in the erf closed form
     if np.any(np.diff(k) < np.finfo(float).tiny):
         raise ValueError("nodes must increase by at least the smallest normal double")
-    return next(PanelTables(k, np.array([float(t)])).weights(b))
+    c, c_lo, sig = _midpoints(k)
+    return _panel_weights(k, c, sig, t, b, 0.5 * sig * _chirp(t, c, c_lo) * _unit(b * c))
 
 
 def _midpoints(k: np.ndarray):
@@ -91,51 +110,79 @@ def _chirp(t: float, c, c_lo=0.0) -> np.ndarray:
     g, g_err = _two_prod(n, _TWO_PI[0])
     # q − g is exact (Sterbenz); the small terms carry the rest
     r = (q - g) - g_err - n * _TWO_PI[1] + (q_err + t * sq_err + 2.0 * t * c * c_lo)
-    return np.exp(-1j * r)
+    return _unit(-r)
 
 
-def _taylor_pieces(alpha, cos_a, sin_a, beta, small: bool):
-    """(P₀, P₁) = (2 Σ (−iβ)ⁿ/n! c₂ₙ, −2i Σ (−iβ)ⁿ/n! s₂ₙ₊₁), cut once the
+def _unit(x) -> np.ndarray:
+    """e^{ix}, from cos and sin (numpy's complex exp is slower)."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def _cut(x: float, denom) -> int:
+    """The last power n kept of a series Σ xⁿ/n!·(moment): the first
+    term left out, xⁿ⁺¹/((n+1)!·denom(n)), is below 2⁻⁵³."""
+    return next(n for n in range(40) if x ** (n + 1) / math.factorial(n + 1) / denom(n) < 2.0**-53)
+
+
+def _p_moments(alpha, beta, count: int) -> np.ndarray:
+    """(count, alpha.size) array of P_q = ∫₋₁¹ s^q e^{−i(αs+βs²)} ds, q <
+    count: P_q = 2 Σₙ (−i)^{n + q mod 2} βⁿ/n! μ_{q+2n}, cut once the
     largest term left out over P₀ ≈ 2, βⁿ⁺¹/((n+1)!(2n+3)), is below 2⁻⁵³.
-    The moments c_m = ∫₀¹ sᵐ cos αs and s_m = ∫₀¹ sᵐ sin αs follow from
-    c_m = (sin α − m s_{m−1})/α and s_m = (m c_{m−1} − cos α)/α: upward from
-    c₀ = sin α/α for |α| ≥ _ALPHA_SMALL (errors grow by m/|α|, but the high
-    moments carry powers of β ≤ _BETA_MAX), downward from the Taylor series
-    of the last one below it (errors shrink by |α|/m)."""
-    bmax = float(np.max(beta))
-    n_beta = next(n for n in range(9) if bmax ** (n + 1) / math.factorial(n + 1) / (2 * n + 3) < 2.0**-53)
-    top = 2 * n_beta + 1
-    if small:
-        j = np.arange(_ODD_FACTORIALS.size)
-        coef = (-1.0) ** j / (_ODD_FACTORIALS * (top + 2 * j + 2))
-        mom, neg_sin = [alpha * np.polynomial.polynomial.polyval(alpha * alpha, coef)], -sin_a
-        for m in range(top, 0, -1):
-            x = mom[-1] * alpha
-            x += cos_a if m % 2 else neg_sin
-            x *= (1.0 if m % 2 else -1.0) / m
-            mom.append(x)
-        mom.reverse()
-    else:
-        inv = 1.0 / alpha
-        mom, scale = [sin_a * inv], (-inv, inv)
-        for m in range(1, top + 1):
-            x = mom[-1] * m
-            x -= cos_a if m % 2 else sin_a
-            x *= scale[m % 2]
-            mom.append(x)
-    p0, p1 = np.zeros((2,) + alpha.shape, dtype=complex)
-    q = 2.0
+    The moments μ_m, c_m = ∫₀¹ sᵐ cos αs for even m and s_m = ∫₀¹ sᵐ sin αs
+    for odd m, follow from c_m = (sin α − m s_{m−1})/α and s_m = (m c_{m−1}
+    − cos α)/α: upward from c₀ = sin α/α for |α| ≥ _ALPHA_SMALL (errors grow
+    by m/|α|, but the high moments carry powers of β ≤ _BETA_MAX), downward
+    below it from the Taylor series of s_top, top odd (errors shrink by
+    |α|/m)."""
+    n_beta = _cut(float(np.max(beta)), lambda n: 2 * n + 3)
+    top = count - 1 + 2 * n_beta
+    top += 1 - top % 2
+    mom = np.empty((top + 1, alpha.size))
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    small = np.abs(alpha) < _ALPHA_SMALL
+    for down in (True, False):
+        pick = small if down else ~small
+        if not pick.any():
+            continue
+        sel = slice(None) if pick.all() else np.flatnonzero(pick)
+        a, ca, sa = alpha[sel], cos_a[sel], sin_a[sel]
+        if down:
+            j = np.arange(_ODD_FACTORIALS.size)
+            coef = (-1.0) ** j / (_ODD_FACTORIALS * (top + 2 * j + 2))
+            x = a * np.polynomial.polynomial.polyval(a * a, coef)
+            mom[top, sel] = x
+            for m in range(top, 0, -1):
+                x = x * a
+                x += ca if m % 2 else -sa
+                x *= (1.0 if m % 2 else -1.0) / m
+                mom[m - 1, sel] = x
+        else:
+            inv = 1.0 / a
+            x, scale = sa * inv, (-inv, inv)
+            mom[0, sel] = x
+            for m in range(1, top + 1):
+                x = x * m
+                x -= ca if m % 2 else sa
+                x *= scale[m % 2]
+                mom[m, sel] = x
+    out = np.zeros((count, alpha.size), dtype=complex)
+    term = 2.0
     for n in range(n_beta + 1):
         if n:
-            q = q * beta / n
-        # the unit (−i)ᵏ cycles 1, −i, −1, i: each term adds to one part
-        for p, x, k in ((p0, mom[2 * n] * q, n), (p1, mom[2 * n + 1] * q, n + 1)):
+            term = term * beta / n
+        for q, p in enumerate(out):
+            x = mom[q + 2 * n] * term
+            # the unit (−i)ᵏ cycles 1, −i, −1, i: each term adds to one part
+            k = n + q % 2
             part = p.imag if k % 2 else p.real
             if k % 4 in (1, 2):
                 part -= x
             else:
                 part += x
-    return p0, p1
+    return out
 
 
 def _erf_pieces(k, t: float, b: float):
@@ -151,75 +198,148 @@ def _erf_pieces(k, t: float, b: float):
     return (k[1:] * m0 - m1) / h, (m1 - k[:-1] * m0) / h
 
 
-def _panel_weights(k, c, sig, t: float, b: float, chirp_t, chirp_b, spin_t, spin_b) -> np.ndarray:
-    """Nodal weights on k from the panels' midpoints c, half-widths sig and
-    the factors of (σ/2)e^{−iφ(c)} = chirp_t·chirp_b and e^{iα} =
-    spin_t·spin_b.  Panels go in blocks of _BLOCK, each in runs of one
-    kind: 0 for |α| ≥ _ALPHA_SMALL, 1 below it, 2 for β > _BETA_MAX (at
-    most three runs on a uniform node set: β is constant, α increasing)."""
+def _panel_weights(k, c, sig, t: float, b: float, g) -> np.ndarray:
+    """Nodal weights on k, the direct rule, from the panels' midpoints c,
+    half-widths sig and g = (σ/2)e^{−iφ(c)}.  Panels go in blocks of
+    _BLOCK, each in runs of one kind: the β series for β ≤ _BETA_MAX, the
+    erf closed form above it (one run on a uniform node set)."""
     w = np.zeros(k.size, dtype=complex)
     for b0 in range(0, c.size, _BLOCK):
         s = sig[b0 : b0 + _BLOCK]
         alpha = (2.0 * t * c[b0 : b0 + _BLOCK] - b) * s
         beta = t * s * s
-        kind = np.where(beta > _BETA_MAX, 2, np.abs(alpha) < _ALPHA_SMALL)
-        edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), alpha.size]
+        erf = beta > _BETA_MAX
+        edges = [0, *(np.flatnonzero(erf[1:] != erf[:-1]) + 1).tolist(), alpha.size]
         for i0, i1 in zip(edges[:-1], edges[1:]):
-            run = slice(b0 + i0, b0 + i1)
-            if kind[i0] == 2:
+            if erf[i0]:
                 lo, hi = _erf_pieces(k[b0 + i0 : b0 + i1 + 1], t, b)
             else:
-                e = spin_t[run] * spin_b[run]
-                p0, p1 = _taylor_pieces(alpha[i0:i1], e.real, e.imag, beta[i0:i1], kind[i0] == 1)
-                g = chirp_t[run] * chirp_b[run]
-                lo, hi = g * (p0 - p1), g * (p0 + p1)
+                p0, p1 = _p_moments(alpha[i0:i1], beta[i0:i1], 2)
+                gg = g[b0 + i0 : b0 + i1]
+                lo, hi = gg * (p0 - p1), gg * (p0 + p1)
             w[b0 + i0 : b0 + i1] += lo
             w[b0 + i0 + 1 : b0 + i1 + 1] += hi
     return w
 
 
 class PanelTables:
-    """The panel tables of the node set k for the times ts."""
+    """The panel tables of a uniform node set k for the times ts and the
+    separations |b| ≤ b_max."""
 
-    def __init__(self, k, ts):
+    def __init__(self, k, ts, b_max: float):
         self.k, self.ts = k, ts
         self.c, c_lo, self.sig = _midpoints(k)
-        self.chirp = np.array([0.5 * self.sig * _chirp(t, self.c, c_lo) for t in ts])
-        self.spin = np.exp(2j * np.multiply.outer(ts, self.c * self.sig))
+        n = self.c.size
+        self.sig_bar = 0.5 * (k[-1] - k[0]) / n
+        if np.max(np.abs(self.sig - self.sig_bar)) > 1e-9 * self.sig_bar:
+            raise ValueError("panel tables need a uniform node set")
+        # a panel's α is its lattice α at b = 0, less bσ̄, plus 2t·e − b·dsig;
+        # e and dsig are stored complex, as numpy mixes real into complex slowly
+        lattice_c = k[0] + (2.0 * np.arange(n) + 1.0) * self.sig_bar
+        self._e = (self.c * self.sig - lattice_c * self.sig_bar).astype(complex)
+        self._dsig = (self.sig - self.sig_bar).astype(complex)
+        self.chirp = [0.5 * self.sig * _chirp(t, self.c, c_lo) for t in ts]
+        self._tables = [self._time_table(t, b_max) for t in ts]
+        rows = max((tab[3].shape[0] for tab in self._tables if tab), default=0)
+        self._sums = np.empty((4, rows, _STRIDE), dtype=complex)
+        self._g, self._d = np.empty((2, n), dtype=complex)
+        # R(Rw′), and a quarter of Rw′ or of R(Rw′)
+        self._rr = np.empty((n + 4) // 4, dtype=complex)
+        self._quarter_rx = np.empty(n // 2 + 1, dtype=complex)
 
-    def weights(self, b: float):
-        """Yield the nodal weights of each time at b, then at −b."""
-        chirp_b, spin_b = np.exp(1j * b * self.c), np.exp(-1j * b * self.sig)
-        for sb, chirp_sb, spin_sb in ((b, chirp_b, spin_b), (-b, chirp_b.conj(), spin_b.conj())):
-            for t, chirp, spin in zip(self.ts, self.chirp, self.spin):
-                yield _panel_weights(self.k, self.c, self.sig, t, sb, chirp, chirp_sb, spin, spin_sb)
+    def _time_table(self, t: float, b_max: float):
+        """(Δ, N, ext, table) for the time t, or None when β = tσ̄² >
+        _BETA_MAX: table[i, q] = P_q(A, β) for q ≤ N + 1 at every _STRIDE-th
+        point A = A₀ + Δ·_STRIDE·(i − ext) of the lattice A_L = 2t(k₀ +
+        (2L+1)σ̄)σ̄, step Δ = 4tσ̄², reaching ext rows past the panels on each
+        side for the largest shift.  N keeps the shift series to 2⁻⁵³ at the
+        largest offset from a table point, (_STRIDE/2 + ½)Δ."""
+        beta = t * self.sig_bar**2
+        if beta > _BETA_MAX:
+            return None
+        delta = 4.0 * beta
+        n_shift = _cut((_STRIDE // 2 + 0.5) * delta, lambda n: n + 2)
+        ext = int(b_max * self.sig_bar / delta) // _STRIDE + 2
+        i = np.arange(2 * ext + self.c.size // _STRIDE + 3) - ext
+        alpha = 2.0 * t * self.sig_bar * (self.k[0] + self.sig_bar) + delta * _STRIDE * i
+        return delta, n_shift, ext, _p_moments(alpha, beta, n_shift + 2).T.copy()
+
+    def _lattice_weights(self, t: float, table, b: float, b_dsig, w) -> None:
+        """4/3 of the nodal weights at b into w from a time's table, with
+        g = self._g (the 4/3 of V = (4w − E·Rw)/3 rides in the coefficients).
+        Panel p sits m = round(bσ̄/Δ) lattice points below its b = 0 place
+        and ε = bσ̄ − mΔ further; its table point is the nearest multiple of
+        _STRIDE, r points away, so P_q = Σₙ (−iδ)ⁿ/n! P_{q+n} with δ = rΔ − ε.
+        Its float midpoint and width move its α by d = 2t·e − b·dsig off the
+        lattice: the first-order term −i·d·P_{q+1}.  Each of the four sums
+        (P₀ ∓ P₁ and −i(P₁ ∓ P₂), the shift series of each) is one product
+        of the table rows with a (N + 2) × _STRIDE coefficient matrix whose
+        output, row by row, is the panels in order."""
+        delta, n, ext, tab = table
+        shift = b * self.sig_bar
+        m = int(np.rint(shift / delta))
+        z = -1j * ((np.arange(_STRIDE) - _STRIDE // 2) * delta - (shift - m * delta))
+        coef = np.zeros((n + 4, _STRIDE), dtype=complex)
+        coef[2 : n + 3] = z ** np.arange(n + 1)[:, None] * (4.0 / 3.0 / _FACTORIALS[: n + 1, None])
+        # over table columns q ≤ N + 1: P_{q+j} in P₀, P₁ and P₂ (one term short)
+        c0, c1, c2 = coef[2:], coef[1:-1], coef[:-2]
+        j0 = (_STRIDE // 2 - m) // _STRIDE + ext
+        f0 = _STRIDE // 2 - m - _STRIDE * (j0 - ext)
+        npan = self.c.size
+        nr = (f0 + npan + _STRIDE - 1) // _STRIDE
+        if j0 < 0 or j0 + nr > tab.shape[0]:
+            raise ValueError("separation beyond the tables' b_max")
+        rows = tab[j0 : j0 + nr]
+        sums = self._sums[:, :nr]
+        for out, c in zip(sums, (c0 - c1, c0 + c1, -1j * (c1 - c2), -1j * (c1 + c2))):
+            np.matmul(rows, c, out=out)
+        lo, hi, d_lo, d_hi = (x.reshape(-1)[f0 : f0 + npan] for x in sums)
+        d = self._d
+        np.multiply(self._e, 2.0 * t, out=d)
+        d -= b_dsig
+        for piece, d_piece in ((lo, d_lo), (hi, d_hi)):
+            d_piece *= d
+            piece += d_piece
+            piece *= self._g
+        w[0], w[-1] = lo[0], hi[-1]
+        np.add(lo[1:], hi[:-1], out=w[1:-1])
 
     def richardson_weights(self, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """(V, U) on a uniform node set of 4n − 3 nodes, (2·len(ts), 4n − 3)
-        and (2·len(ts), 2n − 1), with rows in the order of weights(b)."""
+        """(V, U) on the uniform node set of 4n − 3 nodes, (2·len(ts), 4n − 3)
+        and (2·len(ts), 2n − 1): the rows of every time at b, then at −b.
+        With w′ = 4w/3, V = w′ − E·Rw′/4 and U = Rw′ − E·RRw′/4."""
         v = np.empty((2 * self.ts.size, self.k.size), dtype=complex)
         u = np.empty((2 * self.ts.size, (self.k.size + 1) // 2), dtype=complex)
-        for w, wv, wu in zip(self.weights(b), v, u):
-            rw = _restrict(w)
-            for x, rx in ((w, rw), (rw, _restrict(rw))):  # (4x − E·Rx)/3
-                x *= 4.0
-                x[::2] -= rx
-                x /= 3.0
-            wv[...], wu[...] = w, rw
+        chirp_b, b_dsig = _unit(b * self.c), b * self._dsig
+        rows = iter(zip(v, u))
+        for sb, chirp_sb, sb_dsig in ((b, chirp_b, b_dsig), (-b, chirp_b.conj(), -b_dsig)):
+            for t, chirp, table in zip(self.ts, self.chirp, self._tables):
+                w, wu = next(rows)
+                np.multiply(chirp, chirp_sb, out=self._g)
+                if table is None:
+                    np.multiply(_panel_weights(self.k, self.c, self.sig, t, sb, self._g), 4.0 / 3.0, out=w)
+                else:
+                    self._lattice_weights(t, table, sb, sb_dsig, w)
+                for x, rx in ((w, wu), (wu, self._rr)):  # x − E·Rx/4, no temporaries
+                    _restrict(x, out=rx)
+                    x[::2] -= np.multiply(rx, 0.25, out=self._quarter_rx[: rx.size])
         return v, u
 
 
-def _restrict(w: np.ndarray) -> np.ndarray:
+def _restrict(w: np.ndarray, out=None) -> np.ndarray:
     """Weights on every second node of a uniform node set from the weights
     on all of them: w_c[J] = w[2J] + ½(w[2J−1] + w[2J+1]), one-sided at the
-    ends.  Exact for weights of any rule that is exact on piecewise-linear
-    amplitudes, such as fresnel_weights."""
+    ends, into out when given.  Exact for weights of any rule that is exact
+    on piecewise-linear amplitudes, such as fresnel_weights."""
     if w.size % 2 == 0:
         raise ValueError("restriction needs an odd number of nodes")
-    out = w[::2].copy()
-    half = 0.5 * w[1::2]
-    out[:-1] += half
-    out[1:] += half
+    if out is None:
+        out = np.empty((w.size + 1) // 2, dtype=w.dtype)
+    out[0] = 0.0
+    out[1:] = w[1::2]
+    out[:-1] += w[1::2]
+    out *= 0.5
+    out += w[::2]
     return out
 
 

@@ -24,15 +24,17 @@ their error estimates.  The threshold term (4πit)^{−1/2} f₀(x)f₀(y) has
 one route, the tabulated f₀ of PropagatorData.f0_x, which is the k = 0
 column of the h₊ field scaled by c₊.
 
-Per (t, b) there is one weight vector, on the finest node set; the coarser
-levels come by restriction, and oscquad folds Richardson into the weights:
-V on the finest nodes and U on every second one give the two extrapolants
-as one sum each.  For a real potential A(−k) = conj A(k), so only k ≥ 0 is
-refined and built: the k < 0 half of a weight vector, mirrored, is the
-k ≥ 0 half at −b, and conjugated it acts on conj A, Σ w A = A·w₊ +
-conj(A·conj w₋), with its k = 0 weight added to w₊.  A row chunk of a
-diagonal's amplitude costs two matrix products; the chunks bound its
-memory whatever the number of rows.
+Per (t, b) there is one weight vector, on the finest node set, from
+oscquad's per-time tables; the coarser levels come by restriction, and
+oscquad folds Richardson into the weights: V on the finest nodes and U on
+every second one give the two extrapolants as one sum each.  For a real
+potential A(−k) = conj A(k), so only k ≥ 0 is refined and built: the k < 0
+half of a weight vector, mirrored, is the k ≥ 0 half at −b, and conjugated
+it acts on conj A, Σ w A = A·w₊ + conj(A·conj w₋), with its k = 0 weight
+added to w₊.  The amplitude h₊h₋T − 1 is h₊·(h₋T), h₋T formed once per
+call, and its −1 is the sum of each weight row; a diagonal's amplitude
+goes in k-blocks that hold all its rows, each block two matrix products,
+and the blocks bound its memory whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ DEFAULT_X_MAX = 8.0
 DEFAULT_K_MAX = 60.0
 DEFAULT_K_COUNT = 24001
 
-# complex amplitude entries per row chunk of a diagonal, its even-column
-# copy included (16 MiB); the rows per chunk follow from the refined nodes
+# complex amplitude entries per k-block of a diagonal, its even-column copy
+# included (16 MiB); the block width follows from the diagonal's rows
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -222,22 +224,29 @@ def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
 
 
 def _check_times(ts, k_max: float, b: float) -> None:
-    """The kernel rule's conditions on the times at separation b ≥ 0: every
-    t ≥ 1, and the phase monotone beyond the cut at the earliest t
-    (truncation_tail's 2tK > b); ValueError otherwise.  pac_kernel checks
-    its pair, pac_slices and the CLI decay stage the widest separation on
-    the grid, each before any work."""
+    """The kernel rule's conditions on the times at separation b ≥ 0: at
+    least one time, every t finite and ≥ 1, and the phase monotone beyond
+    the cut at the earliest t (truncation_tail's 2tK > b); ValueError
+    otherwise.  pac_kernel checks its pair, pac_slices and the CLI decay
+    stage the widest separation on the grid, each before any work."""
+    if ts.size == 0:
+        raise ValueError("ts: kernel evaluation needs at least one time")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("ts: kernel evaluation needs finite times")
     if np.any(ts < 1.0):
         raise ValueError("kernel evaluation needs t >= 1")
     truncation_tail(0.0, 0.0, float(np.min(ts)), b, k_max)
 
 
-def _pac_rows(hp_ff, hm_ff, t_ff, tables: PanelTables, b: float):
+def _pac_rows(hp_ff, hm_t, tables: PanelTables, b: float):
     """Continuous-spectrum kernel of row-aligned pairs at separation b ≥ 0
     for every time of the tables: (value, error), each (len(ts), rows).
-    hp_ff, hm_ff hold rows of h₊(y,·) and h₋(x,·) and t_ff holds T, refined
-    on k ≥ 0 (_refine_half) onto the tables' nodes.  The amplitude goes in
-    row chunks, each one product with V and one, on its even columns, with U."""
+    hp_ff holds rows of h₊(y,·) and hm_t rows of h₋(x,·)T, refined on k ≥ 0
+    (_refine_half) onto the tables' nodes.  The amplitude A = h₊·h₋T costs
+    one multiply per entry and goes in k-blocks that hold every row, each
+    block one product with V and one, on its even columns, with U; the −1
+    of A − 1 is taken off after the products as the sum of each weight row,
+    which a row of ones in the same products gives."""
     inv2pi = 1.0 / (2.0 * np.pi)
     ts, nt = tables.ts, tables.ts.size
     v, u = tables.richardson_weights(b)
@@ -246,48 +255,58 @@ def _pac_rows(hp_ff, hm_ff, t_ff, tables: PanelTables, b: float):
         w[nt:, 0] = 0.0
         np.conjugate(w[nt:], out=w[nt:])
     # K, the last node; |A(−K)| = |A(K)|
-    end = np.abs(hp_ff[:, -1] * hm_ff[:, -1] * t_ff[-1] - 1.0)
+    end = np.abs(hp_ff[:, -1] * hm_t[:, -1] - 1.0)
     tail = np.array([truncation_tail(end, end, t, b, tables.k[-1]) for t in ts])
     full = np.array([full_line_integral(t, b) for t in ts])
-    n_rows = hp_ff.shape[0]
-    val = np.empty((nt, n_rows), dtype=complex)
-    err = np.empty((nt, n_rows))
-    chunk = max(1, _CHUNK_ENTRIES // (v.shape[1] + u.shape[1]))
-    buf = np.empty((min(chunk, n_rows), v.shape[1]), dtype=complex)
-    even_buf = np.empty((buf.shape[0], u.shape[1]), dtype=complex)
-    for lo in range(0, n_rows, chunk):
-        rows = slice(lo, lo + chunk)
-        amp, even = buf[: min(chunk, n_rows - lo)], even_buf[: min(chunk, n_rows - lo)]
-        np.multiply(hp_ff[rows], hm_ff[rows], out=amp)
-        amp *= t_ff
-        amp -= 1.0
+    n_rows, n_k = hp_ff.shape
+    r2, r1 = (np.zeros((n_rows + 1, 2 * nt), dtype=complex) for _ in range(2))
+    # an even block width keeps a block's even columns on U's columns; the
+    # last row of ones sums the weight rows in the same products
+    width = min(n_k, max(2, _CHUNK_ENTRIES // (3 * (n_rows + 1)) * 2))
+    buf = np.empty((n_rows + 1, width), dtype=complex)
+    buf[-1] = 1.0
+    even_buf = np.empty((n_rows + 1, (width + 1) // 2), dtype=complex)
+    for k0 in range(0, n_k, width):
+        k1 = min(k0 + width, n_k)
+        amp, even = buf[:, : k1 - k0], even_buf[:, : (k1 - k0 + 1) // 2]
+        np.multiply(hp_ff[:, k0:k1], hm_t[:, k0:k1], out=amp[:-1])
         np.copyto(even, amp[:, ::2])
-        r2, r1 = ((s[:, :nt] + np.conj(s[:, nt:])).T for s in (amp @ v.T, even @ u.T))
-        val[:, rows] = (full[:, None] + r2) * inv2pi
-        err[:, rows] = (np.abs(r2 - r1) + tail[:, rows]) * inv2pi
-    return val, err
+        r2 += amp @ v[:, k0:k1].T
+        r1 += even @ u[:, k0 // 2 : k0 // 2 + even.shape[1]].T
+    r2, r1 = (s[:-1] - s[-1] for s in (r2, r1))
+    r2, r1 = ((s[:, :nt] + np.conj(s[:, nt:])).T for s in (r2, r1))
+    return (full[:, None] + r2) * inv2pi, (np.abs(r2 - r1) + tail) * inv2pi
+
+
+def _refined_amplitude_rows(pd: PropagatorData, plus_rows, minus_rows):
+    """(h₊ rows, h₋T rows), each refined on k ≥ 0 (_refine_half)."""
+    hm_t = _refine_half(pd.h_minus[minus_rows])
+    hm_t *= _refine_half(pd.T)
+    return _refine_half(pd.h_plus[plus_rows]), hm_t
 
 
 def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     """Kernel slices on pd.x_grid × pd.x_grid for every time in ts.
 
-    The weights of one diagonal serve all its pairs and times; the
-    amplitude is built per diagonal in row chunks.  Raises ValueError for
-    t < 1 and when 2tK ≤ |b| for the widest separation b on the grid
-    (K = max k), as pac_kernel does for one pair; both before any work."""
+    The weights of one diagonal serve all its pairs and times.  h₋ is
+    multiplied by T once per call, so a diagonal's amplitude costs one
+    multiply per entry; it is built and contracted in k-blocks that hold
+    all the diagonal's rows.  Raises ValueError for an empty or non-finite
+    ts, for t < 1 and when 2tK ≤ |b| for the widest separation b on the
+    grid (K = max k), as pac_kernel does for one pair; all before any
+    work."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x = pd.x_grid
     n = x.size
     dx = _uniform_step(x, "x_grid")
-    _check_times(ts, float(pd.k_grid[-1]), float(x[-1] - x[0]))
-    hp_ff = _refine_half(pd.h_plus)
-    hm_ff = _refine_half(pd.h_minus)
-    t_ff = _refine_half(pd.T)
-    tables = PanelTables(_half_nodes(pd.k_grid), ts)
+    b_max = float(x[-1] - x[0])
+    _check_times(ts, float(pd.k_grid[-1]), b_max)
+    hp_ff, hm_t = _refined_amplitude_rows(pd, slice(None), slice(None))
+    tables = PanelTables(_half_nodes(pd.k_grid), ts, b_max)
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
     for d in range(n):
-        val, err = _pac_rows(hp_ff[d:, :], hm_ff[: n - d, :], t_ff, tables, d * dx)
+        val, err = _pac_rows(hp_ff[d:, :], hm_t[: n - d, :], tables, d * dx)
         rows = np.arange(n - d)
         pac[:, rows, rows + d] = val
         pac[:, rows + d, rows] = val
@@ -304,13 +323,13 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
 def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[complex, float]:
     """Continuous-spectrum evolution kernel at one (x, y, t) triple and its
     error estimate, by the same rule as pac_slices; raises ValueError for
-    t < 1 and when 2tK ≤ |y − x|."""
+    a non-finite or t < 1 time and when 2tK ≤ |y − x|."""
     lo, hi = (x, y) if x <= y else (y, x)
     i, j = pd.x_index(lo), pd.x_index(hi)
     ts, b = np.array([float(t)]), float(pd.x_grid[j] - pd.x_grid[i])
     _check_times(ts, float(pd.k_grid[-1]), b)
-    rows = (_refine_half(pd.h_plus[j : j + 1, :]), _refine_half(pd.h_minus[i : i + 1, :]))
-    val, err = _pac_rows(*rows, _refine_half(pd.T), PanelTables(_half_nodes(pd.k_grid), ts), b)
+    rows = _refined_amplitude_rows(pd, slice(j, j + 1), slice(i, i + 1))
+    val, err = _pac_rows(*rows, PanelTables(_half_nodes(pd.k_grid), ts, b), b)
     return complex(val[0, 0]), float(err[0, 0])
 
 

@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import fresnel
 
 import oracles
 from scatterlab.oscquad import (
+    PanelTables,
     _restrict,
     fresnel_weights,
     full_line_integral,
     truncation_tail,
 )
+from scatterlab.propagator import _half_nodes
 
 
 def _quad_oracle(amp, t, b, lo, hi, pieces=40):
@@ -165,24 +167,73 @@ def test_validation():
         fresnel_weights(np.array([0.5]), 1.0, 0.0)
     with pytest.raises(ValueError):
         _restrict(np.ones(4))
+    # non-finite times and separations fail before any work, naming the
+    # argument (NaN used to stop the series-length search with StopIteration)
+    for t, b, name in ((np.nan, 0.0, "t"), (np.inf, 0.0, "t"), (1.0, np.nan, "b"), (1.0, -np.inf, "b")):
+        with pytest.raises(ValueError, match=f"^{name}:"):
+            fresnel_weights(k, t, b)
 
 
 # the finest node set of the decay stage's default k grid
 _DECAY_NODES = np.linspace(-60.0, 60.0, 96001)
 
 
+def _unfold(v):
+    """The nodal weights w behind V = (4w − E·Rw)/3: w = 3V/4 on the odd
+    nodes, and on the even ones V = w − (w₋₁ + w₊₁)/6, one-sided at the ends."""
+    w = 0.75 * v
+    w[::2] = v[::2]
+    w[2::2] += w[1::2] / 6.0
+    w[:-1:2] += w[1::2] / 6.0
+    return w
+
+
 @pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])
 def test_weights_match_mpmath_on_decay_grid(t):
     # t·k² reaches 3.6e6 rad on these nodes: the weights must carry that
     # phase to ~1e-12 rad.  25 drawn nodes (ends and k = 0 included) per
-    # (t, b), 225 in all
+    # (t, b), 225 in all; the direct rule and the table rule (its weights
+    # unfolded from V) against the same references
     k = _DECAY_NODES
     rng = np.random.default_rng(int(t))
     idx = np.r_[0, k.size // 2, k.size - 1, rng.integers(1, k.size - 1, 22)]
+    tables = PanelTables(k, np.array([t]), 16.0)
     for b in (0.0, 4.0, 16.0):
-        w = fresnel_weights(k, t, b)
         ref = np.array([oracles.fresnel_weight_mp(k, j, t, b) for j in idx])
-        assert np.max(np.abs(w[idx] - ref)) <= 1e-11 * np.max(np.abs(w))
+        for w in (fresnel_weights(k, t, b), _unfold(tables.richardson_weights(b)[0][0])):
+            assert np.max(np.abs(w[idx] - ref)) <= 1e-11 * np.max(np.abs(w))
+
+
+def _richardson_reference(k, t, b):
+    """V = (4w − E·Rw)/3 and U = (4Rw − E·RRw)/3 from the direct rule."""
+    w = fresnel_weights(k, t, b)
+    rw = _restrict(w)
+    out = []
+    for x, rx in ((w, rw), (rw, _restrict(rw))):
+        y = 4.0 * x
+        y[::2] -= rx
+        out.append(y / 3.0)
+    return out
+
+
+# the k >= 0 nodes of the propagator's twice-refined default and coarse grids
+_HALF_NODES = [_half_nodes(np.linspace(-K, K, n)) for K, n in ((60.0, 24001), (20.0, 2001))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([0, 1]), t=st.floats(1.0, 1000.0), b=st.floats(-16.0, 16.0))
+@example(grid=0, t=1000.0, b=16.0)
+@example(grid=1, t=1.0, b=-16.0)
+def test_table_weights_equal_the_direct_rule(grid, t, b):
+    # the per-time tables, shifted along the α lattice, summed over the
+    # offset series and corrected to first order for each float panel's own
+    # α, give the direct rule's V and U at b and at −b.  Without the
+    # first-order term they differ by 6e-12 · max at t = 1000
+    k = _HALF_NODES[grid]
+    v, u = PanelTables(k, np.array([t]), abs(b)).richardson_weights(b)
+    for row, sb in enumerate((b, -b)):
+        for got, ref in zip((v[row], u[row]), _richardson_reference(k, t, sb)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])

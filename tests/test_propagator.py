@@ -164,11 +164,22 @@ def test_g_kernel_error_estimate_covers_truth(free_pd, pt_pd):
     assert abs(g - exact) < max(ef, 1e-12)
 
 
-@pytest.mark.parametrize("name", ["poeschl_teller", "square_well", "gaussian_well"])
-def test_slices_match_reference_rule(name):
-    # the folded, restricted, chunked rule against the plain one: three
-    # weight vectors per time, one product per time and level, whole line
-    pd = prepare_propagator(catalog(name), np.linspace(-4.0, 4.0, 17), np.linspace(-20.0, 20.0, 2001))
+@pytest.mark.parametrize(
+    "name,k_count",
+    [
+        pytest.param(name, k_count, id=name + suffix)
+        for k_count, suffix in ((2001, ""), (201, "-coarse_k"))
+        for name in ("poeschl_teller", "square_well", "gaussian_well")
+    ],
+)
+def test_slices_match_reference_rule(name, k_count):
+    # the folded, restricted, k-blocked rule on per-time tables against the
+    # plain one: three direct weight vectors per time, one product per time
+    # and level, whole line.  On the coarse k grid (K = 60, 201 nodes) tσ²
+    # = 0.0056·t, so t = 10, 100, 1000 pass _BETA_MAX and fall back to the
+    # direct rule per (t, b), erf pieces included, beside tabled t = 1, 2.5
+    k_max = 20.0 if k_count == 2001 else 60.0
+    pd = prepare_propagator(catalog(name), np.linspace(-4.0, 4.0, 17), np.linspace(-k_max, k_max, k_count))
     ts = np.array([1.0, 2.5, 10.0, 100.0, 1000.0])
     ref_pac, ref_err = oracles.pac_slices_reference(
         pd.h_plus, pd.h_minus, pd.T, pd.k_grid, 0.5, ts, fresnel_weights
@@ -191,10 +202,11 @@ def test_k_grid_must_be_symmetric_about_zero(pt_pot, monkeypatch):
 
 
 def test_slices_memory_bounded(pt_pot):
-    # the amplitude is built in row chunks over k >= 0, with one buffer for
-    # its even columns, and the weights of one diagonal are V and U;
-    # measured peak 22.2 MiB (20.9 with one weight matrix per Richardson
-    # level and no even-column buffer), bound unchanged
+    # the amplitude is built in k-blocks over k >= 0, with one buffer for
+    # its even columns, the weights of one diagonal are V and U, and each
+    # time keeps a table of P_q on every 4th lattice point; measured peak
+    # 24.9 MiB (22.2 with row chunks and per-time phase tables), bound
+    # unchanged
     pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 33), np.linspace(-60.0, 60.0, 4001))
     tracemalloc.start()
     try:
@@ -210,10 +222,12 @@ def test_slices_need_no_erf_and_one_product_per_level(pt_pot, monkeypatch):
     # tσ² ≤ 0.014, so its weights come from the β series alone, with no
     # call of the Faddeeva function behind the erf closed form; and the
     # Richardson weights of a diagonal are two matrices, V on every refined
-    # node and U on every second one, with no column left at zero
-    erf_calls = []
-    wofz = oscquad.wofz
+    # node and U on every second one, with no column left at zero.  The
+    # moment series runs once per time (its table), not once per (t, ±b)
+    erf_calls, series_calls = [], []
+    wofz, p_moments = oscquad.wofz, oscquad._p_moments
     monkeypatch.setattr(oscquad, "wofz", lambda z: erf_calls.append(np.size(z)) or wofz(z))
+    monkeypatch.setattr(oscquad, "_p_moments", lambda *a: series_calls.append(a) or p_moments(*a))
     shapes = []
     richardson = oscquad.PanelTables.richardson_weights
 
@@ -228,6 +242,7 @@ def test_slices_need_no_erf_and_one_product_per_level(pt_pot, monkeypatch):
     ts = np.geomspace(10.0, 1000.0, 12)
     pac_slices(pd, ts)
     assert erf_calls == []
+    assert len(series_calls) == len(ts)
     n = 2001  # grid nodes k >= 0
     assert len(shapes) == 9
     assert all(s == [(2 * len(ts), 4 * n - 3), (2 * len(ts), 2 * n - 1)] for s in shapes)
@@ -251,6 +266,12 @@ def test_pac_validation(pt_pd):
         pac_kernel(pt_pd, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         pac_slices(pt_pd, [2.0, 0.25])
+    # empty and non-finite times fail before any work, naming the argument
+    for ts in ([], [np.nan], [np.inf], [5.0, -np.inf]):
+        with pytest.raises(ValueError, match="^ts:"):
+            pac_slices(pt_pd, ts)
+    with pytest.raises(ValueError, match="^ts:"):
+        pac_kernel(pt_pd, 0.0, 1.0, np.nan)
     with pytest.raises(KeyError):
         pac_kernel(pt_pd, 0.3, 1.0, 5.0)
 
