@@ -421,7 +421,8 @@ def cmd_wiener(rc: RunConfig, out: Path) -> int:
     if not _config_ok(rc, [(("wiener.derivative_orders",), lambda: _check_max_order(orders))]):
         return 2
     pot = rc.potential()
-    sd, _, _ = scattering_data(pot, rc.k_grid(), rtol=rc.rtol, atol=rc.atol)
+    # the wiener artifacts read no bound state
+    sd, _, _ = scattering_data(pot, rc.k_grid(), rtol=rc.rtol, atol=rc.atol, with_bound_states=False)
     k = sd.k_grid
     i0 = int(np.argmin(np.abs(k)))
     rows = []
@@ -467,8 +468,8 @@ def cmd_decay(rc: RunConfig, out: Path) -> int:
         (("grids.x_max", "grids.x_step"), lambda: _growth_lattice(x_grid)),
         (("times.t_min", "times.t_max", "times.count"), lambda: _check_fit_times(ts)),
         (
-            ("times.t_min", "grids.k_max", "grids.x_max"),
-            lambda: _check_times(ts, float(k_grid[-1]), float(x_grid[-1] - x_grid[0])),
+            ("times.t_min", "times.t_max", "grids.k_max", "grids.x_max"),
+            lambda: _check_times(ts, k_grid, float(x_grid[-1] - x_grid[0])),
         ),
     ]
     if not _config_ok(rc, checks):

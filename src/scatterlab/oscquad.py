@@ -8,26 +8,32 @@ panel's two hat pieces are σe^{−iφ(c)}(P₀ ∓ P₁)/2 with P_q =
 ∫_{−1}^{1} s^q e^{−i(αs + βs²)} ds.  The large phase sits in e^{−iφ(c)}
 (double-double reduction of t·c² ~ 10⁷ rad); for β ≤ _BETA_MAX, P_q are
 short Taylor series in β over exact moments in cos α, sin α and 1/α.
-Larger β (coarse grids) keeps the erf closed form, u = k − b/2t, w² = it:
 
-    ∫ e^{−iφ} dk   = e^{ib²/(4t)} √π/(2w) · erf(wu) + const,
-    ∫ k e^{−iφ} dk = e^{ib²/(4t)} e^{−itu²}/(−2it) + (b/2t)·(above).
-
-fresnel_weights is this direct rule on any node set.  On a uniform node
-set of half-width σ̄, PanelTables shares the series between separations:
-b only moves the panel α = (2tc − b)σ along the lattice A_L = 2t(k₀ +
-(2L+1)σ̄)σ̄ of step Δ = 4tσ̄², by m = round(bσ̄/Δ) points and ε = bσ̄ − mΔ
-further.  So each time keeps one table of P_q, q ≤ N + 1, on every
-_STRIDE-th lattice point, reaching past the panels by the largest shift,
-and the weights at any ±b come from three pieces: the shift m; the series
-Σₙ (−iδ)ⁿ/n! P_{q+n} over the offset δ = rΔ − ε from the nearest table
-point, r ∈ {−2, …, 1}, with N terms for 2⁻⁵³; and the first-order term
-−i·d·P_{q+1}, where d is the true α of the float panel less its lattice α,
-which restores each panel's own midpoint and width (without it the
-weights are off by ~6e-12 · max|w| at t = 1000).  A time with β >
-_BETA_MAX keeps the direct rule per (t, b), erf pieces included.  The
+On a uniform node set of half-width σ̄, PanelTables shares the series
+between separations: b only moves the panel α = (2tc − b)σ along the
+lattice A_L = 2t(k₀ + (2L+1)σ̄)σ̄ of step Δ = 4tσ̄², by m = round(bσ̄/Δ)
+points and ε = bσ̄ − mΔ further.  So each time keeps one table of P_q,
+q ≤ N + 1, on every _STRIDE-th lattice point, reaching past the panels by
+the largest shift, and the weights at any ±b come from three pieces: the
+shift m; the series Σₙ (−iδ)ⁿ/n! P_{q+n} over the offset δ = rΔ − ε from
+the nearest table point, r ∈ {−2, …, 1}, with N terms for 2⁻⁵³; and the
+first-order term −i·d·P_{q+1}, where d is the true α of the float panel
+less its lattice α, which restores each panel's own midpoint and width
+(without it the weights are off by ~6e-12 · max|w| at t = 1000).  The
 phase factors are per-time tables, (σ/2)e^{−itc²}, and per-separation
 ones, e^{ibc} (its conjugate for −b).
+
+A time with tσ̄² > _BETA_MAX keeps its table on the node set refined 2ʲ
+times, with j the smallest integer that brings tσ̄²/4ʲ to _BETA_MAX: each
+panel gains 2ʲ − 1 evenly spaced nodes and the original nodes stay bit for
+bit.  Its weights there are restricted j times onto the original nodes
+(below).  On a node set of width L such a table holds between ½ and 1
+times L·√(t/_BETA_MAX) panels, whatever the node count, so the refined
+panels of one PanelTables, summed over its times, are held to
+_PANEL_BUDGET: check_budget raises ValueError naming the time that passes
+it.  On the decay stage's default nodes (k ∈ [0, 60], 48 001 of them)
+every t ≤ 128 000 is at level 0, and its default times (12, from t_min =
+10) admit t_max up to 2.048e6.
 
 On nested uniform node sets the coarser weights follow from the finest w
 by restriction R: a hat of every second node is 1 at its node and ½ at
@@ -41,22 +47,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import wofz
 
-__all__ = [
-    "PanelTables",
-    "full_line_integral",
-    "fresnel_weights",
-    "truncation_tail",
-]
+__all__ = ["PanelTables", "full_line_integral", "truncation_tail"]
 
-_BETA_MAX = 0.05  # above it the erf closed form; below, at most 8 β terms
+_BETA_MAX = 0.05  # tables of panels with β above it are refined; below, ≤ 8 β terms
 _ALPHA_SMALL = 1.0  # below it the moments start from a 10-term series in α
 _FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, 40.0)])
 _ODD_FACTORIALS = _FACTORIALS[1:21:2]
 _STRIDE = 4  # lattice points per table row; the offset residues run −2…1
-# panels per pass of _panel_weights, so that its work arrays stay in cache
-_BLOCK = 8192
+_PANEL_BUDGET = 1 << 19  # refined panels of one PanelTables, over its times
 _TWO_PI = (6.283185307179586, 2.4492935982947064e-16)  # hi + lo
 
 
@@ -65,24 +64,6 @@ def full_line_integral(t: float, b: float) -> complex:
     if t <= 0.0:
         raise ValueError("quadratic-phase rule needs t > 0")
     return complex(np.sqrt(np.pi / (1j * t)) * np.exp(1j * b * b / (4.0 * t)))
-
-
-def fresnel_weights(k_grid, t: float, b: float) -> np.ndarray:
-    """Nodal weights w with Σ w_j A(k_j) = ∫ e^{−i(tk²−bk)} A(k) dk for
-    piecewise-linear A on the (strictly increasing) node set."""
-    for name, value in (("t", t), ("b", b)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: quadratic-phase rule needs a finite value, got {value}")
-    if t <= 0.0:
-        raise ValueError("quadratic-phase rule needs t > 0")
-    k = np.asarray(k_grid, dtype=float)
-    if k.ndim != 1 or k.size < 2:
-        raise ValueError("need at least two nodes")
-    # a subnormal gap overflows 1/h in the erf closed form
-    if np.any(np.diff(k) < np.finfo(float).tiny):
-        raise ValueError("nodes must increase by at least the smallest normal double")
-    c, c_lo, sig = _midpoints(k)
-    return _panel_weights(k, c, sig, t, b, 0.5 * sig * _chirp(t, c, c_lo) * _unit(b * c))
 
 
 def _midpoints(k: np.ndarray):
@@ -185,78 +166,37 @@ def _p_moments(alpha, beta, count: int) -> np.ndarray:
     return out
 
 
-def _erf_pieces(k, t: float, b: float):
-    """(lo, hi) hat pieces of the panels of k by the erf closed form, with
-    erf(wu) = sign(u)(1 − e^{−itu²} w(iw|u|)) (Faddeeva's w): the 1s of a
-    panel on one side of u = 0 cancel exactly, and _chirp gives the phase."""
-    h, u = np.diff(k), k - b / (2.0 * t)
-    w45, pref = np.exp(0.25j * np.pi) * np.sqrt(t), np.exp(1j * b * b / (4.0 * t))
-    chirp, sign = _chirp(t, u), np.sign(u)
-    d_erf = np.diff(sign) - np.diff(sign * chirp * wofz(1j * w45 * np.abs(u)))
-    m0 = pref * (np.sqrt(np.pi) / (2.0 * w45)) * d_erf
-    m1 = pref * np.diff(chirp) / (-2j * t) + (b / (2.0 * t)) * m0
-    return (k[1:] * m0 - m1) / h, (m1 - k[:-1] * m0) / h
+def _refined(k: np.ndarray, level: int) -> np.ndarray:
+    """k with 2^level − 1 evenly spaced nodes added inside each panel; the
+    nodes of k stay bit for bit."""
+    m = 1 << level
+    return np.r_[(k[:-1, None] + np.diff(k)[:, None] * (np.arange(m) / m)).ravel(), k[-1]]
 
 
-def _panel_weights(k, c, sig, t: float, b: float, g) -> np.ndarray:
-    """Nodal weights on k, the direct rule, from the panels' midpoints c,
-    half-widths sig and g = (σ/2)e^{−iφ(c)}.  Panels go in blocks of
-    _BLOCK, each in runs of one kind: the β series for β ≤ _BETA_MAX, the
-    erf closed form above it (one run on a uniform node set)."""
-    w = np.zeros(k.size, dtype=complex)
-    for b0 in range(0, c.size, _BLOCK):
-        s = sig[b0 : b0 + _BLOCK]
-        alpha = (2.0 * t * c[b0 : b0 + _BLOCK] - b) * s
-        beta = t * s * s
-        erf = beta > _BETA_MAX
-        edges = [0, *(np.flatnonzero(erf[1:] != erf[:-1]) + 1).tolist(), alpha.size]
-        for i0, i1 in zip(edges[:-1], edges[1:]):
-            if erf[i0]:
-                lo, hi = _erf_pieces(k[b0 + i0 : b0 + i1 + 1], t, b)
-            else:
-                p0, p1 = _p_moments(alpha[i0:i1], beta[i0:i1], 2)
-                gg = g[b0 + i0 : b0 + i1]
-                lo, hi = gg * (p0 - p1), gg * (p0 + p1)
-            w[b0 + i0 : b0 + i1] += lo
-            w[b0 + i0 + 1 : b0 + i1 + 1] += hi
-    return w
+class _NodeSet:
+    """The panels of a uniform node set, with the work arrays of the times
+    tabled on it."""
 
-
-class PanelTables:
-    """The panel tables of a uniform node set k for the times ts and the
-    separations |b| ≤ b_max."""
-
-    def __init__(self, k, ts, b_max: float):
-        self.k, self.ts = k, ts
-        self.c, c_lo, self.sig = _midpoints(k)
+    def __init__(self, k: np.ndarray):
+        self.k = k
+        self.c, self.c_lo, self.sig = _midpoints(k)
         n = self.c.size
         self.sig_bar = 0.5 * (k[-1] - k[0]) / n
-        if np.max(np.abs(self.sig - self.sig_bar)) > 1e-9 * self.sig_bar:
-            raise ValueError("panel tables need a uniform node set")
         # a panel's α is its lattice α at b = 0, less bσ̄, plus 2t·e − b·dsig;
         # e and dsig are stored complex, as numpy mixes real into complex slowly
         lattice_c = k[0] + (2.0 * np.arange(n) + 1.0) * self.sig_bar
-        self._e = (self.c * self.sig - lattice_c * self.sig_bar).astype(complex)
-        self._dsig = (self.sig - self.sig_bar).astype(complex)
-        self.chirp = [0.5 * self.sig * _chirp(t, self.c, c_lo) for t in ts]
-        self._tables = [self._time_table(t, b_max) for t in ts]
-        rows = max((tab[3].shape[0] for tab in self._tables if tab), default=0)
-        self._sums = np.empty((4, rows, _STRIDE), dtype=complex)
-        self._g, self._d = np.empty((2, n), dtype=complex)
-        # R(Rw′), and a quarter of Rw′ or of R(Rw′)
-        self._rr = np.empty((n + 4) // 4, dtype=complex)
-        self._quarter_rx = np.empty(n // 2 + 1, dtype=complex)
+        self.e = (self.c * self.sig - lattice_c * self.sig_bar).astype(complex)
+        self.dsig = (self.sig - self.sig_bar).astype(complex)
+        self.g, self.d = np.empty((2, n), dtype=complex)
 
-    def _time_table(self, t: float, b_max: float):
-        """(Δ, N, ext, table) for the time t, or None when β = tσ̄² >
-        _BETA_MAX: table[i, q] = P_q(A, β) for q ≤ N + 1 at every _STRIDE-th
-        point A = A₀ + Δ·_STRIDE·(i − ext) of the lattice A_L = 2t(k₀ +
-        (2L+1)σ̄)σ̄, step Δ = 4tσ̄², reaching ext rows past the panels on each
-        side for the largest shift.  N keeps the shift series to 2⁻⁵³ at the
-        largest offset from a table point, (_STRIDE/2 + ½)Δ."""
+    def table(self, t: float, b_max: float):
+        """(Δ, N, ext, table) for the time t: table[i, q] = P_q(A, β) for
+        q ≤ N + 1 at every _STRIDE-th point A = A₀ + Δ·_STRIDE·(i − ext) of
+        the lattice A_L = 2t(k₀ + (2L+1)σ̄)σ̄, step Δ = 4tσ̄², reaching ext
+        rows past the panels on each side for the largest shift.  N keeps
+        the shift series to 2⁻⁵³ at the largest offset from a table point,
+        (_STRIDE/2 + ½)Δ."""
         beta = t * self.sig_bar**2
-        if beta > _BETA_MAX:
-            return None
         delta = 4.0 * beta
         n_shift = _cut((_STRIDE // 2 + 0.5) * delta, lambda n: n + 2)
         ext = int(b_max * self.sig_bar / delta) // _STRIDE + 2
@@ -264,9 +204,9 @@ class PanelTables:
         alpha = 2.0 * t * self.sig_bar * (self.k[0] + self.sig_bar) + delta * _STRIDE * i
         return delta, n_shift, ext, _p_moments(alpha, beta, n_shift + 2).T.copy()
 
-    def _lattice_weights(self, t: float, table, b: float, b_dsig, w) -> None:
+    def weights(self, t: float, table, b: float, b_dsig, sums, w) -> None:
         """4/3 of the nodal weights at b into w from a time's table, with
-        g = self._g (the 4/3 of V = (4w − E·Rw)/3 rides in the coefficients).
+        g = self.g (the 4/3 of V = (4w − E·Rw)/3 rides in the coefficients).
         Panel p sits m = round(bσ̄/Δ) lattice points below its b = 0 place
         and ε = bσ̄ − mΔ further; its table point is the nearest multiple of
         _STRIDE, r points away, so P_q = Σₙ (−iδ)ⁿ/n! P_{q+n} with δ = rΔ − ε.
@@ -274,7 +214,7 @@ class PanelTables:
         lattice: the first-order term −i·d·P_{q+1}.  Each of the four sums
         (P₀ ∓ P₁ and −i(P₁ ∓ P₂), the shift series of each) is one product
         of the table rows with a (N + 2) × _STRIDE coefficient matrix whose
-        output, row by row, is the panels in order."""
+        output, row by row, is the panels in order; sums is their buffer."""
         delta, n, ext, tab = table
         shift = b * self.sig_bar
         m = int(np.rint(shift / delta))
@@ -290,39 +230,88 @@ class PanelTables:
         if j0 < 0 or j0 + nr > tab.shape[0]:
             raise ValueError("separation beyond the tables' b_max")
         rows = tab[j0 : j0 + nr]
-        sums = self._sums[:, :nr]
+        sums = sums[:, :nr]
         for out, c in zip(sums, (c0 - c1, c0 + c1, -1j * (c1 - c2), -1j * (c1 + c2))):
             np.matmul(rows, c, out=out)
         lo, hi, d_lo, d_hi = (x.reshape(-1)[f0 : f0 + npan] for x in sums)
-        d = self._d
-        np.multiply(self._e, 2.0 * t, out=d)
+        d = self.d
+        np.multiply(self.e, 2.0 * t, out=d)
         d -= b_dsig
         for piece, d_piece in ((lo, d_lo), (hi, d_hi)):
             d_piece *= d
             piece += d_piece
-            piece *= self._g
+            piece *= self.g
         w[0], w[-1] = lo[0], hi[-1]
         np.add(lo[1:], hi[:-1], out=w[1:-1])
+
+
+class PanelTables:
+    """The panel tables of a uniform node set k for the times ts and the
+    separations |b| ≤ b_max."""
+
+    def __init__(self, k, ts, b_max: float):
+        self.k, self.ts = k, ts
+        nodes = _NodeSet(k)
+        if np.max(np.abs(nodes.sig - nodes.sig_bar)) > 1e-9 * nodes.sig_bar:
+            raise ValueError("panel tables need a uniform node set")
+        self._levels = self.check_budget(k, ts)
+        self._sets = {j: nodes if j == 0 else _NodeSet(_refined(k, j)) for j in set(self._levels)}
+        self._chirps, self._tables = [], []
+        for t, j in zip(ts, self._levels):
+            s = self._sets[j]
+            self._chirps.append(0.5 * s.sig * _chirp(t, s.c, s.c_lo))
+            self._tables.append(s.table(t, b_max))
+        rows = max((tab[3].shape[0] for tab in self._tables), default=0)
+        self._sums = np.empty((4, rows, _STRIDE), dtype=complex)
+        # R(Rw′), and a quarter of Rw′ or of R(Rw′)
+        n = k.size - 1
+        self._rr = np.empty((n + 4) // 4, dtype=complex)
+        self._quarter_rx = np.empty(n // 2 + 1, dtype=complex)
+
+    @staticmethod
+    def check_budget(k, ts) -> list[int]:
+        """Per time, the level j of its table's node set on the uniform node
+        set k of n panels: the smallest with tσ̄²/4ʲ ≤ _BETA_MAX.  ValueError
+        naming the first time that is not finite, or that takes the refined
+        panels, n·2ʲ summed over the times with j > 0, past _PANEL_BUDGET."""
+        n = k.size - 1
+        sig_bar = 0.5 * (k[-1] - k[0]) / n
+        levels, total = [], 0
+        for t in ts:
+            if not math.isfinite(t):
+                raise ValueError(f"ts: panel tables need finite times, got t={t}")
+            j = 0
+            while t * sig_bar**2 > _BETA_MAX * 4.0**j:
+                j += 1
+            levels.append(j)
+            total += n << j if j else 0
+            if total > _PANEL_BUDGET:
+                raise ValueError(f"ts: t={t:g} needs {total} refined panels, past {_PANEL_BUDGET}")
+        return levels
 
     def richardson_weights(self, b: float) -> tuple[np.ndarray, np.ndarray]:
         """(V, U) on the uniform node set of 4n − 3 nodes, (2·len(ts), 4n − 3)
         and (2·len(ts), 2n − 1): the rows of every time at b, then at −b.
-        With w′ = 4w/3, V = w′ − E·Rw′/4 and U = Rw′ − E·RRw′/4."""
+        With w′ = 4w/3, V = w′ − E·Rw′/4 and U = Rw′ − E·RRw′/4; a refined
+        time's w′ comes from its node set by restriction."""
         v = np.empty((2 * self.ts.size, self.k.size), dtype=complex)
         u = np.empty((2 * self.ts.size, (self.k.size + 1) // 2), dtype=complex)
-        chirp_b, b_dsig = _unit(b * self.c), b * self._dsig
+        # per node set e^{ibc} and b·dsig; at −b, their conjugate and negative
+        phase = {j: (_unit(b * s.c), b * s.dsig) for j, s in self._sets.items()}
         rows = iter(zip(v, u))
-        for sb, chirp_sb, sb_dsig in ((b, chirp_b, b_dsig), (-b, chirp_b.conj(), -b_dsig)):
-            for t, chirp, table in zip(self.ts, self.chirp, self._tables):
+        for sb in (b, -b):
+            for t, j, chirp, table in zip(self.ts, self._levels, self._chirps, self._tables):
                 w, wu = next(rows)
-                np.multiply(chirp, chirp_sb, out=self._g)
-                if table is None:
-                    np.multiply(_panel_weights(self.k, self.c, self.sig, t, sb, self._g), 4.0 / 3.0, out=w)
-                else:
-                    self._lattice_weights(t, table, sb, sb_dsig, w)
+                s, (chirp_sb, sb_dsig) = self._sets[j], phase[j]
+                np.multiply(chirp, chirp_sb, out=s.g)
+                x = w if j == 0 else np.empty(s.k.size, dtype=complex)
+                s.weights(t, table, sb, sb_dsig, self._sums, x)
+                for i in range(j, 0, -1):
+                    x = _restrict(x, out=w if i == 1 else None)
                 for x, rx in ((w, wu), (wu, self._rr)):  # x − E·Rx/4, no temporaries
                     _restrict(x, out=rx)
                     x[::2] -= np.multiply(rx, 0.25, out=self._quarter_rx[: rx.size])
+            phase = {j: (c.conj(), -d) for j, (c, d) in phase.items()}
         return v, u
 
 
@@ -330,7 +319,7 @@ def _restrict(w: np.ndarray, out=None) -> np.ndarray:
     """Weights on every second node of a uniform node set from the weights
     on all of them: w_c[J] = w[2J] + ½(w[2J−1] + w[2J+1]), one-sided at the
     ends, into out when given.  Exact for weights of any rule that is exact
-    on piecewise-linear amplitudes, such as fresnel_weights."""
+    on piecewise-linear amplitudes."""
     if w.size % 2 == 0:
         raise ValueError("restriction needs an odd number of nodes")
     if out is None:

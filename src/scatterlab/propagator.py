@@ -25,7 +25,9 @@ one route, the tabulated f₀ of PropagatorData.f0_x, which is the k = 0
 column of the h₊ field scaled by c₊.
 
 Per (t, b) there is one weight vector, on the finest node set, from
-oscquad's per-time tables; the coarser levels come by restriction, and
+oscquad's per-time tables (on a dyadic refinement of that set for the
+times whose panels oscquad refines, restricted back onto it); the coarser
+levels come by restriction, and
 oscquad folds Richardson into the weights: V on the finest nodes and U on
 every second one give the two extrapolants as one sum each.  For a real
 potential A(−k) = conj A(k), so only k ≥ 0 is refined and built: the k < 0
@@ -223,19 +225,22 @@ def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
     return np.outer(pd.f0_x, pd.f0_x) / np.sqrt(4j * np.pi * t)
 
 
-def _check_times(ts, k_max: float, b: float) -> None:
+def _check_times(ts, k_grid, b: float) -> None:
     """The kernel rule's conditions on the times at separation b ≥ 0: at
-    least one time, every t finite and ≥ 1, and the phase monotone beyond
-    the cut at the earliest t (truncation_tail's 2tK > b); ValueError
-    otherwise.  pac_kernel checks its pair, pac_slices and the CLI decay
-    stage the widest separation on the grid, each before any work."""
+    least one time, every t finite and ≥ 1, the phase monotone beyond the
+    cut at the earliest t (truncation_tail's 2tK > b), and the panel tables
+    of the times on k_grid's nodes within oscquad's refinement budget;
+    ValueError otherwise.  pac_kernel checks its pair, pac_slices and the
+    CLI decay stage the widest separation on the grid, each before any
+    work."""
     if ts.size == 0:
         raise ValueError("ts: kernel evaluation needs at least one time")
     if not np.all(np.isfinite(ts)):
         raise ValueError("ts: kernel evaluation needs finite times")
     if np.any(ts < 1.0):
         raise ValueError("kernel evaluation needs t >= 1")
-    truncation_tail(0.0, 0.0, float(np.min(ts)), b, k_max)
+    truncation_tail(0.0, 0.0, float(np.min(ts)), b, float(k_grid[-1]))
+    PanelTables.check_budget(_half_nodes(k_grid), ts)
 
 
 def _pac_rows(hp_ff, hm_t, tables: PanelTables, b: float):
@@ -292,15 +297,15 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     multiplied by T once per call, so a diagonal's amplitude costs one
     multiply per entry; it is built and contracted in k-blocks that hold
     all the diagonal's rows.  Raises ValueError for an empty or non-finite
-    ts, for t < 1 and when 2tK ≤ |b| for the widest separation b on the
-    grid (K = max k), as pac_kernel does for one pair; all before any
-    work."""
+    ts, for t < 1, when 2tK ≤ |b| for the widest separation b on the grid
+    (K = max k), as pac_kernel does for one pair, and for times whose
+    refined panel tables pass oscquad's budget; all before any work."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x = pd.x_grid
     n = x.size
     dx = _uniform_step(x, "x_grid")
     b_max = float(x[-1] - x[0])
-    _check_times(ts, float(pd.k_grid[-1]), b_max)
+    _check_times(ts, pd.k_grid, b_max)
     hp_ff, hm_t = _refined_amplitude_rows(pd, slice(None), slice(None))
     tables = PanelTables(_half_nodes(pd.k_grid), ts, b_max)
     pac = np.empty((ts.size, n, n), dtype=complex)
@@ -323,11 +328,12 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
 def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[complex, float]:
     """Continuous-spectrum evolution kernel at one (x, y, t) triple and its
     error estimate, by the same rule as pac_slices; raises ValueError for
-    a non-finite or t < 1 time and when 2tK ≤ |y − x|."""
+    a non-finite or t < 1 time, when 2tK ≤ |y − x| and for a time past the
+    panel tables' refinement budget."""
     lo, hi = (x, y) if x <= y else (y, x)
     i, j = pd.x_index(lo), pd.x_index(hi)
     ts, b = np.array([float(t)]), float(pd.x_grid[j] - pd.x_grid[i])
-    _check_times(ts, float(pd.k_grid[-1]), b)
+    _check_times(ts, pd.k_grid, b)
     rows = _refined_amplitude_rows(pd, slice(j, j + 1), slice(i, i + 1))
     val, err = _pac_rows(*rows, PanelTables(_half_nodes(pd.k_grid), ts, b), b)
     return complex(val[0, 0]), float(err[0, 0])

@@ -7,8 +7,9 @@ well bound states, a brute-force oscillatory quadrature, a split-step
 Fourier evolver for e^{−itH}, the evolution-kernel slice rule in its
 plain form (three weight vectors per time, one product per time and level,
 the whole k line), a DOP853 integration of the Jost factors, the Volterra
-form of the zero-energy Jost equation, and the linear-Filon Fourier sum as
-a dense phase matrix, and the quadratic-phase panel weights in 40-digit
+form of the zero-energy Jost equation, the linear-Filon Fourier sum as
+a dense phase matrix, and the quadratic-phase panel weights by the direct
+panel rule (β series, erf closed form on coarse panels) and in 40-digit
 arithmetic.  No imports from the package: the slice rule takes the
 panel-weight function as an argument, and the Jost reference takes V, its
 breakpoints and X∞.
@@ -16,11 +17,14 @@ breakpoints and X∞.
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson, solve_ivp
 from scipy.optimize import brentq
+from scipy.special import wofz
 
 
 # ---------------------------------------------------------------- sech² well
@@ -184,6 +188,170 @@ def split_step_evolve(v, psi0, t_final, *, box=64.0, n=4096, dt=0.002,
 
 
 # ------------------------------------------- quadratic-phase panel weights
+_BETA_MAX = 0.05  # above it the erf closed form; below, at most 8 β terms
+_ALPHA_SMALL = 1.0  # below it the moments start from a 10-term series in α
+_FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, 40.0)])
+_ODD_FACTORIALS = _FACTORIALS[1:21:2]
+# panels per pass of _panel_weights, so that its work arrays stay in cache
+_BLOCK = 8192
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16)  # hi + lo
+
+
+def fresnel_weights(k_grid, t: float, b: float) -> np.ndarray:
+    """Nodal weights w with Σ w_j A(k_j) = ∫ e^{−i(tk²−bk)} A(k) dk for
+    piecewise-linear A on the (strictly increasing) node set, by the direct
+    panel rule: with k = c + σs on a panel of midpoint c and half-width σ,
+    φ = φ(c) + αs + βs² (α = (2tc − b)σ, β = tσ²), and the panel's two hat
+    pieces are σe^{−iφ(c)}(P₀ ∓ P₁)/2 with P_q = ∫₋₁¹ s^q e^{−i(αs + βs²)} ds,
+    short Taylor series in β for β ≤ _BETA_MAX.  Panels with larger β take
+    the erf closed form, u = k − b/2t, w² = it:
+    ∫ e^{−iφ} dk = e^{ib²/(4t)} √π/(2w) · erf(wu) + const and
+    ∫ k e^{−iφ} dk = e^{ib²/(4t)} e^{−itu²}/(−2it) + (b/2t)·(above).
+    One (t, b) at a time, on any node set: the library's PanelTables
+    instead shifts per-time tables along the α lattice of a uniform node
+    set and refines its coarse panels."""
+    k = np.asarray(k_grid, dtype=float)
+    c, c_lo, sig = _midpoints(k)
+    return _panel_weights(k, c, sig, t, b, 0.5 * sig * _chirp(t, c, c_lo) * _unit(b * c))
+
+
+def _midpoints(k: np.ndarray):
+    """(c, c_lo, σ) per panel: the midpoint exactly as c + c_lo, by
+    two-sum, and the half-width."""
+    lo, hi = k[:-1], k[1:]
+    s = lo + hi
+    z = s - lo
+    return 0.5 * s, 0.5 * ((lo - (s - z)) + (hi - z)), 0.5 * (hi - lo)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(ab) and p + e = ab exactly (Veltkamp splits)."""
+    ah, bh = (134217729.0 * v - (134217729.0 * v - v) for v in (a, b))
+    al, bl, p = a - ah, b - bh, a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _chirp(t: float, c, c_lo=0.0) -> np.ndarray:
+    """e^{−it(c + c_lo)²}, with t·c² and its reduction mod 2π in
+    double-double arithmetic: one rounding of t·c² ~ 10⁷ is ~1e-9 rad."""
+    sq, sq_err = _two_prod(c, c)
+    q, q_err = _two_prod(t, sq)
+    n = np.rint(q / _TWO_PI[0])
+    g, g_err = _two_prod(n, _TWO_PI[0])
+    # q − g is exact (Sterbenz); the small terms carry the rest
+    r = (q - g) - g_err - n * _TWO_PI[1] + (q_err + t * sq_err + 2.0 * t * c * c_lo)
+    return _unit(-r)
+
+
+def _unit(x) -> np.ndarray:
+    """e^{ix}, from cos and sin (numpy's complex exp is slower)."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def _cut(x: float, denom) -> int:
+    """The last power n kept of a series Σ xⁿ/n!·(moment): the first
+    term left out, xⁿ⁺¹/((n+1)!·denom(n)), is below 2⁻⁵³."""
+    return next(n for n in range(40) if x ** (n + 1) / math.factorial(n + 1) / denom(n) < 2.0**-53)
+
+
+def _p_moments(alpha, beta, count: int) -> np.ndarray:
+    """(count, alpha.size) array of P_q = ∫₋₁¹ s^q e^{−i(αs+βs²)} ds, q <
+    count: P_q = 2 Σₙ (−i)^{n + q mod 2} βⁿ/n! μ_{q+2n}, cut once the
+    largest term left out over P₀ ≈ 2, βⁿ⁺¹/((n+1)!(2n+3)), is below 2⁻⁵³.
+    The moments μ_m, c_m = ∫₀¹ sᵐ cos αs for even m and s_m = ∫₀¹ sᵐ sin αs
+    for odd m, follow from c_m = (sin α − m s_{m−1})/α and s_m = (m c_{m−1}
+    − cos α)/α: upward from c₀ = sin α/α for |α| ≥ _ALPHA_SMALL (errors grow
+    by m/|α|, but the high moments carry powers of β ≤ _BETA_MAX), downward
+    below it from the Taylor series of s_top, top odd (errors shrink by
+    |α|/m)."""
+    n_beta = _cut(float(np.max(beta)), lambda n: 2 * n + 3)
+    top = count - 1 + 2 * n_beta
+    top += 1 - top % 2
+    mom = np.empty((top + 1, alpha.size))
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    small = np.abs(alpha) < _ALPHA_SMALL
+    for down in (True, False):
+        pick = small if down else ~small
+        if not pick.any():
+            continue
+        sel = slice(None) if pick.all() else np.flatnonzero(pick)
+        a, ca, sa = alpha[sel], cos_a[sel], sin_a[sel]
+        if down:
+            j = np.arange(_ODD_FACTORIALS.size)
+            coef = (-1.0) ** j / (_ODD_FACTORIALS * (top + 2 * j + 2))
+            x = a * np.polynomial.polynomial.polyval(a * a, coef)
+            mom[top, sel] = x
+            for m in range(top, 0, -1):
+                x = x * a
+                x += ca if m % 2 else -sa
+                x *= (1.0 if m % 2 else -1.0) / m
+                mom[m - 1, sel] = x
+        else:
+            inv = 1.0 / a
+            x, scale = sa * inv, (-inv, inv)
+            mom[0, sel] = x
+            for m in range(1, top + 1):
+                x = x * m
+                x -= ca if m % 2 else sa
+                x *= scale[m % 2]
+                mom[m, sel] = x
+    out = np.zeros((count, alpha.size), dtype=complex)
+    term = 2.0
+    for n in range(n_beta + 1):
+        if n:
+            term = term * beta / n
+        for q, p in enumerate(out):
+            x = mom[q + 2 * n] * term
+            # the unit (−i)ᵏ cycles 1, −i, −1, i: each term adds to one part
+            k = n + q % 2
+            part = p.imag if k % 2 else p.real
+            if k % 4 in (1, 2):
+                part -= x
+            else:
+                part += x
+    return out
+
+
+def _erf_pieces(k, t: float, b: float):
+    """(lo, hi) hat pieces of the panels of k by the erf closed form, with
+    erf(wu) = sign(u)(1 − e^{−itu²} w(iw|u|)) (Faddeeva's w): the 1s of a
+    panel on one side of u = 0 cancel exactly, and _chirp gives the phase."""
+    h, u = np.diff(k), k - b / (2.0 * t)
+    w45, pref = np.exp(0.25j * np.pi) * np.sqrt(t), np.exp(1j * b * b / (4.0 * t))
+    chirp, sign = _chirp(t, u), np.sign(u)
+    d_erf = np.diff(sign) - np.diff(sign * chirp * wofz(1j * w45 * np.abs(u)))
+    m0 = pref * (np.sqrt(np.pi) / (2.0 * w45)) * d_erf
+    m1 = pref * np.diff(chirp) / (-2j * t) + (b / (2.0 * t)) * m0
+    return (k[1:] * m0 - m1) / h, (m1 - k[:-1] * m0) / h
+
+
+def _panel_weights(k, c, sig, t: float, b: float, g) -> np.ndarray:
+    """Nodal weights on k, the direct rule, from the panels' midpoints c,
+    half-widths sig and g = (σ/2)e^{−iφ(c)}.  Panels go in blocks of
+    _BLOCK, each in runs of one kind: the β series for β ≤ _BETA_MAX, the
+    erf closed form above it (one run on a uniform node set)."""
+    w = np.zeros(k.size, dtype=complex)
+    for b0 in range(0, c.size, _BLOCK):
+        s = sig[b0 : b0 + _BLOCK]
+        alpha = (2.0 * t * c[b0 : b0 + _BLOCK] - b) * s
+        beta = t * s * s
+        erf = beta > _BETA_MAX
+        edges = [0, *(np.flatnonzero(erf[1:] != erf[:-1]) + 1).tolist(), alpha.size]
+        for i0, i1 in zip(edges[:-1], edges[1:]):
+            if erf[i0]:
+                lo, hi = _erf_pieces(k[b0 + i0 : b0 + i1 + 1], t, b)
+            else:
+                p0, p1 = _p_moments(alpha[i0:i1], beta[i0:i1], 2)
+                gg = g[b0 + i0 : b0 + i1]
+                lo, hi = gg * (p0 - p1), gg * (p0 + p1)
+            w[b0 + i0 : b0 + i1] += lo
+            w[b0 + i0 + 1 : b0 + i1 + 1] += hi
+    return w
+
+
 def fresnel_weight_mp(k, j, t, b, dps=40):
     """Weight of node j of the node set k in the rule Σ w_j A(k_j) =
     ∫ e^{−i(tk²−bk)} A(k) dk for piecewise-linear A, in dps-digit arithmetic

@@ -140,6 +140,7 @@ def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, ca
         ("wiener", ["wiener.derivative_orders=-1"]),
         ("decay", ["times.count=12.9"]),  # int() would run 12 times
         ("wiener", ["wiener.derivative_orders=2.5"]),  # ... and orders 0-2
+        ("decay", ["times.t_max=2.1e+06"]),  # past the panel tables' refinement budget
     ],
 )
 def test_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, stage, overrides):

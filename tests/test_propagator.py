@@ -10,7 +10,7 @@ from scipy.integrate import simpson
 
 from scatterlab import oscquad, propagator, scattering
 from scatterlab.errors import ResonanceError
-from scatterlab.oscquad import fresnel_weights, full_line_integral
+from scatterlab.oscquad import full_line_integral
 from scatterlab.potentials import catalog
 from scatterlab.propagator import (
     pac_kernel,
@@ -176,13 +176,14 @@ def test_slices_match_reference_rule(name, k_count):
     # the folded, restricted, k-blocked rule on per-time tables against the
     # plain one: three direct weight vectors per time, one product per time
     # and level, whole line.  On the coarse k grid (K = 60, 201 nodes) tσ²
-    # = 0.0056·t, so t = 10, 100, 1000 pass _BETA_MAX and fall back to the
-    # direct rule per (t, b), erf pieces included, beside tabled t = 1, 2.5
+    # = 0.0056·t, so t = 10, 100, 1000 pass _BETA_MAX: their tables sit on
+    # the node set refined 2, 4 and 16 times and are restricted back, while
+    # the reference takes the erf closed form there; t = 1, 2.5 are at level 0
     k_max = 20.0 if k_count == 2001 else 60.0
     pd = prepare_propagator(catalog(name), np.linspace(-4.0, 4.0, 17), np.linspace(-k_max, k_max, k_count))
     ts = np.array([1.0, 2.5, 10.0, 100.0, 1000.0])
     ref_pac, ref_err = oracles.pac_slices_reference(
-        pd.h_plus, pd.h_minus, pd.T, pd.k_grid, 0.5, ts, fresnel_weights
+        pd.h_plus, pd.h_minus, pd.T, pd.k_grid, 0.5, ts, oracles.fresnel_weights
     )
     for ks, rp, re in zip(pac_slices(pd, ts), ref_pac, ref_err):
         assert np.max(np.abs(ks.pac - rp)) <= 1e-12 * np.max(np.abs(rp))
@@ -217,16 +218,16 @@ def test_slices_memory_bounded(pt_pot):
     assert peak <= 30.5 * 2**20
 
 
-def test_slices_need_no_erf_and_one_product_per_level(pt_pot, monkeypatch):
-    # on a grid like the decay stage's (K = 60, t ≤ 1000) every panel has
-    # tσ² ≤ 0.014, so its weights come from the β series alone, with no
-    # call of the Faddeeva function behind the erf closed form; and the
-    # Richardson weights of a diagonal are two matrices, V on every refined
-    # node and U on every second one, with no column left at zero.  The
-    # moment series runs once per time (its table), not once per (t, ±b)
-    erf_calls, series_calls = [], []
-    wofz, p_moments = oscquad.wofz, oscquad._p_moments
-    monkeypatch.setattr(oscquad, "wofz", lambda z: erf_calls.append(np.size(z)) or wofz(z))
+@pytest.mark.parametrize("k_count", [4001, 201])
+def test_slices_run_one_series_per_time_and_one_product_per_level(pt_pot, monkeypatch, k_count):
+    # the Richardson weights of a diagonal are two matrices, V on every
+    # refined node and U on every second one, with no column left at zero.
+    # The moment series runs once per time per call (its table), not once
+    # per (t, ±b): on a grid like the decay stage's (K = 60, t ≤ 1000) every
+    # table is at level 0; on the 201-node grid the tables of t > 8.9 sit
+    # on refined node sets, up to 16 times refined at t = 1000
+    series_calls = []
+    p_moments = oscquad._p_moments
     monkeypatch.setattr(oscquad, "_p_moments", lambda *a: series_calls.append(a) or p_moments(*a))
     shapes = []
     richardson = oscquad.PanelTables.richardson_weights
@@ -238,17 +239,13 @@ def test_slices_need_no_erf_and_one_product_per_level(pt_pot, monkeypatch):
         return wts
 
     monkeypatch.setattr(oscquad.PanelTables, "richardson_weights", recorded)
-    pd = prepare_propagator(pt_pot, np.linspace(-4.0, 4.0, 9), np.linspace(-60.0, 60.0, 4001))
+    pd = prepare_propagator(pt_pot, np.linspace(-4.0, 4.0, 9), np.linspace(-60.0, 60.0, k_count))
     ts = np.geomspace(10.0, 1000.0, 12)
     pac_slices(pd, ts)
-    assert erf_calls == []
     assert len(series_calls) == len(ts)
-    n = 2001  # grid nodes k >= 0
+    n = k_count // 2 + 1  # grid nodes k >= 0
     assert len(shapes) == 9
     assert all(s == [(2 * len(ts), 4 * n - 3), (2 * len(ts), 2 * n - 1)] for s in shapes)
-    # the counter sees erf where coarse panels need it
-    fresnel_weights(np.linspace(-5.0, 5.0, 11), 100.0, 0.0)
-    assert erf_calls
 
 
 def test_refinement_is_exact(pt_pd, sw_pd):
@@ -261,7 +258,7 @@ def test_refinement_is_exact(pt_pd, sw_pd):
             assert np.array_equal(got, oracles.refine_twice(rows)[..., 4 * c :])
 
 
-def test_pac_validation(pt_pd):
+def test_pac_validation(pt_pd, monkeypatch):
     with pytest.raises(ValueError):
         pac_kernel(pt_pd, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
@@ -274,6 +271,16 @@ def test_pac_validation(pt_pd):
         pac_kernel(pt_pd, 0.0, 1.0, np.nan)
     with pytest.raises(KeyError):
         pac_kernel(pt_pd, 0.3, 1.0, 5.0)
+    # on the default grid a table at t = 1e7 is refined 16 times, 768 000
+    # panels: past the budget, before any table is built
+    def no_tables(*args):
+        raise AssertionError("PanelTables built")
+
+    monkeypatch.setattr(oscquad.PanelTables, "__init__", no_tables)
+    with pytest.raises(ValueError, match=r"^ts: t=1e\+07 "):
+        pac_slices(pt_pd, [10.0, 1e7])
+    with pytest.raises(ValueError, match=r"^ts: t=1e\+07 "):
+        pac_kernel(pt_pd, 0.0, 1.0, 1e7)
 
 
 # ------------------------------------------------------- threshold projection
