@@ -31,8 +31,9 @@ cheap.  The accepted steps use the Richardson map (16 P − F)/15; the
 whole-step solution, marched beside it on up to 64 of the k, gives the
 reported error estimate max |P-solution − F-solution|/15 over the outputs.
 
-Purely imaginary k = iκ give h±(x, iκ) (compute_h_bound), used for
-bound-state searches.  k = 0 is an ordinary column of a real k grid: the
+Purely imaginary k = iκ give h±(x, iκ) (compute_h_bound): the bound-state
+search reads them at x = 0 (W(iκ), and dW/dκ for the norming constants)
+and counts the sign changes of h₊ on a grid for Sturm oscillation.  k = 0 is an ordinary column of a real k grid: the
 zero-energy solutions f±(·,0) = h±(·,0) that decide the resonance
 (scattering.classify_resonance) and give the threshold state f₀
 (propagator.prepare_propagator) are read from compute_h's k = 0 column.

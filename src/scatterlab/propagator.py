@@ -142,8 +142,9 @@ def prepare_propagator(
     kernel evaluation.
 
     One pipeline: scattering_data integrates both Jost fields on x_grid,
-    checks the Wronskian at its two ends and its middle, classifies the
-    resonance and finds the bound states.  The threshold state is read
+    checks the Wronskian at its two ends and its middle and classifies the
+    resonance; no kernel reads a bound state, so none is searched for
+    (sd.bound_states is empty).  The threshold state is read
     from the k = 0 column of the h₊ field: f₀(x) = c₊ Re h₊(x,0) with
     c₊ = √(2/(1+γ²)), so that |f₀(x)|² + |f₀(−x)|² → 2 (f₀ = 0 when
     non-resonant).  The grid point within 1e-12 of 0 is set to
@@ -171,7 +172,7 @@ def prepare_propagator(
 
     probes = tuple(float(x_grid[i]) for i in (0, x_grid.size // 2, x_grid.size - 1))
     sd, jp, jm = scattering_data(
-        pot, k_grid, x_check=probes, extra_x=x_grid, rtol=rtol, atol=atol
+        pot, k_grid, x_check=probes, extra_x=x_grid, rtol=rtol, atol=atol, with_bound_states=False
     )
     f0_x = np.zeros(x_grid.size)
     if sd.resonance.resonant:
@@ -368,17 +369,11 @@ def s_field(pd: PropagatorData, x: float, y: float) -> SField:
     lo, hi = (x, y) if x <= y else (y, x)
     i, j = pd.x_index(lo), pd.x_index(hi)
     k = pd.k_grid
-    i0 = int(np.argmin(np.abs(k)))
-    if abs(k[i0]) > 1e-12 or i0 < 2 or i0 > k.size - 3:
-        raise ValueError("k grid must contain 0 away from its ends")
     b = float(pd.x_grid[j] - pd.x_grid[i])
     g = pd.h_plus[j, :] * pd.h_minus[i, :] * pd.T
-    num = np.exp(1j * b * k) * g - g[i0]
     h = float(k[1] - k[0])
-    q = np.empty_like(num)
-    nz = np.abs(k) > 1e-12
-    q[nz] = num[nz] / k[nz]
-    q[i0] = (num[i0 - 2] - 8.0 * num[i0 - 1] + 8.0 * num[i0 + 1] - num[i0 + 2]) / (12.0 * h)
+    # the k grid is symmetric, so its middle node is k = 0
+    q = wiener._k0_quotient(k, np.exp(1j * b * k) * g - g[k.size // 2], h)
     s = wiener._derivative(q, h)
     k_in = k[2:-2]
     est = wiener.a_norm(k_in, s, 0.0)

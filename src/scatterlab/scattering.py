@@ -13,7 +13,13 @@ T(0) = 2γ/(1+γ²), R±(0) = ±(1−γ²)/(1+γ²).  Otherwise T(0) = 0 and
 R±(0) = −1.  classify_resonance decides the dichotomy from one Jost solve
 per side on |x| ≤ 2 whose k grid is k = 0 and a few small probe k: the
 k = 0 column gives W(0) and γ, the probe columns the k → 0 extrapolation
-that checks the algebra.  Bound states sit at the real zeros of κ ↦ W(iκ).
+that checks the algebra.
+
+Bound states (κ ≥ 1e-4) sit at the real zeros of κ ↦ W(iκ) at x = 0;
+brackets whose Sturm node count drops by two or more are split first.  At
+κₙ, f₊ = βf₋ and ∫f₊f₋ dx = ∂W/∂E (Deift & Trubowitz, CPAM 32, 1979),
+so the norming constants need no eigenfunction: c₊ = (−βẆ/2κₙ)^{−1/2},
+c₋ = βc₊, Ẇ = dW/dκ.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import CrossCheckError
@@ -35,6 +40,7 @@ from .jost import (
     compute_h_bound,
 )
 from .potentials import Potential, cutoff_for_eta, eta
+from .wiener import _derivative
 
 __all__ = [
     "ScatteringData",
@@ -53,13 +59,14 @@ RESONANCE_EPS = 1e-6  # |W(0)| below this multiple of the natural scale => reson
 # identically) still classifies as resonant
 _SCALE_FLOOR = 1e-6
 _WRONSKIAN_SPREAD_TOL = 1e-6
-# bound-state search: log-spaced κ brackets, Brent tolerance, eigenfunction
-# grid step, and the κ below which a state counts as near threshold
+# bound-state search: log-spaced κ brackets from _KAPPA_MIN, rounds of
+# Sturm bracket splits, Brent tolerance, and the dW/dκ stencil step
+# relative to κ or to the gap to the neighbouring root
 _KAPPA_MIN = 1e-4
 _N_BRACKETS = 64
+_SPLIT_ROUNDS = 40
 _KAPPA_XTOL = 1e-12
-_BOUND_DX = 0.01
-_NEAR_THRESHOLD_KAPPA = 1e-3
+_DW_STEP = 3e-4
 
 
 @dataclass(frozen=True)
@@ -86,9 +93,6 @@ class BoundState:
     energy: float
     c_plus: float   # ψ(x) ~ c₊ e^{−κx}, x → +∞
     c_minus: float  # ψ(x) ~ c₋ e^{+κx}, x → −∞
-    x_grid: np.ndarray
-    psi: np.ndarray
-    near_threshold: bool
 
 
 @dataclass(frozen=True)
@@ -301,17 +305,23 @@ def classify_resonance(
 
 
 def _w_at_ikappa(pot, kappas, rtol, atol):
-    """W(iκ) (real) at x = 0 for a batch of κ > 0."""
-    kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
+    """W(iκ) (real) at x = 0 for a batch of κ > 0, and (h₊, h′₊, h₋, h′₋) there."""
+    kappas = np.asarray(kappas, dtype=float)
     hp_, hpp = compute_h_bound(pot, [0.0], kappas, +1, rtol=rtol, atol=atol)
     hm_, hmp = compute_h_bound(pot, [0.0], kappas, -1, rtol=rtol, atol=atol)
-    return _wronskian(-2.0 * kappas, hp_[0], hpp[0], hm_[0], hmp[0])
+    h = (hp_[0], hpp[0], hm_[0], hmp[0])
+    return _wronskian(-2.0 * kappas, *h), h
 
 
-def _scan_half_width(pot) -> float:
-    """Half width of the symmetric grids that sample whole bound-state
-    solutions: the cutoff, and at least 6."""
-    return max(cutoff_for_eta(pot, _CUTOFF_TOL), 6.0)
+def _node_counts(pot, kappas, half_width, kappa_max, rtol, atol):
+    """Sign changes of h₊(·, iκ) on [−half_width, half_width] per κ, two
+    grid points per π/κ_max.  Zeros of a solution lie at least π/κ_max
+    apart, so no cell holds two; h₊ has the sign of f₊(·, iκ), which by
+    Sturm oscillation changes sign once for each bound state with κₙ > κ."""
+    n = int(np.ceil(4.0 * half_width * kappa_max / np.pi)) + 1
+    x = np.linspace(-half_width, half_width, n)
+    h, _ = compute_h_bound(pot, x, kappas, +1, rtol=rtol, atol=atol)
+    return np.count_nonzero(np.diff(np.signbit(h), axis=0), axis=0)
 
 
 def bound_states(
@@ -320,71 +330,59 @@ def bound_states(
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
 ) -> tuple[BoundState, ...]:
-    """All bound states Eₙ = −κₙ² as real zeros of κ ↦ W(iκ).
+    """All bound states Eₙ = −κₙ² with κₙ ≥ _KAPPA_MIN (1e-4) as real zeros
+    of κ ↦ W(iκ) at x = 0, with their norming constants.
 
-    κ is bracketed on a log-spaced grid up to sqrt(−min V) and each sign
-    change is refined by Brent iteration.
-    Eigenfunctions come from f₊(·, iκₙ) normalised with analytic e^{−2κ|x|}
-    tail corrections, so the norming constants stay reliable for shallow
-    wells where κ·X∞ is order one.
+    κ is bracketed on a log-spaced grid up to sqrt(−min V); every bracket
+    whose Sturm node count (_node_counts) drops by 2 or more holds several
+    zeros with no sign change, and is split at its geometric midpoint until
+    none is left (CrossCheckError after _SPLIT_ROUNDS rounds).  Each sign
+    change is refined by Brent iteration.  At κₙ, f₊ = βf₋ with β from
+    (f±, f±′) at x = 0 (odd states too, where f±(0) = 0), and
+    ‖f₊‖² = β∂W/∂E = −βẆ/(2κₙ), Ẇ = dW/dκ by the fourth-order stencil of
+    step _DW_STEP·min(κₙ, gap to the neighbouring κₘ).  c₊ = ‖f₊‖⁻¹ and
+    c₋ = βc₊; CrossCheckError when −βẆ/(2κₙ) is not positive and finite.
     """
-    X = _scan_half_width(pot)
-    scan = np.linspace(-X, X, 4001)
-    vmin = float(np.min(pot(scan)))
-    if vmin >= 0.0:
-        return ()
-    kappa_max = float(np.sqrt(-vmin))
+    X = max(cutoff_for_eta(pot, _CUTOFF_TOL), 6.0)  # half width of the V and node scans
+    vmin = float(np.min(pot(np.linspace(-X, X, 4001))))
+    kappa_max = float(np.sqrt(max(-vmin, 0.0)))
     if kappa_max <= _KAPPA_MIN:
         return ()
     grid = np.geomspace(_KAPPA_MIN, kappa_max, _N_BRACKETS)
-    wvals = _w_at_ikappa(pot, grid, rtol, atol)
+    wvals = _w_at_ikappa(pot, grid, rtol, atol)[0]
+    counts = _node_counts(pot, grid, X, kappa_max, rtol, atol)
+    for _ in range(_SPLIT_ROUNDS):
+        crowded = np.flatnonzero(counts[:-1] - counts[1:] >= 2)
+        if crowded.size == 0:
+            break
+        mid = np.sqrt(grid[crowded] * grid[crowded + 1])
+        grid = np.insert(grid, crowded + 1, mid)
+        wvals = np.insert(wvals, crowded + 1, _w_at_ikappa(pot, mid, rtol, atol)[0])
+        counts = np.insert(counts, crowded + 1, _node_counts(pot, mid, X, kappa_max, rtol, atol))
+    else:
+        raise CrossCheckError(f"bound-state brackets still crowded after {_SPLIT_ROUNDS} splits")
+
+    def w_at(kap):
+        return float(_w_at_ikappa(pot, [kap], rtol, atol)[0][0])
+
     roots = []
     for a, b, wa, wb in zip(grid[:-1], grid[1:], wvals[:-1], wvals[1:]):
         if wa == 0.0:
             roots.append(float(a))
         elif wa * wb < 0.0:
-            r = brentq(
-                lambda kap: float(_w_at_ikappa(pot, [kap], rtol, atol)[0]),
-                a,
-                b,
-                xtol=_KAPPA_XTOL,
-                rtol=8.9e-16,
-            )
-            roots.append(float(r))
+            roots.append(float(brentq(w_at, a, b, xtol=_KAPPA_XTOL, rtol=8.9e-16)))
 
-    # each Jost solution is accurate on its own side (the h-equation has a
-    # mode growing like e^{2κ|x|} when marched past the origin), so ψ is
-    # stitched: f₊ for x ≥ 0, β f₋ for x < 0, β fitted on |x| ≤ 2
-    n = int(round(X / _BOUND_DX))
-    xg = np.linspace(-X, X, 2 * n + 1)
     states = []
-    for kap in sorted(roots):
-        grid_p = xg[xg >= -2.0 - 1e-12]
-        grid_m = xg[xg <= 2.0 + 1e-12]
-        hb, _ = compute_h_bound(pot, grid_p, [kap], +1, rtol=rtol, atol=atol)
-        f_pl = np.exp(-kap * grid_p) * hb[:, 0]
-        hbm, _ = compute_h_bound(pot, grid_m, [kap], -1, rtol=rtol, atol=atol)
-        f_mi = np.exp(kap * grid_m) * hbm[:, 0]
-        over_p = np.abs(grid_p) <= 2.0
-        over_m = np.abs(grid_m) <= 2.0
-        beta = float(np.sum(f_pl[over_p] * f_mi[over_m]) / np.sum(f_mi[over_m] ** 2))
-        psi_raw = np.concatenate([beta * f_mi[grid_m < 0.0], f_pl[grid_p >= 0.0]])
-        # ‖·‖² with analytic e^{−2κ|x|} tail corrections past the box;
-        # trapezoid is too coarse here (c² errors get amplified e^{2κ|x|}
-        # in anything built from the norming constants)
-        anti = CubicSpline(xg, psi_raw**2).antiderivative()
-        core = float(anti(X) - anti(-X))
-        tail = (hb[-1, 0] ** 2 + (beta * hbm[0, 0]) ** 2) * np.exp(-2 * kap * X) / (2 * kap)
-        norm = float(np.sqrt(core + tail))
-        states.append(
-            BoundState(
-                kappa=kap,
-                energy=-kap * kap,
-                c_plus=1.0 / norm,
-                c_minus=beta / norm,
-                x_grid=xg,
-                psi=psi_raw / norm,
-                near_threshold=bool(kap < _NEAR_THRESHOLD_KAPPA),
-            )
-        )
+    gaps = np.diff(roots)  # W(iκ) changes sign at every κₙ, so it varies on these scales too
+    for i, kap in enumerate(roots):
+        step = _DW_STEP * min([kap, *gaps[max(i - 1, 0) : i + 1]])
+        w, (hp, hpp, hm, hmp) = _w_at_ikappa(pot, kap + step * np.arange(-2.0, 3.0), rtol, atol)
+        fp = np.array([hp[2], hpp[2] - kap * hp[2]])  # f₊′ = h₊′ − κh₊ at x = 0
+        fm = np.array([hm[2], hmp[2] + kap * hm[2]])  # f₋′ = h₋′ + κh₋
+        beta = float(fp @ fm / (fm @ fm))
+        norm2 = -beta * float(_derivative(w, step)[0]) / (2.0 * kap)
+        if not (np.isfinite(norm2) and norm2 > 0.0):
+            raise CrossCheckError(f"bound state at κ = {kap:.12g}: ‖f₊‖² = −βẆ/(2κ) = {norm2:.3e}")
+        c_plus = norm2**-0.5
+        states.append(BoundState(kap, -kap * kap, c_plus, beta * c_plus))
     return tuple(states)

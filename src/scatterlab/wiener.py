@@ -171,18 +171,21 @@ def difference_quotient_norm(
     taper_frac: float = TAPER_FRAC,
 ) -> WienerEstimate:
     """a_norm of the difference quotient (f(k) − f(0))/k, which vanishes
-    at infinity for bounded f.
-
-    The k = 0 sample of the quotient is filled with the 4th-order stencil
-    derivative of f there (the limit value).
-    """
+    at infinity for bounded f; _k0_quotient fills its k = 0 sample."""
     k = np.asarray(k_grid, dtype=float)
     h = _uniform_symmetric(k)
-    i0 = int(np.argmin(np.abs(k)))
-    if abs(k[i0]) > 1e-12:
-        raise ValueError("difference quotient needs k = 0 on the grid")
-    f = np.asarray(values, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = (f - value_at_zero) / k
-    q[i0] = (f[i0 - 2] - 8.0 * f[i0 - 1] + 8.0 * f[i0 + 1] - f[i0 + 2]) / (12.0 * h)
+    q = _k0_quotient(k, np.asarray(values, dtype=complex) - value_at_zero, h)
     return a_norm(k, q, taper_frac=taper_frac)
+
+
+def _k0_quotient(k: np.ndarray, num: np.ndarray, h: float) -> np.ndarray:
+    """num/k on a uniform k grid of step h, for num vanishing at k = 0;
+    the k = 0 sample is the 4th-order stencil derivative of num there.
+    ValueError unless k = 0 is a node at least two from either end."""
+    i0 = int(np.argmin(np.abs(k)))
+    if abs(k[i0]) > 1e-12 or i0 < 2 or i0 > k.size - 3:
+        raise ValueError("k grid must contain 0 away from its ends")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = num / k
+    q[i0] = _derivative(num[i0 - 2 : i0 + 3], h)[0]
+    return q

@@ -3,8 +3,9 @@
 Everything here is derived by a different route than the code under test:
 closed forms for the sech² (Poeschl–Teller) well, plane-wave transfer
 matching for the square well, a transcendental-equation solver for finite
-well bound states, a brute-force oscillatory quadrature, a split-step
-Fourier evolver for e^{−itH}, the evolution-kernel slice rule in its
+well bound states with the closed-form norms of their eigenfunctions, the
+ℓ = 2 sech² norming constants, a brute-force oscillatory quadrature, a
+split-step Fourier evolver for e^{−itH}, the evolution-kernel slice rule in its
 plain form (three weight vectors per time, one product per time and level,
 the whole k line), a DOP853 integration of the Jost factors, the Volterra
 form of the zero-energy Jost equation, the linear-Filon Fourier sum as
@@ -142,6 +143,46 @@ def square_well_bound_states(v0, a):
                 kappas.append(np.sqrt(v0 - q * q))
             m += 1
     return sorted(k for k in kappas if k > 1e-10)
+
+
+def square_well_eigenstates(v0, a):
+    """[(κ, ψ callable, c₊, c₋)] for each bound state of V = −v0·1[−a,a], in
+    the order of square_well_bound_states.
+
+    Inside the well ψ ∝ cos(qx) (even) or sin(qx) (odd), q = √(v0 − κ²);
+    outside ψ = ψ(±a)e^{−κ(|x|−a)}.  The norm is the closed-form integral
+    of those pieces, and the sign makes c₊ > 0, with ψ ~ c₊e^{−κx} as
+    x → +∞ and ψ ~ c₋e^{κx} as x → −∞ (c₋ = c₊ even, −c₊ odd).
+    """
+    states = []
+    for kap in square_well_bound_states(v0, a):
+        q = np.sqrt(v0 - kap * kap)
+        even = abs(q * np.tan(q * a) - kap) < abs(-q / np.tan(q * a) - kap)
+        inner, parity = (np.cos, 1.0) if even else (np.sin, -1.0)
+        edge = inner(q * a)
+        # ∫_{−a}^{a} cos² = a + sin(2qa)/(2q), ∫ sin² = a − sin(2qa)/(2q); tails edge²/κ
+        n2 = a + parity * np.sin(2.0 * q * a) / (2.0 * q) + edge * edge / kap
+        scale = np.sign(edge) / np.sqrt(n2)
+
+        def psi(x, q=q, kap=kap, inner=inner, parity=parity, edge=edge, scale=scale):
+            x = np.asarray(x, float)
+            out = np.where(
+                np.abs(x) < a,
+                inner(q * x),
+                np.where(x > 0, 1.0, parity) * edge * np.exp(-kap * (np.abs(x) - a)),
+            )
+            return scale * out
+
+        c_plus = abs(edge) * np.exp(kap * a) / np.sqrt(n2)
+        states.append((float(kap), psi, float(c_plus), float(parity * c_plus)))
+    return states
+
+
+def pt_l2_norming_constants():
+    """[(κ, c₊, c₋)] of V = −6 sech²x, ascending κ: ψ ∝ sech x tanh x at
+    κ = 1 (odd, ∫sech²tanh² = 2/3) and ψ ∝ sech²x at κ = 2 (even,
+    ∫sech⁴ = 4/3), with sech x ~ 2e^{−|x|}."""
+    return [(1.0, np.sqrt(6.0), -np.sqrt(6.0)), (2.0, 2.0 * np.sqrt(3.0), 2.0 * np.sqrt(3.0))]
 
 
 # ------------------------------------------------- brute-force oscillatory ∫

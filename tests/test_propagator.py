@@ -354,8 +354,9 @@ def test_sw_ac_mass(sw_pd):
     ks = pac_slices(sw_pd, [1.0])[0]
     psi_ac = simpson(ks.pac * psi0[None, :], x=x, axis=1)
     mass = float(simpson(np.abs(psi_ac) ** 2, x=x))
-    (b0,) = sw_pd.sd.bound_states
-    cb = float(simpson(b0.psi * np.exp(-b0.x_grid**2), x=b0.x_grid))
+    ((_, psi_b, _, _),) = oracles.square_well_eigenstates(np.pi**2 / 4, 1.0)
+    xf = np.linspace(-8.0, 8.0, 1601)
+    cb = float(simpson(psi_b(xf) * np.exp(-xf * xf), x=xf))
     expect = float(simpson(psi0**2, x=x)) - cb * cb
     assert expect > 0.05  # the bound state takes most, not all, of the packet
     assert abs(mass - expect) / expect < 0.01

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from scatterlab.errors import CrossCheckError
-from scatterlab.jost import compute_h
-from scatterlab.potentials import catalog
+from scatterlab import scattering
+from scatterlab.jost import compute_h, compute_h_bound
+from scatterlab.potentials import catalog, scale_potential
 from scatterlab.propagator import prepare_propagator
 from scatterlab.scattering import (
     bound_states,
@@ -167,14 +168,11 @@ def test_bound_states_pt():
     states = bound_states(catalog("poeschl_teller"))
     assert len(states) == 1
     st = states[0]
-    kappa, energy, psi_ref, c_ref = oracles.pt_bound_state()
+    kappa, energy, _, c_ref = oracles.pt_bound_state()
     assert st.kappa == pytest.approx(kappa, abs=1e-8)
     assert st.energy == pytest.approx(energy, abs=1e-8)
     assert st.c_plus == pytest.approx(c_ref, abs=1e-6)
     assert st.c_minus == pytest.approx(c_ref, abs=1e-6)  # even state
-    assert np.max(np.abs(st.psi - psi_ref(st.x_grid))) < 1e-6
-    assert not st.near_threshold
-    assert np.trapezoid(st.psi**2, st.x_grid) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_bound_states_square_well():
@@ -200,9 +198,92 @@ def test_bound_states_gaussian_fd_crosscheck():
     vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True)
     kappa_fd = float(np.sqrt(-vals[0]))
     assert st.kappa == pytest.approx(kappa_fd, abs=1e-4)
-    assert not st.near_threshold
-    assert np.trapezoid(st.psi**2, st.x_grid) < 1.0  # visible tail mass outside the box
 
 
 def test_bound_states_free_empty():
     assert bound_states(catalog("free")) == ()
+
+
+def _sw_constants(v0):
+    return [(k, cp, cm) for k, _, cp, cm in oracles.square_well_eigenstates(v0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "pot, ref",
+    [
+        (catalog("poeschl_teller"), [(1.0, np.sqrt(2.0), np.sqrt(2.0))]),
+        (scale_potential(catalog("poeschl_teller"), 3.0), oracles.pt_l2_norming_constants()),
+        (catalog("square_well"), _sw_constants(np.pi**2 / 4)),
+        (catalog("square_well", v0=30.0, a=1.0), _sw_constants(30.0)),
+        # deep states sit close together: the dW/dκ step follows their gaps
+        (catalog("square_well", v0=400.0, a=1.0), _sw_constants(400.0)),
+    ],
+    ids=["pt", "pt_l2", "sw", "sw_v0_30", "sw_v0_400"],
+)
+def test_norming_constants_match_closed_forms(pot, ref):
+    # ‖f₊‖² = −βẆ/(2κ) at x = 0; odd states have c₋ = −c₊
+    states = bound_states(pot)
+    assert [b.kappa for b in states] == pytest.approx([r[0] for r in ref], abs=1e-8)
+    for b, (_, c_plus, c_minus) in zip(states, ref):
+        assert b.c_plus == pytest.approx(c_plus, rel=1e-9)
+        assert b.c_minus == pytest.approx(c_minus, rel=1e-9)
+
+
+@pytest.mark.parametrize("v0", [30.0, 100.0, 400.0])
+def test_bound_states_deep_square_well_all_found(v0):
+    # 4, 7 and 13 states; neighbouring κ of deep states share a bracket of
+    # the log grid, which the Sturm node count splits
+    ref = oracles.square_well_bound_states(v0, 1.0)
+    kappas = [b.kappa for b in bound_states(catalog("square_well", v0=v0, a=1.0))]
+    assert len(kappas) == len(ref)
+    assert np.max(np.abs(np.array(kappas) - ref)) < 1e-8
+
+
+def test_bound_state_search_reads_jost_at_zero_and_one_count_grid(monkeypatch):
+    # W(iκ) and dW/dκ at x = 0, plus one Sturm count of h₊ on a grid; no
+    # eigenfunction grids
+    calls = []
+
+    def recording(pot, x_grid, kappas, side, **kw):
+        calls.append((np.asarray(x_grid, float), side))
+        return compute_h_bound(pot, x_grid, kappas, side, **kw)
+
+    monkeypatch.setattr(scattering, "compute_h_bound", recording)
+    assert len(bound_states(catalog("poeschl_teller"))) == 1
+    grids = [(x, side) for x, side in calls if not np.array_equal(x, [0.0])]
+    assert len(grids) == 1 and grids[0][1] == +1
+    x = grids[0][0]
+    assert x[0] == -x[-1] and x.size > 2
+    assert len(calls) == 19  # 2 on the bracket grid, 14 in Brent, 1 count, 2 for dW/dκ
+
+
+def test_bound_state_with_no_positive_norm_raises(monkeypatch):
+    # ‖f₊‖² = −βẆ/(2κ) must be positive: flip the sign of Ẇ
+    derivative = scattering._derivative
+    monkeypatch.setattr(scattering, "_derivative", lambda f, h: -derivative(f, h))
+    with pytest.raises(CrossCheckError, match="κ = 1.26294"):
+        bound_states(catalog("square_well"))
+
+
+def test_bound_state_brackets_that_stay_crowded_raise(monkeypatch):
+    # node counts that drop by 2 across every new bracket never settle
+    calls = []
+
+    def counts(pot, kappas, *args):
+        calls.append(kappas.size)
+        if len(calls) == 1:
+            return 2 * np.arange(kappas.size)[::-1]
+        return np.full(kappas.size, 10**6)  # far above both neighbours
+
+    monkeypatch.setattr(scattering, "_node_counts", counts)
+    with pytest.raises(CrossCheckError, match="crowded"):
+        bound_states(catalog("square_well"))
+
+
+@settings(max_examples=6, deadline=None)
+@given(v0=st.floats(0.5, 300.0), a=st.floats(0.1, 3.0))
+def test_bound_states_square_well_property(v0, a):
+    ref = oracles.square_well_bound_states(v0, a)
+    kappas = [b.kappa for b in bound_states(catalog("square_well", v0=v0, a=a))]
+    assert len(kappas) == len(ref)
+    assert np.max(np.abs(np.array(kappas) - ref), initial=0.0) < 1e-8

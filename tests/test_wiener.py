@@ -68,6 +68,9 @@ def test_quotient_needs_zero_on_grid():
     k = np.linspace(-1.0, 1.0, 24)  # symmetric but skips 0
     with pytest.raises(ValueError):
         difference_quotient_norm(k, np.ones(24, complex), 1.0)
+    # 0 on the grid, but without room for the k = 0 stencil
+    with pytest.raises(ValueError, match="away from its ends"):
+        difference_quotient_norm(np.linspace(-1.0, 1.0, 3), np.ones(3, complex), 1.0)
 
 
 def test_h_quotient_norm_bounded_along_x():
