@@ -38,13 +38,11 @@ sum reads F on one fine grid per row, as a correlation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from .errors import CrossCheckError
 from .jost import JostField
@@ -69,8 +67,7 @@ __all__ = [
 _Y_MAX = 16.0  # reach in |y| of every kernel table and of H±
 _H = 0.005  # target step of the kernel lattice in t and y
 _TABLE_STRIDE = 5  # tables keep every 5th lattice point in |y|
-_ETA_TOL = 1e-14  # tail mass of V past the kernel lattice and the η interpolant
-_ETA_ANCHORS = 600  # evenly spaced anchors of the η interpolant
+_ETA_TOL = 1e-14  # tail mass of V past the kernel lattice
 _FINE_N = 16001  # points of the Ψ± and roundtrip y grids, a step near 1e-3
 _PSI_K_STRIDE = 20  # Ψ±, Φ± on every 20th grid wavenumber
 _GLM_W_STEP = 0.01  # spline grid of the GLM input F±
@@ -371,45 +368,6 @@ def _filon_linear(y: np.ndarray, rows: np.ndarray, k_eval: np.ndarray):
     return h * (s0 * m0 + s1 * m1)
 
 
-def _eta_interp(pot: Potential, side: int, w_lo: float, w_hi: float) -> Callable:
-    """η±(w) on [w_lo, w_hi] as a monotone interpolant anchored on exact
-    segment integrals (breakpoints included as anchors).
-
-    Works on the reflected axis u = side·w, where both tails read
-    η±(w) = ∫_u^∞ |V(side·t)| dt; w may well be negative (the x + y
-    arguments of the kernel bounds reach down to min x).  Each anchor
-    segment is smooth, so a 12-node Gauss–Legendre rule integrates it; the
-    masses are the reversed sums of the segments plus one quad past the
-    last anchor.
-    """
-    u_lo, u_hi = sorted((side * w_lo, side * w_hi))
-    X = max(cutoff_for_eta(pot, _ETA_TOL), u_hi + 1.0)
-
-    def w_abs(t: float) -> float:
-        return abs(float(pot(side * t)))
-
-    bps = sorted(side * b for b in pot.breakpoints)
-    anchors = np.unique(
-        np.concatenate(
-            [
-                np.linspace(u_lo, u_hi, _ETA_ANCHORS),
-                [b for b in bps if u_lo <= b <= u_hi],
-            ]
-        )
-    )
-    xg, wg = np.polynomial.legendre.leggauss(12)
-    half = 0.5 * np.diff(anchors)[:, None]
-    tau = anchors[:-1, None] + half * (1.0 + xg)
-    segments = np.sum(np.abs(np.asarray(pot(side * tau), dtype=float)) * half * wg, axis=1)
-    pts = [b for b in bps if anchors[-1] < b < X]
-    tail, _ = quad(w_abs, anchors[-1], X, points=pts or None, limit=200, epsabs=0.0, epsrel=1e-13)
-    masses = np.append(_rev_cumsum(segments), 0.0) + tail
-    interp = PchipInterpolator(anchors, np.maximum(masses, 0.0))
-    # beyond the last anchor the mass is below the anchor value there, which
-    # the clamp returns; callers keep their arguments inside [w_lo, w_hi]
-    return lambda w: np.maximum(interp(np.clip(side * np.asarray(w), u_lo, u_hi)), 0.0)
-
-
 def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals:
     """H±, Ψ±, Φ± at x = 0 with the identity residual max|Φ − 2ikΨ|.
 
@@ -418,7 +376,8 @@ def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals
     Ψ±(k) = ∫_0^{±∞} H±(y) e^{±2iky} dy is evaluated by linear-Filon
     quadrature on that grid, so the residual stays meaningful at the
     largest grid wavenumbers; Ψ± and Φ± are kept on every 20th grid
-    wavenumber.  Ĉ is the grid maximum of |H±(y)| / η±(y).
+    wavenumber.  Ĉ is the grid maximum of |H±(y)| / η±(y), η± from
+    potentials.eta.
     """
     ix = jf.x_index(0.0)
     k = jf.k_grid
@@ -438,8 +397,7 @@ def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals
     Phi = jf.h[ix, ::_PSI_K_STRIDE] * hp0 - jf.h_prime[ix, ::_PSI_K_STRIDE] * h0
     residual = float(np.max(np.abs(Phi - 2j * k_eval * Psi)))
 
-    eta_fn = _eta_interp(pot, side, 0.0, side * _Y_MAX)
-    ev = eta_fn(side * y_abs)
+    ev = eta(pot, side * y_abs, side)
     ok = ev > 1e-9 * float(np.max(ev))
     c_hat = float(np.max(np.abs(H[ok]) / ev[ok])) if np.any(ok) else 0.0
     return ResonanceFunctionals(
@@ -461,14 +419,15 @@ def kernel_bound_report(kt: KernelTable, pot: Potential) -> dict:
     est11: |∂ₓB±(x,y) ± V(x+y)| ≤ 2 e^{γ±(x)} η±(x+y) η±(x)
 
     Margins are reported as max(|lhs| − rhs); ≤ 0 means the bound holds.
+    η±(x+y), η±(x) and γ±(x) come from one call each to potentials.eta and
+    potentials.gamma_moment, the moment rule that integrates V.
     """
     side = kt.side
     y_abs = np.abs(kt.y_grid)
     args = kt.x_grid[:, None] + side * y_abs[None, :]
-    eta_fn = _eta_interp(pot, side, float(np.min(args)), float(np.max(args)))
-    gam = np.array([gamma_moment(pot, float(x), side) for x in kt.x_grid])
-    eta_x = np.array([eta(pot, float(x), side) for x in kt.x_grid])
-    eta_xy = eta_fn(args)
+    gam = gamma_moment(pot, kt.x_grid, side)
+    eta_x = eta(pot, kt.x_grid, side)
+    eta_xy = eta(pot, args, side)
     bound1 = np.exp(gam)[:, None] * eta_xy
     margin1 = float(np.max(np.abs(kt.B) - bound1))
     rel1 = float(np.max((np.abs(kt.B) - bound1) / (1.0 + bound1)))

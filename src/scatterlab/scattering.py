@@ -15,8 +15,9 @@ per side on |x| ≤ 2 whose k grid is k = 0 and a few small probe k: the
 k = 0 column gives W(0) and γ, the probe columns the k → 0 extrapolation
 that checks the algebra.
 
-Bound states (κ ≥ 1e-4) sit at the real zeros of κ ↦ W(iκ) at x = 0;
-brackets whose Sturm node count drops by two or more are split first.  At
+Bound states sit at the real zeros of κ ↦ W(iκ) at x = 0: on log-spaced
+brackets from κ = 1e-4 up, whose Sturm node count drops by two or more
+are split first, and on [0, 1e-4] when W(0) is not resonant.  At
 κₙ, f₊ = βf₋ and ∫f₊f₋ dx = ∂W/∂E (Deift & Trubowitz, CPAM 32, 1979),
 so the norming constants need no eigenfunction: c₊ = (−βẆ/2κₙ)^{−1/2},
 c₋ = βc₊, Ẇ = dW/dκ.
@@ -262,10 +263,7 @@ def classify_resonance(
     w, w_plus, w_minus, _ = wronskians(jp, jm, x_check=(0.0,))
     (hp0, hpp0), (hm0, hmp0) = (jf.at_x(0.0) for jf in (jp, jm))
     w0 = float(w[0].real)
-    scale = float(
-        abs(hm0[0] * hpp0[0]) + abs(hmp0[0] * hp0[0]) + eta(pot, 0.0, +1) + eta(pot, 0.0, -1)
-    )
-    threshold = RESONANCE_EPS * max(scale, _SCALE_FLOOR)
+    scale, threshold = _resonance_threshold(pot, hp0[0], hpp0[0], hm0[0], hmp0[0])
     resonant = abs(w0) < threshold
     ambiguous = threshold / 10.0 < abs(w0) < threshold * 10.0
 
@@ -304,8 +302,16 @@ def classify_resonance(
     )
 
 
+def _resonance_threshold(pot, hp0, hpp0, hm0, hmp0):
+    """(scale, threshold) of the zero-energy test |W(0)| < threshold from
+    h±, h′± at x = 0 and k = 0: scale collects the magnitudes of the
+    cancelling Wronskian terms plus η±(0), floored so V ≡ 0 is resonant."""
+    scale = float(abs(hm0 * hpp0) + abs(hmp0 * hp0) + eta(pot, 0.0, +1) + eta(pot, 0.0, -1))
+    return scale, RESONANCE_EPS * max(scale, _SCALE_FLOOR)
+
+
 def _w_at_ikappa(pot, kappas, rtol, atol):
-    """W(iκ) (real) at x = 0 for a batch of κ > 0, and (h₊, h′₊, h₋, h′₋) there."""
+    """W(iκ) (real) at x = 0 for a batch of κ ≥ 0, and (h₊, h′₊, h₋, h′₋) there."""
     kappas = np.asarray(kappas, dtype=float)
     hp_, hpp = compute_h_bound(pot, [0.0], kappas, +1, rtol=rtol, atol=atol)
     hm_, hmp = compute_h_bound(pot, [0.0], kappas, -1, rtol=rtol, atol=atol)
@@ -330,14 +336,18 @@ def bound_states(
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
 ) -> tuple[BoundState, ...]:
-    """All bound states Eₙ = −κₙ² with κₙ ≥ _KAPPA_MIN (1e-4) as real zeros
-    of κ ↦ W(iκ) at x = 0, with their norming constants.
+    """All bound states Eₙ = −κₙ² as real zeros of κ ↦ W(iκ) at x = 0,
+    with their norming constants.
 
-    κ is bracketed on a log-spaced grid up to sqrt(−min V); every bracket
-    whose Sturm node count (_node_counts) drops by 2 or more holds several
-    zeros with no sign change, and is split at its geometric midpoint until
-    none is left (CrossCheckError after _SPLIT_ROUNDS rounds).  Each sign
-    change is refined by Brent iteration.  At κₙ, f₊ = βf₋ with β from
+    κ is bracketed on a log-spaced grid from _KAPPA_MIN (1e-4) up to
+    κ_max = sqrt(−min V); every bracket whose Sturm node count
+    (_node_counts) drops by 2 or more holds several zeros with no sign
+    change, and is split at its geometric midpoint until none is left
+    (CrossCheckError after _SPLIT_ROUNDS rounds).  The bracket [0, κ₀],
+    κ₀ = min(_KAPPA_MIN, κ_max), counts only when W(0), read in the same
+    batch, is not resonant by classify_resonance's threshold (a resonant
+    W(0) = 0 is a threshold state).  Each sign change is refined by Brent
+    iteration, below κ₀ to _KAPPA_XTOL·κ₀.  At κₙ, f₊ = βf₋ with β from
     (f±, f±′) at x = 0 (odd states too, where f±(0) = 0), and
     ‖f₊‖² = β∂W/∂E = −βẆ/(2κₙ), Ẇ = dW/dκ by the fourth-order stencil of
     step _DW_STEP·min(κₙ, gap to the neighbouring κₘ).  c₊ = ‖f₊‖⁻¹ and
@@ -346,10 +356,12 @@ def bound_states(
     X = max(cutoff_for_eta(pot, _CUTOFF_TOL), 6.0)  # half width of the V and node scans
     vmin = float(np.min(pot(np.linspace(-X, X, 4001))))
     kappa_max = float(np.sqrt(max(-vmin, 0.0)))
-    if kappa_max <= _KAPPA_MIN:
+    if kappa_max == 0.0:
         return ()
-    grid = np.geomspace(_KAPPA_MIN, kappa_max, _N_BRACKETS)
-    wvals = _w_at_ikappa(pot, grid, rtol, atol)[0]
+    grid = np.geomspace(min(_KAPPA_MIN, kappa_max), kappa_max, _N_BRACKETS)
+    w_all, h_all = _w_at_ikappa(pot, np.append(0.0, grid), rtol, atol)
+    w_zero, wvals = w_all[0], w_all[1:]
+    _, threshold = _resonance_threshold(pot, *(h[0] for h in h_all))
     counts = _node_counts(pot, grid, X, kappa_max, rtol, atol)
     for _ in range(_SPLIT_ROUNDS):
         crowded = np.flatnonzero(counts[:-1] - counts[1:] >= 2)
@@ -366,6 +378,8 @@ def bound_states(
         return float(_w_at_ikappa(pot, [kap], rtol, atol)[0][0])
 
     roots = []
+    if abs(w_zero) >= threshold and w_zero * wvals[0] < 0.0:
+        roots.append(float(brentq(w_at, 0.0, grid[0], xtol=_KAPPA_XTOL * grid[0], rtol=8.9e-16)))
     for a, b, wa, wb in zip(grid[:-1], grid[1:], wvals[:-1], wvals[1:]):
         if wa == 0.0:
             roots.append(float(a))

@@ -9,11 +9,12 @@ split-step Fourier evolver for e^{−itH}, the evolution-kernel slice rule in it
 plain form (three weight vectors per time, one product per time and level,
 the whole k line), a DOP853 integration of the Jost factors, the Volterra
 form of the zero-energy Jost equation, the linear-Filon Fourier sum as
-a dense phase matrix, and the quadratic-phase panel weights by the direct
+a dense phase matrix, the quadratic-phase panel weights by the direct
 panel rule (β series, erf closed form on coarse panels) and in 40-digit
-arithmetic.  No imports from the package: the slice rule takes the
-panel-weight function as an argument, and the Jost reference takes V, its
-breakpoints and X∞.
+arithmetic, and the weighted norm ∫(1+|x|)^σ|V| by adaptive quadpack.  No
+imports from the package: the slice rule takes the panel-weight function as
+an argument, and the Jost and norm references take V, its breakpoints and
+their reach.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import quad, simpson, solve_ivp
 from scipy.optimize import brentq
 from scipy.special import wofz
 
@@ -551,3 +552,20 @@ def filon_linear_dense(y, rows, k_eval, chunk=128):
         phase = np.exp(2j * np.outer(kc, y[:-1]))
         out[..., lo : lo + kc.size] = h * ((a @ phase.T) * m0 + ((b - a) @ phase.T) * m1)
     return out
+
+
+# ----------------------------------------------- weighted norm, quadpack
+def moment_norm_quad(v, splits, sigma, x_max):
+    """∫_{−x_max}^{x_max} (1+|x|)^σ |V(x)| dx by scipy's adaptive quad, split
+    at the points where |V| is not smooth, to 1e-12 relative."""
+    inner = sorted(p for p in splits if -x_max < p < x_max)
+    val, _ = quad(
+        lambda x: (1.0 + abs(x)) ** sigma * abs(float(v(x))),
+        -x_max,
+        x_max,
+        points=inner or None,
+        limit=max(400, 4 * len(inner)),
+        epsabs=1e-14,
+        epsrel=1e-12,
+    )
+    return val

@@ -112,6 +112,46 @@ def test_only_oscquad_reaches_its_private_names():
     assert not reached, "private oscquad names used elsewhere: " + ", ".join(reached)
 
 
+def test_one_rule_integrates_v():
+    # src/ integrates V by one rule, potentials._v_integrals: no module
+    # imports quadpack or an interpolant of tail masses, and kernels reaches
+    # η± and γ± only through potentials.eta and potentials.gamma_moment
+    banned = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mod = node.module or ""
+                names = [mod] + [f"{mod}.{a.name}" for a in node.names] + [a.name for a in node.names]
+            else:
+                continue
+            banned += [
+                f"{path.stem}: {n}" for n in names
+                if n.startswith("scipy.integrate") or n == "PchipInterpolator"
+            ]
+    assert not banned, "second integration routes: " + ", ".join(banned)
+    tree = ast.parse((ROOT / "src" / "scatterlab" / "kernels.py").read_text())
+    from_potentials = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("potentials")
+        for a in node.names
+    }
+    assert from_potentials <= {"Potential", "cutoff_for_eta", "eta", "gamma_moment"}
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert {"eta", "gamma_moment"} <= called
+    own = [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and ("eta" in node.name or "gamma" in node.name)
+    ]
+    assert not own, "kernels builds its own tail moments: " + ", ".join(own)
+
+
 def _public_functions():
     out = {}
     for name in MODULES:

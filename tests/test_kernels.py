@@ -21,7 +21,7 @@ from scatterlab.kernels import (
     resonance_functionals,
     roundtrip_residual,
 )
-from scatterlab.potentials import catalog, cutoff_for_eta
+from scatterlab.potentials import catalog, cutoff_for_eta, eta
 from scatterlab.scattering import scattering_data
 
 from conftest import K_WIENER, XS_KERNEL
@@ -144,6 +144,7 @@ def test_kernel_bounds_square_well(sw_pot, sw_tables, idx):
 @pytest.mark.parametrize("idx", [0, 1])
 def test_kernel_bounds_gaussian_sharp(gw_pot, gw_tables, idx):
     rep = kernel_bound_report(gw_tables[idx], gw_pot)
+    assert rep["est1_margin"] <= 0.0
     assert rep["est1_relative_margin"] < 1e-10
     assert rep["est11_relative_margin"] < 1e-10
     # |B(x,y)| → e^γ η(x+y) as x → −∞ at y = 0: the bound is attained
@@ -331,14 +332,15 @@ def test_glm_synthesis_meets_the_dense_sums_and_mpmath(sw_wiener):
 @pytest.mark.parametrize("name", ["poeschl_teller", "square_well", "gaussian_well"])
 @pytest.mark.parametrize("side", [+1, -1])
 def test_eta_interp_masses_meet_a_tight_quadrature(name, side):
-    # the anchors' masses, at the two ranges the stage asks for, against
-    # one adaptive quad per anchor run to 1e-13 relative
+    # the tail masses the stage reads (potentials.eta): η± at 600
+    # points of the two ranges it asks for, in one call, against one
+    # adaptive quad per point run to 1e-13 relative out to where the tail
+    # bound is below 1e-30
     pot = catalog(name)
     bps = sorted(side * b for b in pot.breakpoints)
     for u_lo, u_hi in ((0.0, 16.0), (-2.0, 18.0)):
-        eta_fn = kernels._eta_interp(pot, side, side * u_lo, side * u_hi)
-        X = max(cutoff_for_eta(pot, kernels._ETA_TOL), u_hi + 1.0)
-        us = np.linspace(u_lo, u_hi, 600)  # every one an anchor
+        X = max(cutoff_for_eta(pot, 1e-30), u_hi + 1.0)
+        us = np.linspace(u_lo, u_hi, 600)
         ref = np.array([
             quad(
                 lambda t: abs(float(pot(side * t))), u, X,
@@ -347,7 +349,7 @@ def test_eta_interp_masses_meet_a_tight_quadrature(name, side):
             )[0]
             for u in us
         ])
-        got = eta_fn(side * us)
+        got = eta(pot, side * us, side)
         pos = ref > 0.0
         assert np.max(np.abs(got[pos] - ref[pos]) / ref[pos]) < 1e-12
         assert np.all(got[~pos] == 0.0)

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from scatterlab.errors import TruncationError
+from scatterlab.errors import CrossCheckError, TruncationError
 from scatterlab.potentials import (
     Potential,
     TailBound,
@@ -20,8 +21,9 @@ from scatterlab.potentials import (
     moment_norm,
     scale_potential,
     to_spec,
-    _moment_norm_gl,
 )
+
+import oracles
 
 
 def test_catalog_defaults():
@@ -57,15 +59,18 @@ def test_moment_norms_closed_form():
     assert moment_norm(sw, 0.0) == pytest.approx(np.pi**2 / 2, abs=1e-10)
     assert moment_norm(sw, 1.0) == pytest.approx(3 * np.pi**2 / 4, abs=1e-10)
     assert moment_norm(gw, 0.0) == pytest.approx(0.1 * math.sqrt(math.pi), abs=1e-12)
-    # p = 2: (∫ 4 sech⁴)^{1/2} = (16/3)^{1/2}
-    assert moment_norm(pt, 0.0, p=2.0) == pytest.approx(math.sqrt(16.0 / 3.0), abs=1e-10)
 
 
 def test_two_quadrature_schemes_agree():
+    # the moment rule against adaptive quadpack, reaching out to where the
+    # weighted tail bound is below 1e-16
     for pot in (catalog("poeschl_teller"), catalog("square_well"), catalog("gaussian_well")):
         for sigma in (0.0, 1.0, 2.0):
+            x_max = max(pot.tail.radius, 1.0)
+            while pot.tail.weighted_tail(x_max, sigma) > 1e-16:
+                x_max *= 1.5
             a = moment_norm(pot, sigma)
-            b = _moment_norm_gl(pot, sigma)
+            b = oracles.moment_norm_quad(pot, pot.breakpoints, sigma, x_max)
             assert abs(a - b) < 1e-8 * max(1.0, a)
 
 
@@ -82,6 +87,52 @@ def test_eta_gamma_closed_form():
     # η decreases and vanishes past the support
     assert eta(sw, 2.0, +1) == 0.0
     assert eta(pt, 8.0, +1) < eta(pt, 2.0, +1) < eta(pt, 0.0, +1)
+
+
+def _gw_tails(depth, width, x):
+    """η₊ and γ₊ of the Gaussian well in 40 digits: the erfc forms."""
+    eta_ref, gamma_ref = [], []
+    with mpmath.workdps(40):
+        for xi in x:
+            z = mpmath.mpf(float(xi)) / width
+            mass = depth * width * mpmath.sqrt(mpmath.pi) / 2 * mpmath.erfc(z)
+            eta_ref.append(float(mass))
+            gamma_ref.append(float(depth * width**2 / 2 * mpmath.exp(-z * z) - float(xi) * mass))
+    return np.array(eta_ref), np.array(gamma_ref)
+
+
+def _tail_closed_forms():
+    # (potential, x, η₊(x), γ₊(x)); η₋(x) = η₊(−x) and γ₋ likewise, all
+    # three being even
+    x = np.linspace(-4.0, 16.0, 401)
+    cases = [(catalog("poeschl_teller"), x, 4.0 / (1.0 + np.exp(2.0 * x)),
+              2.0 * np.log1p(np.exp(-2.0 * x)))]
+    sw = catalog("square_well")
+    v0, xs = sw.params["v0"], np.linspace(-3.0, 3.0, 601)
+    sw_gamma = np.where(xs <= -1.0, -2.0 * v0 * xs, v0 * np.clip(1.0 - xs, 0.0, None) ** 2 / 2)
+    cases.append((sw, xs, v0 * np.clip(1.0 - xs, 0.0, 2.0), sw_gamma))
+    for width in (1.0, 0.1, 0.01):
+        xg = width * np.linspace(-4.0, 6.0, 401)
+        cases.append((catalog("gaussian_well", width=width), xg, *_gw_tails(0.1, width, xg)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "case", range(5), ids=["pt", "sw", "gw_width_1", "gw_width_0.1", "gw_width_0.01"]
+)
+@pytest.mark.parametrize("side", [+1, -1])
+def test_eta_gamma_match_closed_forms(case, side):
+    # η within 1e-13 and γ within 1e-12 relative wherever they are ≥ 1e-12,
+    # evaluated in one call on the whole array
+    pot, x, eta_ref, gamma_ref = _tail_closed_forms()[case]
+    got_eta, got_gamma = eta(pot, side * x, side), gamma_moment(pot, side * x, side)
+    assert got_eta.shape == got_gamma.shape == x.shape
+    for got, ref, tol in ((got_eta, eta_ref, 1e-13), (got_gamma, gamma_ref, 1e-12)):
+        big = ref >= 1e-12
+        assert np.max(np.abs(got[big] - ref[big]) / ref[big]) < tol
+        assert np.max(np.abs(got[~big]), initial=0.0) < 2e-12
+    # a point alone meets the array's value
+    assert eta(pot, float(side * x[7]), side) == pytest.approx(got_eta[7], rel=1e-13)
 
 
 def test_cutoff_for_eta_honours_tolerance():
@@ -103,6 +154,20 @@ def test_truncation_error_for_slow_tails():
     assert moment_norm(slow, 0.0) > 0  # σ = 0 integrable: 2/(0.5) = 4
     with pytest.raises(TruncationError):
         moment_norm(slow, 1.0)  # (1+|x|)^{-0.5} is not integrable
+    with pytest.raises(TruncationError):
+        gamma_moment(slow, 0.0, +1)  # nor is (y − x)|V|
+
+
+def test_moment_rule_raises_where_halving_cannot_converge():
+    # an oscillation far below the cell scale fails every halving check: the
+    # rule raises once too many cells are left, instead of halving on
+    fast = Potential(
+        label="fast",
+        evaluator=lambda x: np.sin(1e9 * np.asarray(x, float)),
+        tail=TailBound("compact", 1.0),
+    )
+    with pytest.raises(CrossCheckError):
+        eta(fast, 0.0, +1)
 
 
 def test_scale_potential():
@@ -215,6 +280,36 @@ def test_sampled_spec_from_csv_equals_arrays(tmp_path):
         assert np.array_equal(from_csv(probe), from_arrays(probe))
 
 
+def test_sampled_envelope_on_arrays():
+    # TailBound.envelope takes arrays; the sampled evaluator applies it only
+    # past the window: inside it is the spline bit for bit, outside it
+    # meets the pointwise math form to 1e-15
+    from scipy.interpolate import CubicSpline
+
+    for tail in (TailBound("exp", 6.0, 3.0, 2.0), TailBound("power", 6.0, 3.0, 4.0)):
+        z = np.linspace(-30.0, 30.0, 241)
+        pointwise = np.array([
+            tail.coef * (math.exp(-tail.rate * abs(t)) if tail.kind == "exp"
+                         else (1.0 + abs(t)) ** -tail.rate)
+            for t in z
+        ])
+        assert np.max(np.abs(tail.envelope(z) - pointwise) / pointwise) <= 1e-15
+    assert np.array_equal(TailBound("compact", 1.0).envelope(z), np.zeros_like(z))
+
+    xs = np.linspace(-6.0, 6.0, 121)
+    vs = -2.0 / np.cosh(xs) ** 2
+    pot = load_sampled(xs, vs)
+    z = np.linspace(-20.0, 20.0, 4001)
+    inside = (z >= xs[0]) & (z <= xs[-1])
+    got = pot(z)
+    assert np.array_equal(got[inside], CubicSpline(xs, vs)(z[inside]))
+    edge = np.where(z < 0, abs(vs[0]), abs(vs[-1]))
+    env = np.array([pot.tail.coef * math.exp(-pot.tail.rate * abs(t)) for t in z])
+    ref = -np.minimum(env, edge)
+    assert np.max(np.abs(got[~inside] - ref[~inside]) / np.abs(ref[~inside])) <= 1e-15
+    assert pot(np.array(-20.0)).shape == () and float(pot(-20.0)) == pytest.approx(ref[0], rel=1e-15)
+
+
 def test_load_sampled_arrays_and_csv(tmp_path):
     xs = np.linspace(-10, 10, 801)
     vs = -2.0 / np.cosh(xs) ** 2
@@ -238,27 +333,50 @@ def test_load_sampled_arrays_and_csv(tmp_path):
         load_sampled(xs[:3], vs[:3])
 
 
-def test_sampled_tail_moments_need_no_quadrature_warning(tmp_path):
-    # the CSV-sampled sech² well with the automatic exponential tail: |V| is a
-    # C² spline up to the window edges, then min(envelope, |edge sample|);
-    # quad gets every knot and kink and raises no IntegrationWarning
-    import dataclasses
-    import warnings
+# η± and γ± of the CSV-sampled sech² well below, by adaptive quadpack
+# (epsabs 1e-14, epsrel 1e-12) split at every knot and kink
+_SAMPLED_QUADPACK = {
+    ("eta", -12.0, +1): 4.000000011127585,
+    ("eta", -12.0, -1): 3.020108322271669e-10,
+    ("eta", 0.0, +1): 2.0000000057140506,
+    ("eta", 0.0, -1): 2.0000000057140497,
+    ("eta", 3.0, +1): 0.009890477436588118,
+    ("eta", 3.0, -1): 3.9901095339930084,
+    ("gamma_moment", -12.0, +1): 48.00000013730619,
+    ("gamma_moment", -12.0, -1): 1.510054221827411e-10,
+    ("gamma_moment", 0.0, +1): 1.3862949872327597,
+    ("gamma_moment", 0.0, -1): 1.3862949872327595,
+    ("gamma_moment", 3.0, +1): 0.004951403413671831,
+    ("gamma_moment", 3.0, -1): 12.004951437702456,
+}
 
-    from scipy.integrate import IntegrationWarning
+
+def test_sampled_tail_moments_converge_with_the_kinks(tmp_path):
+    # the CSV-sampled sech² well with the automatic exponential tail: |V| is a
+    # C² spline up to the window edges, then min(envelope, |edge sample|).
+    # Split at every knot and kink, each cell passes its first halving
+    # check: V is evaluated three times (cells, left halves, right halves).
+    # Without the kinks the cells around them are halved further.
+    import dataclasses
 
     xs = np.linspace(-10.0, 10.0, 201)
     path = tmp_path / "well.csv"
     np.savetxt(path, np.column_stack([xs, -2.0 / np.cosh(xs) ** 2]), delimiter=",")
     pot = from_spec({"name": "sampled", "params": {"csv": str(path)}})
-    blind = dataclasses.replace(pot, kinks=())  # quadrature without the kinks
+
+    def counted(p):
+        calls = []
+        return dataclasses.replace(p, evaluator=lambda z: calls.append(1) or p.evaluator(z)), calls
+
     for fn in (eta, gamma_moment):
         for x in (-12.0, 0.0, 3.0):
             for side in (+1, -1):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", IntegrationWarning)
-                    value = fn(pot, x, side)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", IntegrationWarning)
-                    before = fn(blind, x, side)
-                assert abs(value - before) <= 1e-9 * max(1.0, abs(before))
+                kinked, calls = counted(pot)
+                value = fn(kinked, x, side)
+                assert len(calls) == 3
+                blind, blind_calls = counted(dataclasses.replace(pot, kinks=()))
+                before = fn(blind, x, side)
+                if side * x < 10.0:  # the path [side·x, ∞) crosses the window
+                    assert len(blind_calls) > 3
+                for ref in (before, _SAMPLED_QUADPACK[fn.__name__, x, side]):
+                    assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))

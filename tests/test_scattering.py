@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from scatterlab.errors import CrossCheckError
 from scatterlab import scattering
@@ -202,6 +203,28 @@ def test_bound_states_gaussian_fd_crosscheck():
 
 def test_bound_states_free_empty():
     assert bound_states(catalog("free")) == ()
+
+
+def test_bound_state_below_the_kappa_floor():
+    # gaussian_well(depth=1e-4) binds one state at κ ≈ ½∫|V| ≈ 8.86e-5, below
+    # the log brackets' 1e-4: W(0) > 0 > W(i·1e-4) brackets it.  Reference:
+    # the root of W(iκ) from DOP853 Jost factors at x = 0.  At the default
+    # tolerances h′±(0, iκ) is off by 2.3e-12, which moves κ by 2.6e-8
+    # relative; at rtol 1e-13 the Jost factors, not the search, set κ's error
+    gw = catalog("gaussian_well", depth=1e-4)
+    default = bound_states(gw)
+    states = bound_states(gw, rtol=1e-13, atol=1e-15)
+    assert len(default) == len(states) == 1
+
+    def w_ref(kappa):
+        hp, hpp = oracles.jost_h_dop853(gw, (), 8.0, [0.0], 1j * kappa, +1, atol=1e-16)
+        hm, hmp = oracles.jost_h_dop853(gw, (), 8.0, [0.0], 1j * kappa, -1, atol=1e-16)
+        return float((-2.0 * kappa * hp * hm + hm * hpp - hmp * hp)[0].real)
+
+    kappa_ref = brentq(w_ref, 1e-6, 1e-4, xtol=1e-18, rtol=1e-15)
+    assert states[0].kappa == pytest.approx(kappa_ref, rel=1e-9)
+    assert default[0].kappa == pytest.approx(kappa_ref, rel=1e-7)
+    assert states[0].kappa < scattering._KAPPA_MIN
 
 
 def _sw_constants(v0):
