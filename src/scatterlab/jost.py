@@ -31,6 +31,13 @@ cheap.  The accepted steps use the Richardson map (16 P − F)/15; the
 whole-step solution, marched beside it on up to 64 of the k, gives the
 reported error estimate max |P-solution − F-solution|/15 over the outputs.
 
+Only |k| is marched: for a real potential h(x,−k) = conj h(x,k)
+(Deift & Trubowitz, CPAM 32, 1979), so a JostField holds the distinct |k|
+of the requested grid, h and h′ being the march output itself.  unfold
+carries rows on those nodes onto any grid of ±k by conjugation, for the
+readers that need k < 0 (scattering.wronskians' callers, s_field, and the
+kernels stage's Φ rows and roundtrip check).
+
 Purely imaginary k = iκ give h±(x, iκ) (compute_h_bound): the bound-state
 search reads them at x = 0 (W(iκ), and dW/dκ for the norming constants)
 and counts the sign changes of h₊ on a grid for Sturm oscillation.  k = 0 is an ordinary column of a real k grid: the
@@ -55,6 +62,7 @@ __all__ = [
     "IntegrationReport",
     "compute_h",
     "compute_h_bound",
+    "unfold",
 ]
 
 ODE_RTOL = 1e-10  # default solver tolerances of every Jost integration
@@ -87,7 +95,8 @@ class IntegrationReport:
 
 @dataclass(frozen=True)
 class JostField:
-    """h±(x,k) and ∂ₓh±(x,k) tabulated on an (x, k) grid for one side."""
+    """h±(x,k) and ∂ₓh±(x,k) tabulated on an (x, k) grid for one side; k_grid
+    holds the distinct |k| that were marched, ascending (unfold gives k < 0)."""
 
     side: int
     x_grid: np.ndarray
@@ -183,9 +192,13 @@ def _doubled(pot, x0, H, lam, g):
     (g = −σκ, else None) both are scaled by e^{−gH}, so the state does not
     grow like e^{κ|x|}."""
     k2 = -(lam * lam).real
+    # P before F, and R in P's arrays, so fewer (steps × k) arrays live at once
+    R = _mul(_step_maps(pot, x0 + 0.5 * H, 0.5 * H, k2), _step_maps(pot, x0, 0.5 * H, k2), k2)
     F = _step_maps(pot, x0, H, k2)
-    P = _mul(_step_maps(pot, x0 + 0.5 * H, 0.5 * H, k2), _step_maps(pot, x0, 0.5 * H, k2), k2)
-    R = tuple((16.0 * p - f) / 15.0 for p, f in zip(P, F))
+    for r, f in zip(R, F):
+        r *= 16.0
+        r -= f
+        r /= 15.0
     if g is not None:
         scale = np.exp(-np.multiply.outer(H, g))
         R, F = (tuple(m * scale for m in M) for M in (R, F))
@@ -289,12 +302,14 @@ def _march(pot, x0, H, slot, n_out, lam, g):
             phases = {}
             for sc in _step_chunks(x0.size, lk.size):
                 (c, b, e, t), F = _doubled(pot, x0[sc], H[sc], lk, gk)
-                lb = lk * b
-                ff, uf, uu = c + lb, e + lk * t, c + t - lb
                 cF, bF, eF, tF = (m[:, ps] for m in F)
                 mF10, mF11 = eF + (lp * lp).real * bF, cF + tF
+                del F  # the whole steps are read on the sampled k only
                 for j, s in enumerate(range(sc.start, sc.stop)):
-                    f, u = ff[j] * f + b[j] * u, uf[j] * f + uu[j] * u
+                    # the maps on (h, h′) step by step: no complex (steps × k) array
+                    lb = lk * b[j]
+                    ff, uf, uu = c[j] + lb, e[j] + lk * t[j], c[j] + t[j] - lb
+                    f, u = ff * f + b[j] * u, uf * f + uu * u
                     fF, pF = cF[j] * fF + bF[j] * pF, mF10[j] * fF + mF11[j] * pF
                     if gk is None:
                         ph = phases.get(H[s])
@@ -310,6 +325,7 @@ def _march(pot, x0, H, slot, n_out, lam, g):
                         y_out[0, slot[s], kc], y_out[1, slot[s], kc] = f, u
                         d = np.abs(f[ps] - fF) + np.abs(u[ps] - (pF - lp * fF)) / wp
                         err = max(err, float(d.max(initial=0.0)) / 16.0)
+                del c, b, e, t  # before the next chunk's maps are made
         errs.append(err)
 
     parts = _WORKERS if K >= _PARALLEL_K else 1
@@ -357,12 +373,16 @@ def compute_h(
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
 ) -> JostField:
-    """Tabulate h±(x,k), ∂ₓh±(x,k) on x_grid × k_grid.
+    """Tabulate h±(x,k), ∂ₓh±(x,k) on x_grid × |k_grid|.
 
     side is +1 for h₊ (integrated inward from +X∞) and −1 for h₋.  X∞ is
     the larger of the grid's edge and the point past which the tail mass
     η±(X∞) is below 1e-10.  Only |k| is integrated: h(x,−k) = conj h(x,k)
-    for a real potential, so k < 0 is filled from k > 0.
+    for a real potential, so the field holds the distinct |k| of k_grid
+    (its k_grid), and h and h′ are the march output with no copy; unfold
+    gives the columns of any k < 0.  A grid symmetric about 0 has half its
+    nodes marched only when its halves mirror each other bit for bit
+    (scattering.scattering_data makes them so).
     """
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
@@ -373,16 +393,7 @@ def compute_h(
 
     x_inf = _cutoff(pot, x_grid, side)
     base = np.unique(np.abs(k_grid))
-    H, HP, evals, err = _inward(pot, x_grid, base, side, rtol, atol, x_inf)
-
-    # scatter back onto the requested k grid
-    idx = np.searchsorted(base, np.abs(k_grid))
-    h_full = H[:, idx]
-    hp_full = HP[:, idx]
-    neg = k_grid < 0
-    h_full[:, neg] = np.conj(h_full[:, neg])
-    hp_full[:, neg] = np.conj(hp_full[:, neg])
-
+    h, hp, evals, err = _inward(pot, x_grid, base, side, rtol, atol, x_inf)
     report = IntegrationReport(
         cutoff=float(x_inf),
         eta_at_cutoff=float(pot.tail.eta_tail(x_inf)),
@@ -391,7 +402,7 @@ def compute_h(
         bands=((float(base[0]), float(base[-1]), int(evals)),),
         error_estimate=err,
     )
-    return JostField(side, x_grid, k_grid, h_full, hp_full, report)
+    return JostField(side, x_grid, base, h, hp, report)
 
 
 def compute_h_bound(pot, x_grid, kappas, side, *, rtol=ODE_RTOL, atol=ODE_ATOL):
@@ -402,6 +413,21 @@ def compute_h_bound(pot, x_grid, kappas, side, *, rtol=ODE_RTOL, atol=ODE_ATOL):
     x_inf = _cutoff(pot, x_grid, side)
     h, hp, _, _ = _inward(pot, x_grid, 1j * kappas, side, rtol, atol, x_inf)
     return h, hp
+
+
+def unfold(rows, k_abs, k_grid):
+    """rows, tabulated on the ascending distinct |k| k_abs along the last
+    axis, on k_grid: the column of |k| for each k, conjugated where k < 0
+    (h(x,−k) = conj h(x,k) for a real potential).  ValueError when a |k|
+    is not a node of k_abs."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    idx = np.minimum(np.searchsorted(k_abs, np.abs(k_grid)), k_abs.size - 1)
+    if not np.array_equal(k_abs[idx], np.abs(k_grid)):
+        raise ValueError("unfold: k_grid has a |k| that is not a node of k_abs")
+    out = rows[..., idx]
+    neg = k_grid < 0
+    out[..., neg] = np.conj(out[..., neg])
+    return out
 
 
 def _cutoff(pot, x_grid, side):

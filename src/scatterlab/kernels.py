@@ -45,7 +45,7 @@ from scipy.fft import fft, ifft, next_fast_len
 from scipy.interpolate import CubicSpline
 
 from .errors import CrossCheckError
-from .jost import JostField
+from .jost import JostField, unfold
 from .potentials import Potential, cutoff_for_eta, eta, gamma_moment
 from .scattering import ScatteringData
 from .wiener import _uniform_step
@@ -292,13 +292,20 @@ def kd_kernels(kt: KernelTable, jf: JostField, *, pot: Potential) -> KernelTable
 def roundtrip_residual(kt: KernelTable, jf: JostField) -> float:
     """max |forward transform of B − (h−1)| over every 10th wavenumber of
     the interior |k| ≤ K/2, by the linear-Filon rule on half Ψ's y step (its
-    error, step²/12 times the slope jumps of B, is 1e-6 at Ψ's step)."""
-    k = jf.k_grid
-    sel = np.flatnonzero(np.abs(k) <= 0.5 * np.max(np.abs(k)))[::10]
+    error, step²/12 times the slope jumps of B, is 1e-6 at Ψ's step), on
+    the line of ±k that the field's |k| make (_k_line)."""
+    k = _k_line(jf)
+    k = k[np.flatnonzero(np.abs(k) <= 0.5 * np.max(np.abs(k)))[::10]]
     lat = kt.meta
     y = np.linspace(0.0, lat["y"][-1], 2 * _FINE_N - 1)
-    forward = _filon_linear(y, _piecewise_cubic(lat["y"], lat["B"], lat["kinks"], y), k[sel])
-    return float(np.max(np.abs(forward - (jf.h[:, sel] - 1.0))))
+    forward = _filon_linear(y, _piecewise_cubic(lat["y"], lat["B"], lat["kinks"], y), k)
+    return float(np.max(np.abs(forward - (unfold(jf.h, jf.k_grid, k) - 1.0))))
+
+
+def _k_line(jf: JostField) -> np.ndarray:
+    """The grid of ±k whose distinct |k| the field holds, k = 0 once."""
+    k = jf.k_grid
+    return np.concatenate([-k[::-1][: k.size - int(k[0] == 0.0)], k])
 
 
 # ---------------------------------------------------------- Ψ, Φ, H and Ĉ
@@ -376,25 +383,23 @@ def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals
     Ψ±(k) = ∫_0^{±∞} H±(y) e^{±2iky} dy is evaluated by linear-Filon
     quadrature on that grid, so the residual stays meaningful at the
     largest grid wavenumbers; Ψ± and Φ± are kept on every 20th grid
-    wavenumber.  Ĉ is the grid maximum of |H±(y)| / η±(y), η± from
-    potentials.eta.
+    wavenumber of the line of ±k that the field's |k| make (_k_line).  Ĉ
+    is the grid maximum of |H±(y)| / η±(y), η± from potentials.eta.
     """
     ix = jf.x_index(0.0)
-    k = jf.k_grid
-    i0 = int(np.argmin(np.abs(k)))
-    if abs(k[i0]) > 1e-12:
+    if jf.k_grid[0] > 1e-12:
         raise ValueError("resonance functionals need k = 0 on the grid")
     side, x0 = jf.side, np.array([0.0])
     lat = _kernel_rows(pot, side, x0)
     y_abs = np.linspace(0.0, lat["y"][-1], _FINE_N)
     K0, D0 = _tails(pot, side, x0, lat, y_abs)
-    h0, hp0 = float(jf.h[ix, i0].real), float(jf.h_prime[ix, i0].real)
+    h0, hp0 = float(jf.h[ix, 0].real), float(jf.h_prime[ix, 0].real)
     H = K0[0] * hp0 - side * D0[0] * h0
 
     # in |y| both sides read Ψ±(k) = ∫_0^∞ H±(±u) e^{2iku} du
-    k_eval = k[::_PSI_K_STRIDE]
+    k_eval = _k_line(jf)[::_PSI_K_STRIDE]
     Psi = _filon_linear(y_abs, H, k_eval)
-    Phi = jf.h[ix, ::_PSI_K_STRIDE] * hp0 - jf.h_prime[ix, ::_PSI_K_STRIDE] * h0
+    Phi = unfold(jf.h[ix] * hp0 - jf.h_prime[ix] * h0, jf.k_grid, k_eval)
     residual = float(np.max(np.abs(Phi - 2j * k_eval * Psi)))
 
     ev = eta(pot, side * y_abs, side)

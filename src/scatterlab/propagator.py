@@ -33,10 +33,13 @@ every second one give the two extrapolants as one sum each.  For a real
 potential A(−k) = conj A(k), so only k ≥ 0 is refined and built: the k < 0
 half of a weight vector, mirrored, is the k ≥ 0 half at −b, and conjugated
 it acts on conj A, Σ w A = A·w₊ + conj(A·conj w₋), with its k = 0 weight
-added to w₊.  The amplitude h₊h₋T − 1 is h₊·(h₋T), h₋T formed once per
-call, and its −1 is the sum of each weight row; a diagonal's amplitude
-goes in k-blocks that hold all its rows, each block two matrix products,
-and the blocks bound its memory whatever the number of rows.
+added to w₊.  PropagatorData holds the h₊, h₋ and T rows refined once, on
+k ≥ 0 only (the Jost fields hold only |k|), and nothing else of the
+fields; the grid nodes are the view [..., ::4].  The amplitude
+h₊h₋T − 1 is h₊·(h₋T), with h₋T formed block by block, and its −1 is the
+sum of each weight row; a diagonal's amplitude goes in k-blocks that hold
+all its rows, each block two matrix products, and the blocks bound its
+memory whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonanceError
-from .jost import ODE_ATOL, ODE_RTOL, _grid_index
+from .jost import ODE_ATOL, ODE_RTOL, _grid_index, unfold
 from .oscquad import PanelTables, full_line_integral, truncation_tail
 from .potentials import Potential
-from .scattering import ScatteringData, scattering_data
+from .scattering import ScatteringData, _mirrors, scattering_data
 from . import wiener
 from .wiener import _uniform_step, _uniform_symmetric
 
@@ -73,6 +76,7 @@ DEFAULT_K_COUNT = 24001
 # complex amplitude entries per k-block of a diagonal, its even-column copy
 # included (16 MiB); the block width follows from the diagonal's rows
 _CHUNK_ENTRIES = 1 << 20
+_REFINE_ROWS = 4  # rows per pass of the refinement stencils
 
 
 @dataclass(frozen=True)
@@ -107,13 +111,19 @@ class SField:
 
 @dataclass(frozen=True)
 class PropagatorData:
-    """Shared read-only inputs for kernel evaluation on one grid."""
+    """Shared read-only inputs for kernel evaluation on one grid.
+
+    hp_fine, hm_fine and T_fine are h₊(x,·), h₋(x,·) (one row per x_grid
+    point) and T refined twice on k ≥ 0 (_refine_half): column 4j is the
+    grid node k_grid[n//2 + j], so [..., ::4] are the grid's nodes k ≥ 0.
+    No k < 0 column is kept; A(−k) = conj A(k) gives it (jost.unfold)."""
 
     pot: Potential
     x_grid: np.ndarray
     k_grid: np.ndarray
-    h_plus: np.ndarray
-    h_minus: np.ndarray
+    hp_fine: np.ndarray
+    hm_fine: np.ndarray
+    T_fine: np.ndarray
     sd: ScatteringData
     f0_x: np.ndarray
 
@@ -149,10 +159,12 @@ def prepare_propagator(
     c₊ = √(2/(1+γ²)), so that |f₀(x)|² + |f₀(−x)|² → 2 (f₀ = 0 when
     non-resonant).  The grid point within 1e-12 of 0 is set to
     exactly 0, which keeps the Jost rows aligned with x_grid; the k grid
-    is the one scattering_data returns, with its middle node exactly 0.
-    The k grid must be symmetric about 0 with a node at 0 (the kernel
-    quadrature folds k < 0 onto k ≥ 0); ValueError otherwise, before any
-    solve."""
+    is the one scattering_data returns, exactly mirrored with its middle
+    node exactly 0, so each field holds its nodes k ≥ 0.  Those rows are
+    refined once into hp_fine and hm_fine, one side at a time, and the
+    fields are dropped.  The k grid must be symmetric about 0 to within
+    1e-12·max|k| with a node at 0 (the kernel quadrature folds k < 0 onto
+    k ≥ 0); ValueError otherwise, before any solve."""
     if x_grid is None:
         n_half = int(round(DEFAULT_X_MAX / DEFAULT_X_STEP))
         x_grid = np.linspace(-DEFAULT_X_MAX, DEFAULT_X_MAX, 2 * n_half + 1)
@@ -164,6 +176,8 @@ def prepare_propagator(
     _uniform_symmetric(k_grid)
     if k_grid.size % 2 == 0:
         raise ValueError("k grid needs a node at 0 (an odd number of points)")
+    if not _mirrors(k_grid):
+        raise ValueError("k grid must mirror about 0 to within 1e-12·max|k|")
     zero = np.abs(x_grid) < 1e-12
     if not np.any(zero):
         raise ValueError("x_grid must contain 0 (Wronskian anchor)")
@@ -177,13 +191,19 @@ def prepare_propagator(
     f0_x = np.zeros(x_grid.size)
     if sd.resonance.resonant:
         c_plus = np.sqrt(2.0 / (1.0 + sd.resonance.gamma**2))
-        f0_x = c_plus * jp.h[:, k_grid.size // 2].real
+        f0_x = c_plus * jp.h[:, 0].real
+    # each field's march output is freed once its rows are refined
+    hp_fine = _refine_half(jp.h)
+    del jp
+    hm_fine = _refine_half(jm.h)
+    del jm
     return PropagatorData(
         pot=pot,
         x_grid=x_grid,
         k_grid=sd.k_grid,
-        h_plus=jp.h,
-        h_minus=jm.h,
+        hp_fine=hp_fine,
+        hm_fine=hm_fine,
+        T_fine=_refine_half(sd.T[k_grid.size // 2 :]),
         sd=sd,
         f0_x=f0_x,
     )
@@ -194,25 +214,39 @@ def prepare_propagator(
 
 def _refine(r):
     """Uniformly spaced samples along the last axis with the panel midpoints
-    inserted by cubic interpolation (one-sided at the two ends)."""
+    inserted by cubic interpolation (one-sided at the two ends).  The
+    stencils run _REFINE_ROWS rows at a time, so their temporaries stay
+    small beside the result."""
     if r.shape[-1] < 4:
         raise ValueError("need at least four samples to refine")
     out = np.empty(r.shape[:-1] + (2 * r.shape[-1] - 1,), dtype=r.dtype)
-    out[..., ::2] = r
-    mid = out[..., 1::2]
-    mid[..., 1:-1] = (-r[..., :-3] + 9.0 * r[..., 1:-2] + 9.0 * r[..., 2:-1] - r[..., 3:]) / 16.0
-    mid[..., 0] = (5.0 * r[..., 0] + 15.0 * r[..., 1] - 5.0 * r[..., 2] + r[..., 3]) / 16.0
-    mid[..., -1] = (r[..., -4] - 5.0 * r[..., -3] + 15.0 * r[..., -2] + 5.0 * r[..., -1]) / 16.0
+    rows_in, rows_out = r.reshape(-1, r.shape[-1]), out.reshape(-1, out.shape[-1])
+    for i in range(0, rows_in.shape[0], _REFINE_ROWS):
+        a, o = rows_in[i : i + _REFINE_ROWS], rows_out[i : i + _REFINE_ROWS]
+        o[:, ::2] = a
+        mid = o[:, 1::2]
+        mid[:, 1:-1] = (-a[:, :-3] + 9.0 * a[:, 1:-2] + 9.0 * a[:, 2:-1] - a[:, 3:]) / 16.0
+        mid[:, 0] = (5.0 * a[:, 0] + 15.0 * a[:, 1] - 5.0 * a[:, 2] + a[:, 3]) / 16.0
+        mid[:, -1] = (a[:, -4] - 5.0 * a[:, -3] + 15.0 * a[:, -2] + 5.0 * a[:, -1]) / 16.0
     return out
 
 
 def _refine_half(rows):
-    """Rows on a k grid symmetric about 0 with a node at 0, refined twice by
-    cubic panel midpoints on k ≥ 0 (n grid nodes become 4n − 3, in natural
-    order).  Refinement starts two grid nodes below 0, so the stencils next
-    to 0 read the nodes the line has there, and drops the 8 columns below 0."""
-    c = rows.shape[-1] // 2
-    return _refine(_refine(rows[..., c - 2 :]))[..., 8:]
+    """Rows on the nodes k ≥ 0 of a grid symmetric about 0 (k = 0 first),
+    refined twice by cubic panel midpoints (n nodes become 4n − 3, in
+    natural order).  Refinement starts two grid nodes below 0, the
+    conjugates of the two above, so the stencils next to 0 read the nodes
+    the line has there, and drops the 8 columns below 0.  It runs
+    _REFINE_ROWS rows at a time into the result, so no full-size
+    intermediate is made."""
+    n = rows.shape[-1]
+    out = np.empty(rows.shape[:-1] + (4 * n - 3,), dtype=rows.dtype)
+    rows_in, rows_out = rows.reshape(-1, n), out.reshape(-1, 4 * n - 3)
+    for i in range(0, rows_in.shape[0], _REFINE_ROWS):
+        a = rows_in[i : i + _REFINE_ROWS]
+        line = np.concatenate([np.conj(a[:, 2:0:-1]), a], axis=1)
+        rows_out[i : i + _REFINE_ROWS] = _refine(_refine(line))[:, 8:]
+    return out
 
 
 def _half_nodes(k_grid) -> np.ndarray:
@@ -244,15 +278,16 @@ def _check_times(ts, k_grid, b: float) -> None:
     PanelTables.check_budget(_half_nodes(k_grid), ts)
 
 
-def _pac_rows(hp_ff, hm_t, tables: PanelTables, b: float):
+def _pac_rows(hp, hm, t_fine, tables: PanelTables, b: float):
     """Continuous-spectrum kernel of row-aligned pairs at separation b ≥ 0
     for every time of the tables: (value, error), each (len(ts), rows).
-    hp_ff holds rows of h₊(y,·) and hm_t rows of h₋(x,·)T, refined on k ≥ 0
-    (_refine_half) onto the tables' nodes.  The amplitude A = h₊·h₋T costs
-    one multiply per entry and goes in k-blocks that hold every row, each
-    block one product with V and one, on its even columns, with U; the −1
-    of A − 1 is taken off after the products as the sum of each weight row,
-    which a row of ones in the same products gives."""
+    hp holds rows of h₊(y,·), hm rows of h₋(x,·) and t_fine T, refined on
+    k ≥ 0 (_refine_half) onto the tables' nodes.  The amplitude
+    A = h₊·(h₋T) costs two multiplies per entry and goes in k-blocks that
+    hold every row, each block one product with V and one, on its even
+    columns, with U; the −1 of A − 1 is taken off after the products as
+    the sum of each weight row, which a row of ones in the same products
+    gives."""
     inv2pi = 1.0 / (2.0 * np.pi)
     ts, nt = tables.ts, tables.ts.size
     v, u = tables.richardson_weights(b)
@@ -261,10 +296,10 @@ def _pac_rows(hp_ff, hm_t, tables: PanelTables, b: float):
         w[nt:, 0] = 0.0
         np.conjugate(w[nt:], out=w[nt:])
     # K, the last node; |A(−K)| = |A(K)|
-    end = np.abs(hp_ff[:, -1] * hm_t[:, -1] - 1.0)
+    end = np.abs(hp[:, -1] * (hm[:, -1] * t_fine[-1]) - 1.0)
     tail = np.array([truncation_tail(end, end, t, b, tables.k[-1]) for t in ts])
     full = np.array([full_line_integral(t, b) for t in ts])
-    n_rows, n_k = hp_ff.shape
+    n_rows, n_k = hp.shape
     r2, r1 = (np.zeros((n_rows + 1, 2 * nt), dtype=complex) for _ in range(2))
     # an even block width keeps a block's even columns on U's columns; the
     # last row of ones sums the weight rows in the same products
@@ -275,7 +310,8 @@ def _pac_rows(hp_ff, hm_t, tables: PanelTables, b: float):
     for k0 in range(0, n_k, width):
         k1 = min(k0 + width, n_k)
         amp, even = buf[:, : k1 - k0], even_buf[:, : (k1 - k0 + 1) // 2]
-        np.multiply(hp_ff[:, k0:k1], hm_t[:, k0:k1], out=amp[:-1])
+        np.multiply(hm[:, k0:k1], t_fine[k0:k1], out=amp[:-1])
+        np.multiply(hp[:, k0:k1], amp[:-1], out=amp[:-1])
         np.copyto(even, amp[:, ::2])
         r2 += amp @ v[:, k0:k1].T
         r1 += even @ u[:, k0 // 2 : k0 // 2 + even.shape[1]].T
@@ -284,20 +320,13 @@ def _pac_rows(hp_ff, hm_t, tables: PanelTables, b: float):
     return (full[:, None] + r2) * inv2pi, (np.abs(r2 - r1) + tail) * inv2pi
 
 
-def _refined_amplitude_rows(pd: PropagatorData, plus_rows, minus_rows):
-    """(h₊ rows, h₋T rows), each refined on k ≥ 0 (_refine_half)."""
-    hm_t = _refine_half(pd.h_minus[minus_rows])
-    hm_t *= _refine_half(pd.T)
-    return _refine_half(pd.h_plus[plus_rows]), hm_t
-
-
 def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     """Kernel slices on pd.x_grid × pd.x_grid for every time in ts.
 
-    The weights of one diagonal serve all its pairs and times.  h₋ is
-    multiplied by T once per call, so a diagonal's amplitude costs one
-    multiply per entry; it is built and contracted in k-blocks that hold
-    all the diagonal's rows.  Raises ValueError for an empty or non-finite
+    The weights of one diagonal serve all its pairs and times.  The
+    diagonal's amplitude h₊·(h₋T) is built from views of pd's refined rows
+    and contracted in k-blocks that hold all its rows; no copy of the rows
+    is made.  Raises ValueError for an empty or non-finite
     ts, for t < 1, when 2tK ≤ |b| for the widest separation b on the grid
     (K = max k), as pac_kernel does for one pair, and for times whose
     refined panel tables pass oscquad's budget; all before any work."""
@@ -307,12 +336,11 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     dx = _uniform_step(x, "x_grid")
     b_max = float(x[-1] - x[0])
     _check_times(ts, pd.k_grid, b_max)
-    hp_ff, hm_t = _refined_amplitude_rows(pd, slice(None), slice(None))
     tables = PanelTables(_half_nodes(pd.k_grid), ts, b_max)
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
     for d in range(n):
-        val, err = _pac_rows(hp_ff[d:, :], hm_t[: n - d, :], tables, d * dx)
+        val, err = _pac_rows(pd.hp_fine[d:], pd.hm_fine[: n - d], pd.T_fine, tables, d * dx)
         rows = np.arange(n - d)
         pac[:, rows, rows + d] = val
         pac[:, rows + d, rows] = val
@@ -335,7 +363,7 @@ def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[comple
     i, j = pd.x_index(lo), pd.x_index(hi)
     ts, b = np.array([float(t)]), float(pd.x_grid[j] - pd.x_grid[i])
     _check_times(ts, pd.k_grid, b)
-    rows = _refined_amplitude_rows(pd, slice(j, j + 1), slice(i, i + 1))
+    rows = pd.hp_fine[j : j + 1], pd.hm_fine[i : i + 1], pd.T_fine
     val, err = _pac_rows(*rows, PanelTables(_half_nodes(pd.k_grid), ts, b), b)
     return complex(val[0, 0]), float(err[0, 0])
 
@@ -349,11 +377,9 @@ def threshold_projection_residual(pd: PropagatorData) -> float:
     on, together with the T(0) of the resonance report."""
     if not pd.resonant:
         raise ResonanceError("threshold projection needs a resonant potential")
-    i0 = int(np.argmin(np.abs(pd.k_grid)))
-    if abs(pd.k_grid[i0]) > 1e-12:
-        raise ValueError("k grid must contain 0")
     lhs = np.outer(pd.f0_x, pd.f0_x)
-    rhs = pd.T[i0] * np.outer(pd.h_minus[:, i0], pd.h_plus[:, i0])
+    # column 0 of the refined rows is k = 0, T_fine[0] = T(0)
+    rhs = pd.T_fine[0] * np.outer(pd.hm_fine[:, 0], pd.hp_fine[:, 0])
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -370,7 +396,8 @@ def s_field(pd: PropagatorData, x: float, y: float) -> SField:
     i, j = pd.x_index(lo), pd.x_index(hi)
     k = pd.k_grid
     b = float(pd.x_grid[j] - pd.x_grid[i])
-    g = pd.h_plus[j, :] * pd.h_minus[i, :] * pd.T
+    c = k.size // 2
+    g = unfold(pd.hp_fine[j, ::4] * pd.hm_fine[i, ::4] * pd.T_fine[::4], k[c:], k)
     h = float(k[1] - k[0])
     # the k grid is symmetric, so its middle node is k = 0
     q = wiener._k0_quotient(k, np.exp(1j * b * k) * g - g[k.size // 2], h)

@@ -39,6 +39,7 @@ from .jost import (
     _wronskian,
     compute_h,
     compute_h_bound,
+    unfold,
 )
 from .potentials import Potential, cutoff_for_eta, eta
 from .wiener import _derivative
@@ -112,8 +113,10 @@ class ScatteringData:
 
 
 def wronskians(jf_plus: JostField, jf_minus: JostField, x_check=(-2.0, 0.0, 2.0)):
-    """W, W₊, W₋ on the shared k grid, plus the constancy cross-check spread
-    of W over the given x values (CrossCheckError beyond 1e-6 relative)."""
+    """W, W₊, W₋ on the fields' shared grid of |k|, plus the constancy
+    cross-check spread of W over the given x values (CrossCheckError beyond
+    1e-6 relative).  Each is conjugate-symmetric in k, so jost.unfold
+    carries it onto a grid of ±k."""
     if not np.array_equal(jf_plus.k_grid, jf_minus.k_grid):
         raise ValueError("Jost fields must share one k grid")
     k = jf_plus.k_grid
@@ -211,27 +214,43 @@ def scattering_data(
     """One-call pipeline: Jost fields at {0} ∪ x_check ∪ extra_x, resonance
     classification, bound states, scattering matrix.  The k node within
     1e-12 of 0 is set to exactly 0 (a symmetric linspace may leave it at
-    ±1e-16), so the resonance report, not 2ik/W, decides T and R± there;
-    the returned data and Jost fields carry that grid."""
+    ±1e-16), so the resonance report, not 2ik/W, decides T and R± there.
+    A grid symmetric about 0 to within 1e-12·max|k| is made exactly
+    mirrored (k[:c] = −k[::-1][:c], c = n//2; k[c] = 0 for odd n), so the
+    Jost fields march n//2 + 1 distinct |k| and T, W, R± are exact
+    conjugate mirrors; W, W± reach the returned grid by jost.unfold."""
     k_grid = np.asarray(k_grid, dtype=float)
     k_grid = np.where(np.abs(k_grid) < 1e-12, 0.0, k_grid)
+    c = k_grid.size // 2
+    if _mirrors(k_grid):
+        k_grid[:c] = -k_grid[::-1][:c]
+        if k_grid.size % 2:
+            k_grid[c] = 0.0
     xs = np.unique(
         np.concatenate([[0.0], np.asarray(x_check, float), np.asarray(extra_x, float)])
     )
     jp = compute_h(pot, xs, k_grid, +1, rtol=rtol, atol=atol)
     jm = compute_h(pot, xs, k_grid, -1, rtol=rtol, atol=atol)
     rep = classify_resonance(pot, rtol=rtol, atol=atol)
-    w, w_plus, w_minus, spread = wronskians(jp, jm, x_check)
+    *ws, spread = wronskians(jp, jm, x_check)
+    w, w_plus, w_minus = (unfold(v, jp.k_grid, k_grid) for v in ws)
     bound = bound_states(pot, rtol=rtol, atol=atol) if with_bound_states else ()
     sd = scattering_matrix(
         w,
         (w_plus, w_minus),
-        jp.k_grid,
+        k_grid,
         resonance=rep,
         wronskian_spread=spread,
         bound=bound,
     )
     return sd, jp, jm
+
+
+def _mirrors(k_grid) -> bool:
+    """Whether k_grid is symmetric about 0 to within 1e-12·max|k|, the grids
+    scattering_data makes exactly mirrored."""
+    k_max = np.max(np.abs(k_grid), initial=0.0)
+    return k_grid.size > 0 and np.max(np.abs(k_grid + k_grid[::-1])) <= 1e-12 * k_max
 
 
 _PROBE_K = (0.002, 0.004, 0.006, 0.008)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterlab import jost
-from scatterlab.jost import ODE_ATOL, ODE_RTOL, compute_h, compute_h_bound
+from scatterlab.jost import ODE_ATOL, ODE_RTOL, compute_h, compute_h_bound, unfold
 from scatterlab.potentials import Potential, TailBound, catalog, cutoff_for_eta
 from scatterlab.scattering import classify_resonance
 
@@ -31,8 +33,8 @@ def test_pt_closed_form_both_sides():
         jf = compute_h(pt, XS, KS, side)
         H = h_ref(XS[:, None], KS[None, :])
         HP = hp_ref(XS[:, None], KS[None, :])
-        assert np.max(np.abs(jf.h - H)) < 1e-8
-        assert np.max(np.abs(jf.h_prime - HP)) < 1e-8
+        assert np.max(np.abs(unfold(jf.h, jf.k_grid, KS) - H)) < 1e-8
+        assert np.max(np.abs(unfold(jf.h_prime, jf.k_grid, KS) - HP)) < 1e-8
 
 
 def test_square_well_breakpoints():
@@ -77,7 +79,7 @@ def test_error_estimate_covers_pt_error():
     ks = np.linspace(-60.0, 60.0, 481)
     for side, ref in ((+1, oracles.pt_h_plus), (-1, oracles.pt_h_minus)):
         jf = compute_h(pt, xs, ks, side)
-        err = np.max(np.abs(jf.h - ref(xs[:, None], ks[None, :])))
+        err = np.max(np.abs(unfold(jf.h, jf.k_grid, ks) - ref(xs[:, None], ks[None, :])))
         assert err < 2e-10
         assert err <= jf.report.error_estimate < 1e-7
 
@@ -122,8 +124,8 @@ def test_conjugation_folding_matches_direct_integration():
     ks = np.array([-4.0, -1.0, -0.2, 0.3, 2.2])
     a = compute_h(pt, XS, ks, +1)
     h, hp = _direct(pt, ks, +1)
-    assert np.max(np.abs(a.h - h)) < 1e-12
-    assert np.max(np.abs(a.h_prime - hp)) < 1e-12
+    assert np.max(np.abs(unfold(a.h, a.k_grid, ks) - h)) < 1e-12
+    assert np.max(np.abs(unfold(a.h_prime, a.k_grid, ks) - hp)) < 1e-12
 
 
 @settings(max_examples=12, deadline=None)
@@ -142,10 +144,18 @@ def test_conjugation_symmetry_unfolded(name, side, ks):
     assert np.max(np.abs(hp[:, :n] - np.conj(hp[:, n:]))) < 1e-12
 
 
+def test_unfold_needs_every_abs_k_on_the_field():
+    jf = compute_h(catalog("poeschl_teller"), XS, KS, +1)
+    assert np.array_equal(unfold(jf.h, jf.k_grid, -jf.k_grid), np.conj(jf.h))
+    for ks in ([0.3, -0.31], [41.0]):
+        with pytest.raises(ValueError, match="not a node"):
+            unfold(jf.h, jf.k_grid, ks)
+
+
 def test_f_at_x_phases():
     pt = catalog("poeschl_teller")
     jf = compute_h(pt, XS, KS, -1)
-    f, fp = jf.f_at_x(2.5)
+    f, fp = (unfold(v, jf.k_grid, KS) for v in jf.f_at_x(2.5))
     ref = np.exp(-1j * KS * 2.5) * oracles.pt_h_minus(2.5, KS)
     assert np.max(np.abs(f - ref)) < 1e-8
     step = np.exp(-1j * KS * 2.5) * (
@@ -249,3 +259,24 @@ def test_threaded_march_equals_one_thread(monkeypatch):
         sys.setswitchinterval(interval)
     assert np.array_equal(one.h, many.h) and np.array_equal(one.h_prime, many.h_prime)
     assert one.report == many.report
+
+
+def test_compute_h_keeps_only_its_march_output():
+    # one side of the default decay grid, exactly mirrored: the field holds
+    # the 12 001 |k| it marched, h and h′ are views of the march output, and
+    # besides it only the march's working set is allocated (the working
+    # arrays of each thread's block of steps, which do not grow with the
+    # grid).  Measured 1.40 × the returned bytes; with full-line copies of h
+    # and h′ gathered from a march over both halves' |k| it was 2.2 ×
+    kp = np.linspace(0.0, 60.0, 12001)
+    ks = np.concatenate([-kp[:0:-1], kp])
+    pt = catalog("poeschl_teller")
+    tracemalloc.start()
+    try:
+        jf = compute_h(pt, np.linspace(-8.0, 8.0, 65), ks, +1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jf.h.shape == jf.h_prime.shape == (65, 12001)
+    assert np.array_equal(jf.k_grid, kp) and jf.h.base is jf.h_prime.base
+    assert peak <= 1.5 * (jf.h.nbytes + jf.h_prime.nbytes)

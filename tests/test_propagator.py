@@ -10,6 +10,7 @@ from scipy.integrate import simpson
 
 from scatterlab import oscquad, propagator, scattering
 from scatterlab.errors import ResonanceError
+from scatterlab.jost import unfold
 from scatterlab.oscquad import full_line_integral
 from scatterlab.potentials import catalog
 from scatterlab.propagator import (
@@ -38,6 +39,12 @@ def free_slice3(free_pd):
 def pt_pd_coarse(pt_pot):
     """x step 1 on [−8, 8] and K = 5: the tail bound needs 2tK > 16."""
     return prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 17), np.linspace(-5.0, 5.0, 201))
+
+
+def _line(pd, fine):
+    """Refined k >= 0 rows of pd back on the grid nodes of the whole line."""
+    c = pd.k_grid.size // 2
+    return unfold(fine[..., ::4], pd.k_grid[c:], pd.k_grid)
 
 
 def _heat_kernel(x, y, t):
@@ -183,7 +190,7 @@ def test_slices_match_reference_rule(name, k_count):
     pd = prepare_propagator(catalog(name), np.linspace(-4.0, 4.0, 17), np.linspace(-k_max, k_max, k_count))
     ts = np.array([1.0, 2.5, 10.0, 100.0, 1000.0])
     ref_pac, ref_err = oracles.pac_slices_reference(
-        pd.h_plus, pd.h_minus, pd.T, pd.k_grid, 0.5, ts, oracles.fresnel_weights
+        _line(pd, pd.hp_fine), _line(pd, pd.hm_fine), pd.T, pd.k_grid, 0.5, ts, oracles.fresnel_weights
     )
     for ks, rp, re in zip(pac_slices(pd, ts), ref_pac, ref_err):
         assert np.max(np.abs(ks.pac - rp)) <= 1e-12 * np.max(np.abs(rp))
@@ -216,6 +223,35 @@ def test_slices_memory_bounded(pt_pot):
     finally:
         tracemalloc.stop()
     assert peak <= 30.5 * 2**20
+
+
+def test_prepare_and_slices_memory_bounded(pt_pot):
+    # PropagatorData keeps h₊ and h₋ refined once on k >= 0 and nothing else
+    # of the Jost fields, and pac_slices contracts views of those rows:
+    # measured 25.5 MiB.  With full-line rows kept and refined copies made
+    # per call it was 29.5 MiB
+    tracemalloc.start()
+    try:
+        pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 33), np.linspace(-60.0, 60.0, 4001))
+        pac_slices(pd, np.geomspace(10.0, 1000.0, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 27.0 * 2**20
+
+
+def test_refine_temporaries_stay_small():
+    # the stencils run a few rows at a time, so refining one side's rows of
+    # the default grid allocates little beside the result: measured 1.06 ×
+    # its bytes, where the whole-array stencils took 2.0 ×
+    r = np.exp(1j * np.linspace(0.0, 50.0, 65 * 12003)).reshape(65, 12003)
+    tracemalloc.start()
+    try:
+        out = propagator._refine(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes
 
 
 @pytest.mark.parametrize("k_count", [4001, 201])
@@ -253,9 +289,10 @@ def test_refinement_is_exact(pt_pd, sw_pd):
     # natural order, bit for bit
     for pd in (pt_pd, sw_pd):
         c = pd.k_grid.size // 2
-        for rows in (pd.h_plus, pd.h_minus, pd.T):
-            got = propagator._refine_half(rows)
-            assert np.array_equal(got, oracles.refine_twice(rows)[..., 4 * c :])
+        assert np.array_equal(_line(pd, pd.T_fine), pd.T)
+        for fine in (pd.hp_fine, pd.hm_fine, pd.T_fine):
+            assert np.array_equal(fine, oracles.refine_twice(_line(pd, fine))[..., 4 * c :])
+            assert np.array_equal(propagator._refine_half(fine[..., ::4]), fine)
 
 
 def test_pac_validation(pt_pd, monkeypatch):
@@ -306,7 +343,7 @@ def test_resonant_prepare_scans_zero_energy_once(pt_pot, pt_pd_coarse, monkeypat
     c = pd.k_grid.size // 2
     c_plus = np.sqrt(2.0 / (1.0 + pd.sd.resonance.gamma**2))
     assert pd.resonant and pd.k_grid[c] == 0.0
-    assert np.array_equal(pd.f0_x, c_plus * pd.h_plus[:, c].real)
+    assert np.array_equal(pd.f0_x, c_plus * pd.hp_fine[:, 0].real)
 
 
 def test_threshold_projection_residual(pt_pd, sw_pd):

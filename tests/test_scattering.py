@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from scatterlab.errors import CrossCheckError
 from scatterlab import scattering
-from scatterlab.jost import compute_h, compute_h_bound
+from scatterlab.jost import compute_h, compute_h_bound, unfold
 from scatterlab.potentials import catalog, scale_potential
 from scatterlab.propagator import prepare_propagator
 from scatterlab.scattering import (
@@ -76,8 +76,8 @@ def test_scattering_relation(pt_scatter, sw_scatter, gw_scatter):
     # T f₊ = R₋ f₋ + f₋(·,−k) sampled at x ∈ {−3, 0, 3}
     for sd, jp, jm in (pt_scatter, sw_scatter, gw_scatter):
         for x in (-3.0, 0.0, 3.0):
-            fp, _ = jp.f_at_x(x)
-            fm, _ = jm.f_at_x(x)
+            fp = unfold(jp.f_at_x(x)[0], jp.k_grid, sd.k_grid)
+            fm = unfold(jm.f_at_x(x)[0], jm.k_grid, sd.k_grid)
             res = sd.T * fp - sd.R_minus * fm - np.conj(fm)
             assert float(np.max(np.abs(res))) < 1e-6
 
@@ -136,19 +136,35 @@ def test_near_zero_k_node_is_set_to_zero(pt_pot):
     k = np.linspace(-5.0, 5.0, 155)
     assert k[77] != 0.0
     sd, jp, _ = scattering_data(pt_pot, k, with_bound_states=False)
-    assert sd.k_grid[77] == 0.0 and jp.k_grid[77] == 0.0
+    assert sd.k_grid[77] == 0.0 and jp.k_grid[0] == 0.0
     assert abs(sd.T[77] + 1.0) < 1e-8
     assert abs(sd.R_plus[77]) < 1e-8 and abs(sd.R_minus[77]) < 1e-8
     pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 17), k)
     assert pd.k_grid[77] == 0.0 and pd.T[77] == pd.sd.resonance.T0
 
 
+def test_mirrored_grid_marches_each_abs_k_once(pt_wiener):
+    # pt_wiener is scattering_data on linspace(−60, 60, 24001), whose mirror
+    # pairs differ by up to 1.4e-14: the grid comes back exactly mirrored,
+    # each side marches its 12 001 nodes k >= 0, and the data mirror exactly
+    sd, jp, jm = pt_wiener
+    k = sd.k_grid
+    c = k.size // 2
+    assert k.size == 24001 and np.array_equal(k[:c], -k[:c:-1]) and k[c] == 0.0
+    for jf in (jp, jm):
+        assert jf.h.shape[1] == jf.h_prime.shape[1] == 12001
+        assert np.array_equal(jf.k_grid, k[c:])
+    for v in (sd.T, sd.W, sd.W_plus, sd.W_minus, sd.R_plus, sd.R_minus):
+        assert np.array_equal(v[:c], np.conj(v[:c:-1]))
+
+
 def test_resonant_k0_needs_data(gw_pot):
     # non-resonant: the direct ratio at k = 0, with T(0) exactly 0
-    jp = compute_h(gw_pot, [-2.0, 0.0, 2.0], np.array([-0.4, 0.0, 0.4]), +1)
-    jm = compute_h(gw_pot, [-2.0, 0.0, 2.0], np.array([-0.4, 0.0, 0.4]), -1)
-    w, wp, wm, _ = wronskians(jp, jm)
-    sd = scattering_matrix(w, (wp, wm), jp.k_grid, resonance=classify_resonance(gw_pot))
+    ks = np.array([-0.4, 0.0, 0.4])
+    jp = compute_h(gw_pot, [-2.0, 0.0, 2.0], ks, +1)
+    jm = compute_h(gw_pot, [-2.0, 0.0, 2.0], ks, -1)
+    w, wp, wm = (unfold(v, jp.k_grid, ks) for v in wronskians(jp, jm)[:3])
+    sd = scattering_matrix(w, (wp, wm), ks, resonance=classify_resonance(gw_pot))
     assert sd.T[1] == 0.0
     assert sd.R_plus[1] == pytest.approx(-1.0, abs=1e-6)
 
@@ -157,12 +173,13 @@ def test_unexplained_zero_wronskian_raises(gw_pot):
     # W(0) = 0 on the grid contradicts a non-resonant report
     rep = classify_resonance(gw_pot)
     assert not rep.resonant
-    jp = compute_h(gw_pot, [0.0], np.array([-0.4, 0.0, 0.4]), +1)
-    jm = compute_h(gw_pot, [0.0], np.array([-0.4, 0.0, 0.4]), -1)
-    w, wp, wm, _ = wronskians(jp, jm, x_check=(0.0,))
+    ks = np.array([-0.4, 0.0, 0.4])
+    jp = compute_h(gw_pot, [0.0], ks, +1)
+    jm = compute_h(gw_pot, [0.0], ks, -1)
+    w, wp, wm = (unfold(v, jp.k_grid, ks) for v in wronskians(jp, jm, x_check=(0.0,))[:3])
     w[1] = 0.0
     with pytest.raises(CrossCheckError):
-        scattering_matrix(w, (wp, wm), jp.k_grid, resonance=rep)
+        scattering_matrix(w, (wp, wm), ks, resonance=rep)
 
 
 def test_bound_states_pt():
