@@ -96,7 +96,8 @@ class IntegrationReport:
 @dataclass(frozen=True)
 class JostField:
     """h±(x,k) and ∂ₓh±(x,k) tabulated on an (x, k) grid for one side; k_grid
-    holds the distinct |k| that were marched, ascending (unfold gives k < 0)."""
+    holds the distinct |k| that were marched, ascending (unfold gives k < 0).
+    Only h is kept; f± = e^{±ikx}h±, and _wronskian needs no phase."""
 
     side: int
     x_grid: np.ndarray
@@ -112,14 +113,6 @@ class JostField:
         """(h(x,·), ∂ₓh(x,·)) along the k grid."""
         i = self.x_index(x)
         return self.h[i], self.h_prime[i]
-
-    def f_at_x(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """Jost solution f(x,·) and ∂ₓf(x,·) at one grid point."""
-        h, hp = self.at_x(x)
-        phase = np.exp(self.side * 1j * self.k_grid * x)
-        f = phase * h
-        fp = phase * (self.side * 1j * self.k_grid * h + hp)
-        return f, fp
 
 
 def _grid_index(grid, value: float, name: str) -> int:
@@ -438,6 +431,7 @@ def _cutoff(pot, x_grid, side):
 
 
 def _wronskian(two_ik, h_plus, hp_plus, h_minus, hp_minus):
-    """W = 2ik h₊h₋ + h₋h′₊ − h′₋h₊ at x = 0 from h± and ∂ₓh± there;
-    two_ik is 2ik (0 at k = 0, −2κ at k = iκ)."""
+    """W = 2ik h₊h₋ + h₋h′₊ − h′₋h₊ from h± and ∂ₓh± at one x, the same
+    at every x since the phases of f± = e^{±ikx}h± cancel; two_ik is 2ik
+    (0 at k = 0, −2κ at k = iκ)."""
     return two_ik * h_plus * h_minus + h_minus * hp_plus - hp_minus * h_plus

@@ -24,7 +24,7 @@ moment_norm sums (1 + |t|)^σ |V|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -230,23 +230,18 @@ def scale_potential(pot: Potential, s: float) -> Potential:
 # moments
 
 
-def _truncation_radius(pot: Potential, weight_power: float, scale: float, tol_rel: float) -> float:
-    """Smallest convenient X with weighted tail below tol_rel * scale."""
-    tail = pot.tail
+def _tail_radius(tail: TailBound, weight_power: float, target: float) -> float | None:
+    """The one tail-radius search: the first X = max(radius, 1)·1.25ⁿ,
+    n < 400, whose weighted tail (TailBound.weighted_tail) is at most
+    target; the radius itself for a compact tail, None when no X is."""
     if tail.kind == "compact":
         return tail.radius
-    target = tol_rel * max(scale, 1e-300)
     X = max(tail.radius, 1.0)
-    for _ in range(200):
+    for _ in range(400):
         if tail.weighted_tail(X, weight_power) <= target:
             return X
-        X *= 1.5
-        if not math.isfinite(tail.weighted_tail(X, weight_power)):
-            break
-    raise TruncationError(
-        f"{pot.label}: weighted tail (power {weight_power}) cannot reach "
-        f"relative tolerance {tol_rel:g}"
-    )
+        X *= 1.25
+    return None
 
 
 def _v_integrals(pot: Potential, side: int, points, integrand) -> np.ndarray:
@@ -313,7 +308,12 @@ def moment_norm(pot: Potential, sigma: float) -> float:
 
     X0 = max(pot.tail.radius, 1.0) * 4
     rough = float(np.sum(_v_integrals(pot, +1, [-X0, X0], integrand)))
-    X = _truncation_radius(pot, sigma, max(rough, 1e-30), _REL_TAIL)
+    X = _tail_radius(pot.tail, sigma, _REL_TAIL * max(rough, 1e-30))
+    if X is None:
+        raise TruncationError(
+            f"{pot.label}: weighted tail (power {sigma}) cannot reach "
+            f"relative tolerance {_REL_TAIL:g}"
+        )
     return float(np.sum(_v_integrals(pot, +1, [-X, X], integrand)))
 
 
@@ -348,16 +348,11 @@ def gamma_moment(pot: Potential, x, side: int):
 
 def cutoff_for_eta(pot: Potential, tol: float) -> float:
     """Smallest convenient X with η±(±X) (tail-bound estimate, the same on
-    both sides) below tol."""
-    tail = pot.tail
-    if tail.kind == "compact":
-        return tail.radius
-    X = max(tail.radius, 1.0)
-    for _ in range(400):
-        if tail.eta_tail(X) <= tol:
-            return X
-        X *= 1.25
-    raise TruncationError(f"{pot.label}: η tail cannot reach {tol:g}")
+    both sides) below tol (_tail_radius)."""
+    X = _tail_radius(pot.tail, 0.0, tol)
+    if X is None:
+        raise TruncationError(f"{pot.label}: η tail cannot reach {tol:g}")
+    return X
 
 
 def _check_side(side: int) -> int:
@@ -388,25 +383,23 @@ def to_spec(pot: Potential) -> dict:
 def from_spec(spec: dict) -> Potential:
     """Build a potential from a {name, params, tail_bound} mapping.  A
     sampled potential takes its samples as params {x, v} or from the CSV
-    file params {csv: path}."""
+    file params {csv: path}.  A given tail_bound replaces the built one
+    for every kind (a scaled potential's too)."""
     name = spec["name"]
     params = dict(spec.get("params", {}))
-    if name == "scaled":
-        base = from_spec(params["base"])
-        return scale_potential(base, params["s"])
+    tb = spec.get("tail_bound")
+    tail = TailBound(**tb) if tb else None
     if name == "sampled":
-        tb = spec.get("tail_bound")
-        tail = TailBound(**tb) if tb else None
         if "csv" in params:  # a two-column file of (x, V) samples
             return load_sampled(params["csv"], tail=tail)
         x = np.asarray(params["x"], dtype=float)
         v = np.asarray(params["v"], dtype=float)
         return load_sampled(x, v, tail=tail)
-    pot = catalog(name, **params)
-    tb = spec.get("tail_bound")
-    if tb:
-        pot = Potential(pot.label, pot.evaluator, TailBound(**tb), pot.breakpoints, pot.params)
-    return pot
+    if name == "scaled":
+        pot = scale_potential(from_spec(params["base"]), params["s"])
+    else:
+        pot = catalog(name, **params)
+    return replace(pot, tail=tail) if tail else pot
 
 
 def load_sampled(x, v=None, tail: TailBound | None = None) -> Potential:

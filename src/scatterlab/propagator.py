@@ -52,9 +52,9 @@ from .errors import ResonanceError
 from .jost import ODE_ATOL, ODE_RTOL, _grid_index, unfold
 from .oscquad import PanelTables, full_line_integral, truncation_tail
 from .potentials import Potential
-from .scattering import ScatteringData, _mirrors, scattering_data
+from .scattering import ScatteringData, scattering_data
 from . import wiener
-from .wiener import _uniform_step, _uniform_symmetric
+from .wiener import _uniform_step
 
 __all__ = [
     "KernelSlice",
@@ -151,20 +151,20 @@ def prepare_propagator(
     state, tabulated once on a uniform (x, k) grid and shared by every
     kernel evaluation.
 
-    One pipeline: scattering_data integrates both Jost fields on x_grid,
-    checks the Wronskian at its two ends and its middle and classifies the
+    One pipeline: scattering_data integrates both Jost fields on x_grid
+    and ±2, checks the Wronskian on every row and classifies the
     resonance; no kernel reads a bound state, so none is searched for
     (sd.bound_states is empty).  The threshold state is read
     from the k = 0 column of the h₊ field: f₀(x) = c₊ Re h₊(x,0) with
     c₊ = √(2/(1+γ²)), so that |f₀(x)|² + |f₀(−x)|² → 2 (f₀ = 0 when
-    non-resonant).  The grid point within 1e-12 of 0 is set to
-    exactly 0, which keeps the Jost rows aligned with x_grid; the k grid
-    is the one scattering_data returns, exactly mirrored with its middle
-    node exactly 0, so each field holds its nodes k ≥ 0.  Those rows are
-    refined once into hp_fine and hm_fine, one side at a time, and the
-    fields are dropped.  The k grid must be symmetric about 0 to within
-    1e-12·max|k| with a node at 0 (the kernel quadrature folds k < 0 onto
-    k ≥ 0); ValueError otherwise, before any solve."""
+    non-resonant).  The grid point within 1e-12 of 0 is set to exactly 0,
+    the fields' x = 0 row; x_grid's rows are taken by index when the
+    fields add ±2.  The k grid is the one scattering_data returns, exactly
+    mirrored with its middle node exactly 0, so each field holds its nodes
+    k ≥ 0.  Those rows are refined once into hp_fine and hm_fine, one
+    side at a time, and the fields are dropped.  The k grid needs an odd
+    node count (the kernel quadrature folds k < 0 onto k ≥ 0) and
+    scattering_data's k-grid rule; ValueError otherwise, before any solve."""
     if x_grid is None:
         n_half = int(round(DEFAULT_X_MAX / DEFAULT_X_STEP))
         x_grid = np.linspace(-DEFAULT_X_MAX, DEFAULT_X_MAX, 2 * n_half + 1)
@@ -173,29 +173,27 @@ def prepare_propagator(
     x_grid = np.asarray(x_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=float)
     _uniform_step(x_grid, "x_grid")
-    _uniform_symmetric(k_grid)
     if k_grid.size % 2 == 0:
         raise ValueError("k grid needs a node at 0 (an odd number of points)")
-    if not _mirrors(k_grid):
-        raise ValueError("k grid must mirror about 0 to within 1e-12·max|k|")
     zero = np.abs(x_grid) < 1e-12
     if not np.any(zero):
         raise ValueError("x_grid must contain 0 (Wronskian anchor)")
     # scattering_data adds an exact 0 to the rows it integrates
     x_grid = np.where(zero, 0.0, x_grid)
 
-    probes = tuple(float(x_grid[i]) for i in (0, x_grid.size // 2, x_grid.size - 1))
     sd, jp, jm = scattering_data(
-        pot, k_grid, x_check=probes, extra_x=x_grid, rtol=rtol, atol=atol, with_bound_states=False
+        pot, k_grid, extra_x=x_grid, rtol=rtol, atol=atol, with_bound_states=False
     )
+    # the fields' rows of x_grid: all of them unless they add ±2
+    rows = slice(None) if jp.x_grid.size == x_grid.size else np.searchsorted(jp.x_grid, x_grid)
     f0_x = np.zeros(x_grid.size)
     if sd.resonance.resonant:
         c_plus = np.sqrt(2.0 / (1.0 + sd.resonance.gamma**2))
-        f0_x = c_plus * jp.h[:, 0].real
+        f0_x = c_plus * jp.h[rows, 0].real
     # each field's march output is freed once its rows are refined
-    hp_fine = _refine_half(jp.h)
+    hp_fine = _refine_half(jp.h[rows])
     del jp
-    hm_fine = _refine_half(jm.h)
+    hm_fine = _refine_half(jm.h[rows])
     del jm
     return PropagatorData(
         pot=pot,

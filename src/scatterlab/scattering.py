@@ -6,7 +6,10 @@ With h±(k) = h±(0,k), h′±(k) = ∂ₓh±(0,k) the Wronskians are
     W(k)  = 2ik h₊(k)h₋(k) + h₋(k)h′₊(k) − h′₋(k)h₊(k),
     W±(k) = h∓(k)h′±(−k) − h±(−k)h′∓(k),
 
-and T(k) = 2ik/W(k), R±(k) = ∓W±(k)/W(k).  A potential is resonant when
+and T(k) = 2ik/W(k), R±(k) = ∓W±(k)/W(k), W holding at every x (the phases
+of f± = e^{±ikx}h± cancel).  scattering_data is the one place that checks
+a k grid (wiener._mirrored_grid) and that W is constant on every row of
+the fields (wronskians).  A potential is resonant when
 W(0) = 0, i.e. when the two zero-energy Jost solutions are proportional
 (f₊(·,0) = γ f₋(·,0)); then the k → 0 values follow from γ alone:
 T(0) = 2γ/(1+γ²), R±(0) = ±(1−γ²)/(1+γ²).  Otherwise T(0) = 0 and
@@ -42,7 +45,7 @@ from .jost import (
     unfold,
 )
 from .potentials import Potential, cutoff_for_eta, eta
-from .wiener import _derivative
+from .wiener import _derivative, _mirrored_grid
 
 __all__ = [
     "ScatteringData",
@@ -61,6 +64,7 @@ RESONANCE_EPS = 1e-6  # |W(0)| below this multiple of the natural scale => reson
 # identically) still classifies as resonant
 _SCALE_FLOOR = 1e-6
 _WRONSKIAN_SPREAD_TOL = 1e-6
+_SPREAD_BLOCK = 1 << 16  # (x, k) entries per block of the Wronskian spread
 # bound-state search: log-spaced κ brackets from _KAPPA_MIN, rounds of
 # Sturm bracket splits, Brent tolerance, and the dW/dκ stencil step
 # relative to κ or to the gap to the neighbouring root
@@ -69,6 +73,7 @@ _N_BRACKETS = 64
 _SPLIT_ROUNDS = 40
 _KAPPA_XTOL = 1e-12
 _DW_STEP = 3e-4
+_CHECK_X = (-2.0, 0.0, 2.0)  # rows scattering_data always integrates
 
 
 @dataclass(frozen=True)
@@ -112,39 +117,47 @@ class ScatteringData:
     bound_states: tuple[BoundState, ...] = field(default=())
 
 
-def wronskians(jf_plus: JostField, jf_minus: JostField, x_check=(-2.0, 0.0, 2.0)):
-    """W, W₊, W₋ on the fields' shared grid of |k|, plus the constancy
-    cross-check spread of W over the given x values (CrossCheckError beyond
+def wronskians(jf_plus: JostField, jf_minus: JostField):
+    """W, W₊, W₋ at x = 0 on the fields' shared grid of |k|, plus the
+    spread of W across every row the fields hold (CrossCheckError beyond
     1e-6 relative).  Each is conjugate-symmetric in k, so jost.unfold
-    carries it onto a grid of ±k."""
+    carries it onto a grid of ±k.
+
+    Each row's W (jost._wronskian, no phases) is compared with W at x = 0
+    relative to the larger |term| sum (_term_scale) there and on the row,
+    not to |W|, which vanishes at k = 0 for resonant potentials; a floor
+    of 1e-3 of the median x = 0 sum keeps the denominator alive where the
+    terms degenerate (e.g. tanh-like f₀ crossing zero).  Rows go in blocks
+    of about _SPREAD_BLOCK entries."""
     if not np.array_equal(jf_plus.k_grid, jf_minus.k_grid):
         raise ValueError("Jost fields must share one k grid")
-    k = jf_plus.k_grid
+    two_ik = 2j * jf_plus.k_grid
     hp0, hpp0 = jf_plus.at_x(0.0)
     hm0, hmp0 = jf_minus.at_x(0.0)
-    w = _wronskian(2j * k, hp0, hpp0, hm0, hmp0)
+    w = _wronskian(two_ik, hp0, hpp0, hm0, hmp0)
     # h(0,−k) = conj h(0,k) for real k, so W± need no second solve
     w_plus = hm0 * np.conj(hpp0) - np.conj(hp0) * hmp0
     w_minus = hp0 * np.conj(hmp0) - np.conj(hm0) * hpp0
 
-    # measure the spread relative to the size of the cancelling terms, not
-    # |W| itself, which vanishes at k = 0 for resonant potentials; the median
-    # floor keeps the denominator alive where the x-local terms themselves
-    # degenerate (e.g. tanh-like f₀ crossing zero)
-    term_scale = np.abs(2j * k * hp0 * hm0) + np.abs(hm0 * hpp0) + np.abs(hmp0 * hp0)
+    term_scale = _term_scale(two_ik, hp0, hpp0, hm0, hmp0)
     floor = 1e-3 * float(np.median(term_scale)) + 1e-30
     spread = 0.0
-    for x in x_check:
-        fp, fpp = jf_plus.f_at_x(x)
-        fm, fmp = jf_minus.f_at_x(x)
-        wx = fm * fpp - fmp * fp
-        denom = np.maximum(term_scale, np.abs(fm * fpp) + np.abs(fmp * fp))
-        spread = max(spread, float(np.max(np.abs(wx - w) / np.maximum(denom, floor))))
+    step = max(1, _SPREAD_BLOCK // two_ik.size)
+    for i in range(0, jf_plus.x_grid.size, step):
+        rows = slice(i, i + step)
+        h = (jf_plus.h[rows], jf_plus.h_prime[rows], jf_minus.h[rows], jf_minus.h_prime[rows])
+        denom = np.maximum(np.maximum(term_scale, _term_scale(two_ik, *h)), floor)
+        spread = max(spread, float(np.max(np.abs(_wronskian(two_ik, *h) - w) / denom)))
     if spread > _WRONSKIAN_SPREAD_TOL:
         raise CrossCheckError(
             f"Wronskian not constant across x: relative spread {spread:.3e}"
         )
     return w, w_plus, w_minus, spread
+
+
+def _term_scale(two_ik, hp, hpp, hm, hmp):
+    """|2ik h₊h₋| + |h₋h′₊| + |h′₋h₊|, the magnitudes of _wronskian's terms."""
+    return np.abs(two_ik * hp * hm) + np.abs(hm * hpp) + np.abs(hmp * hp)
 
 
 def scattering_matrix(
@@ -205,34 +218,28 @@ def scattering_data(
     pot: Potential,
     k_grid,
     *,
-    x_check=(-2.0, 0.0, 2.0),
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
     extra_x=(),
     with_bound_states: bool = True,
 ) -> tuple[ScatteringData, JostField, JostField]:
-    """One-call pipeline: Jost fields at {0} ∪ x_check ∪ extra_x, resonance
-    classification, bound states, scattering matrix.  The k node within
-    1e-12 of 0 is set to exactly 0 (a symmetric linspace may leave it at
-    ±1e-16), so the resonance report, not 2ik/W, decides T and R± there.
-    A grid symmetric about 0 to within 1e-12·max|k| is made exactly
-    mirrored (k[:c] = −k[::-1][:c], c = n//2; k[c] = 0 for odd n), so the
-    Jost fields march n//2 + 1 distinct |k| and T, W, R± are exact
-    conjugate mirrors; W, W± reach the returned grid by jost.unfold."""
-    k_grid = np.asarray(k_grid, dtype=float)
-    k_grid = np.where(np.abs(k_grid) < 1e-12, 0.0, k_grid)
-    c = k_grid.size // 2
-    if _mirrors(k_grid):
-        k_grid[:c] = -k_grid[::-1][:c]
-        if k_grid.size % 2:
-            k_grid[c] = 0.0
-    xs = np.unique(
-        np.concatenate([[0.0], np.asarray(x_check, float), np.asarray(extra_x, float)])
-    )
+    """One-call pipeline: Jost fields on the rows {−2, 0, 2} ∪ extra_x,
+    resonance classification, bound states, scattering matrix.
+
+    The k grid passes wiener._mirrored_grid first, the one k-grid rule:
+    uniform and symmetric about 0 to within 1e-12·max|k|, ValueError before
+    any solve otherwise.  It comes back exactly mirrored with its middle
+    node exactly 0 for odd n (a symmetric linspace may leave it at ±1e-16),
+    so the resonance report, not 2ik/W, decides T and R± there; the Jost
+    fields march the n//2 + 1 distinct |k|, and T, W, R± are exact
+    conjugate mirrors.  wronskians checks W on every row of the fields,
+    and W, W± reach the returned grid by jost.unfold."""
+    k_grid, _ = _mirrored_grid(k_grid)
+    xs = np.union1d(_CHECK_X, np.asarray(extra_x, float))
     jp = compute_h(pot, xs, k_grid, +1, rtol=rtol, atol=atol)
     jm = compute_h(pot, xs, k_grid, -1, rtol=rtol, atol=atol)
     rep = classify_resonance(pot, rtol=rtol, atol=atol)
-    *ws, spread = wronskians(jp, jm, x_check)
+    *ws, spread = wronskians(jp, jm)
     w, w_plus, w_minus = (unfold(v, jp.k_grid, k_grid) for v in ws)
     bound = bound_states(pot, rtol=rtol, atol=atol) if with_bound_states else ()
     sd = scattering_matrix(
@@ -244,13 +251,6 @@ def scattering_data(
         bound=bound,
     )
     return sd, jp, jm
-
-
-def _mirrors(k_grid) -> bool:
-    """Whether k_grid is symmetric about 0 to within 1e-12·max|k|, the grids
-    scattering_data makes exactly mirrored."""
-    k_max = np.max(np.abs(k_grid), initial=0.0)
-    return k_grid.size > 0 and np.max(np.abs(k_grid + k_grid[::-1])) <= 1e-12 * k_max
 
 
 _PROBE_K = (0.002, 0.004, 0.006, 0.008)
@@ -279,7 +279,7 @@ def classify_resonance(
     ks = np.concatenate([[0.0], _PROBE_K])
     jp = compute_h(pot, _GAMMA_X, ks, +1, rtol=rtol, atol=atol)
     jm = compute_h(pot, _GAMMA_X, ks, -1, rtol=rtol, atol=atol)
-    w, w_plus, w_minus, _ = wronskians(jp, jm, x_check=(0.0,))
+    w, w_plus, w_minus, _ = wronskians(jp, jm)
     (hp0, hpp0), (hm0, hmp0) = (jf.at_x(0.0) for jf in (jp, jm))
     w0 = float(w[0].real)
     scale, threshold = _resonance_threshold(pot, hp0[0], hpp0[0], hm0[0], hmp0[0])

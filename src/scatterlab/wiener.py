@@ -60,11 +60,21 @@ def _uniform_step(grid, name: str) -> float:
     return float(d[0])
 
 
-def _uniform_symmetric(k: np.ndarray) -> float:
-    delta = _uniform_step(k, "k grid")
-    if abs(k[0] + k[-1]) > 1e-9 * max(abs(k[0]), 1.0):
-        raise ValueError("k grid must be symmetric about 0")
-    return delta
+def _mirrored_grid(k_grid) -> tuple[np.ndarray, float]:
+    """The one k-grid rule: (grid, step) of a k grid that is uniform
+    (_uniform_step) and symmetric about 0, every mirror pair k[i], k[−1−i]
+    within 1e-12·max|k|; ValueError naming the k grid otherwise.  The
+    grid comes back exactly mirrored, k[:c] = −k[::-1][:c] with c = n//2,
+    and its middle node exactly 0 for odd n, so k and −k are one |k|."""
+    k = np.array(k_grid, dtype=float)
+    step = _uniform_step(k, "k grid")
+    if np.max(np.abs(k + k[::-1])) > 1e-12 * np.max(np.abs(k)):
+        raise ValueError("k grid must mirror about 0 to within 1e-12·max|k|")
+    c = k.size // 2
+    k[:c] = -k[::-1][:c]
+    if k.size % 2:
+        k[c] = 0.0
+    return k, step
 
 
 def _taper(k: np.ndarray, frac: float) -> np.ndarray:
@@ -82,7 +92,6 @@ def _taper(k: np.ndarray, frac: float) -> np.ndarray:
 def _hat_mass(k: np.ndarray, g: np.ndarray, taper_frac: float):
     """(ℓ¹ mass, outer-decile fraction) of the FFT profile of g, zero
     padded to four times the window."""
-    _uniform_symmetric(k)
     gw = np.asarray(g, dtype=complex) * _taper(k, taper_frac)
     n_pad = next_fast_len(4 * k.size)
     dens = np.abs(fft(gw, n=n_pad))
@@ -106,9 +115,10 @@ def a_norm(
 
     The convergence flag compares the mass against the one computed from
     the inner half-window only; growth beyond 5% flags a function whose
-    profile keeps accumulating mass as the window opens.
+    profile keeps accumulating mass as the window opens.  k_grid must
+    pass _mirrored_grid; its inner half-window then mirrors too.
     """
-    k = np.asarray(k_grid, dtype=float)
+    k, _ = _mirrored_grid(k_grid)
     g = np.asarray(values) - limit_at_infinity
     full, tail = _hat_mass(k, g, taper_frac)
     half_sel = np.abs(k) <= 0.5 * np.max(np.abs(k)) + 1e-12
@@ -152,8 +162,7 @@ def derivative_a_norms(
     window symmetric.  0 ≤ max_order ≤ 3.
     """
     _check_max_order(max_order)
-    k = np.asarray(k_grid, dtype=float)
-    h = _uniform_symmetric(k)
+    k, h = _mirrored_grid(k_grid)
     out = [a_norm(k, values, limit_at_infinity, taper_frac=taper_frac)]
     f = np.asarray(values)
     for _ in range(max_order):
@@ -172,8 +181,7 @@ def difference_quotient_norm(
 ) -> WienerEstimate:
     """a_norm of the difference quotient (f(k) − f(0))/k, which vanishes
     at infinity for bounded f; _k0_quotient fills its k = 0 sample."""
-    k = np.asarray(k_grid, dtype=float)
-    h = _uniform_symmetric(k)
+    k, h = _mirrored_grid(k_grid)
     q = _k0_quotient(k, np.asarray(values, dtype=complex) - value_at_zero, h)
     return a_norm(k, q, taper_frac=taper_frac)
 

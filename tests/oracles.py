@@ -118,6 +118,14 @@ def square_well_f_plus(v0, a, x, k):
     return f, fp
 
 
+def jost_f(jf, x):
+    """(f, ∂ₓf) at the field row x from h± there: f± = e^{±ikx}h±, on the
+    field's |k| (jost.unfold gives k < 0)."""
+    h, hp = jf.at_x(x)
+    phase = np.exp(jf.side * 1j * jf.k_grid * x)
+    return phase * h, phase * (jf.side * 1j * jf.k_grid * h + hp)
+
+
 def square_well_bound_states(v0, a):
     """Sorted κₙ from the even/odd transcendental equations.
 

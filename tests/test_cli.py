@@ -68,8 +68,10 @@ def test_non_resonant_report_has_no_gamma(tmp_path):
 
 def test_resonance_gate_fails_on_a_wrong_gamma(tmp_path, monkeypatch):
     # T(0), R±(0) follow from γ; the gate compares them with the independent
-    # k → 0 extrapolation of the computed T, R±.  Dividing h₋(·,0) by 1.01
-    # puts γ 1% off, which moves R±(0) of the sech² well by about 1e-2.
+    # k → 0 extrapolation of the computed T, R±.  Dividing h₋(·,0) and
+    # h′₋(·,0) by 1.01 leaves a solution, so W stays constant across the
+    # rows, but puts γ 1% off, which moves R±(0) of the sech² well by about
+    # 1e-2.
     assert main(["resonance", "--out", str(tmp_path / "ok")]) == 0
     solve = scattering.compute_h
 
@@ -77,9 +79,10 @@ def test_resonance_gate_fails_on_a_wrong_gamma(tmp_path, monkeypatch):
         jf = solve(pot, x_grid, k_grid, side, **kwargs)
         if side > 0:
             return jf
-        h = jf.h.copy()
+        h, hp = jf.h.copy(), jf.h_prime.copy()
         h[:, jf.k_grid == 0.0] /= 1.01
-        return replace(jf, h=h)
+        hp[:, jf.k_grid == 0.0] /= 1.01
+        return replace(jf, h=h, h_prime=hp)
 
     monkeypatch.setattr(scattering, "compute_h", off_gamma)
     out = tmp_path / "off"

@@ -43,10 +43,10 @@ def test_square_well_breakpoints():
     jf = compute_h(sw, XS, ks, +1)
     for j, k in enumerate(ks):
         f_ref, fp_ref = oracles.square_well_f_plus(np.pi**2 / 4, 1.0, XS, k)
-        f, fp = jf.f_at_x(XS[2])  # x = 0
+        f, fp = oracles.jost_f(jf, XS[2])  # x = 0
         assert abs(f[j] - f_ref[2]) < 1e-9
         assert abs(fp[j] - fp_ref[2]) < 1e-9
-        f, fp = jf.f_at_x(XS[0])  # x = -3, past the left edge
+        f, fp = oracles.jost_f(jf, XS[0])  # x = -3, past the left edge
         assert abs(f[j] - f_ref[0]) < 1e-9
         assert abs(fp[j] - fp_ref[0]) < 1e-9
 
@@ -68,7 +68,7 @@ def test_square_well_exact_per_step():
     for j, k in enumerate(ks):
         f_ref, fp_ref = oracles.square_well_f_plus(np.pi**2 / 4, 1.0, XS, k)
         for i, x in enumerate(XS):
-            f, fp = jf.f_at_x(x)
+            f, fp = oracles.jost_f(jf, x)
             assert abs(f[j] - f_ref[i]) < 1e-13
             assert abs(fp[j] - fp_ref[i]) < 1e-13 * max(1.0, k)
 
@@ -152,18 +152,6 @@ def test_unfold_needs_every_abs_k_on_the_field():
             unfold(jf.h, jf.k_grid, ks)
 
 
-def test_f_at_x_phases():
-    pt = catalog("poeschl_teller")
-    jf = compute_h(pt, XS, KS, -1)
-    f, fp = (unfold(v, jf.k_grid, KS) for v in jf.f_at_x(2.5))
-    ref = np.exp(-1j * KS * 2.5) * oracles.pt_h_minus(2.5, KS)
-    assert np.max(np.abs(f - ref)) < 1e-8
-    step = np.exp(-1j * KS * 2.5) * (
-        -1j * KS * oracles.pt_h_minus(2.5, KS) + oracles.pt_hprime_minus(2.5, KS)
-    )
-    assert np.max(np.abs(fp - step)) < 1e-8
-
-
 def test_bound_state_h():
     pt = catalog("poeschl_teller")
     xg = np.linspace(-4, 4, 33)
@@ -182,7 +170,7 @@ def test_jost_at_zero_real():
     assert h.dtype == np.float64
 
 
-def test_zero_energy_scan_pt():
+def test_classify_resonance_pt():
     rep = classify_resonance(catalog("poeschl_teller"))
     assert rep.resonant
     assert abs(rep.w0) < 1e-9
@@ -190,13 +178,13 @@ def test_zero_energy_scan_pt():
     assert rep.gamma_consistency < 1e-8
 
 
-def test_zero_energy_scan_nonresonant():
+def test_classify_resonance_nonresonant():
     rep = classify_resonance(catalog("gaussian_well"))
     assert not rep.resonant
     assert abs(rep.w0) > 1e3 * rep.threshold
 
 
-def test_zero_energy_scan_target_on_breakpoint():
+def test_classify_resonance_breakpoints_on_rows():
     # a = 1.1 puts the breakpoints ±1.1 on nodes of the rows γ is fitted on
     a = 1.1
     rep = classify_resonance(catalog("square_well", a=a, v0=(np.pi / (2 * a)) ** 2))

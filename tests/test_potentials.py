@@ -198,6 +198,17 @@ def test_spec_round_trip():
     assert back.tail == sampled.tail
 
 
+def test_scaled_spec_honours_tail_bound():
+    # the spec's tail_bound replaces the scaled one, as for catalog and
+    # sampled potentials; the CLI's potential.tail_bound key reads it
+    spec = to_spec(scale_potential(catalog("square_well", v0=2.0, a=1.3), 2.0))
+    spec["tail_bound"]["radius"] = 5.0
+    pot = from_spec(spec)
+    assert pot.tail == TailBound("compact", 5.0, 0.0, 0.0)
+    assert cutoff_for_eta(pot, 1e-10) == 5.0
+    assert to_spec(pot) == spec
+
+
 _CATALOG = st.one_of(
     st.sampled_from(["free", "poeschl_teller"]).map(catalog),
     st.builds(

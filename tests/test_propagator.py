@@ -200,13 +200,26 @@ def test_slices_match_reference_rule(name, k_count):
 def test_k_grid_must_be_symmetric_about_zero(pt_pot, monkeypatch):
     # the quadrature folds k < 0 onto k >= 0: other grids fail before any solve
     def no_solve(*args, **kwargs):
-        raise AssertionError("scattering_data ran")
+        raise AssertionError("compute_h ran")
 
-    monkeypatch.setattr(propagator, "scattering_data", no_solve)
+    monkeypatch.setattr(scattering, "compute_h", no_solve)
     x = np.linspace(-8.0, 8.0, 17)
     for k in (np.linspace(-5.0, 5.0, 201) + 0.01, np.linspace(-5.0, 5.0, 200)):
         with pytest.raises(ValueError, match="k grid"):
             prepare_propagator(pt_pot, x, k)
+
+
+def test_rows_by_index_when_x_grid_lacks_two(pt_pot):
+    # scattering_data adds the rows ±2 to an x grid without them; the
+    # propagator keeps the rows of its own grid
+    x = np.linspace(-1.5, 1.5, 7)
+    pd = prepare_propagator(pt_pot, x, np.linspace(-20.0, 20.0, 401))
+    k = pd.k_grid[200:]
+    assert pd.hp_fine.shape == pd.hm_fine.shape == (7, 801)
+    assert np.max(np.abs(pd.hp_fine[:, ::4] - oracles.pt_h_plus(x[:, None], k))) < 1e-8
+    assert np.max(np.abs(pd.hm_fine[:, ::4] - oracles.pt_h_minus(x[:, None], k))) < 1e-8
+    c_plus = np.sqrt(2.0 / (1.0 + pd.sd.resonance.gamma**2))
+    assert np.max(np.abs(pd.f0_x - c_plus * oracles.pt_h_plus(x, 0.0).real)) < 1e-8
 
 
 def test_slices_memory_bounded(pt_pot):

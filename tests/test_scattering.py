@@ -76,10 +76,42 @@ def test_scattering_relation(pt_scatter, sw_scatter, gw_scatter):
     # T f₊ = R₋ f₋ + f₋(·,−k) sampled at x ∈ {−3, 0, 3}
     for sd, jp, jm in (pt_scatter, sw_scatter, gw_scatter):
         for x in (-3.0, 0.0, 3.0):
-            fp = unfold(jp.f_at_x(x)[0], jp.k_grid, sd.k_grid)
-            fm = unfold(jm.f_at_x(x)[0], jm.k_grid, sd.k_grid)
+            fp = unfold(oracles.jost_f(jp, x)[0], jp.k_grid, sd.k_grid)
+            fm = unfold(oracles.jost_f(jm, x)[0], jm.k_grid, sd.k_grid)
             res = sd.T * fp - sd.R_minus * fm - np.conj(fm)
             assert float(np.max(np.abs(res))) < 1e-6
+
+
+def test_wronskian_checked_on_every_row(pt_pot, monkeypatch):
+    # h′₊ shifted on the x = 1 row, outside {−2, 0, 2}: the constancy check
+    # reads every row the fields hold, so the pipeline raises
+    real = scattering.compute_h
+    calls = []
+
+    def corrupt_first(pot, x_grid, k_grid, side, **kwargs):
+        jf = real(pot, x_grid, k_grid, side, **kwargs)
+        if not calls:
+            jf.h_prime[jf.x_index(1.0)] += 1e-3
+        calls.append(side)
+        return jf
+
+    monkeypatch.setattr(scattering, "compute_h", corrupt_first)
+    k = np.linspace(-5.0, 5.0, 101)
+    with pytest.raises(CrossCheckError, match="Wronskian"):
+        scattering_data(pt_pot, k, extra_x=[-2.0, -1.0, 0.0, 1.0, 2.0], with_bound_states=False)
+
+
+def test_k_grid_rule_runs_before_any_solve(pt_pot, monkeypatch):
+    # a shifted grid and a symmetric non-uniform one both fail the one
+    # k-grid rule before a Jost field is integrated
+    def no_solve(*args, **kwargs):
+        raise AssertionError("compute_h ran")
+
+    monkeypatch.setattr(scattering, "compute_h", no_solve)
+    g = np.geomspace(0.1, 5.0, 100)
+    for k in (np.linspace(-5.0, 5.0, 201) + 0.01, np.concatenate([-g[::-1], [0.0], g])):
+        with pytest.raises(ValueError, match="k grid"):
+            scattering_data(pt_pot, k)
 
 
 def test_classify_catalog():
@@ -176,7 +208,7 @@ def test_unexplained_zero_wronskian_raises(gw_pot):
     ks = np.array([-0.4, 0.0, 0.4])
     jp = compute_h(gw_pot, [0.0], ks, +1)
     jm = compute_h(gw_pot, [0.0], ks, -1)
-    w, wp, wm = (unfold(v, jp.k_grid, ks) for v in wronskians(jp, jm, x_check=(0.0,))[:3])
+    w, wp, wm = (unfold(v, jp.k_grid, ks) for v in wronskians(jp, jm)[:3])
     w[1] = 0.0
     with pytest.raises(CrossCheckError):
         scattering_matrix(w, (wp, wm), ks, resonance=rep)
