@@ -431,7 +431,9 @@ def _cutoff(pot, x_grid, side):
 
 
 def _wronskian(two_ik, h_plus, hp_plus, h_minus, hp_minus):
-    """W = 2ik h₊h₋ + h₋h′₊ − h′₋h₊ from h± and ∂ₓh± at one x, the same
-    at every x since the phases of f± = e^{±ikx}h± cancel; two_ik is 2ik
-    (0 at k = 0, −2κ at k = iκ)."""
-    return two_ik * h_plus * h_minus + h_minus * hp_plus - hp_minus * h_plus
+    """(W, scale): W = 2ik h₊h₋ + h₋h′₊ − h′₋h₊ from h± and ∂ₓh± at one x,
+    the same at every x since the phases of f± = e^{±ikx}h± cancel, and
+    the sum of its three terms' magnitudes, both from one set of products;
+    two_ik is 2ik (0 at k = 0, −2κ at k = iκ)."""
+    a, b, c = two_ik * h_plus * h_minus, h_minus * hp_plus, hp_minus * h_plus
+    return a + b - c, np.abs(a) + np.abs(b) + np.abs(c)

@@ -9,8 +9,9 @@ The amplitude tends to 1 as k → ±∞, so the evaluation splits: the limit
 contributes the free kernel (4πit)^{−1/2} e^{i(y−x)²/(4t)} in closed form
 and the decaying remainder h₊h₋T − 1 is integrated over |k| ≤ K with the
 quadratic-phase panel rule from oscquad.  On a uniform position grid the
-phase depends only on the separation b = y − x, so all pairs of one
-diagonal share their weights.
+phase depends only on the separation b = y − x, so the pairs of one
+diagonal share their weights, and the diagonals share those of a few
+anchor separations (below).
 
 The rule runs on three nested node sets (panel midpoints filled by cubic
 interpolation); the value is the Richardson extrapolant of the finest
@@ -24,20 +25,27 @@ their error estimates.  The threshold term (4πit)^{−1/2} f₀(x)f₀(y) has
 one route, the tabulated f₀ of PropagatorData.f0_x, which is the k = 0
 column of the h₊ field scaled by c₊.
 
-Per (t, b) there is one weight vector, on the finest node set, from
-oscquad's per-time tables (on a dyadic refinement of that set for the
-times whose panels oscquad refines, restricted back onto it); the coarser
-levels come by restriction, and
+A diagonal at b takes the weights of its anchor b₀ (_anchors), the
+multiple of g·dx nearest b, and its rows carry the rest of the phase,
+e^{i(b−b₀)k}; the free part and the tail term are taken at b.  The
+default grid has 9 anchors, 2.0 apart, for its 65 diagonals; where g = 1
+every diagonal is its own anchor and no phase is applied.  Per (t, b₀)
+there is one weight vector, on the finest node set, from oscquad's
+per-time tables (on a dyadic refinement of that set for the times whose
+panels oscquad refines, restricted back onto it); the coarser levels
+come by restriction, and
 oscquad folds Richardson into the weights: V on the finest nodes and U on
 every second one give the two extrapolants as one sum each.  For a real
 potential A(−k) = conj A(k), so only k ≥ 0 is refined and built: the k < 0
-half of a weight vector, mirrored, is the k ≥ 0 half at −b, and conjugated
-it acts on conj A, Σ w A = A·w₊ + conj(A·conj w₋), with its k = 0 weight
-added to w₊.  PropagatorData holds the h₊, h₋ and T rows refined once, on
+half of a weight vector, mirrored, is the k ≥ 0 half at −b₀, and
+conjugated it acts on conj A, Σ w A = A·w₊ + conj(A·conj w₋), with its
+k = 0 weight added to w₊; the phase e^{i(b−b₀)k} keeps that symmetry.
+PropagatorData holds the h₊, h₋ and T rows refined once, on
 k ≥ 0 only (the Jost fields hold only |k|), and nothing else of the
-fields; the grid nodes are the view [..., ::4].  The amplitude
-h₊h₋T − 1 is h₊·(h₋T), with h₋T formed block by block, and its −1 is the
-sum of each weight row; a diagonal's amplitude goes in k-blocks that hold
+fields; the grid nodes are the view [..., ::4].  The phased amplitude
+(h₊h₋T − 1)e^{i(b−b₀)k} is h₊·(h₋·Te^{i(b−b₀)k}), with the product in
+brackets formed block by block, and its −1 is the weighted sum of the
+phase; a diagonal's amplitude goes in k-blocks that hold
 all its rows, each block two matrix products, and the blocks bound its
 memory whatever the number of rows.
 """
@@ -77,6 +85,7 @@ DEFAULT_K_COUNT = 24001
 # included (16 MiB); the block width follows from the diagonal's rows
 _CHUNK_ENTRIES = 1 << 20
 _REFINE_ROWS = 4  # rows per pass of the refinement stencils
+_ANCHOR_PHASE = 0.01  # θ: per k step, twice the largest turn of e^{i(b−b₀)k}
 
 
 @dataclass(frozen=True)
@@ -276,40 +285,62 @@ def _check_times(ts, k_grid, b: float) -> None:
     PanelTables.check_budget(_half_nodes(k_grid), ts)
 
 
-def _pac_rows(hp, hm, t_fine, tables: PanelTables, b: float):
-    """Continuous-spectrum kernel of row-aligned pairs at separation b ≥ 0
-    for every time of the tables: (value, error), each (len(ts), rows).
-    hp holds rows of h₊(y,·), hm rows of h₋(x,·) and t_fine T, refined on
-    k ≥ 0 (_refine_half) onto the tables' nodes.  The amplitude
-    A = h₊·(h₋T) costs two multiplies per entry and goes in k-blocks that
-    hold every row, each block one product with V and one, on its even
-    columns, with U; the −1 of A − 1 is taken off after the products as
-    the sum of each weight row, which a row of ones in the same products
-    gives."""
-    inv2pi = 1.0 / (2.0 * np.pi)
-    ts, nt = tables.ts, tables.ts.size
-    v, u = tables.richardson_weights(b)
-    for w in (v, u):  # the −b rows act on conj A, and their k = 0 weight on A
+def _anchors(pd: PropagatorData, dx: float, d):
+    """The anchor of the diagonal d (an index, or an array of them): the
+    multiple of g nearest d, halves up, g = max(1, ⌊θ/(h·dx)⌋) for the k
+    step h (8 on the default grid; 1e-9 slack for a ratio a rounding below
+    an integer), so e^{i(b−b₀)k} turns by at most θ/2 per k step."""
+    h = (pd.k_grid[-1] - pd.k_grid[0]) / (pd.k_grid.size - 1)
+    g = max(1, int(_ANCHOR_PHASE / (h * dx) * (1.0 + 1e-9)))
+    return (d + g // 2) // g * g
+
+
+def _anchored_weights(tables: PanelTables, b0: float):
+    """(V, U) at the anchor b₀ folded onto k ≥ 0: the −b₀ rows, which act on
+    conj A, conjugated, with their k = 0 weight moved onto the +b₀ rows."""
+    nt = tables.ts.size
+    v, u = tables.richardson_weights(b0)
+    for w in (v, u):
         w[:nt, 0] += w[nt:, 0]
         w[nt:, 0] = 0.0
         np.conjugate(w[nt:], out=w[nt:])
+    return v, u
+
+
+def _pac_rows(hp, hm, t_fine, tables: PanelTables, b: float, b0: float, weights):
+    """Continuous-spectrum kernel of row-aligned pairs at separation b ≥ 0
+    for every time of the tables: (value, error), each (len(ts), rows).
+    hp holds rows of h₊(y,·), hm rows of h₋(x,·) and t_fine T, refined on
+    k ≥ 0 (_refine_half) onto the tables' nodes; weights are
+    _anchored_weights at the anchor b₀, and the rows carry the rest of the
+    phase, e^{i(b−b₀)k}, through T (none when b₀ = b).  The amplitude
+    A = h₊·(h₋T) costs two multiplies per entry and goes in k-blocks that
+    hold every row, each block one product with V and one, on its even
+    columns, with U; the −1 of A − 1 is taken off after the products as
+    the weighted sum of the phase, which a last row in the same products
+    gives.  The tail term reads A(K) without the phase, at b."""
+    inv2pi = 1.0 / (2.0 * np.pi)
+    ts, nt = tables.ts, tables.ts.size
+    v, u = weights
     # K, the last node; |A(−K)| = |A(K)|
     end = np.abs(hp[:, -1] * (hm[:, -1] * t_fine[-1]) - 1.0)
     tail = np.array([truncation_tail(end, end, t, b, tables.k[-1]) for t in ts])
     full = np.array([full_line_integral(t, b) for t in ts])
+    phase = None if b == b0 else np.exp(1j * (b - b0) * tables.k)
+    t_phased = t_fine if phase is None else t_fine * phase
     n_rows, n_k = hp.shape
     r2, r1 = (np.zeros((n_rows + 1, 2 * nt), dtype=complex) for _ in range(2))
     # an even block width keeps a block's even columns on U's columns; the
-    # last row of ones sums the weight rows in the same products
+    # last row, the phase (ones at b₀ = b), gives the −1 in the same products
     width = min(n_k, max(2, _CHUNK_ENTRIES // (3 * (n_rows + 1)) * 2))
     buf = np.empty((n_rows + 1, width), dtype=complex)
-    buf[-1] = 1.0
     even_buf = np.empty((n_rows + 1, (width + 1) // 2), dtype=complex)
     for k0 in range(0, n_k, width):
         k1 = min(k0 + width, n_k)
         amp, even = buf[:, : k1 - k0], even_buf[:, : (k1 - k0 + 1) // 2]
-        np.multiply(hm[:, k0:k1], t_fine[k0:k1], out=amp[:-1])
+        np.multiply(hm[:, k0:k1], t_phased[k0:k1], out=amp[:-1])
         np.multiply(hp[:, k0:k1], amp[:-1], out=amp[:-1])
+        amp[-1] = 1.0 if phase is None else phase[k0:k1]
         np.copyto(even, amp[:, ::2])
         r2 += amp @ v[:, k0:k1].T
         r1 += even @ u[:, k0 // 2 : k0 // 2 + even.shape[1]].T
@@ -321,29 +352,37 @@ def _pac_rows(hp, hm, t_fine, tables: PanelTables, b: float):
 def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     """Kernel slices on pd.x_grid × pd.x_grid for every time in ts.
 
-    The weights of one diagonal serve all its pairs and times.  The
-    diagonal's amplitude h₊·(h₋T) is built from views of pd's refined rows
-    and contracted in k-blocks that hold all its rows; no copy of the rows
-    is made.  Raises ValueError for an empty or non-finite
-    ts, for t < 1, when 2tK ≤ |b| for the widest separation b on the grid
-    (K = max k), as pac_kernel does for one pair, and for times whose
-    refined panel tables pass oscquad's budget; all before any work."""
+    The weights of one anchor serve all pairs and times of the diagonals
+    nearest it, one richardson_weights call per anchor.  A diagonal's
+    amplitude h₊·(h₋T), with the phase its anchor leaves, is built from
+    views of pd's refined rows and contracted in k-blocks that hold all
+    its rows; no copy of the rows is made.  Raises ValueError for an empty
+    or non-finite ts, for t < 1, when 2tK ≤ |b| for the widest separation
+    b on the grid (K = max k), as pac_kernel does for one pair, and for
+    times whose refined panel tables pass oscquad's budget; all before any
+    work."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x = pd.x_grid
     n = x.size
     dx = _uniform_step(x, "x_grid")
     b_max = float(x[-1] - x[0])
     _check_times(ts, pd.k_grid, b_max)
-    tables = PanelTables(_half_nodes(pd.k_grid), ts, b_max)
+    anchors = _anchors(pd, dx, np.arange(n))
+    tables = PanelTables(_half_nodes(pd.k_grid), ts, max(b_max, anchors[-1] * dx))
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
-    for d in range(n):
-        val, err = _pac_rows(pd.hp_fine[d:], pd.hm_fine[: n - d], pd.T_fine, tables, d * dx)
-        rows = np.arange(n - d)
-        pac[:, rows, rows + d] = val
-        pac[:, rows + d, rows] = val
-        qerr[:, rows, rows + d] = err
-        qerr[:, rows + d, rows] = err
+    for a in np.unique(anchors):
+        weights = _anchored_weights(tables, a * dx)
+        for d in np.flatnonzero(anchors == a):
+            val, err = _pac_rows(
+                pd.hp_fine[d:], pd.hm_fine[: n - d], pd.T_fine, tables, d * dx, a * dx, weights
+            )
+            rows = np.arange(n - d)
+            pac[:, rows, rows + d] = val
+            pac[:, rows + d, rows] = val
+            qerr[:, rows, rows + d] = err
+            qerr[:, rows + d, rows] = err
+        del weights  # one anchor's V and U alive at a time
 
     out = []
     for i_t, t in enumerate(ts):
@@ -361,8 +400,12 @@ def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[comple
     i, j = pd.x_index(lo), pd.x_index(hi)
     ts, b = np.array([float(t)]), float(pd.x_grid[j] - pd.x_grid[i])
     _check_times(ts, pd.k_grid, b)
+    # the slices' anchor; b₀ = b exactly where the diagonal is its own anchor
+    dx = _uniform_step(pd.x_grid, "x_grid")
+    b0 = b + (_anchors(pd, dx, j - i) - (j - i)) * dx
+    tables = PanelTables(_half_nodes(pd.k_grid), ts, b0)
     rows = pd.hp_fine[j : j + 1], pd.hm_fine[i : i + 1], pd.T_fine
-    val, err = _pac_rows(*rows, PanelTables(_half_nodes(pd.k_grid), ts, b), b)
+    val, err = _pac_rows(*rows, tables, b, b0, _anchored_weights(tables, b0))
     return complex(val[0, 0]), float(err[0, 0])
 
 

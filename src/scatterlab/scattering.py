@@ -124,40 +124,35 @@ def wronskians(jf_plus: JostField, jf_minus: JostField):
     carries it onto a grid of ±k.
 
     Each row's W (jost._wronskian, no phases) is compared with W at x = 0
-    relative to the larger |term| sum (_term_scale) there and on the row,
-    not to |W|, which vanishes at k = 0 for resonant potentials; a floor
-    of 1e-3 of the median x = 0 sum keeps the denominator alive where the
-    terms degenerate (e.g. tanh-like f₀ crossing zero).  Rows go in blocks
-    of about _SPREAD_BLOCK entries."""
+    relative to the larger |term| sum, which _wronskian gives with W, there
+    and on the row, not to |W|, which vanishes at k = 0 for resonant
+    potentials; a floor of 1e-3 of the median x = 0 sum keeps the
+    denominator alive where the terms degenerate (e.g. tanh-like f₀
+    crossing zero).  Rows go in blocks of about _SPREAD_BLOCK entries."""
     if not np.array_equal(jf_plus.k_grid, jf_minus.k_grid):
         raise ValueError("Jost fields must share one k grid")
     two_ik = 2j * jf_plus.k_grid
     hp0, hpp0 = jf_plus.at_x(0.0)
     hm0, hmp0 = jf_minus.at_x(0.0)
-    w = _wronskian(two_ik, hp0, hpp0, hm0, hmp0)
+    w, term_scale = _wronskian(two_ik, hp0, hpp0, hm0, hmp0)
     # h(0,−k) = conj h(0,k) for real k, so W± need no second solve
     w_plus = hm0 * np.conj(hpp0) - np.conj(hp0) * hmp0
     w_minus = hp0 * np.conj(hmp0) - np.conj(hm0) * hpp0
 
-    term_scale = _term_scale(two_ik, hp0, hpp0, hm0, hmp0)
     floor = 1e-3 * float(np.median(term_scale)) + 1e-30
     spread = 0.0
     step = max(1, _SPREAD_BLOCK // two_ik.size)
     for i in range(0, jf_plus.x_grid.size, step):
         rows = slice(i, i + step)
         h = (jf_plus.h[rows], jf_plus.h_prime[rows], jf_minus.h[rows], jf_minus.h_prime[rows])
-        denom = np.maximum(np.maximum(term_scale, _term_scale(two_ik, *h)), floor)
-        spread = max(spread, float(np.max(np.abs(_wronskian(two_ik, *h) - w) / denom)))
+        w_rows, scale_rows = _wronskian(two_ik, *h)
+        denom = np.maximum(np.maximum(term_scale, scale_rows), floor)
+        spread = max(spread, float(np.max(np.abs(w_rows - w) / denom)))
     if spread > _WRONSKIAN_SPREAD_TOL:
         raise CrossCheckError(
             f"Wronskian not constant across x: relative spread {spread:.3e}"
         )
     return w, w_plus, w_minus, spread
-
-
-def _term_scale(two_ik, hp, hpp, hm, hmp):
-    """|2ik h₊h₋| + |h₋h′₊| + |h′₋h₊|, the magnitudes of _wronskian's terms."""
-    return np.abs(two_ik * hp * hm) + np.abs(hm * hpp) + np.abs(hmp * hp)
 
 
 def scattering_matrix(
@@ -335,7 +330,7 @@ def _w_at_ikappa(pot, kappas, rtol, atol):
     hp_, hpp = compute_h_bound(pot, [0.0], kappas, +1, rtol=rtol, atol=atol)
     hm_, hmp = compute_h_bound(pot, [0.0], kappas, -1, rtol=rtol, atol=atol)
     h = (hp_[0], hpp[0], hm_[0], hmp[0])
-    return _wronskian(-2.0 * kappas, *h), h
+    return _wronskian(-2.0 * kappas, *h)[0], h
 
 
 def _node_counts(pot, kappas, half_width, kappa_max, rtol, atol):

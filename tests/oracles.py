@@ -7,10 +7,11 @@ well bound states with the closed-form norms of their eigenfunctions, the
 ℓ = 2 sech² norming constants, a brute-force oscillatory quadrature, a
 split-step Fourier evolver for e^{−itH}, the evolution-kernel slice rule in its
 plain form (three weight vectors per time, one product per time and level,
-the whole k line), a DOP853 integration of the Jost factors, the Volterra
-form of the zero-energy Jost equation, the linear-Filon Fourier sum as
-a dense phase matrix, the quadratic-phase panel weights by the direct
-panel rule (β series, erf closed form on coarse panels) and in 40-digit
+the whole k line, the anchor phase on the amplitude), the closed-form
+Pöschl–Teller G in Faddeeva's w, a DOP853 integration of the Jost factors,
+the Volterra form of the zero-energy Jost equation, the linear-Filon
+Fourier sum as a dense phase matrix, the quadratic-phase panel weights
+by the direct panel rule (β series, erf closed form on coarse panels) and in 40-digit
 arithmetic, and the weighted norm ∫(1+|x|)^σ|V| by adaptive quadpack.  No
 imports from the package: the slice rule takes the panel-weight function as
 an argument, and the Jost and norm references take V, its breakpoints and
@@ -64,6 +65,30 @@ def pt_wronskian(k):
 def pt_b_plus(x, y):
     """Transformation kernel B₊(x,y) = −2(1 − tanh x)e^{−2y} for y > 0."""
     return -2.0 * (1.0 - np.tanh(np.asarray(x, float))) * np.exp(-2.0 * np.asarray(y, float))
+
+
+def _pt_pole_integral(t: float, b, sign: int):
+    """∫ e^{−i(tk²−bk)} / (k − sign·i) dk over the line, in Faddeeva's w."""
+    u = b / (2.0 * t)
+    return (
+        sign * 1j * np.pi * np.exp(1j * b * b / (4.0 * t))
+        * wofz(np.exp(0.25j * np.pi) * np.sqrt(t) * (1j - sign * u))
+    )
+
+
+def pt_g_kernel(x, y, t: float) -> np.ndarray:
+    """G(x,y,t) = e^{−itH}P_ac − (4πit)^{−1/2} tanh x tanh y, broadcasting
+    over x and y: for x ≤ y the amplitude h₊(y)h₋(x)T − 1 is a sum of the
+    two simple poles k = ±i, each integrated in closed form."""
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    b = hi - lo
+    p, q = np.tanh(lo), np.tanh(hi)
+    alpha, beta = p * q - 1.0, 1j * (q - p)
+    amp_plus = (alpha + 1j * beta) / 2j
+    amp_minus = -(alpha - 1j * beta) / 2j
+    free = np.sqrt(np.pi / (1j * t)) * np.exp(1j * b * b / (4.0 * t))
+    poles = amp_plus * _pt_pole_integral(t, b, +1) + amp_minus * _pt_pole_integral(t, b, -1)
+    return (free + poles) / (2.0 * np.pi) - p * q / np.sqrt(4j * np.pi * t)
 
 
 def pt_bound_state():
@@ -455,16 +480,18 @@ def refine_twice(rows):
     return rows
 
 
-def pac_slices_reference(h_plus, h_minus, T, k, dx, ts, weights):
+def pac_slices_reference(h_plus, h_minus, T, k, dx, ts, weights, stride=1):
     """(pac, error) arrays of shape (len(ts), n, n) for the continuous-
     spectrum kernel on a uniform position grid of step dx.
 
-    For each separation b = d·dx and time t: weights(nodes, t, b) on the k
-    grid and on its two refinements, one product with the amplitude
-    h₊(y,k)h₋(x,k)T(k) − 1 per level over the whole line, Richardson on
-    the finest pair, and the error |r2 − r1| plus the integration-by-parts
-    tail (|A(−K)| + |A(K)|)/(2tK − b); the free part √(π/(it))e^{ib²/4t}
-    is added in closed form."""
+    For each separation b = d·dx and time t: weights(nodes, t, b₀) on the k
+    grid and on its two refinements, at the anchor b₀ = stride·dx·⌊d/stride
+    + ½⌋, one product per level over the whole line with the amplitude
+    h₊(y,k)h₋(x,k)T(k) − 1 times e^{i(b−b₀)k} (stride 1: b₀ = b and no
+    phase), Richardson on the finest pair, and the error |r2 − r1| plus
+    the integration-by-parts tail (|A(−K)| + |A(K)|)/(2tK − b) of the
+    unphased amplitude; the free part √(π/(it))e^{ib²/4t} is added in
+    closed form."""
     n = h_plus.shape[0]
     hp, hm, tt = refine_twice(h_plus), refine_twice(h_minus), refine_twice(T)
     nodes = [np.linspace(k[0], k[-1], m) for m in (k.size, 2 * k.size - 1, 4 * k.size - 3)]
@@ -472,15 +499,17 @@ def pac_slices_reference(h_plus, h_minus, T, k, dx, ts, weights):
     err = np.empty((len(ts), n, n))
     for d in range(n):
         b = d * dx
+        b0 = stride * dx * math.floor(d / stride + 0.5)
         amp_ff = hp[d:] * hm[: n - d] * tt - 1.0
-        amps = (amp_ff[:, ::4], amp_ff[:, ::2], amp_ff)
+        phased = amp_ff if stride == 1 else amp_ff * np.exp(1j * (b - b0) * nodes[2])
+        amps = (phased[:, ::4], phased[:, ::2], phased)
         rows = np.arange(n - d)
         for i_t, t in enumerate(ts):
-            coarse, fine, finest = (a @ weights(q, t, b) for a, q in zip(amps, nodes))
+            coarse, fine, finest = (a @ weights(q, t, b0) for a, q in zip(amps, nodes))
             r1 = fine + (fine - coarse) / 3.0
             r2 = finest + (finest - fine) / 3.0
             free = np.sqrt(np.pi / (1j * t)) * np.exp(1j * b * b / (4.0 * t))
-            tail = (np.abs(amps[0][:, 0]) + np.abs(amps[0][:, -1])) / (2.0 * t * k[-1] - b)
+            tail = (np.abs(amp_ff[:, 0]) + np.abs(amp_ff[:, -1])) / (2.0 * t * k[-1] - b)
             for i, j in ((rows, rows + d), (rows + d, rows)):
                 pac[i_t, i, j] = (free + r2) / (2.0 * np.pi)
                 err[i_t, i, j] = (np.abs(r2 - r1) + tail) / (2.0 * np.pi)

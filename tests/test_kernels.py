@@ -331,7 +331,7 @@ def test_glm_synthesis_meets_the_dense_sums_and_mpmath(sw_wiener):
 
 @pytest.mark.parametrize("name", ["poeschl_teller", "square_well", "gaussian_well"])
 @pytest.mark.parametrize("side", [+1, -1])
-def test_eta_interp_masses_meet_a_tight_quadrature(name, side):
+def test_eta_masses_meet_a_tight_quadrature(name, side):
     # the tail masses the stage reads (potentials.eta): η± at 600
     # points of the two ranges it asks for, in one call, against one
     # adaptive quad per point run to 1e-13 relative out to where the tail

@@ -172,29 +172,67 @@ def test_g_kernel_error_estimate_covers_truth(free_pd, pt_pd):
 
 
 @pytest.mark.parametrize(
-    "name,k_count",
+    "name,k_max,k_count,stride",
     [
-        pytest.param(name, k_count, id=name + suffix)
-        for k_count, suffix in ((2001, ""), (201, "-coarse_k"))
+        pytest.param(name, k_max, k_count, 1, id=name + suffix)
+        for k_max, k_count, suffix in ((20.0, 2001, ""), (60.0, 201, "-coarse_k"))
         for name in ("poeschl_teller", "square_well", "gaussian_well")
-    ],
+    ]
+    + [pytest.param("poeschl_teller", 5.0, 4001, 8, id="poeschl_teller-anchored")],
 )
-def test_slices_match_reference_rule(name, k_count):
+def test_slices_match_reference_rule(name, k_max, k_count, stride):
     # the folded, restricted, k-blocked rule on per-time tables against the
     # plain one: three direct weight vectors per time, one product per time
     # and level, whole line.  On the coarse k grid (K = 60, 201 nodes) tσ²
     # = 0.0056·t, so t = 10, 100, 1000 pass _BETA_MAX: their tables sit on
     # the node set refined 2, 4 and 16 times and are restricted back, while
-    # the reference takes the erf closed form there; t = 1, 2.5 are at level 0
-    k_max = 20.0 if k_count == 2001 else 60.0
+    # the reference takes the erf closed form there; t = 1, 2.5 are at level 0.
+    # On the other grids every diagonal is its own anchor; on the anchored
+    # one (x step 0.5, k step 0.0025) the diagonals share the weights at
+    # the multiple of 8·0.5 nearest their separation, b₀ = 0, 4 and 8, and
+    # the reference puts e^{i(b−b₀)k} on the whole line's amplitude
     pd = prepare_propagator(catalog(name), np.linspace(-4.0, 4.0, 17), np.linspace(-k_max, k_max, k_count))
     ts = np.array([1.0, 2.5, 10.0, 100.0, 1000.0])
     ref_pac, ref_err = oracles.pac_slices_reference(
-        _line(pd, pd.hp_fine), _line(pd, pd.hm_fine), pd.T, pd.k_grid, 0.5, ts, oracles.fresnel_weights
+        _line(pd, pd.hp_fine), _line(pd, pd.hm_fine), pd.T, pd.k_grid, 0.5, ts, oracles.fresnel_weights,
+        stride,
     )
     for ks, rp, re in zip(pac_slices(pd, ts), ref_pac, ref_err):
         assert np.max(np.abs(ks.pac - rp)) <= 1e-12 * np.max(np.abs(rp))
         assert np.max(np.abs(ks.quadrature_error - re) / re) <= 1e-5
+
+
+# max |G − exact| over the default grid per default time, unweighted and
+# with the decay norm's weights (1+|x|)^−2(1+|y|)^−2, as measured with one
+# weight set per diagonal (no anchors)
+_PT_G_ERRORS = [
+    (8.8350e-06, 8.9183e-07), (5.8125e-06, 5.8677e-07), (3.8241e-06, 3.8606e-07),
+    (2.5160e-06, 2.5400e-07), (1.6553e-06, 1.6711e-07), (1.0891e-06, 1.0995e-07),
+    (7.1655e-07, 7.2341e-08), (4.7143e-07, 4.7594e-08), (3.1021e-07, 3.1312e-08),
+    (2.0409e-07, 2.0588e-08), (1.3462e-07, 1.3608e-08), (8.8332e-08, 8.9195e-09),
+]
+
+
+def test_anchored_slices_keep_pt_accuracy(pt_pd):
+    # on the default grid the diagonals share the weights of 9 anchors,
+    # 2.0 apart; against the closed-form G at the decay stage's 12 times
+    # the estimate covers every pair with |b| >= 10 (worst ratio 0.997),
+    # both max errors stay within 5% of one weight set per diagonal, and a
+    # pair halfway between two anchors (b = 1.25, b₀ = 2) has the slice's
+    # error estimate
+    ts = np.geomspace(10.0, 1000.0, 12)
+    x = pt_pd.x_grid
+    w = (1.0 + np.abs(x)) ** -2.0
+    far = np.abs(x[:, None] - x[None, :]) >= 10.0
+    slices = pac_slices(pt_pd, ts)
+    for ks, t, (unweighted, weighted) in zip(slices, ts, _PT_G_ERRORS):
+        err = np.abs(ks.G - oracles.pt_g_kernel(x[:, None], x[None, :], t))
+        assert np.all(err[far] <= ks.quadrature_error[far])
+        assert np.max(err) <= 1.05 * unweighted
+        assert np.max(w[:, None] * err * w[None, :]) <= 1.05 * weighted
+    i, j = pt_pd.x_index(0.0), pt_pd.x_index(1.25)
+    for ks, t in zip(slices[::5], ts[::5]):
+        assert abs(ks.quadrature_error[i, j] - pac_kernel(pt_pd, 0.0, 1.25, t)[1]) <= 1e-13
 
 
 def test_k_grid_must_be_symmetric_about_zero(pt_pot, monkeypatch):
@@ -267,14 +305,26 @@ def test_refine_temporaries_stay_small():
     assert peak <= 1.25 * out.nbytes
 
 
-@pytest.mark.parametrize("k_count", [4001, 201])
-def test_slices_run_one_series_per_time_and_one_product_per_level(pt_pot, monkeypatch, k_count):
-    # the Richardson weights of a diagonal are two matrices, V on every
+@pytest.mark.parametrize(
+    "k_max,k_count,x_count,anchors",
+    [
+        pytest.param(60.0, 4001, 9, 9, id="4001"),
+        pytest.param(60.0, 201, 9, 9, id="201"),
+        pytest.param(10.0, 4001, 33, 5, id="anchored"),
+    ],
+)
+def test_slices_run_one_series_per_time_and_one_product_per_level(
+    pt_pot, monkeypatch, k_max, k_count, x_count, anchors
+):
+    # the Richardson weights of an anchor are two matrices, V on every
     # refined node and U on every second one, with no column left at zero.
     # The moment series runs once per time per call (its table), not once
     # per (t, ±b): on a grid like the decay stage's (K = 60, t ≤ 1000) every
     # table is at level 0; on the 201-node grid the tables of t > 8.9 sit
-    # on refined node sets, up to 16 times refined at t = 1000
+    # on refined node sets, up to 16 times refined at t = 1000.  On x steps
+    # of 1 every diagonal is its own anchor; on the anchored grid (x step
+    # 0.25, k step 0.005, as the decay stage's) the 33 diagonals share the
+    # weights of 5 anchors, b₀ = 0, 2, 4, 6, 8: one call per anchor
     series_calls = []
     p_moments = oscquad._p_moments
     monkeypatch.setattr(oscquad, "_p_moments", lambda *a: series_calls.append(a) or p_moments(*a))
@@ -288,12 +338,12 @@ def test_slices_run_one_series_per_time_and_one_product_per_level(pt_pot, monkey
         return wts
 
     monkeypatch.setattr(oscquad.PanelTables, "richardson_weights", recorded)
-    pd = prepare_propagator(pt_pot, np.linspace(-4.0, 4.0, 9), np.linspace(-60.0, 60.0, k_count))
+    pd = prepare_propagator(pt_pot, np.linspace(-4.0, 4.0, x_count), np.linspace(-k_max, k_max, k_count))
     ts = np.geomspace(10.0, 1000.0, 12)
     pac_slices(pd, ts)
     assert len(series_calls) == len(ts)
     n = k_count // 2 + 1  # grid nodes k >= 0
-    assert len(shapes) == 9
+    assert len(shapes) == anchors
     assert all(s == [(2 * len(ts), 4 * n - 3), (2 * len(ts), 2 * n - 1)] for s in shapes)
 
 
