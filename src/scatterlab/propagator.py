@@ -13,17 +13,18 @@ phase depends only on the separation b = y − x, so the pairs of one
 diagonal share their weights, and the diagonals share those of a few
 anchor separations (below).
 
-The rule runs on three nested node sets (panel midpoints filled by cubic
-interpolation); the value is the Richardson extrapolant of the finest
-pair and the error estimate is the difference between the two successive
-extrapolants plus a first integration-by-parts bound for the |k| > K
-tail.  That bound needs the phase to be monotone beyond the cut, so every
-evaluation with 2tK ≤ |b| raises ValueError.  One pair (pac_kernel, which
-returns the value with its error estimate) and whole slices (pac_slices)
-run through the same routine, so they share this rule, their values and
-their error estimates.  The threshold term (4πit)^{−1/2} f₀(x)f₀(y) has
-one route, the tabulated f₀ of PropagatorData.f0_x, which is the k = 0
-column of the h₊ field scaled by c₊.
+The rule runs on three nested node sets, the grid nodes refined once and
+twice by cubic panel midpoints; the value is the Richardson extrapolant of
+the finest pair and the error estimate is the difference between the two
+successive extrapolants plus a first integration-by-parts bound for the
+|k| > K tail.  That bound needs the phase to be monotone beyond the cut,
+so every evaluation with 2tK ≤ |b| raises ValueError.  One pair
+(pac_kernel, which returns the value with its error estimate) and whole
+slices (pac_slices) run through the same routine, so they share this
+rule, their values and their error estimates.  The threshold term
+(4πit)^{−1/2} f₀(x)f₀(y) has one route, the tabulated f₀ of
+PropagatorData.f0_x, which is the k = 0 column of the h₊ field scaled by
+c₊.
 
 A diagonal at b takes the weights of its anchor b₀ (_anchors), the
 multiple of g·dx nearest b, and its rows carry the rest of the phase,
@@ -36,17 +37,17 @@ panels oscquad refines, restricted back onto it); the coarser levels
 come by restriction, and
 oscquad folds Richardson into the weights: V on the finest nodes and U on
 every second one give the two extrapolants as one sum each.  For a real
-potential A(−k) = conj A(k), so only k ≥ 0 is refined and built: the k < 0
-half of a weight vector, mirrored, is the k ≥ 0 half at −b₀, and
-conjugated it acts on conj A, Σ w A = A·w₊ + conj(A·conj w₋), with its
-k = 0 weight added to w₊; the phase e^{i(b−b₀)k} keeps that symmetry.
-PropagatorData holds the h₊, h₋ and T rows refined once, on
-k ≥ 0 only (the Jost fields hold only |k|), and nothing else of the
-fields; the grid nodes are the view [..., ::4].  The phased amplitude
-(h₊h₋T − 1)e^{i(b−b₀)k} is h₊·(h₋·Te^{i(b−b₀)k}), with the product in
-brackets formed block by block, and its −1 is the weighted sum of the
-phase; a diagonal's amplitude goes in k-blocks that hold
-all its rows, each block two matrix products, and the blocks bound its
+potential A(−k) = conj A(k), so only k ≥ 0 is built: the k < 0 half of a
+weight vector, mirrored, is the k ≥ 0 half at −b₀, and conjugated it acts
+on conj A, Σ w A = A·w₊ + conj(A·conj w₋), with its k = 0 weight added to
+w₊; the phase e^{i(b−b₀)k} keeps that symmetry.  The refinement is linear
+in the amplitude, so its transpose takes V and U onto the grid nodes k ≥ 0
+once per anchor (_grid_weights), and the cubic midpoints interpolate the
+whole phased amplitude (h₊h₋T − 1)e^{i(b−b₀)k}.  PropagatorData holds the
+h₊ and h₋ rows on the grid nodes k ≥ 0 as the Jost solver marches them
+(the fields hold only |k|), T there, and nothing else of the fields.  A
+diagonal's amplitude goes in k-blocks that hold all its rows, each block
+one matrix product with the stacked (V; U), and the blocks bound its
 memory whatever the number of rows.
 """
 
@@ -81,10 +82,10 @@ DEFAULT_X_MAX = 8.0
 DEFAULT_K_MAX = 60.0
 DEFAULT_K_COUNT = 24001
 
-# complex amplitude entries per k-block of a diagonal, its even-column copy
-# included (16 MiB); the block width follows from the diagonal's rows
+# complex amplitude entries per k-block of a diagonal (16 MiB); the block
+# width follows from the diagonal's rows, and on the default grid one block
+# holds every diagonal
 _CHUNK_ENTRIES = 1 << 20
-_REFINE_ROWS = 4  # rows per pass of the refinement stencils
 _ANCHOR_PHASE = 0.01  # θ: per k step, twice the largest turn of e^{i(b−b₀)k}
 
 
@@ -122,17 +123,16 @@ class SField:
 class PropagatorData:
     """Shared read-only inputs for kernel evaluation on one grid.
 
-    hp_fine, hm_fine and T_fine are h₊(x,·), h₋(x,·) (one row per x_grid
-    point) and T refined twice on k ≥ 0 (_refine_half): column 4j is the
-    grid node k_grid[n//2 + j], so [..., ::4] are the grid's nodes k ≥ 0.
-    No k < 0 column is kept; A(−k) = conj A(k) gives it (jost.unfold)."""
+    hp and hm are h₊(x,·) and h₋(x,·), one row per x_grid point, on the
+    grid nodes k ≥ 0 (column j is k_grid[n//2 + j]), as compute_h returns
+    them; T_half is T on the same nodes.  No k < 0 column and no refined
+    value is kept; A(−k) = conj A(k) gives the former (jost.unfold)."""
 
     pot: Potential
     x_grid: np.ndarray
     k_grid: np.ndarray
-    hp_fine: np.ndarray
-    hm_fine: np.ndarray
-    T_fine: np.ndarray
+    hp: np.ndarray
+    hm: np.ndarray
     sd: ScatteringData
     f0_x: np.ndarray
 
@@ -143,6 +143,10 @@ class PropagatorData:
     @property
     def T(self) -> np.ndarray:
         return self.sd.T
+
+    @property
+    def T_half(self) -> np.ndarray:
+        return self.sd.T[self.k_grid.size // 2 :]
 
     def x_index(self, x: float) -> int:
         return _grid_index(self.x_grid, x, "x")
@@ -161,18 +165,17 @@ def prepare_propagator(
     kernel evaluation.
 
     One pipeline: scattering_data integrates both Jost fields on x_grid
-    and ±2, checks the Wronskian on every row and classifies the
-    resonance; no kernel reads a bound state, so none is searched for
-    (sd.bound_states is empty).  The threshold state is read
+    and the rows −2, 0, 2, checks the Wronskian on every row and
+    classifies the resonance; no kernel reads a bound state, so none is
+    searched for (sd.bound_states is empty).  The threshold state is read
     from the k = 0 column of the h₊ field: f₀(x) = c₊ Re h₊(x,0) with
     c₊ = √(2/(1+γ²)), so that |f₀(x)|² + |f₀(−x)|² → 2 (f₀ = 0 when
-    non-resonant).  The grid point within 1e-12 of 0 is set to exactly 0,
-    the fields' x = 0 row; x_grid's rows are taken by index when the
-    fields add ±2.  The k grid is the one scattering_data returns, exactly
-    mirrored with its middle node exactly 0, so each field holds its nodes
-    k ≥ 0.  Those rows are refined once into hp_fine and hm_fine, one
-    side at a time, and the fields are dropped.  The k grid needs an odd
-    node count (the kernel quadrature folds k < 0 onto k ≥ 0) and
+    non-resonant).  x_grid's rows are taken by index when the fields add
+    rows it lacks, so x_grid need not hold 0.  The k grid is the one
+    scattering_data returns, exactly mirrored with its middle node exactly
+    0, so each field holds its nodes k ≥ 0; hp and hm are those rows of
+    x_grid, and the rest of the fields is dropped.  The k grid needs an
+    odd node count (the kernel quadrature folds k < 0 onto k ≥ 0) and
     scattering_data's k-grid rule; ValueError otherwise, before any solve."""
     if x_grid is None:
         n_half = int(round(DEFAULT_X_MAX / DEFAULT_X_STEP))
@@ -184,80 +187,26 @@ def prepare_propagator(
     _uniform_step(x_grid, "x_grid")
     if k_grid.size % 2 == 0:
         raise ValueError("k grid needs a node at 0 (an odd number of points)")
-    zero = np.abs(x_grid) < 1e-12
-    if not np.any(zero):
-        raise ValueError("x_grid must contain 0 (Wronskian anchor)")
-    # scattering_data adds an exact 0 to the rows it integrates
-    x_grid = np.where(zero, 0.0, x_grid)
 
     sd, jp, jm = scattering_data(
         pot, k_grid, extra_x=x_grid, rtol=rtol, atol=atol, with_bound_states=False
     )
-    # the fields' rows of x_grid: all of them unless they add ±2
+    # the fields' rows of x_grid: all of them unless they add −2, 0 or 2
     rows = slice(None) if jp.x_grid.size == x_grid.size else np.searchsorted(jp.x_grid, x_grid)
     f0_x = np.zeros(x_grid.size)
     if sd.resonance.resonant:
         c_plus = np.sqrt(2.0 / (1.0 + sd.resonance.gamma**2))
         f0_x = c_plus * jp.h[rows, 0].real
-    # each field's march output is freed once its rows are refined
-    hp_fine = _refine_half(jp.h[rows])
-    del jp
-    hm_fine = _refine_half(jm.h[rows])
-    del jm
     return PropagatorData(
-        pot=pot,
-        x_grid=x_grid,
-        k_grid=sd.k_grid,
-        hp_fine=hp_fine,
-        hm_fine=hm_fine,
-        T_fine=_refine_half(sd.T[k_grid.size // 2 :]),
-        sd=sd,
-        f0_x=f0_x,
+        pot=pot, x_grid=x_grid, k_grid=sd.k_grid, hp=jp.h[rows], hm=jm.h[rows], sd=sd, f0_x=f0_x
     )
 
 
 # -- evolution kernel --------------------------------------------------------
 
 
-def _refine(r):
-    """Uniformly spaced samples along the last axis with the panel midpoints
-    inserted by cubic interpolation (one-sided at the two ends).  The
-    stencils run _REFINE_ROWS rows at a time, so their temporaries stay
-    small beside the result."""
-    if r.shape[-1] < 4:
-        raise ValueError("need at least four samples to refine")
-    out = np.empty(r.shape[:-1] + (2 * r.shape[-1] - 1,), dtype=r.dtype)
-    rows_in, rows_out = r.reshape(-1, r.shape[-1]), out.reshape(-1, out.shape[-1])
-    for i in range(0, rows_in.shape[0], _REFINE_ROWS):
-        a, o = rows_in[i : i + _REFINE_ROWS], rows_out[i : i + _REFINE_ROWS]
-        o[:, ::2] = a
-        mid = o[:, 1::2]
-        mid[:, 1:-1] = (-a[:, :-3] + 9.0 * a[:, 1:-2] + 9.0 * a[:, 2:-1] - a[:, 3:]) / 16.0
-        mid[:, 0] = (5.0 * a[:, 0] + 15.0 * a[:, 1] - 5.0 * a[:, 2] + a[:, 3]) / 16.0
-        mid[:, -1] = (a[:, -4] - 5.0 * a[:, -3] + 15.0 * a[:, -2] + 5.0 * a[:, -1]) / 16.0
-    return out
-
-
-def _refine_half(rows):
-    """Rows on the nodes k ≥ 0 of a grid symmetric about 0 (k = 0 first),
-    refined twice by cubic panel midpoints (n nodes become 4n − 3, in
-    natural order).  Refinement starts two grid nodes below 0, the
-    conjugates of the two above, so the stencils next to 0 read the nodes
-    the line has there, and drops the 8 columns below 0.  It runs
-    _REFINE_ROWS rows at a time into the result, so no full-size
-    intermediate is made."""
-    n = rows.shape[-1]
-    out = np.empty(rows.shape[:-1] + (4 * n - 3,), dtype=rows.dtype)
-    rows_in, rows_out = rows.reshape(-1, n), out.reshape(-1, 4 * n - 3)
-    for i in range(0, rows_in.shape[0], _REFINE_ROWS):
-        a = rows_in[i : i + _REFINE_ROWS]
-        line = np.concatenate([np.conj(a[:, 2:0:-1]), a], axis=1)
-        rows_out[i : i + _REFINE_ROWS] = _refine(_refine(line))[:, 8:]
-    return out
-
-
 def _half_nodes(k_grid) -> np.ndarray:
-    """The nodes k ≥ 0 of the twice-refined grid (_refine_half's columns)."""
+    """The nodes k ≥ 0 of the grid refined twice, the finest node set."""
     return np.linspace(k_grid[0], k_grid[-1], 4 * k_grid.size - 3)[2 * k_grid.size - 2 :]
 
 
@@ -295,57 +244,82 @@ def _anchors(pd: PropagatorData, dx: float, d):
     return (d + g // 2) // g * g
 
 
-def _anchored_weights(tables: PanelTables, b0: float):
-    """(V, U) at the anchor b₀ folded onto k ≥ 0: the −b₀ rows, which act on
-    conj A, conjugated, with their k = 0 weight moved onto the +b₀ rows."""
+def _refine_t(w):
+    """The transpose of one cubic panel-midpoint refinement of m uniform
+    samples (one-sided stencils at the two ends) along the last axis:
+    weights on the 2m − 1 refined nodes onto the m nodes, so that
+    Σ w·refine(a) = Σ _refine_t(w)·a."""
+    mid = w[..., 1::2] / 16.0
+    z = w[..., ::2].copy()
+    inner = mid[..., 1:-1]
+    z[..., :-3] -= inner
+    z[..., 3:] -= inner
+    inner *= 9.0
+    z[..., 1:-2] += inner
+    z[..., 2:-1] += inner
+    z[..., :4] += mid[..., :1] * np.array([5.0, 15.0, -5.0, 1.0])
+    z[..., -4:] += mid[..., -1:] * np.array([1.0, -5.0, 15.0, 5.0])
+    return z
+
+
+def _grid_weights(tables: PanelTables, b0: float) -> np.ndarray:
+    """(V; U) at the anchor b₀ on the grid nodes k ≥ 0, (4·len(ts), n): the
+    rows of V at b₀, at −b₀, then those of U.  The −b₀ rows act on conj A,
+    so they are conjugated, with their k = 0 weight moved onto the b₀ rows.
+    V then goes through the transpose of the twice-refinement, U of the
+    once-refinement, each from the line's two mirror nodes below 0 (weight
+    zero on the refined nodes below 0).  The weight on a mirror node acts
+    on the conjugate of its node's value, so it moves, conjugated, onto the
+    row of the same time that acts on conj A."""
     nt = tables.ts.size
-    v, u = tables.richardson_weights(b0)
-    for w in (v, u):
+    refined, out = list(tables.richardson_weights(b0)), []
+    for times in (2, 1):
+        w = refined.pop(0)  # freed once padded
         w[:nt, 0] += w[nt:, 0]
         w[nt:, 0] = 0.0
         np.conjugate(w[nt:], out=w[nt:])
-    return v, u
+        z = np.concatenate([np.zeros((2 * nt, 4 * times), dtype=complex), w], axis=1)
+        del w
+        for _ in range(times):
+            z = _refine_t(z)
+        # z[:, 0] acts on conj A at node 2, z[:, 1] at node 1
+        mirror = np.conj(z[:, 1::-1])
+        z[:nt, 3:5] += mirror[nt:]
+        z[nt:, 3:5] += mirror[:nt]
+        out.append(z[:, 2:])
+    return np.concatenate(out)
 
 
-def _pac_rows(hp, hm, t_fine, tables: PanelTables, b: float, b0: float, weights):
+def _pac_rows(hp, hm, t_half, tables: PanelTables, b: float, b0: float, weights):
     """Continuous-spectrum kernel of row-aligned pairs at separation b ≥ 0
     for every time of the tables: (value, error), each (len(ts), rows).
-    hp holds rows of h₊(y,·), hm rows of h₋(x,·) and t_fine T, refined on
-    k ≥ 0 (_refine_half) onto the tables' nodes; weights are
-    _anchored_weights at the anchor b₀, and the rows carry the rest of the
-    phase, e^{i(b−b₀)k}, through T (none when b₀ = b).  The amplitude
-    A = h₊·(h₋T) costs two multiplies per entry and goes in k-blocks that
-    hold every row, each block one product with V and one, on its even
-    columns, with U; the −1 of A − 1 is taken off after the products as
-    the weighted sum of the phase, which a last row in the same products
-    gives.  The tail term reads A(K) without the phase, at b."""
+    hp holds rows of h₊(y,·), hm rows of h₋(x,·) and t_half T, on the grid
+    nodes k ≥ 0, every 4th node of the tables'; weights are _grid_weights at
+    the anchor b₀, and the rows carry the rest of the phase, e^{i(b−b₀)k}
+    (none when b₀ = b).  The amplitude (h₊h₋T − 1)e^{i(b−b₀)k} costs two
+    multiplies and a subtraction per entry and goes in k-blocks that hold
+    every row, each block one product with (V; U).  The tail term reads
+    A(K) without the phase, at b."""
     inv2pi = 1.0 / (2.0 * np.pi)
     ts, nt = tables.ts, tables.ts.size
-    v, u = weights
     # K, the last node; |A(−K)| = |A(K)|
-    end = np.abs(hp[:, -1] * (hm[:, -1] * t_fine[-1]) - 1.0)
+    end = np.abs(hp[:, -1] * (hm[:, -1] * t_half[-1]) - 1.0)
     tail = np.array([truncation_tail(end, end, t, b, tables.k[-1]) for t in ts])
     full = np.array([full_line_integral(t, b) for t in ts])
-    phase = None if b == b0 else np.exp(1j * (b - b0) * tables.k)
-    t_phased = t_fine if phase is None else t_fine * phase
+    phase = None if b == b0 else np.exp(1j * (b - b0) * tables.k[::4])
+    t_phased = t_half if phase is None else t_half * phase
     n_rows, n_k = hp.shape
-    r2, r1 = (np.zeros((n_rows + 1, 2 * nt), dtype=complex) for _ in range(2))
-    # an even block width keeps a block's even columns on U's columns; the
-    # last row, the phase (ones at b₀ = b), gives the −1 in the same products
-    width = min(n_k, max(2, _CHUNK_ENTRIES // (3 * (n_rows + 1)) * 2))
-    buf = np.empty((n_rows + 1, width), dtype=complex)
-    even_buf = np.empty((n_rows + 1, (width + 1) // 2), dtype=complex)
+    r = np.zeros((n_rows, 4 * nt), dtype=complex)
+    width = min(n_k, max(1, _CHUNK_ENTRIES // n_rows))
+    buf = np.empty((n_rows, width), dtype=complex)
     for k0 in range(0, n_k, width):
         k1 = min(k0 + width, n_k)
-        amp, even = buf[:, : k1 - k0], even_buf[:, : (k1 - k0 + 1) // 2]
-        np.multiply(hm[:, k0:k1], t_phased[k0:k1], out=amp[:-1])
-        np.multiply(hp[:, k0:k1], amp[:-1], out=amp[:-1])
-        amp[-1] = 1.0 if phase is None else phase[k0:k1]
-        np.copyto(even, amp[:, ::2])
-        r2 += amp @ v[:, k0:k1].T
-        r1 += even @ u[:, k0 // 2 : k0 // 2 + even.shape[1]].T
-    r2, r1 = (s[:-1] - s[-1] for s in (r2, r1))
-    r2, r1 = ((s[:, :nt] + np.conj(s[:, nt:])).T for s in (r2, r1))
+        amp = buf[:, : k1 - k0]
+        np.multiply(hm[:, k0:k1], t_phased[k0:k1], out=amp)
+        amp *= hp[:, k0:k1]
+        amp -= 1.0 if phase is None else phase[k0:k1]
+        r += amp @ weights[:, k0:k1].T
+    r2, r1 = ((s[:, :nt] + np.conj(s[:, nt:])).T for s in (r[:, : 2 * nt], r[:, 2 * nt :]))
     return (full[:, None] + r2) * inv2pi, (np.abs(r2 - r1) + tail) * inv2pi
 
 
@@ -353,14 +327,14 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     """Kernel slices on pd.x_grid × pd.x_grid for every time in ts.
 
     The weights of one anchor serve all pairs and times of the diagonals
-    nearest it, one richardson_weights call per anchor.  A diagonal's
-    amplitude h₊·(h₋T), with the phase its anchor leaves, is built from
-    views of pd's refined rows and contracted in k-blocks that hold all
-    its rows; no copy of the rows is made.  Raises ValueError for an empty
-    or non-finite ts, for t < 1, when 2tK ≤ |b| for the widest separation
-    b on the grid (K = max k), as pac_kernel does for one pair, and for
-    times whose refined panel tables pass oscquad's budget; all before any
-    work."""
+    nearest it, one richardson_weights call per anchor, taken onto the
+    grid nodes once (_grid_weights).  A diagonal's amplitude, with the
+    phase its anchor leaves, is built from views of pd's rows and
+    contracted in k-blocks that hold all its rows.  Raises ValueError for
+    an empty or non-finite ts, for t < 1, when 2tK ≤ |b| for the widest
+    separation b on the grid (K = max k), as pac_kernel does for one
+    pair, and for times whose refined panel tables pass oscquad's budget;
+    all before any work."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x = pd.x_grid
     n = x.size
@@ -372,17 +346,15 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
     for a in np.unique(anchors):
-        weights = _anchored_weights(tables, a * dx)
+        weights = _grid_weights(tables, a * dx)
         for d in np.flatnonzero(anchors == a):
-            val, err = _pac_rows(
-                pd.hp_fine[d:], pd.hm_fine[: n - d], pd.T_fine, tables, d * dx, a * dx, weights
-            )
+            val, err = _pac_rows(pd.hp[d:], pd.hm[: n - d], pd.T_half, tables, d * dx, a * dx, weights)
             rows = np.arange(n - d)
             pac[:, rows, rows + d] = val
             pac[:, rows + d, rows] = val
             qerr[:, rows, rows + d] = err
             qerr[:, rows + d, rows] = err
-        del weights  # one anchor's V and U alive at a time
+        del weights  # one anchor's weights alive at a time
 
     out = []
     for i_t, t in enumerate(ts):
@@ -404,8 +376,8 @@ def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[comple
     dx = _uniform_step(pd.x_grid, "x_grid")
     b0 = b + (_anchors(pd, dx, j - i) - (j - i)) * dx
     tables = PanelTables(_half_nodes(pd.k_grid), ts, b0)
-    rows = pd.hp_fine[j : j + 1], pd.hm_fine[i : i + 1], pd.T_fine
-    val, err = _pac_rows(*rows, tables, b, b0, _anchored_weights(tables, b0))
+    rows = pd.hp[j : j + 1], pd.hm[i : i + 1], pd.T_half
+    val, err = _pac_rows(*rows, tables, b, b0, _grid_weights(tables, b0))
     return complex(val[0, 0]), float(err[0, 0])
 
 
@@ -419,8 +391,8 @@ def threshold_projection_residual(pd: PropagatorData) -> float:
     if not pd.resonant:
         raise ResonanceError("threshold projection needs a resonant potential")
     lhs = np.outer(pd.f0_x, pd.f0_x)
-    # column 0 of the refined rows is k = 0, T_fine[0] = T(0)
-    rhs = pd.T_fine[0] * np.outer(pd.hm_fine[:, 0], pd.hp_fine[:, 0])
+    # column 0 of the rows is k = 0
+    rhs = pd.T_half[0] * np.outer(pd.hm[:, 0], pd.hp[:, 0])
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -438,7 +410,7 @@ def s_field(pd: PropagatorData, x: float, y: float) -> SField:
     k = pd.k_grid
     b = float(pd.x_grid[j] - pd.x_grid[i])
     c = k.size // 2
-    g = unfold(pd.hp_fine[j, ::4] * pd.hm_fine[i, ::4] * pd.T_fine[::4], k[c:], k)
+    g = unfold(pd.hp[j] * pd.hm[i] * pd.T_half, k[c:], k)
     h = float(k[1] - k[0])
     # the k grid is symmetric, so its middle node is k = 0
     q = wiener._k0_quotient(k, np.exp(1j * b * k) * g - g[k.size // 2], h)

@@ -486,30 +486,29 @@ def pac_slices_reference(h_plus, h_minus, T, k, dx, ts, weights, stride=1):
 
     For each separation b = d·dx and time t: weights(nodes, t, b₀) on the k
     grid and on its two refinements, at the anchor b₀ = stride·dx·⌊d/stride
-    + ½⌋, one product per level over the whole line with the amplitude
-    h₊(y,k)h₋(x,k)T(k) − 1 times e^{i(b−b₀)k} (stride 1: b₀ = b and no
-    phase), Richardson on the finest pair, and the error |r2 − r1| plus
-    the integration-by-parts tail (|A(−K)| + |A(K)|)/(2tK − b) of the
-    unphased amplitude; the free part √(π/(it))e^{ib²/4t} is added in
-    closed form."""
+    + ½⌋; the amplitude (h₊(y,k)h₋(x,k)T(k) − 1)e^{i(b−b₀)k} on the grid
+    nodes of the whole line (stride 1: b₀ = b and no phase), refined twice
+    by cubic panel midpoints, one product per level, Richardson on the
+    finest pair, and the error |r2 − r1| plus the integration-by-parts tail
+    (|A(−K)| + |A(K)|)/(2tK − b) of the unphased amplitude; the free part
+    √(π/(it))e^{ib²/4t} is added in closed form."""
     n = h_plus.shape[0]
-    hp, hm, tt = refine_twice(h_plus), refine_twice(h_minus), refine_twice(T)
     nodes = [np.linspace(k[0], k[-1], m) for m in (k.size, 2 * k.size - 1, 4 * k.size - 3)]
     pac = np.empty((len(ts), n, n), dtype=complex)
     err = np.empty((len(ts), n, n))
     for d in range(n):
         b = d * dx
         b0 = stride * dx * math.floor(d / stride + 0.5)
-        amp_ff = hp[d:] * hm[: n - d] * tt - 1.0
-        phased = amp_ff if stride == 1 else amp_ff * np.exp(1j * (b - b0) * nodes[2])
-        amps = (phased[:, ::4], phased[:, ::2], phased)
+        amp = h_plus[d:] * h_minus[: n - d] * T - 1.0
+        finest = refine_twice(amp * np.exp(1j * (b - b0) * k))
+        amps = (finest[:, ::4], finest[:, ::2], finest)
         rows = np.arange(n - d)
         for i_t, t in enumerate(ts):
-            coarse, fine, finest = (a @ weights(q, t, b0) for a, q in zip(amps, nodes))
+            coarse, fine, finest_sum = (a @ weights(q, t, b0) for a, q in zip(amps, nodes))
             r1 = fine + (fine - coarse) / 3.0
-            r2 = finest + (finest - fine) / 3.0
+            r2 = finest_sum + (finest_sum - fine) / 3.0
             free = np.sqrt(np.pi / (1j * t)) * np.exp(1j * b * b / (4.0 * t))
-            tail = (np.abs(amp_ff[:, 0]) + np.abs(amp_ff[:, -1])) / (2.0 * t * k[-1] - b)
+            tail = (np.abs(amp[:, 0]) + np.abs(amp[:, -1])) / (2.0 * t * k[-1] - b)
             for i, j in ((rows, rows + d), (rows + d, rows)):
                 pac[i_t, i, j] = (free + r2) / (2.0 * np.pi)
                 err[i_t, i, j] = (np.abs(r2 - r1) + tail) / (2.0 * np.pi)

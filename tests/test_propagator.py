@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,10 +42,10 @@ def pt_pd_coarse(pt_pot):
     return prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 17), np.linspace(-5.0, 5.0, 201))
 
 
-def _line(pd, fine):
-    """Refined k >= 0 rows of pd back on the grid nodes of the whole line."""
+def _line(pd, rows):
+    """k >= 0 rows of pd on the grid nodes of the whole line."""
     c = pd.k_grid.size // 2
-    return unfold(fine[..., ::4], pd.k_grid[c:], pd.k_grid)
+    return unfold(rows, pd.k_grid[c:], pd.k_grid)
 
 
 def _heat_kernel(x, y, t):
@@ -194,7 +195,7 @@ def test_slices_match_reference_rule(name, k_max, k_count, stride):
     pd = prepare_propagator(catalog(name), np.linspace(-4.0, 4.0, 17), np.linspace(-k_max, k_max, k_count))
     ts = np.array([1.0, 2.5, 10.0, 100.0, 1000.0])
     ref_pac, ref_err = oracles.pac_slices_reference(
-        _line(pd, pd.hp_fine), _line(pd, pd.hm_fine), pd.T, pd.k_grid, 0.5, ts, oracles.fresnel_weights,
+        _line(pd, pd.hp), _line(pd, pd.hm), pd.T, pd.k_grid, 0.5, ts, oracles.fresnel_weights,
         stride,
     )
     for ks, rp, re in zip(pac_slices(pd, ts), ref_pac, ref_err):
@@ -235,6 +236,20 @@ def test_anchored_slices_keep_pt_accuracy(pt_pd):
         assert abs(ks.quadrature_error[i, j] - pac_kernel(pt_pd, 0.0, 1.25, t)[1]) <= 1e-13
 
 
+# pairs x <= y per default time whose error against the closed-form G
+# passes quadrature_error, of 2 145: 121, 173, 134, 145, 162, 202, 194, 195,
+# 211, 205, 219, 222 when the cubic midpoints refined h₊, h₋ and T one by
+# one; 79, 73, 45, 71, 49, 72, 59, 62, 62, 53, 51, 52 with the whole
+# amplitude refined
+def test_few_pt_pairs_pass_their_error_estimate(pt_pd):
+    ts = np.geomspace(10.0, 1000.0, 12)
+    x = pt_pd.x_grid
+    upper = x[:, None] <= x[None, :]
+    for ks, t in zip(pac_slices(pt_pd, ts), ts):
+        err = np.abs(ks.G - oracles.pt_g_kernel(x[:, None], x[None, :], t))
+        assert np.count_nonzero(upper & (err > ks.quadrature_error)) <= 100
+
+
 def test_k_grid_must_be_symmetric_about_zero(pt_pot, monkeypatch):
     # the quadrature folds k < 0 onto k >= 0: other grids fail before any solve
     def no_solve(*args, **kwargs):
@@ -253,19 +268,36 @@ def test_rows_by_index_when_x_grid_lacks_two(pt_pot):
     x = np.linspace(-1.5, 1.5, 7)
     pd = prepare_propagator(pt_pot, x, np.linspace(-20.0, 20.0, 401))
     k = pd.k_grid[200:]
-    assert pd.hp_fine.shape == pd.hm_fine.shape == (7, 801)
-    assert np.max(np.abs(pd.hp_fine[:, ::4] - oracles.pt_h_plus(x[:, None], k))) < 1e-8
-    assert np.max(np.abs(pd.hm_fine[:, ::4] - oracles.pt_h_minus(x[:, None], k))) < 1e-8
+    assert pd.hp.shape == pd.hm.shape == (7, 201)
+    assert np.max(np.abs(pd.hp - oracles.pt_h_plus(x[:, None], k))) < 1e-8
+    assert np.max(np.abs(pd.hm - oracles.pt_h_minus(x[:, None], k))) < 1e-8
     c_plus = np.sqrt(2.0 / (1.0 + pd.sd.resonance.gamma**2))
     assert np.max(np.abs(pd.f0_x - c_plus * oracles.pt_h_plus(x, 0.0).real)) < 1e-8
 
 
+def test_x_grid_needs_no_zero(pt_pot):
+    # scattering_data adds the row x = 0 and the propagator keeps the rows
+    # of its own grid, so a grid without 0 runs as is
+    x = np.linspace(-7.75, 7.75, 32)
+    pd = prepare_propagator(pt_pot, x, np.linspace(-20.0, 20.0, 2001))
+    assert np.array_equal(pd.x_grid, x)
+    assert np.max(np.abs(pd.f0_x - np.tanh(x))) < 1e-10
+    ks = pac_slices(pd, [10.0])[0]
+    for lo, hi in ((-7.75, 7.75), (-0.25, 0.25), (1.25, 4.75)):
+        i, j = pd.x_index(lo), pd.x_index(hi)
+        val, err = pac_kernel(pd, lo, hi, 10.0)
+        assert abs(ks.pac[i, j] - val) <= 1e-15 and abs(ks.quadrature_error[i, j] - err) <= 1e-15
+    # the k window's tail sets the error, 8.0e-5 against a largest estimate of 8.3e-5
+    g_err = np.abs(ks.G - oracles.pt_g_kernel(x[:, None], x[None, :], 10.0))
+    assert np.max(g_err) <= np.max(ks.quadrature_error)
+
+
 def test_slices_memory_bounded(pt_pot):
-    # the amplitude is built in k-blocks over k >= 0, with one buffer for
-    # its even columns, the weights of one diagonal are V and U, and each
+    # the amplitude is built in k-blocks over the grid nodes k >= 0, the
+    # weights of one anchor are V and U taken onto those nodes, and each
     # time keeps a table of P_q on every 4th lattice point; measured peak
-    # 24.9 MiB (22.2 with row chunks and per-time phase tables), bound
-    # unchanged
+    # 13.6 MiB (16.9 with the amplitude on the twice-refined nodes and an
+    # even-column copy for U), bound unchanged
     pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 33), np.linspace(-60.0, 60.0, 4001))
     tracemalloc.start()
     try:
@@ -277,10 +309,9 @@ def test_slices_memory_bounded(pt_pot):
 
 
 def test_prepare_and_slices_memory_bounded(pt_pot):
-    # PropagatorData keeps h₊ and h₋ refined once on k >= 0 and nothing else
-    # of the Jost fields, and pac_slices contracts views of those rows:
-    # measured 25.5 MiB.  With full-line rows kept and refined copies made
-    # per call it was 29.5 MiB
+    # PropagatorData keeps h₊ and h₋ on the grid nodes k >= 0 and nothing
+    # else of the Jost fields, and pac_slices contracts views of those rows:
+    # measured 18.0 MiB.  With the rows refined twice it was 25.5 MiB
     tracemalloc.start()
     try:
         pd = prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 33), np.linspace(-60.0, 60.0, 4001))
@@ -289,20 +320,6 @@ def test_prepare_and_slices_memory_bounded(pt_pot):
     finally:
         tracemalloc.stop()
     assert peak <= 27.0 * 2**20
-
-
-def test_refine_temporaries_stay_small():
-    # the stencils run a few rows at a time, so refining one side's rows of
-    # the default grid allocates little beside the result: measured 1.06 ×
-    # its bytes, where the whole-array stencils took 2.0 ×
-    r = np.exp(1j * np.linspace(0.0, 50.0, 65 * 12003)).reshape(65, 12003)
-    tracemalloc.start()
-    try:
-        out = propagator._refine(r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * out.nbytes
 
 
 @pytest.mark.parametrize(
@@ -347,15 +364,43 @@ def test_slices_run_one_series_per_time_and_one_product_per_level(
     assert all(s == [(2 * len(ts), 4 * n - 3), (2 * len(ts), 2 * n - 1)] for s in shapes)
 
 
-def test_refinement_is_exact(pt_pd, sw_pd):
-    # the k >= 0 half of the refined rows is the line's refinement, in its
-    # natural order, bit for bit
-    for pd in (pt_pd, sw_pd):
-        c = pd.k_grid.size // 2
-        assert np.array_equal(_line(pd, pd.T_fine), pd.T)
-        for fine in (pd.hp_fine, pd.hm_fine, pd.T_fine):
-            assert np.array_equal(fine, oracles.refine_twice(_line(pd, fine))[..., 4 * c :])
-            assert np.array_equal(propagator._refine_half(fine[..., ::4]), fine)
+@pytest.mark.parametrize("n", [7, 10])
+def test_weights_take_the_transposed_refinement(n):
+    # the weights go onto the grid nodes by the refinement's transpose: on
+    # random complex rows Σ w·refine(a) = Σ refineᵀ(w)·a for two passes,
+    # and on a line symmetric about 0 (a(−k) = conj a(k)) the folded half
+    # rows with their mirror weights moved give the whole line's sums
+    rng = np.random.default_rng(n)
+
+    def crandn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, w = crandn(3, n), crandn(3, 4 * n - 3)
+    wt = propagator._refine_t(propagator._refine_t(w))
+    lhs = np.sum(w * oracles.refine_twice(a), axis=1)
+    assert np.max(np.abs(lhs - np.sum(wt * a, axis=1))) <= 1e-13 * np.max(np.abs(lhs))
+
+    nt, m = 2, n // 2 + 1  # a symmetric line of 2m − 1 nodes, m of them at k >= 0
+    k = np.arange(1.0 - m, m)
+    half = crandn(4, m)
+    half[:, 0] = half[:, 0].real  # A(0) = conj A(0)
+    line = unfold(half, k[m - 1 :], k)
+    v, u = crandn(2 * nt, 4 * m - 3), crandn(2 * nt, 2 * m - 1)
+    tables = SimpleNamespace(ts=np.ones(nt), richardson_weights=lambda b0: (v.copy(), u.copy()))
+    grid = propagator._grid_weights(tables, 0.0)
+    assert grid.shape == (4 * nt, m)
+    # the whole line's weights: the b₀ rows on k >= 0, the −b₀ rows mirrored
+    finest = oracles.refine_twice(line)
+    for big, step, first in ((v, 1, 0), (u, 2, 2 * nt)):
+        refined = finest[:, ::step]
+        whole = np.zeros((nt, refined.shape[1]), dtype=complex)
+        c = refined.shape[1] // 2
+        whole[:, c:] += big[:nt]
+        whole[:, : c + 1] += big[nt:, ::-1]
+        exact = refined @ whole.T
+        r = half @ grid[first : first + 2 * nt].T
+        folded = r[:, :nt] + np.conj(r[:, nt:])
+        assert np.max(np.abs(folded - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 def test_pac_validation(pt_pd, monkeypatch):
@@ -406,7 +451,7 @@ def test_resonant_prepare_scans_zero_energy_once(pt_pot, pt_pd_coarse, monkeypat
     c = pd.k_grid.size // 2
     c_plus = np.sqrt(2.0 / (1.0 + pd.sd.resonance.gamma**2))
     assert pd.resonant and pd.k_grid[c] == 0.0
-    assert np.array_equal(pd.f0_x, c_plus * pd.hp_fine[:, 0].real)
+    assert np.array_equal(pd.f0_x, c_plus * pd.hp[:, 0].real)
 
 
 def test_threshold_projection_residual(pt_pd, sw_pd):
