@@ -55,7 +55,7 @@ from .propagator import (
     prepare_propagator,
 )
 from .scattering import classify_resonance, scattering_data
-from .wiener import TAPER_FRAC, _check_max_order, derivative_a_norms, difference_quotient_norm
+from .wiener import TAPER_FRAC, _check_max_order, _taper, derivative_a_norms, difference_quotient_norm
 
 __all__ = ["DEFAULT_CONFIG", "RunConfig", "main"]
 
@@ -418,7 +418,11 @@ def cmd_wiener(rc: RunConfig, out: Path) -> int:
     wopts = rc.data["wiener"]
     orders = wopts["derivative_orders"]
     taper = float(wopts["taper_frac"])
-    if not _config_ok(rc, [(("wiener.derivative_orders",), lambda: _check_max_order(orders))]):
+    checks = [
+        (("wiener.derivative_orders",), lambda: _check_max_order(orders)),
+        (("wiener.taper_frac",), lambda: _taper(rc.k_grid(), taper)),
+    ]
+    if not _config_ok(rc, checks):
         return 2
     pot = rc.potential()
     # the wiener artifacts read no bound state

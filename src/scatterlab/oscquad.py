@@ -40,6 +40,17 @@ by restriction R: a hat of every second node is 1 at its node and ½ at
 its two neighbours.  With E placing a coarse vector on every second node,
 V = (4w − E·Rw)/3 and U = (4Rw − E·RRw)/3 give the Richardson extrapolants
 of the finest and of the fine pair of levels as one sum each.
+
+That is the propagator's kernel rule, on the k grid refined once and
+twice by cubic panel midpoints: the value is V's sum, the error estimate
+its difference from U's.  PanelTables takes the grid and tables the
+finest nodes k ≥ 0 (_half_nodes).  For A(−k) = conj A(k) the k < 0 half
+of a weight vector, mirrored, is the k ≥ 0 half at −b, and conjugated it
+acts on conj A, Σ w A = A·w₊ + conj(A·conj w₋), with its k = 0 weight
+added to w₊.  The refinement is linear, so its transpose (_refine_t)
+takes V twice and U once onto the grid nodes k ≥ 0, from the line's two
+mirror nodes below 0; a weight on a mirror node acts on conj A and moves,
+conjugated, onto the row of the same time that acts on conj A.
 """
 
 from __future__ import annotations
@@ -245,16 +256,22 @@ class _NodeSet:
         np.add(lo[1:], hi[:-1], out=w[1:-1])
 
 
-class PanelTables:
-    """The panel tables of a uniform node set k for the times ts and the
-    separations |b| ≤ b_max."""
+def _half_nodes(k_grid) -> np.ndarray:
+    """The nodes k ≥ 0 of the grid refined twice, the finest node set."""
+    return np.linspace(k_grid[0], k_grid[-1], 4 * k_grid.size - 3)[2 * k_grid.size - 2 :]
 
-    def __init__(self, k, ts, b_max: float):
+
+class PanelTables:
+    """The panel tables of the finest node set k ≥ 0 of an exactly mirrored
+    uniform k grid for the times ts and the separations |b| ≤ b_max."""
+
+    def __init__(self, k_grid, ts, b_max: float):
+        k = _half_nodes(k_grid)
         self.k, self.ts = k, ts
         nodes = _NodeSet(k)
         if np.max(np.abs(nodes.sig - nodes.sig_bar)) > 1e-9 * nodes.sig_bar:
             raise ValueError("panel tables need a uniform node set")
-        self._levels = self.check_budget(k, ts)
+        self._levels = self.check_budget(k_grid, ts)
         self._sets = {j: nodes if j == 0 else _NodeSet(_refined(k, j)) for j in set(self._levels)}
         self._chirps, self._tables = [], []
         for t, j in zip(ts, self._levels):
@@ -263,17 +280,15 @@ class PanelTables:
             self._tables.append(s.table(t, b_max))
         rows = max((tab[3].shape[0] for tab in self._tables), default=0)
         self._sums = np.empty((4, rows, _STRIDE), dtype=complex)
-        # R(Rw′), and a quarter of Rw′ or of R(Rw′)
-        n = k.size - 1
-        self._rr = np.empty((n + 4) // 4, dtype=complex)
-        self._quarter_rx = np.empty(n // 2 + 1, dtype=complex)
 
     @staticmethod
-    def check_budget(k, ts) -> list[int]:
-        """Per time, the level j of its table's node set on the uniform node
-        set k of n panels: the smallest with tσ̄²/4ʲ ≤ _BETA_MAX.  ValueError
-        naming the first time that is not finite, or that takes the refined
-        panels, n·2ʲ summed over the times with j > 0, past _PANEL_BUDGET."""
+    def check_budget(k_grid, ts) -> list[int]:
+        """Per time, the level j of its table's node set on k_grid's finest
+        nodes k ≥ 0, n panels: the smallest with tσ̄²/4ʲ ≤ _BETA_MAX.
+        ValueError naming the first time that is not finite, or that takes
+        the refined panels, n·2ʲ summed over the times with j > 0, past
+        _PANEL_BUDGET."""
+        k = _half_nodes(k_grid)
         n = k.size - 1
         sig_bar = 0.5 * (k[-1] - k[0]) / n
         levels, total = [], 0
@@ -289,30 +304,75 @@ class PanelTables:
                 raise ValueError(f"ts: t={t:g} needs {total} refined panels, past {_PANEL_BUDGET}")
         return levels
 
-    def richardson_weights(self, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """(V, U) on the uniform node set of 4n − 3 nodes, (2·len(ts), 4n − 3)
-        and (2·len(ts), 2n − 1): the rows of every time at b, then at −b.
-        With w′ = 4w/3, V = w′ − E·Rw′/4 and U = Rw′ − E·RRw′/4; a refined
-        time's w′ comes from its node set by restriction."""
-        v = np.empty((2 * self.ts.size, self.k.size), dtype=complex)
-        u = np.empty((2 * self.ts.size, (self.k.size + 1) // 2), dtype=complex)
+    def grid_weights(self, b: float) -> np.ndarray:
+        """(V; U) at b on the n grid nodes k ≥ 0, (4·len(ts), n): the rows
+        of V at b, at −b (acting on conj A), then those of U; built one
+        time at a time."""
+        nt = self.ts.size
+        out = np.empty((4 * nt, (self.k.size + 3) // 4), dtype=complex)
+        for i, (v, u) in enumerate(self._richardson(b)):
+            rows = out[i::nt]
+            rows[:2], rows[2:] = _onto_grid(v, 2), _onto_grid(u, 1)
+        return out
+
+    def _richardson(self, b: float):
+        """Per time, (V, U) at b and at −b on the finest nodes, (2, 4n − 3)
+        and (2, 2n − 1), in two arrays the next time overwrites: with
+        w′ = 4w/3, V = w′ − E·Rw′/4 and U = Rw′ − E·RRw′/4, a refined
+        time's w′ restricted from its node set."""
         # per node set e^{ibc} and b·dsig; at −b, their conjugate and negative
         phase = {j: (_unit(b * s.c), b * s.dsig) for j, s in self._sets.items()}
-        rows = iter(zip(v, u))
-        for sb in (b, -b):
-            for t, j, chirp, table in zip(self.ts, self._levels, self._chirps, self._tables):
-                w, wu = next(rows)
-                s, (chirp_sb, sb_dsig) = self._sets[j], phase[j]
+        phases = (phase, {j: (c.conj(), -d) for j, (c, d) in phase.items()})
+        v = np.empty((2, self.k.size), dtype=complex)
+        u = np.empty((2, (self.k.size + 1) // 2), dtype=complex)
+        for t, j, chirp, table in zip(self.ts, self._levels, self._chirps, self._tables):
+            s = self._sets[j]
+            for w, wu, sb, ph in zip(v, u, (b, -b), phases):
+                chirp_sb, sb_dsig = ph[j]
                 np.multiply(chirp, chirp_sb, out=s.g)
                 x = w if j == 0 else np.empty(s.k.size, dtype=complex)
                 s.weights(t, table, sb, sb_dsig, self._sums, x)
                 for i in range(j, 0, -1):
                     x = _restrict(x, out=w if i == 1 else None)
-                for x, rx in ((w, wu), (wu, self._rr)):  # x − E·Rx/4, no temporaries
-                    _restrict(x, out=rx)
-                    x[::2] -= np.multiply(rx, 0.25, out=self._quarter_rx[: rx.size])
-            phase = {j: (c.conj(), -d) for j, (c, d) in phase.items()}
-        return v, u
+                rr = _restrict(_restrict(w, out=wu))
+                w[::2] -= wu * 0.25
+                wu[::2] -= rr * 0.25
+            yield v, u
+
+
+def _refine_t(w):
+    """The transpose of one cubic panel-midpoint refinement of m uniform
+    samples (one-sided stencils at the two ends) along the last axis:
+    weights on the 2m − 1 refined nodes onto the m nodes, so that
+    Σ w·refine(a) = Σ _refine_t(w)·a."""
+    mid = w[..., 1::2] / 16.0
+    z = w[..., ::2].copy()
+    inner = mid[..., 1:-1]
+    z[..., :-3] -= inner
+    z[..., 3:] -= inner
+    inner *= 9.0
+    z[..., 1:-2] += inner
+    z[..., 2:-1] += inner
+    z[..., :4] += mid[..., :1] * np.array([5.0, 15.0, -5.0, 1.0])
+    z[..., -4:] += mid[..., -1:] * np.array([1.0, -5.0, 15.0, 5.0])
+    return z
+
+
+def _onto_grid(w: np.ndarray, times: int) -> np.ndarray:
+    """One time's rows at b and −b, (2, m) on the nodes k ≥ 0 of the grid
+    refined `times` times, folded in place and taken onto the grid nodes
+    k ≥ 0 (module docstring); the refined nodes below 0 carry no weight."""
+    w[0, 0] += w[1, 0]
+    w[1, 0] = 0.0
+    np.conjugate(w[1], out=w[1])
+    z = np.concatenate([np.zeros((2, 4 * times), dtype=complex), w], axis=1)
+    for _ in range(times):
+        z = _refine_t(z)
+    # z[:, 0] acts on the conjugate of node 2, z[:, 1] of node 1
+    mirror = np.conj(z[:, 1::-1])
+    z[0, 3:5] += mirror[1]
+    z[1, 3:5] += mirror[0]
+    return z[:, 2:]
 
 
 def _restrict(w: np.ndarray, out=None) -> np.ndarray:

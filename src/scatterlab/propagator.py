@@ -13,42 +13,28 @@ phase depends only on the separation b = y − x, so the pairs of one
 diagonal share their weights, and the diagonals share those of a few
 anchor separations (below).
 
-The rule runs on three nested node sets, the grid nodes refined once and
-twice by cubic panel midpoints; the value is the Richardson extrapolant of
-the finest pair and the error estimate is the difference between the two
-successive extrapolants plus a first integration-by-parts bound for the
-|k| > K tail.  That bound needs the phase to be monotone beyond the cut,
-so every evaluation with 2tK ≤ |b| raises ValueError.  One pair
-(pac_kernel, which returns the value with its error estimate) and whole
-slices (pac_slices) run through the same routine, so they share this
-rule, their values and their error estimates.  The threshold term
-(4πit)^{−1/2} f₀(x)f₀(y) has one route, the tabulated f₀ of
-PropagatorData.f0_x, which is the k = 0 column of the h₊ field scaled by
-c₊.
+The weights are oscquad's (its docstring holds the rule): per anchor,
+PanelTables.grid_weights gives them on the grid nodes k ≥ 0 as two
+Richardson extrapolants.  The finer one is the value; their difference
+plus a first integration-by-parts bound for the |k| > K tail, which
+needs 2tK > |b| (ValueError otherwise), is the error estimate.  One pair
+(pac_kernel) and whole slices (pac_slices) run through the same routine,
+so they share this rule, their values and their error estimates.  The
+threshold term (4πit)^{−1/2} f₀(x)f₀(y) has one route,
+PropagatorData.f0_x, the k = 0 column of the h₊ field scaled by c₊.
 
 A diagonal at b takes the weights of its anchor b₀ (_anchors), the
 multiple of g·dx nearest b, and its rows carry the rest of the phase,
 e^{i(b−b₀)k}; the free part and the tail term are taken at b.  The
 default grid has 9 anchors, 2.0 apart, for its 65 diagonals; where g = 1
-every diagonal is its own anchor and no phase is applied.  Per (t, b₀)
-there is one weight vector, on the finest node set, from oscquad's
-per-time tables (on a dyadic refinement of that set for the times whose
-panels oscquad refines, restricted back onto it); the coarser levels
-come by restriction, and
-oscquad folds Richardson into the weights: V on the finest nodes and U on
-every second one give the two extrapolants as one sum each.  For a real
-potential A(−k) = conj A(k), so only k ≥ 0 is built: the k < 0 half of a
-weight vector, mirrored, is the k ≥ 0 half at −b₀, and conjugated it acts
-on conj A, Σ w A = A·w₊ + conj(A·conj w₋), with its k = 0 weight added to
-w₊; the phase e^{i(b−b₀)k} keeps that symmetry.  The refinement is linear
-in the amplitude, so its transpose takes V and U onto the grid nodes k ≥ 0
-once per anchor (_grid_weights), and the cubic midpoints interpolate the
-whole phased amplitude (h₊h₋T − 1)e^{i(b−b₀)k}.  PropagatorData holds the
-h₊ and h₋ rows on the grid nodes k ≥ 0 as the Jost solver marches them
-(the fields hold only |k|), T there, and nothing else of the fields.  A
-diagonal's amplitude goes in k-blocks that hold all its rows, each block
-one matrix product with the stacked (V; U), and the blocks bound its
-memory whatever the number of rows.
+every diagonal is its own anchor and its phase is exactly 1.  The cubic
+midpoints of the rule interpolate the whole phased amplitude
+(h₊h₋T − 1)e^{i(b−b₀)k}, and the phase keeps A(−k) = conj A(k).
+PropagatorData holds the h₊ and h₋ rows on the grid nodes k ≥ 0 as the
+Jost solver marches them (the fields hold only |k|), T there, and nothing
+else of the fields.  A diagonal's amplitude goes in k-blocks that hold
+all its rows, each block one matrix product with the stacked (V; U), and
+the blocks bound its memory whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -205,11 +191,6 @@ def prepare_propagator(
 # -- evolution kernel --------------------------------------------------------
 
 
-def _half_nodes(k_grid) -> np.ndarray:
-    """The nodes k ≥ 0 of the grid refined twice, the finest node set."""
-    return np.linspace(k_grid[0], k_grid[-1], 4 * k_grid.size - 3)[2 * k_grid.size - 2 :]
-
-
 def _p0_matrix(pd: PropagatorData, t: float) -> np.ndarray:
     if not pd.resonant:
         return np.zeros((pd.x_grid.size, pd.x_grid.size), dtype=complex)
@@ -231,7 +212,7 @@ def _check_times(ts, k_grid, b: float) -> None:
     if np.any(ts < 1.0):
         raise ValueError("kernel evaluation needs t >= 1")
     truncation_tail(0.0, 0.0, float(np.min(ts)), b, float(k_grid[-1]))
-    PanelTables.check_budget(_half_nodes(k_grid), ts)
+    PanelTables.check_budget(k_grid, ts)
 
 
 def _anchors(pd: PropagatorData, dx: float, d):
@@ -244,70 +225,22 @@ def _anchors(pd: PropagatorData, dx: float, d):
     return (d + g // 2) // g * g
 
 
-def _refine_t(w):
-    """The transpose of one cubic panel-midpoint refinement of m uniform
-    samples (one-sided stencils at the two ends) along the last axis:
-    weights on the 2m − 1 refined nodes onto the m nodes, so that
-    Σ w·refine(a) = Σ _refine_t(w)·a."""
-    mid = w[..., 1::2] / 16.0
-    z = w[..., ::2].copy()
-    inner = mid[..., 1:-1]
-    z[..., :-3] -= inner
-    z[..., 3:] -= inner
-    inner *= 9.0
-    z[..., 1:-2] += inner
-    z[..., 2:-1] += inner
-    z[..., :4] += mid[..., :1] * np.array([5.0, 15.0, -5.0, 1.0])
-    z[..., -4:] += mid[..., -1:] * np.array([1.0, -5.0, 15.0, 5.0])
-    return z
-
-
-def _grid_weights(tables: PanelTables, b0: float) -> np.ndarray:
-    """(V; U) at the anchor b₀ on the grid nodes k ≥ 0, (4·len(ts), n): the
-    rows of V at b₀, at −b₀, then those of U.  The −b₀ rows act on conj A,
-    so they are conjugated, with their k = 0 weight moved onto the b₀ rows.
-    V then goes through the transpose of the twice-refinement, U of the
-    once-refinement, each from the line's two mirror nodes below 0 (weight
-    zero on the refined nodes below 0).  The weight on a mirror node acts
-    on the conjugate of its node's value, so it moves, conjugated, onto the
-    row of the same time that acts on conj A."""
-    nt = tables.ts.size
-    refined, out = list(tables.richardson_weights(b0)), []
-    for times in (2, 1):
-        w = refined.pop(0)  # freed once padded
-        w[:nt, 0] += w[nt:, 0]
-        w[nt:, 0] = 0.0
-        np.conjugate(w[nt:], out=w[nt:])
-        z = np.concatenate([np.zeros((2 * nt, 4 * times), dtype=complex), w], axis=1)
-        del w
-        for _ in range(times):
-            z = _refine_t(z)
-        # z[:, 0] acts on conj A at node 2, z[:, 1] at node 1
-        mirror = np.conj(z[:, 1::-1])
-        z[:nt, 3:5] += mirror[nt:]
-        z[nt:, 3:5] += mirror[:nt]
-        out.append(z[:, 2:])
-    return np.concatenate(out)
-
-
-def _pac_rows(hp, hm, t_half, tables: PanelTables, b: float, b0: float, weights):
+def _pac_rows(hp, hm, t_half, k, ts, b: float, b0: float, weights):
     """Continuous-spectrum kernel of row-aligned pairs at separation b ≥ 0
-    for every time of the tables: (value, error), each (len(ts), rows).
-    hp holds rows of h₊(y,·), hm rows of h₋(x,·) and t_half T, on the grid
-    nodes k ≥ 0, every 4th node of the tables'; weights are _grid_weights at
-    the anchor b₀, and the rows carry the rest of the phase, e^{i(b−b₀)k}
-    (none when b₀ = b).  The amplitude (h₊h₋T − 1)e^{i(b−b₀)k} costs two
-    multiplies and a subtraction per entry and goes in k-blocks that hold
-    every row, each block one product with (V; U).  The tail term reads
-    A(K) without the phase, at b."""
+    for every time of ts: (value, error), each (len(ts), rows).  hp holds
+    rows of h₊(y,·), hm rows of h₋(x,·) and t_half T, on the grid nodes
+    k ≥ 0; weights are PanelTables.grid_weights at the anchor b₀.  The
+    amplitude (h₊h₋T − 1)e^{i(b−b₀)k} goes in k-blocks that hold every
+    row, each block one product with (V; U).  The tail term reads A(K)
+    without the phase, at b."""
     inv2pi = 1.0 / (2.0 * np.pi)
-    ts, nt = tables.ts, tables.ts.size
+    nt = ts.size
     # K, the last node; |A(−K)| = |A(K)|
     end = np.abs(hp[:, -1] * (hm[:, -1] * t_half[-1]) - 1.0)
-    tail = np.array([truncation_tail(end, end, t, b, tables.k[-1]) for t in ts])
+    tail = np.array([truncation_tail(end, end, t, b, k[-1]) for t in ts])
     full = np.array([full_line_integral(t, b) for t in ts])
-    phase = None if b == b0 else np.exp(1j * (b - b0) * tables.k[::4])
-    t_phased = t_half if phase is None else t_half * phase
+    phase = np.exp(1j * (b - b0) * k)
+    t_phased = t_half * phase
     n_rows, n_k = hp.shape
     r = np.zeros((n_rows, 4 * nt), dtype=complex)
     width = min(n_k, max(1, _CHUNK_ENTRIES // n_rows))
@@ -317,7 +250,7 @@ def _pac_rows(hp, hm, t_half, tables: PanelTables, b: float, b0: float, weights)
         amp = buf[:, : k1 - k0]
         np.multiply(hm[:, k0:k1], t_phased[k0:k1], out=amp)
         amp *= hp[:, k0:k1]
-        amp -= 1.0 if phase is None else phase[k0:k1]
+        amp -= phase[k0:k1]
         r += amp @ weights[:, k0:k1].T
     r2, r1 = ((s[:, :nt] + np.conj(s[:, nt:])).T for s in (r[:, : 2 * nt], r[:, 2 * nt :]))
     return (full[:, None] + r2) * inv2pi, (np.abs(r2 - r1) + tail) * inv2pi
@@ -327,14 +260,13 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     """Kernel slices on pd.x_grid × pd.x_grid for every time in ts.
 
     The weights of one anchor serve all pairs and times of the diagonals
-    nearest it, one richardson_weights call per anchor, taken onto the
-    grid nodes once (_grid_weights).  A diagonal's amplitude, with the
-    phase its anchor leaves, is built from views of pd's rows and
-    contracted in k-blocks that hold all its rows.  Raises ValueError for
-    an empty or non-finite ts, for t < 1, when 2tK ≤ |b| for the widest
-    separation b on the grid (K = max k), as pac_kernel does for one
-    pair, and for times whose refined panel tables pass oscquad's budget;
-    all before any work."""
+    nearest it, one PanelTables.grid_weights call per anchor.  A
+    diagonal's amplitude, with the phase its anchor leaves, is built from
+    views of pd's rows and contracted in k-blocks that hold all its rows.
+    Raises ValueError for an empty or non-finite ts, for t < 1, when
+    2tK ≤ |b| for the widest separation b on the grid (K = max k), as
+    pac_kernel does for one pair, and for times whose refined panel tables
+    pass oscquad's budget; all before any work."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x = pd.x_grid
     n = x.size
@@ -342,13 +274,14 @@ def pac_slices(pd: PropagatorData, ts) -> list[KernelSlice]:
     b_max = float(x[-1] - x[0])
     _check_times(ts, pd.k_grid, b_max)
     anchors = _anchors(pd, dx, np.arange(n))
-    tables = PanelTables(_half_nodes(pd.k_grid), ts, max(b_max, anchors[-1] * dx))
+    tables = PanelTables(pd.k_grid, ts, max(b_max, anchors[-1] * dx))
+    k = pd.k_grid[pd.k_grid.size // 2 :]
     pac = np.empty((ts.size, n, n), dtype=complex)
     qerr = np.empty((ts.size, n, n))
     for a in np.unique(anchors):
-        weights = _grid_weights(tables, a * dx)
+        weights = tables.grid_weights(a * dx)
         for d in np.flatnonzero(anchors == a):
-            val, err = _pac_rows(pd.hp[d:], pd.hm[: n - d], pd.T_half, tables, d * dx, a * dx, weights)
+            val, err = _pac_rows(pd.hp[d:], pd.hm[: n - d], pd.T_half, k, ts, d * dx, a * dx, weights)
             rows = np.arange(n - d)
             pac[:, rows, rows + d] = val
             pac[:, rows + d, rows] = val
@@ -375,9 +308,8 @@ def pac_kernel(pd: PropagatorData, x: float, y: float, t: float) -> tuple[comple
     # the slices' anchor; b₀ = b exactly where the diagonal is its own anchor
     dx = _uniform_step(pd.x_grid, "x_grid")
     b0 = b + (_anchors(pd, dx, j - i) - (j - i)) * dx
-    tables = PanelTables(_half_nodes(pd.k_grid), ts, b0)
-    rows = pd.hp[j : j + 1], pd.hm[i : i + 1], pd.T_half
-    val, err = _pac_rows(*rows, tables, b, b0, _grid_weights(tables, b0))
+    rows = pd.hp[j : j + 1], pd.hm[i : i + 1], pd.T_half, pd.k_grid[pd.k_grid.size // 2 :]
+    val, err = _pac_rows(*rows, ts, b, b0, PanelTables(pd.k_grid, ts, b0).grid_weights(b0))
     return complex(val[0, 0]), float(err[0, 0])
 
 

@@ -78,10 +78,13 @@ def _mirrored_grid(k_grid) -> tuple[np.ndarray, float]:
 
 
 def _taper(k: np.ndarray, frac: float) -> np.ndarray:
-    """Raised-cosine window over the outer fraction frac of max|k|."""
+    """Raised-cosine window over the outer fraction frac of max|k|;
+    ValueError for frac outside [0, 1]."""
+    if not 0.0 <= frac <= 1.0:
+        raise ValueError("taper fraction must lie in [0, 1]")
     kmax = float(np.max(np.abs(k)))
     w = np.ones_like(k)
-    if frac <= 0:
+    if frac == 0.0:
         return w
     edge = (1.0 - frac) * kmax
     out = np.abs(k) > edge

@@ -115,6 +115,15 @@ def test_wiener_quotients_use_the_exact_zero_k_node(tmp_path):
     assert norms["(Rp-Rp0)/k"] < 1e-6 and norms["(Rm-Rm0)/k"] < 1e-6
 
 
+@pytest.mark.parametrize("frac", ["0", "1"])
+def test_wiener_runs_at_both_ends_of_the_taper_fraction(tmp_path, frac):
+    # no taper and a taper over the whole window are both fractions in
+    # [0, 1]; on the square well both converge (T − 1 hat_l1 2.114, 2.008)
+    args = ["wiener", "--out", str(tmp_path), "--override", "potential.name=square_well"]
+    assert main(args + ["--override", f"wiener.taper_frac={frac}"]) == 0
+    assert (tmp_path / "wiener.csv").exists()
+
+
 def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
     # step 0.4 misses x = -5 of the exterior proxy's integer lattice; the
     # stage must say so before preparing the propagator
@@ -144,6 +153,8 @@ def test_decay_grid_off_the_growth_lattice_exits_2_before_any_solve(tmp_path, ca
         ("decay", ["times.count=12.9"]),  # int() would run 12 times
         ("wiener", ["wiener.derivative_orders=2.5"]),  # ... and orders 0-2
         ("decay", ["times.t_max=2.1e+06"]),  # past the panel tables' refinement budget
+        ("wiener", ["wiener.taper_frac=1.5"]),  # the taper is a fraction in [0, 1]
+        ("wiener", ["wiener.taper_frac=-0.5"]),
     ],
 )
 def test_config_errors_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, stage, overrides):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +11,14 @@ from scipy.special import fresnel
 
 import oracles
 from oracles import fresnel_weights
-from scatterlab.oscquad import PanelTables, _refined, _restrict, full_line_integral, truncation_tail
-from scatterlab.propagator import _half_nodes
+from scatterlab.oscquad import (
+    PanelTables,
+    _half_nodes,
+    _refined,
+    _restrict,
+    full_line_integral,
+    truncation_tail,
+)
 
 
 def _quad_oracle(amp, t, b, lo, hi, pieces=40):
@@ -149,13 +157,14 @@ def test_validation():
     with pytest.raises(ValueError):
         _restrict(np.ones(4))
     # a non-finite time fails before its refinement level is sought
-    k = np.linspace(0.0, 1.0, 9)
+    k = np.linspace(-1.0, 1.0, 9)
     for t in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^ts:"):
             PanelTables(k, np.array([2.0, t]), 1.0)
 
 
-# the finest node set of the decay stage's default k grid
+# the decay stage's default k grid, and the whole line refined twice
+_DECAY_GRID = np.linspace(-60.0, 60.0, 24001)
 _DECAY_NODES = np.linspace(-60.0, 60.0, 96001)
 
 
@@ -171,18 +180,37 @@ def _unfold(v):
 
 @pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])
 def test_weights_match_mpmath_on_decay_grid(t):
-    # t·k² reaches 3.6e6 rad on these nodes: the weights must carry that
-    # phase to ~1e-12 rad.  25 drawn nodes (ends and k = 0 included) per
-    # (t, b), 225 in all; the direct rule and the table rule (its weights
-    # unfolded from V) against the same references
-    k = _DECAY_NODES
+    # t·k² reaches 3.6e6 rad on the finest nodes k >= 0: the weights must
+    # carry that phase to ~1e-12 rad.  25 drawn nodes (ends, k = 0 and
+    # k = 30 included) per (t, ±b); the direct rule and the table rule (its
+    # weights unfolded from V) against the same references.  The whole
+    # line at b is the half line at b and at −b
+    k = _half_nodes(_DECAY_GRID)
     rng = np.random.default_rng(int(t))
     idx = np.r_[0, k.size // 2, k.size - 1, rng.integers(1, k.size - 1, 22)]
-    tables = PanelTables(k, np.array([t]), 16.0)
+    tables = PanelTables(_DECAY_GRID, np.array([t]), 16.0)
     for b in (0.0, 4.0, 16.0):
-        ref = np.array([oracles.fresnel_weight_mp(k, j, t, b) for j in idx])
-        for w in (fresnel_weights(k, t, b), _unfold(tables.richardson_weights(b)[0][0])):
-            assert np.max(np.abs(w[idx] - ref)) <= 1e-11 * np.max(np.abs(w))
+        v = next(tables._richardson(b))[0]
+        for row, sb in enumerate((b, -b) if b else (b,)):
+            ref = np.array([oracles.fresnel_weight_mp(k, j, t, sb) for j in idx])
+            for w in (fresnel_weights(k, t, sb), _unfold(v[row])):
+                assert np.max(np.abs(w[idx] - ref)) <= 1e-11 * np.max(np.abs(w))
+
+
+def test_grid_weights_memory_bounded():
+    # one anchor's weights on the decay stage's default grid and times are
+    # built one time at a time and written straight into the (48, 12 001)
+    # output of 8.8 MiB: measured peak 17.0 MiB (1.9×).  The whole V and U
+    # matrices, taken onto the grid nodes afterwards, peaked at 44.0 MiB (5.0×)
+    tables = PanelTables(_DECAY_GRID, np.geomspace(10.0, 1000.0, 12), 16.0)
+    tracemalloc.start()
+    try:
+        out = tables.grid_weights(2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (48, 12001)
+    assert peak <= 2.5 * out.nbytes
 
 
 def _richardson_reference(k, t, b):
@@ -197,11 +225,12 @@ def _richardson_reference(k, t, b):
     return out
 
 
-# the k >= 0 nodes of the propagator's twice-refined default and coarse grids
-_HALF_NODES = [_half_nodes(np.linspace(-K, K, n)) for K, n in ((60.0, 24001), (20.0, 2001))]
-# ... and of its 201-node grid, where tσ̄² = 0.0056·t: the tables of t = 10,
-# 100 and 1000 sit on the node set refined 2, 4 and 16 times
-_COARSE_NODES = _half_nodes(np.linspace(-60.0, 60.0, 201))
+# the propagator's default and coarse k grids
+_GRIDS = [_DECAY_GRID, np.linspace(-20.0, 20.0, 2001)]
+# ... and its 201-node grid, where tσ̄² = 0.0056·t on the finest nodes:
+# the tables of t = 10, 100 and 1000 sit on those refined 2, 4 and 16 times
+_COARSE_GRID = np.linspace(-60.0, 60.0, 201)
+_COARSE_NODES = _half_nodes(_COARSE_GRID)
 
 
 def test_refined_nodes_keep_the_originals():
@@ -221,10 +250,10 @@ def test_refined_weights_match_mpmath_on_coarse_grid(t):
     k = _COARSE_NODES
     rng = np.random.default_rng(int(t))
     idx = np.r_[0, k.size - 1, rng.integers(1, k.size - 1, 23)]
-    tables = PanelTables(k, np.array([t]), 16.0)
+    tables = PanelTables(_COARSE_GRID, np.array([t]), 16.0)
     for b in (0.0, 5.5, 16.0):
         ref = np.array([oracles.fresnel_weight_mp(k, j, t, b) for j in idx])
-        w = _unfold(tables.richardson_weights(b)[0][0])
+        w = _unfold(next(tables._richardson(b))[0][0])
         assert np.max(np.abs(w[idx] - ref)) <= 1e-14 * np.max(np.abs(w))
 
 
@@ -237,8 +266,8 @@ def test_table_weights_equal_the_direct_rule(grid, t, b):
     # offset series and corrected to first order for each float panel's own
     # α, give the direct rule's V and U at b and at −b.  Without the
     # first-order term they differ by 6e-12 · max at t = 1000
-    k = _HALF_NODES[grid]
-    v, u = PanelTables(k, np.array([t]), abs(b)).richardson_weights(b)
+    k = _half_nodes(_GRIDS[grid])
+    v, u = next(PanelTables(_GRIDS[grid], np.array([t]), abs(b))._richardson(b))
     for row, sb in enumerate((b, -b)):
         for got, ref in zip((v[row], u[row]), _richardson_reference(k, t, sb)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from scatterlab import oscquad, propagator, scattering
+from scatterlab import oscquad, scattering
 from scatterlab.errors import ResonanceError
 from scatterlab.jost import unfold
 from scatterlab.oscquad import full_line_integral
@@ -333,8 +333,8 @@ def test_prepare_and_slices_memory_bounded(pt_pot):
 def test_slices_run_one_series_per_time_and_one_product_per_level(
     pt_pot, monkeypatch, k_max, k_count, x_count, anchors
 ):
-    # the Richardson weights of an anchor are two matrices, V on every
-    # refined node and U on every second one, with no column left at zero.
+    # the weights of an anchor are (V; U) on the grid nodes k >= 0, one
+    # call per anchor, with no column left at zero.
     # The moment series runs once per time per call (its table), not once
     # per (t, ±b): on a grid like the decay stage's (K = 60, t ≤ 1000) every
     # table is at level 0; on the 201-node grid the tables of t > 8.9 sit
@@ -346,22 +346,21 @@ def test_slices_run_one_series_per_time_and_one_product_per_level(
     p_moments = oscquad._p_moments
     monkeypatch.setattr(oscquad, "_p_moments", lambda *a: series_calls.append(a) or p_moments(*a))
     shapes = []
-    richardson = oscquad.PanelTables.richardson_weights
+    grid_weights = oscquad.PanelTables.grid_weights
 
     def recorded(self, b):
-        wts = richardson(self, b)
-        shapes.append([w.shape for w in wts])
-        assert all(np.all(np.any(w != 0.0, axis=0)) for w in wts)
+        wts = grid_weights(self, b)
+        shapes.append(wts.shape)
+        assert np.all(np.any(wts != 0.0, axis=0))
         return wts
 
-    monkeypatch.setattr(oscquad.PanelTables, "richardson_weights", recorded)
+    monkeypatch.setattr(oscquad.PanelTables, "grid_weights", recorded)
     pd = prepare_propagator(pt_pot, np.linspace(-4.0, 4.0, x_count), np.linspace(-k_max, k_max, k_count))
     ts = np.geomspace(10.0, 1000.0, 12)
     pac_slices(pd, ts)
     assert len(series_calls) == len(ts)
     n = k_count // 2 + 1  # grid nodes k >= 0
-    assert len(shapes) == anchors
-    assert all(s == [(2 * len(ts), 4 * n - 3), (2 * len(ts), 2 * n - 1)] for s in shapes)
+    assert shapes == [(4 * len(ts), n)] * anchors
 
 
 @pytest.mark.parametrize("n", [7, 10])
@@ -376,7 +375,7 @@ def test_weights_take_the_transposed_refinement(n):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     a, w = crandn(3, n), crandn(3, 4 * n - 3)
-    wt = propagator._refine_t(propagator._refine_t(w))
+    wt = oscquad._refine_t(oscquad._refine_t(w))
     lhs = np.sum(w * oracles.refine_twice(a), axis=1)
     assert np.max(np.abs(lhs - np.sum(wt * a, axis=1))) <= 1e-13 * np.max(np.abs(lhs))
 
@@ -386,8 +385,12 @@ def test_weights_take_the_transposed_refinement(n):
     half[:, 0] = half[:, 0].real  # A(0) = conj A(0)
     line = unfold(half, k[m - 1 :], k)
     v, u = crandn(2 * nt, 4 * m - 3), crandn(2 * nt, 2 * m - 1)
-    tables = SimpleNamespace(ts=np.ones(nt), richardson_weights=lambda b0: (v.copy(), u.copy()))
-    grid = propagator._grid_weights(tables, 0.0)
+    # grid_weights on tables whose per-time Richardson rows (at b₀, −b₀) are v and u
+    tables = SimpleNamespace(
+        ts=np.ones(nt), k=np.empty(4 * m - 3),
+        _richardson=lambda b0: ((v[i::nt].copy(), u[i::nt].copy()) for i in range(nt)),
+    )
+    grid = oscquad.PanelTables.grid_weights(tables, 0.0)
     assert grid.shape == (4 * nt, m)
     # the whole line's weights: the b₀ rows on k >= 0, the −b₀ rows mirrored
     finest = oracles.refine_twice(line)

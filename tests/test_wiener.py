@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scatterlab.wiener import a_norm, derivative_a_norms, difference_quotient_norm
+from scatterlab.wiener import _taper, a_norm, derivative_a_norms, difference_quotient_norm
 
 import oracles
 
@@ -33,6 +33,20 @@ def test_grid_validation():
         a_norm(np.array([-1.0, -0.4, 0.3, 1.0]), np.ones(4))
     with pytest.raises(ValueError):
         a_norm(np.linspace(0.0, 2.0, 21), np.ones(21))  # not symmetric
+
+
+def test_taper_fraction_lies_in_zero_to_one():
+    # 0 leaves the window untapered and 1 tapers all of it; outside [0, 1]
+    # the window is not a taper (1.5 turns the cosine past its zero, and a
+    # negative fraction would silently leave the window untapered) and raises
+    assert np.array_equal(_taper(K, 0.0), np.ones_like(K))
+    w = _taper(K, 1.0)
+    assert w[K.size // 2] == 1.0 and abs(w[0]) < 1e-30 and np.all((w >= 0.0) & (w <= 1.0))
+    for frac in (1.5, -0.5, np.nan):
+        with pytest.raises(ValueError, match="taper fraction"):
+            _taper(K, frac)
+        with pytest.raises(ValueError, match="taper fraction"):
+            a_norm(K, 1.0 / (1.0 + K**2), taper_frac=frac)
 
 
 def test_pt_transmission_derivative_norms():
