@@ -1,9 +1,9 @@
-"""Jost solutions of −f″ + V f = k² f by inward integration.
+"""Jost solutions of −f″ + V f = k² f by integration from the cutoffs.
 
 The Jost solutions f±(x,k) ~ e^{±ikx} (x → ±∞) are reported through the
 slowly varying factors h±(x,k) = e^{∓ikx} f±(x,k), with h±(±∞) = 1 and
 h′±(±∞) = 0.  Integration starts at a cutoff X∞ where the tail mass
-η±(X∞) = ±∫ |V| is below a tolerance and proceeds inward.
+η±(X∞) = ±∫ |V| is below a tolerance.
 
 The integrator is the fourth-order Magnus method with two Gauss points,
 applied to the first-order form of f″ = (V − k²) f (Blanes, Casas, Oteo &
@@ -31,6 +31,26 @@ cheap.  The accepted steps use the Richardson map (16 P − F)/15; the
 whole-step solution, marched beside it on up to 64 of the k, gives the
 reported error estimate max |P-solution − F-solution|/15 over the outputs.
 
+Real k: one march gives both sides (compute_h_pair).  The step maps are
+real and depend on k only through k², so the real 2×2 fundamental matrix
+Φ(x, X₊) is marched once per |k|, on one step sequence from +X₊ down to
+−X₋.  h₊ is Φ's first column in the frame (f, f′ − ikf), times the phase
+e^{−ik(x − X₊)} accumulated per step from the maps' own half-angles.  h₋ is
+U·(1, 0)/√det U in the frame (f, f′ + ikf), times e^{ik(x + X₋)}, for the
+propagator U = Φ(x)Φ(−X₋)⁻¹ from −X₋ to x: scaled to its exact
+determinant 1, so h₊h₋ carries half the roundoff drift of det Φ that an
+unscaled U would give it.  Φ is kept in _step_maps' form
+(m00, m01, m10 + k²m01, m11 − m00): the last two are the parts that V
+makes, and a product of two maps whose V parts vanish has none either.  So
+a V = 0 step leaves h′± exactly 0, as a one-sided march in the frame
+(h, h′) does, and V ≡ 0 gives h± = 1 to roundoff with h′± = 0.  Since both
+sides come from one Φ, W varies across x only with det Φ; the independent
+check is a one-sided march of h₋ from −X₋ on the sampled k, whose gap to
+the composed h₋ is added to h₋'s error estimate.  At k = 0 Φ grows
+linearly along the march: on a power-law tail with X± ≈ 1 262, Φ(−X₋)
+has entries up to about 5·10⁵, and h₋(·, 0) is within 2e-11 of DOP853,
+against 5e-13 from a one-sided march.
+
 Only |k| is marched: for a real potential h(x,−k) = conj h(x,k)
 (Deift & Trubowitz, CPAM 32, 1979), so a JostField holds the distinct |k|
 of the requested grid, h and h′ being the march output itself.  unfold
@@ -38,12 +58,17 @@ carries rows on those nodes onto any grid of ±k by conjugation, for the
 readers that need k < 0 (scattering.wronskians' callers, s_field, and the
 kernels stage's Φ rows and roundtrip check).
 
-Purely imaginary k = iκ give h±(x, iκ) (compute_h_bound): the bound-state
-search reads them at x = 0 (W(iκ), and dW/dκ for the norming constants)
-and counts the sign changes of h₊ on a grid for Sturm oscillation.  k = 0 is an ordinary column of a real k grid: the
+Purely imaginary k = iκ give h±(x, iκ) (compute_h_bound), one side per
+call, marched from side·X∞ with the growth e^{κ|x|} scaled out of the
+maps.  A shared Φ would not serve here: it grows like e^{2κX∞} across the
+line, and the side that decays along it would be lost to cancellation.
+The bound-state search reads them at x = 0 (W(iκ), and dW/dκ for the
+norming constants) and counts the sign changes of h₊ on a grid for Sturm
+oscillation.  k = 0 is an ordinary column of a real k grid: the
 zero-energy solutions f±(·,0) = h±(·,0) that decide the resonance
 (scattering.classify_resonance) and give the threshold state f₀
-(propagator.prepare_propagator) are read from compute_h's k = 0 column.
+(propagator.prepare_propagator) are read from compute_h_pair's k = 0
+column.
 """
 
 from __future__ import annotations
@@ -60,7 +85,7 @@ from .potentials import Potential, cutoff_for_eta
 __all__ = [
     "JostField",
     "IntegrationReport",
-    "compute_h",
+    "compute_h_pair",
     "compute_h_bound",
     "unfold",
 ]
@@ -75,6 +100,7 @@ _STEP0 = 0.25  # candidate steps start at _STEP0·(1 + |x|)
 _MAX_HALVINGS = 40
 _KH_RESOLVED = 1.2  # steps with |kH| above this are not in the asymptotic regime
 _CHUNK = 2**15  # entries of one (steps × k) working array (256 KiB)
+_ROWS = 2**12  # entries of one block of output rows assembled at once
 _SAMPLE_K = 64  # k that carry the whole-step solution of the error estimate
 _PARALLEL_K = 2048  # k grids at least this large are marched in threads
 _WORKERS = min(2, os.cpu_count() or 1)
@@ -89,7 +115,8 @@ class IntegrationReport:
     # (|k| low, |k| high, Magnus step evaluations): one sequence serves every k
     bands: tuple[tuple[float, float, int], ...]
     # estimated error of the two-half-step solution at the outputs, the
-    # largest over up to 64 sampled k; h itself is the Richardson value
+    # largest over up to 64 sampled k; h itself is the Richardson value.
+    # compute_h_pair's h₋ adds its largest gap to a one-sided march there
     error_estimate: float
 
 
@@ -166,16 +193,41 @@ def _cos_sinc(rho, half):
     return q, tau
 
 
-def _mul(A, B, k2):
-    """The product A·B of two maps in _step_maps' form."""
+def _mul(A, B, k2, out):
+    """The product A·B of two maps in _step_maps' form, written into the
+    first four arrays of out and returned as them; the fifth is a work
+    array, and none overlaps A or B.  No array is allocated, and where A
+    and B have no V parts (e, t = 0) neither has the product."""
     c2, b2, e2, t2 = A
     c1, b1, e1, t1 = B
-    return (
-        c2 * c1 + b2 * (e1 - k2 * b1),
-        c2 * b1 + b2 * (c1 + t1),
-        e2 * c1 + (c2 + t2) * e1 + k2 * (b2 * t1 - b1 * t2),
-        e2 * b1 - b2 * e1 + t2 * c1 + c2 * t1 + t1 * t2,
-    )
+    c, b, e, t, x = out
+    np.multiply(k2, b1, out=x)  # c = c2c1 + b2(e1 − k²b1)
+    np.subtract(e1, x, out=x)
+    x *= b2
+    np.multiply(c2, c1, out=c)
+    c += x
+    np.add(c1, t1, out=x)  # b = c2b1 + b2(c1 + t1)
+    x *= b2
+    np.multiply(c2, b1, out=b)
+    b += x
+    np.multiply(b2, t1, out=x)  # e = e2c1 + (c2 + t2)e1 + k²(b2t1 − b1t2)
+    np.multiply(b1, t2, out=e)
+    x -= e
+    x *= k2
+    np.add(c2, t2, out=e)
+    e *= e1
+    x += e
+    np.multiply(e2, c1, out=e)
+    e += x
+    np.add(c2, t2, out=x)  # t = e2b1 − b2e1 + t2c1 + (c2 + t2)t1
+    x *= t1
+    np.multiply(t2, c1, out=t)
+    t += x
+    np.multiply(e2, b1, out=x)
+    t += x
+    np.multiply(b2, e1, out=x)
+    t -= x
+    return out[:4]
 
 
 def _doubled(pot, x0, H, lam, g):
@@ -186,7 +238,8 @@ def _doubled(pot, x0, H, lam, g):
     grow like e^{κ|x|}."""
     k2 = -(lam * lam).real
     # P before F, and R in P's arrays, so fewer (steps × k) arrays live at once
-    R = _mul(_step_maps(pot, x0 + 0.5 * H, 0.5 * H, k2), _step_maps(pot, x0, 0.5 * H, k2), k2)
+    out = [np.empty((H.size, k2.size)) for _ in range(5)]  # as five arrays, none above 256 KiB
+    R = _mul(_step_maps(pot, x0 + 0.5 * H, 0.5 * H, k2), _step_maps(pot, x0, 0.5 * H, k2), k2, out)
     F = _step_maps(pot, x0, H, k2)
     for r, f in zip(R, F):
         r *= 16.0
@@ -259,68 +312,16 @@ def _step_sequence(pot, edges, lam, g, tol):
     return x0[order], H[order], seg[order], evals
 
 
-def _march(pot, x0, H, slot, n_out, lam, g):
-    """March (h, h′) from (1, 0) through the Richardson steps R for every k.
-    The maps act on (f, u) = (f, f′ − λf), λ = f′/f at X∞; each step is
-    followed by its factor e^{−λH}, so the state is (h, h′) =
-    e^{−λ(x − X∞)} (f, u) throughout (for k = iκ the factor is in the maps
-    already).  Beside it, on at most _SAMPLE_K k spread over the grid, runs
-    the whole-step solution of the maps F.
+def _sample(K: int) -> np.ndarray:
+    """The at most _SAMPLE_K k, spread over a grid of K, that carry the
+    whole-step solution of the error estimate (indices)."""
+    return np.unique(np.linspace(0, K - 1, min(K, _SAMPLE_K)).round().astype(int))
 
-    slot[s] is the output that step s ends on (−1: none; slot[−1] is the
-    output at the start, if any).  Returns ((h, h′) at the outputs, and the
-    largest estimated error |δh| + |δh′|/max(|k|, 1) of the two-half-step
-    solution over the outputs and sampled k, δ = (Richardson − whole
-    step)/16).  Large k grids are split between _WORKERS threads (numpy
-    releases the GIL)."""
-    K = lam.size
-    y_out = np.zeros((2, n_out, K), dtype=lam.dtype)
-    w = np.maximum(np.abs(lam), 1.0)
-    sample = np.unique(np.linspace(0, K - 1, min(K, _SAMPLE_K)).round().astype(int))
-    errs = []
 
-    def run(k_lo, k_hi):
-        err = 0.0
-        for k0 in range(k_lo, k_hi, _CHUNK):
-            kc = slice(k0, min(k0 + _CHUNK, k_hi))
-            lk = lam[kc]
-            gk = None if g is None else g[kc]
-            ps = sample[(sample >= kc.start) & (sample < kc.stop)] - kc.start
-            lp, wp = lk[ps], w[kc][ps]
-            f = np.ones(lk.size, dtype=lam.dtype)
-            u = np.zeros_like(f)
-            fF, pF = f[ps], lp.copy()  # whole-step (f, f′) on the sampled k
-            if slot[-1] >= 0:
-                y_out[0, slot[-1], kc] = f
-            phases = {}
-            for sc in _step_chunks(x0.size, lk.size):
-                (c, b, e, t), F = _doubled(pot, x0[sc], H[sc], lk, gk)
-                cF, bF, eF, tF = (m[:, ps] for m in F)
-                mF10, mF11 = eF + (lp * lp).real * bF, cF + tF
-                del F  # the whole steps are read on the sampled k only
-                for j, s in enumerate(range(sc.start, sc.stop)):
-                    # the maps on (h, h′) step by step: no complex (steps × k) array
-                    lb = lk * b[j]
-                    ff, uf, uu = c[j] + lb, e[j] + lk * t[j], c[j] + t[j] - lb
-                    f, u = ff * f + b[j] * u, uf * f + uu * u
-                    fF, pF = cF[j] * fF + bF[j] * pF, mF10[j] * fF + mF11[j] * pF
-                    if gk is None:
-                        ph = phases.get(H[s])
-                        if ph is None:  # e^{−λH}; steps repeat few lengths
-                            if len(phases) >= _SAMPLE_K:
-                                phases.clear()
-                            tau = np.tan(0.5 * H[s] * lk.imag)
-                            ph = phases[H[s]] = (1.0 - 1j * tau) ** 2 / (1.0 + tau * tau)
-                        f *= ph
-                        u *= ph
-                        fF, pF = fF * ph[ps], pF * ph[ps]
-                    if slot[s] >= 0:
-                        y_out[0, slot[s], kc], y_out[1, slot[s], kc] = f, u
-                        d = np.abs(f[ps] - fF) + np.abs(u[ps] - (pF - lp * fF)) / wp
-                        err = max(err, float(d.max(initial=0.0)) / 16.0)
-                del c, b, e, t  # before the next chunk's maps are made
-        errs.append(err)
-
+def _in_threads(K: int, run) -> None:
+    """run(k_lo, k_hi) over the k range [0, K), split between _WORKERS
+    threads that write disjoint columns when K is large (numpy releases the
+    GIL)."""
     parts = _WORKERS if K >= _PARALLEL_K else 1
     edges = np.linspace(0, K, parts + 1).astype(int)
     if parts == 1:
@@ -328,7 +329,203 @@ def _march(pot, x0, H, slot, n_out, lam, g):
     else:
         with ThreadPoolExecutor(parts) as pool:
             list(pool.map(run, edges[:-1], edges[1:]))
+
+
+def _phase(cache: dict, H: float, k) -> np.ndarray:
+    """e^{−ikH} from the maps' own half-angle τ = tan(kH/2); steps repeat
+    few lengths, so the phases are cached by H."""
+    ph = cache.get(H)
+    if ph is None:
+        if len(cache) >= _SAMPLE_K:
+            cache.clear()
+        tau = np.tan(0.5 * H * k)
+        ph = cache[H] = (1.0 - 1j * tau) ** 2 / (1.0 + tau * tau)
+    return ph
+
+
+def _march(pot, x0, H, slot, n_out, lam, g):
+    """March (h, h′) from (1, 0) through the Richardson steps R for every k.
+    The maps act on (f, u) = (f, f′ − λf), λ = f′/f at X∞; each step is
+    followed by its factor e^{−λH}, so the state is (h, h′) =
+    e^{−λ(x − X∞)} (f, u) throughout (for k = iκ the factor is in the maps
+    already).  The _sample k ride along as extra columns that take the
+    whole steps F instead, so the whole-step solution needs no march of
+    its own.
+
+    slot[s] is the output that step s ends on (−1: none; slot[−1] is the
+    output at the start, if any).  Returns ((h, h′) at the outputs, and the
+    largest estimated error |δh| + |δh′|/max(|k|, 1) of the two-half-step
+    solution over the outputs and sampled k, δ = (Richardson − whole
+    step)/16)."""
+    K = lam.size
+    y_out = np.zeros((2, n_out, K), dtype=lam.dtype)
+    w = np.maximum(np.abs(lam), 1.0)
+    sample = _sample(K)
+    errs = []
+
+    def run(k_lo, k_hi):
+        err = 0.0
+        for k0 in range(k_lo, k_hi, _CHUNK):
+            kc = slice(k0, min(k0 + _CHUNK, k_hi))
+            ps, n = sample[(sample >= kc.start) & (sample < kc.stop)] - kc.start, kc.stop - kc.start
+            lk = np.concatenate([lam[kc], lam[kc][ps]])
+            gk = None if g is None else np.concatenate([g[kc], g[kc][ps]])
+            wp = w[kc][ps]
+            f = np.ones(lk.size, dtype=lam.dtype)
+            u = np.zeros_like(f)
+            if slot[-1] >= 0:
+                y_out[0, slot[-1], kc] = f[:n]
+            phases = {}
+            for sc in _step_chunks(x0.size, lk.size):
+                c, b, e, t = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], lk, gk), n)
+                for j, s in enumerate(range(sc.start, sc.stop)):
+                    # the maps on (h, h′) step by step: no complex (steps × k) array
+                    lb = lk * b[j]
+                    ff, uf, uu = c[j] + lb, e[j] + lk * t[j], c[j] + t[j] - lb
+                    f, u = ff * f + b[j] * u, uf * f + uu * u
+                    if gk is None:
+                        ph = _phase(phases, H[s], lk.imag)
+                        f *= ph
+                        u *= ph
+                    if slot[s] >= 0:
+                        y_out[0, slot[s], kc], y_out[1, slot[s], kc] = f[:n], u[:n]
+                        d = np.abs(f[ps] - f[n:]) + np.abs(u[ps] - u[n:]) / wp
+                        err = max(err, float(d.max(initial=0.0)) / 16.0)
+                del c, b, e, t  # before the next chunk's maps are made
+        errs.append(err)
+
+    _in_threads(K, run)
     return y_out, max(errs)
+
+
+def _whole_on_samples(R, F, n):
+    """R with its columns past n (the sampled k's copies) taken from the
+    whole steps F."""
+    for r, m in zip(R, F):
+        r[:, n:] = m[:, n:]
+    return R
+
+
+def _det(phi, k2):
+    """det Φ for Φ in _step_maps' form: m00·m11 − m01·m10."""
+    c, b, e, t = phi
+    return c * (c + t) + b * (k2 * b - e)
+
+
+def _minus_start(end, ik, k2):
+    """(v, u) = adj Φ·(1, 0)/√det Φ for Φ = end = Φ(−X₋) in _step_maps'
+    form, in the frame (f, f′ + ikf) of the − side: √det Φ(−X₋) times the
+    state at +X₊ of the solution that is (1, 0) at −X₋.  Where V = 0 the
+    frame's lower left entry e − ikt vanishes, and u with it."""
+    c, b, e, t = end
+    root = np.sqrt(_det(end, k2))
+    return (c + t + ik * b) / root, (ik * t - e) / root
+
+
+def _minus_rows(phi, v, u, ik, k2):
+    """(f, f′ + ikf)/√det Φ of the − side where Φ (in _step_maps' form)
+    carries _minus_start's (v, u) at +X₊: U·(1, 0)/√det U for the
+    propagator U = Φ·Φ(−X₋)⁻¹ from −X₋ to x, whose exact determinant is 1.
+    The Richardson maps' determinants drift by roundoff even where V = 0;
+    so scaled, U keeps det 1, and h₊h₋ carries half the drift that U
+    unscaled would give it."""
+    c, b, e, t = phi
+    ikb = ik * b
+    root = np.sqrt(_det(phi, k2))
+    return ((c - ikb) * v + b * u) / root, ((e - ik * t) * v + (c + t + ikb) * u) / root
+
+
+def _march_pair(pot, x0, H, slot, n_out, ks):
+    """Both sides from one march of the fundamental matrix Φ(x, X₊) through
+    the Richardson steps R, from +X₊ down to −X₋, for every k = ks ≥ 0
+    (the module docstring gives the frames).  Each output keeps P =
+    e^{−ik(x − X₊)} in h₊'s slot and Φ in the − side's until the march
+    ends; then the rows are assembled in blocks of about _ROWS entries
+    (one row at a time on large k grids), so no temporary spans the field.
+    As in _march, the _sample k ride along as extra columns that take the
+    whole steps F, and both sides' estimates compare with them.
+
+    slot as in _march.  Returns ((2, 2, outputs, k) with [0] = (h₊, h′₊)
+    and [1] = (h₋, h′₋), and the estimated error of each side as in
+    _march)."""
+    K = ks.size
+    y = np.zeros((2, 2, n_out, K), dtype=complex)
+    w = np.maximum(ks, 1.0)
+    sample = _sample(K)
+    errs = []
+
+    def run(k_lo, k_hi):
+        err_p = err_m = 0.0
+        for k0 in range(k_lo, k_hi, _CHUNK):
+            kc = slice(k0, min(k0 + _CHUNK, k_hi))
+            ps, n = sample[(sample >= kc.start) & (sample < kc.stop)] - kc.start, kc.stop - kc.start
+            k = np.concatenate([ks[kc], ks[kc][ps]])
+            ik, k2, wp = 1j * k, k * k, w[kc][ps]
+            buf = np.zeros((2, 5, k.size))  # Φ: the steps' products alternate between the two
+            phi = buf[0, :4]
+            phi[0] = 1.0
+            P = np.ones(n, dtype=complex)
+            whole = np.empty((n_out, 4, ps.size))  # the whole-step Φ at the outputs
+            phases = {}
+
+            def keep(i):
+                y[0, 0, i, kc] = P
+                y[1, 0, i, kc].real, y[1, 0, i, kc].imag = phi[0, :n], phi[1, :n]
+                y[1, 1, i, kc].real, y[1, 1, i, kc].imag = phi[2, :n], phi[3, :n]
+                whole[i] = phi[:, n:]
+
+            if slot[-1] >= 0:
+                keep(slot[-1])
+            for sc in _step_chunks(x0.size, k.size):
+                R = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], ik, None), n)
+                for j, s in enumerate(range(sc.start, sc.stop)):
+                    phi = _mul([m[j] for m in R], phi, k2, buf[(s + 1) % 2])
+                    P *= _phase(phases, H[s], k[:n])
+                    if slot[s] >= 0:
+                        keep(slot[s])
+                del R  # before the next chunk's maps are made
+
+            v, u = _minus_start(phi, ik, k2)
+            ikn, ikp = ik[:n], ik[n:]
+            block = max(1, _ROWS // n)
+            for i in range(0, n_out, block):
+                rows = slice(i, i + block)
+                (hp, hpp), (hm, hmp) = y[:, :, rows, kc]
+                c, b, e, t = hm.real, hm.imag, hmp.real, hmp.imag
+                f, g = _minus_rows((c, b, e, t), v[:n], u[:n], ikn, k2[:n])
+                ph = P / hp
+                np.multiply(hp, e + ikn * t, out=hpp)
+                hp *= c + ikn * b
+                cF, bF, eF, tF = np.moveaxis(whole[rows], 1, 0)
+                d = np.abs(c[:, ps] - cF + ikp * (b[:, ps] - bF))
+                d += np.abs(e[:, ps] - eF + ikp * (t[:, ps] - tF)) / wp
+                err_p = max(err_p, float(d.max(initial=0.0)) / 16.0)
+                fF, gF = _minus_rows((cF, bF, eF, tF), v[n:], u[n:], ikp, k2[n:])
+                d = np.abs(f[:, ps] - fF) + np.abs(g[:, ps] - gF) / wp
+                err_m = max(err_m, float(d.max(initial=0.0)) / 16.0)
+                np.multiply(ph, f, out=hm)
+                np.multiply(ph, g, out=hmp)
+        errs.append((err_p, err_m))
+
+    _in_threads(K, run)
+    return y, max(e[0] for e in errs), max(e[1] for e in errs)
+
+
+def _steps(pot, x_grid, start, stop, lam, g, tol):
+    """(x0, H, slot, Magnus step evaluations): the step sequence from start
+    to stop, whose edges are the sorted x_grid (inside [start, stop]), start,
+    stop and the breakpoints of V between them, and slot as in _march."""
+    lo, hi = sorted((start, stop))
+    inner = [b for b in pot.breakpoints if lo < b < hi]
+    edges = np.unique(np.concatenate([[start, stop], x_grid, inner]))
+    pos = np.searchsorted(edges, x_grid)
+    if start > stop:
+        edges, pos = edges[::-1], edges.size - 1 - pos
+    x0, H, seg, evals = _step_sequence(pot, edges, lam, g, tol)
+    slot = np.full(x0.size + 1, -1)
+    # output i sits at edge pos[i], the end of segment pos[i] − 1 (−1: the start)
+    slot[np.searchsorted(seg, pos - 1, side="right") - 1] = np.arange(x_grid.size)
+    return x0, H, slot, evals + 3 * x0.size
 
 
 def _inward(pot, x_grid, ks, side, rtol, atol, x_inf):
@@ -340,69 +537,91 @@ def _inward(pot, x_grid, ks, side, rtol, atol, x_inf):
     if not np.any(lam.imag):
         lam = lam.real.copy()
         g = lam
-    tol = rtol + atol
-    start = side * x_inf
-    lo, hi = sorted((start, x_grid[0] if side > 0 else x_grid[-1]))
-    inner = [b for b in pot.breakpoints if lo < b < hi]
-    edges = np.unique(np.concatenate([[start], x_grid, inner]))
-    pos = np.searchsorted(edges, x_grid)
-    if side > 0:
-        edges, pos = edges[::-1], edges.size - 1 - pos
-
-    x0, H, seg, evals = _step_sequence(pot, edges, lam, g, tol)
-    slot = np.full(x0.size + 1, -1)
-    # output i sits at edge pos[i], the end of segment pos[i] − 1 (−1: the start)
-    slot[np.searchsorted(seg, pos - 1, side="right") - 1] = np.arange(x_grid.size)
+    stop = x_grid[0] if side > 0 else x_grid[-1]
+    x0, H, slot, evals = _steps(pot, x_grid, side * x_inf, stop, lam, g, rtol + atol)
     y, err = _march(pot, x0, H, slot, x_grid.size, lam, g)
-    return y[0], y[1], evals + 3 * x0.size, err
+    return y[0], y[1], evals, err
 
 
-def compute_h(
-    pot: Potential,
-    x_grid,
-    k_grid,
-    side: int,
-    *,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-) -> JostField:
-    """Tabulate h±(x,k), ∂ₓh±(x,k) on x_grid × |k_grid|.
+def _grid(values, name: str) -> np.ndarray:
+    """values as a nonempty 1-D float array of finite numbers; ValueError
+    naming the input otherwise."""
+    a = np.atleast_1d(np.asarray(values, dtype=float))
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D grid")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} holds a value that is not finite")
+    return a
 
-    side is +1 for h₊ (integrated inward from +X∞) and −1 for h₋.  X∞ is
-    the larger of the grid's edge and the point past which the tail mass
-    η±(X∞) is below 1e-10.  Only |k| is integrated: h(x,−k) = conj h(x,k)
-    for a real potential, so the field holds the distinct |k| of k_grid
-    (its k_grid), and h and h′ are the march output with no copy; unfold
-    gives the columns of any k < 0.  A grid symmetric about 0 has half its
-    nodes marched only when its halves mirror each other bit for bit
-    (scattering.scattering_data makes them so).
-    """
-    if side not in (+1, -1):
-        raise ValueError("side must be +1 or -1")
-    x_grid = np.unique(np.asarray(x_grid, dtype=float))
-    k_grid = np.asarray(k_grid, dtype=float)
-    if x_grid.size == 0 or k_grid.size == 0:
-        raise ValueError("empty grids")
 
-    x_inf = _cutoff(pot, x_grid, side)
-    base = np.unique(np.abs(k_grid))
-    h, hp, evals, err = _inward(pot, x_grid, base, side, rtol, atol, x_inf)
-    report = IntegrationReport(
+def _report(pot, x_inf, ks, rtol, atol, evals, err):
+    return IntegrationReport(
         cutoff=float(x_inf),
         eta_at_cutoff=float(pot.tail.eta_tail(x_inf)),
         rtol=rtol,
         atol=atol,
-        bands=((float(base[0]), float(base[-1]), int(evals)),),
+        bands=((float(ks[0]), float(ks[-1]), int(evals)),),
         error_estimate=err,
     )
-    return JostField(side, x_grid, base, h, hp, report)
+
+
+def compute_h_pair(
+    pot: Potential,
+    x_grid,
+    k_grid,
+    *,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
+) -> tuple[JostField, JostField]:
+    """(h₊ field, h₋ field): h±(x,k), ∂ₓh±(x,k) on x_grid × |k_grid|, both
+    from one march of the fundamental matrix from +X₊ to −X₋ (_march_pair).
+
+    X± is the larger of the grid's edge and the point past which the tail
+    mass η±(X±) is below 1e-10.  Only |k| is integrated: h(x,−k) =
+    conj h(x,k) for a real potential, so each field holds the distinct |k|
+    of k_grid (its k_grid), and h and h′ are the march output with no copy;
+    unfold gives the columns of any k < 0.  A grid symmetric about 0 has
+    half its nodes marched only when its halves mirror each other bit for
+    bit (scattering.scattering_data makes them so).
+
+    h₋'s error estimate adds, to the whole-step comparison, the largest
+    gap between the composed h₋ and a one-sided march from −X₋ on the
+    _sample k: a witness that does not go through Φ.  ValueError, before
+    any march, on an empty or non-finite grid.
+    """
+    x_grid = np.unique(_grid(x_grid, "x_grid"))
+    base = np.unique(np.abs(_grid(k_grid, "k_grid")))
+    x_p, x_m = _cutoff(pot, x_grid, +1), _cutoff(pot, x_grid, -1)
+    tol = rtol + atol
+    x0, H, slot, evals = _steps(pot, x_grid, x_p, -x_m, 1j * base, None, tol)
+    y, err_p, err_m = _march_pair(pot, x0, H, slot, x_grid.size, base)
+
+    ps = _sample(base.size)
+    h, hp, evals_m, _ = _inward(pot, x_grid, base[ps], -1, rtol, atol, x_m)
+    w = np.maximum(base[ps], 1.0)
+    gap = np.abs(y[1, 0][:, ps] - h) + np.abs(y[1, 1][:, ps] - hp) / w
+    err_m += float(gap.max())
+
+    rep_p = _report(pot, x_p, base, rtol, atol, evals, err_p)
+    rep_m = _report(pot, x_m, base, rtol, atol, evals + evals_m, err_m)
+    return (
+        JostField(+1, x_grid, base, y[0, 0], y[0, 1], rep_p),
+        JostField(-1, x_grid, base, y[1, 0], y[1, 1], rep_m),
+    )
 
 
 def compute_h_bound(pot, x_grid, kappas, side, *, rtol=ODE_RTOL, atol=ODE_ATOL):
     """h±(x, iκ) for real κ ≥ 0 (real-valued ODE); returns (h, h') real
-    arrays of shape (x, κ).  κ = 0 is the zero-energy equation h″ = V h."""
-    kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
-    x_grid = np.unique(np.asarray(x_grid, dtype=float))
+    arrays of shape (x, κ).  κ = 0 is the zero-energy equation h″ = V h.
+    One side per call, marched from side·X∞ with the growth e^{κ|x|}
+    scaled out of the maps.  ValueError, before any march, on a side other
+    than ±1, a negative κ, or an empty or non-finite grid."""
+    if side not in (+1, -1):
+        raise ValueError(f"side must be +1 or -1, not {side!r}")
+    kappas = _grid(kappas, "kappas")
+    if np.any(kappas < 0.0):
+        raise ValueError("kappas must be >= 0")
+    x_grid = np.unique(_grid(x_grid, "x_grid"))
     x_inf = _cutoff(pot, x_grid, side)
     h, hp, _, _ = _inward(pot, x_grid, 1j * kappas, side, rtol, atol, x_inf)
     return h, hp

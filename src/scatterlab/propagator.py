@@ -110,7 +110,7 @@ class PropagatorData:
     """Shared read-only inputs for kernel evaluation on one grid.
 
     hp and hm are h₊(x,·) and h₋(x,·), one row per x_grid point, on the
-    grid nodes k ≥ 0 (column j is k_grid[n//2 + j]), as compute_h returns
+    grid nodes k ≥ 0 (column j is k_grid[n//2 + j]), as compute_h_pair returns
     them; T_half is T on the same nodes.  No k < 0 column and no refined
     value is kept; A(−k) = conj A(k) gives the former (jost.unfold)."""
 

@@ -14,9 +14,9 @@ W(0) = 0, i.e. when the two zero-energy Jost solutions are proportional
 (f₊(·,0) = γ f₋(·,0)); then the k → 0 values follow from γ alone:
 T(0) = 2γ/(1+γ²), R±(0) = ±(1−γ²)/(1+γ²).  Otherwise T(0) = 0 and
 R±(0) = −1.  classify_resonance decides the dichotomy from one Jost solve
-per side on |x| ≤ 2 whose k grid is k = 0 and a few small probe k: the
-k = 0 column gives W(0) and γ, the probe columns the k → 0 extrapolation
-that checks the algebra.
+of both sides (jost.compute_h_pair) on |x| ≤ 2 whose k grid is k = 0 and
+a few small probe k: the k = 0 column gives W(0) and γ, the probe columns
+the k → 0 extrapolation that checks the algebra.
 
 Bound states sit at the real zeros of κ ↦ W(iκ) at x = 0: on log-spaced
 brackets from κ = 1e-4 up, whose Sturm node count drops by two or more
@@ -40,8 +40,8 @@ from .jost import (
     ODE_RTOL,
     JostField,
     _wronskian,
-    compute_h,
     compute_h_bound,
+    compute_h_pair,
     unfold,
 )
 from .potentials import Potential, cutoff_for_eta, eta
@@ -128,7 +128,11 @@ def wronskians(jf_plus: JostField, jf_minus: JostField):
     and on the row, not to |W|, which vanishes at k = 0 for resonant
     potentials; a floor of 1e-3 of the median x = 0 sum keeps the
     denominator alive where the terms degenerate (e.g. tanh-like f₀
-    crossing zero).  Rows go in blocks of about _SPREAD_BLOCK entries."""
+    crossing zero).  Rows go in blocks of about _SPREAD_BLOCK entries.
+    Fields from one jost.compute_h_pair call share one fundamental matrix,
+    so their W varies across x only with its determinant: the check still
+    fails a row that is not a solution, and h₋'s error estimate carries
+    the independent witness."""
     if not np.array_equal(jf_plus.k_grid, jf_minus.k_grid):
         raise ValueError("Jost fields must share one k grid")
     two_ik = 2j * jf_plus.k_grid
@@ -218,8 +222,9 @@ def scattering_data(
     extra_x=(),
     with_bound_states: bool = True,
 ) -> tuple[ScatteringData, JostField, JostField]:
-    """One-call pipeline: Jost fields on the rows {−2, 0, 2} ∪ extra_x,
-    resonance classification, bound states, scattering matrix.
+    """One-call pipeline: Jost fields of both sides from one
+    jost.compute_h_pair call on the rows {−2, 0, 2} ∪ extra_x, resonance
+    classification, bound states, scattering matrix.
 
     The k grid passes wiener._mirrored_grid first, the one k-grid rule:
     uniform and symmetric about 0 to within 1e-12·max|k|, ValueError before
@@ -231,8 +236,7 @@ def scattering_data(
     and W, W± reach the returned grid by jost.unfold."""
     k_grid, _ = _mirrored_grid(k_grid)
     xs = np.union1d(_CHECK_X, np.asarray(extra_x, float))
-    jp = compute_h(pot, xs, k_grid, +1, rtol=rtol, atol=atol)
-    jm = compute_h(pot, xs, k_grid, -1, rtol=rtol, atol=atol)
+    jp, jm = compute_h_pair(pot, xs, k_grid, rtol=rtol, atol=atol)
     rep = classify_resonance(pot, rtol=rtol, atol=atol)
     *ws, spread = wronskians(jp, jm)
     w, w_plus, w_minus = (unfold(v, jp.k_grid, k_grid) for v in ws)
@@ -260,8 +264,8 @@ def classify_resonance(
 ) -> ResonanceReport:
     """Decide the zero-energy dichotomy and report the k → 0 algebra.
 
-    One compute_h call per side on 401 x in [−2, 2] with k ∈ {0} ∪
-    _PROBE_K.  From the k = 0 column: W(0) at x = 0, and γ, the
+    One compute_h_pair call, both sides, on 401 x in [−2, 2] with
+    k ∈ {0} ∪ _PROBE_K.  From the k = 0 column: W(0) at x = 0, and γ, the
     least-squares ratio h₊(x,0)/h₋(x,0) over the rows, with
     gamma_consistency the largest deviation from it relative to max|h₊|.
     resonant ⇔ |W(0)| < RESONANCE_EPS · scale, where scale collects the
@@ -272,8 +276,7 @@ def classify_resonance(
     probe columns and the algebraic limit values.
     """
     ks = np.concatenate([[0.0], _PROBE_K])
-    jp = compute_h(pot, _GAMMA_X, ks, +1, rtol=rtol, atol=atol)
-    jm = compute_h(pot, _GAMMA_X, ks, -1, rtol=rtol, atol=atol)
+    jp, jm = compute_h_pair(pot, _GAMMA_X, ks, rtol=rtol, atol=atol)
     w, w_plus, w_minus, _ = wronskians(jp, jm)
     (hp0, hpp0), (hm0, hmp0) = (jf.at_x(0.0) for jf in (jp, jm))
     w0 = float(w[0].real)

@@ -73,18 +73,16 @@ def test_resonance_gate_fails_on_a_wrong_gamma(tmp_path, monkeypatch):
     # rows, but puts γ 1% off, which moves R±(0) of the sech² well by about
     # 1e-2.
     assert main(["resonance", "--out", str(tmp_path / "ok")]) == 0
-    solve = scattering.compute_h
+    solve = scattering.compute_h_pair
 
-    def off_gamma(pot, x_grid, k_grid, side, **kwargs):
-        jf = solve(pot, x_grid, k_grid, side, **kwargs)
-        if side > 0:
-            return jf
-        h, hp = jf.h.copy(), jf.h_prime.copy()
-        h[:, jf.k_grid == 0.0] /= 1.01
-        hp[:, jf.k_grid == 0.0] /= 1.01
-        return replace(jf, h=h, h_prime=hp)
+    def off_gamma(pot, x_grid, k_grid, **kwargs):
+        jp, jm = solve(pot, x_grid, k_grid, **kwargs)
+        h, hp = jm.h.copy(), jm.h_prime.copy()
+        h[:, jm.k_grid == 0.0] /= 1.01
+        hp[:, jm.k_grid == 0.0] /= 1.01
+        return jp, replace(jm, h=h, h_prime=hp)
 
-    monkeypatch.setattr(scattering, "compute_h", off_gamma)
+    monkeypatch.setattr(scattering, "compute_h_pair", off_gamma)
     out = tmp_path / "off"
     assert main(["resonance", "--out", str(out)]) == 1
     report = json.loads((out / "resonance.json").read_text())

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterlab import jost
-from scatterlab.jost import ODE_ATOL, ODE_RTOL, compute_h, compute_h_bound, unfold
-from scatterlab.potentials import Potential, TailBound, catalog, cutoff_for_eta
+from scatterlab.jost import ODE_ATOL, ODE_RTOL, compute_h_bound, compute_h_pair, unfold
+from scatterlab.potentials import Potential, TailBound, catalog, cutoff_for_eta, load_sampled
 from scatterlab.scattering import classify_resonance
 
 import oracles
@@ -18,19 +18,25 @@ XS = np.array([-3.0, -1.2, 0.0, 0.7, 2.5])
 KS = np.array([-7.5, -2.0, -0.3, 0.0, 0.3, 2.0, 7.5, 40.0])
 
 
+def _side(pair, side):
+    """The field of one side from compute_h_pair's (h₊ field, h₋ field)."""
+    return pair[0] if side > 0 else pair[1]
+
+
 def test_free_is_exact():
-    jf = compute_h(catalog("free"), XS, KS, +1)
-    assert np.max(np.abs(jf.h - 1.0)) < 1e-14
-    assert np.max(np.abs(jf.h_prime)) < 1e-14
+    for jf in compute_h_pair(catalog("free"), XS, KS):
+        assert np.max(np.abs(jf.h - 1.0)) < 1e-14
+        assert np.max(np.abs(jf.h_prime)) < 1e-14
 
 
 def test_pt_closed_form_both_sides():
     pt = catalog("poeschl_teller")
+    pair = compute_h_pair(pt, XS, KS)
     for side, h_ref, hp_ref in (
         (+1, oracles.pt_h_plus, oracles.pt_hprime_plus),
         (-1, oracles.pt_h_minus, oracles.pt_hprime_minus),
     ):
-        jf = compute_h(pt, XS, KS, side)
+        jf = _side(pair, side)
         H = h_ref(XS[:, None], KS[None, :])
         HP = hp_ref(XS[:, None], KS[None, :])
         assert np.max(np.abs(unfold(jf.h, jf.k_grid, KS) - H)) < 1e-8
@@ -40,7 +46,7 @@ def test_pt_closed_form_both_sides():
 def test_square_well_breakpoints():
     sw = catalog("square_well")
     ks = np.array([0.4, 1.3, 5.0])
-    jf = compute_h(sw, XS, ks, +1)
+    jf = compute_h_pair(sw, XS, ks)[0]
     for j, k in enumerate(ks):
         f_ref, fp_ref = oracles.square_well_f_plus(np.pi**2 / 4, 1.0, XS, k)
         f, fp = oracles.jost_f(jf, XS[2])  # x = 0
@@ -53,7 +59,7 @@ def test_square_well_breakpoints():
 
 def _direct(pot, ks, side):
     """h, h′ on XS with every k, negative ones too, integrated as given
-    (compute_h integrates |k| only), on compute_h's Magnus path."""
+    (compute_h_pair integrates |k| only), by the one-sided Magnus march."""
     x_inf = jost._cutoff(pot, XS, side)
     h, hp, _, _ = jost._inward(pot, XS, ks, side, ODE_RTOL, ODE_ATOL, x_inf)
     return h, hp
@@ -64,7 +70,7 @@ def test_square_well_exact_per_step():
     # Magnus step is the exact map; f′ ~ k f carries the roundoff of k
     sw = catalog("square_well")
     ks = np.array([0.4, 1.3, 5.0, 40.0])
-    jf = compute_h(sw, XS, ks, +1)
+    jf = compute_h_pair(sw, XS, ks)[0]
     for j, k in enumerate(ks):
         f_ref, fp_ref = oracles.square_well_f_plus(np.pi**2 / 4, 1.0, XS, k)
         for i, x in enumerate(XS):
@@ -77,25 +83,102 @@ def test_error_estimate_covers_pt_error():
     pt = catalog("poeschl_teller")
     xs = np.linspace(-8.0, 8.0, 33)
     ks = np.linspace(-60.0, 60.0, 481)
+    pair = compute_h_pair(pt, xs, ks)
     for side, ref in ((+1, oracles.pt_h_plus), (-1, oracles.pt_h_minus)):
-        jf = compute_h(pt, xs, ks, side)
+        jf = _side(pair, side)
         err = np.max(np.abs(unfold(jf.h, jf.k_grid, ks) - ref(xs[:, None], ks[None, :])))
         assert err < 2e-10
         assert err <= jf.report.error_estimate < 1e-7
 
 
-def test_power_tail_integrates():
+def _power_tail():
     # |V| <= (1+|x|)^-4 puts the cutoff past x = 1000
     tail = TailBound("power", 0.0, 0.5, 4.0)
-    pot = Potential("power_tail", lambda x: -0.5 * (1.0 + np.abs(np.asarray(x, float))) ** -4, tail)
+    return Potential("power_tail", lambda x: -0.5 * (1.0 + np.abs(np.asarray(x, float))) ** -4, tail)
+
+
+def test_power_tail_integrates():
+    pot = _power_tail()
     ks = np.array([0.0, 0.7, 3.0])
-    jf = compute_h(pot, XS, ks, +1)
+    jf = compute_h_pair(pot, XS, ks)[0]
     assert jf.report.cutoff > 1000.0
     assert jf.report.bands[0][2] < 20000
     for j, k in enumerate(ks):
         h, hp = oracles.jost_h_dop853(pot, (), jf.report.cutoff, XS, k, +1)
         assert np.max(np.abs(jf.h[:, j] - h)) < 1e-10
         assert np.max(np.abs(jf.h_prime[:, j] - hp)) < 1e-10
+
+
+def _asymmetric_well():
+    x = np.linspace(-6.0, 6.0, 49)
+    return load_sampled(x, -1.5 * np.exp(-((x - 0.7) ** 2)) + 0.8 * np.exp(-3.0 * (x + 1.3) ** 2)), x
+
+
+@pytest.mark.parametrize("name,tol", [("asymmetric_well", 1e-9), ("power_tail", 1e-10)])
+def test_both_sides_match_dop853_off_mirror(name, tol):
+    # every catalog potential is even, so there h₋ is the mirror of h₊; on
+    # these two it is not, and h₋ composed from the march of Φ from +X₊
+    # meets DOP853 from −X₋ as h₊ does from +X₊.  DOP853 restarts where V
+    # is not smooth: at the spline knots (V‴ jumps; without the restarts
+    # the oracle itself is off by 2e-9) and at the kink of the power tail
+    pot, kinks = _asymmetric_well() if name == "asymmetric_well" else (_power_tail(), [0.0])
+    ks = np.array([0.0, 0.01, 0.7, 3.0, 20.0])
+    for side, jf in zip((+1, -1), compute_h_pair(pot, XS, ks)):
+        for j, k in enumerate(ks):
+            h, hp = oracles.jost_h_dop853(pot, kinks, jf.report.cutoff, XS, k, side)
+            assert np.max(np.abs(jf.h[:, j] - h)) < tol
+            assert np.max(np.abs(jf.h_prime[:, j] - hp)) < tol * max(1.0, k)
+
+
+def test_witness_sees_a_perturbed_end_matrix(monkeypatch):
+    # h₋ is composed from Φ(−X₋); scaling that matrix's first entry by
+    # 1 + 1e-6 leaves h₋ a solution, so the Wronskian stays constant across
+    # the rows, but the one-sided march on the sampled k sees the gap
+    pt = catalog("poeschl_teller")
+    ks = np.linspace(-20.0, 20.0, 161)
+    _, jm = compute_h_pair(pt, XS, ks)
+    assert jm.report.error_estimate < 1e-8
+    start = jost._minus_start
+    monkeypatch.setattr(
+        jost, "_minus_start", lambda end, ik, k2: start((end[0] * (1.0 + 1e-6), *end[1:]), ik, k2)
+    )
+    _, jm = compute_h_pair(pt, XS, ks)
+    assert jm.report.error_estimate > 1e-7
+
+
+_BAD_INPUT = [
+    ("pair", dict(x_grid=[]), "x_grid"),
+    ("pair", dict(x_grid=[0.0, np.nan]), "x_grid"),
+    ("pair", dict(x_grid=[0.0, np.inf]), "x_grid"),
+    ("pair", dict(k_grid=[]), "k_grid"),
+    ("pair", dict(k_grid=[0.5, np.nan]), "k_grid"),
+    ("pair", dict(k_grid=[0.5, -np.inf]), "k_grid"),
+    ("bound", dict(x_grid=[]), "x_grid"),
+    ("bound", dict(x_grid=[np.nan]), "x_grid"),
+    ("bound", dict(x_grid=[-np.inf, 0.0]), "x_grid"),
+    ("bound", dict(kappas=[]), "kappas"),
+    ("bound", dict(kappas=[np.nan]), "kappas"),
+    ("bound", dict(kappas=[0.5, -1.0]), "kappas"),
+    ("bound", dict(side=2), "side"),
+]
+
+
+@pytest.mark.parametrize("entry,bad,name", _BAD_INPUT)
+def test_entry_points_reject_bad_input(entry, bad, name, monkeypatch):
+    # a bad grid, κ or side raises a ValueError that names it, before any march
+    def no_march(*args, **kwargs):
+        raise AssertionError("a march ran")
+
+    monkeypatch.setattr(jost, "_step_sequence", no_march)
+    pt = catalog("poeschl_teller")
+    if entry == "pair":
+        args = dict(x_grid=[0.0, 1.0], k_grid=[0.0, 0.5]) | bad
+        call = lambda: compute_h_pair(pt, args["x_grid"], args["k_grid"])  # noqa: E731
+    else:
+        args = dict(x_grid=[0.0, 1.0], kappas=[0.5], side=+1) | bad
+        call = lambda: compute_h_bound(pt, args["x_grid"], args["kappas"], args["side"])  # noqa: E731
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 @settings(max_examples=10, deadline=None)
@@ -108,7 +191,7 @@ def test_power_tail_integrates():
 def test_magnus_matches_dop853(name, side, k, kappa):
     pot = catalog(name)
     x_inf = jost._cutoff(pot, XS, side)
-    jf = compute_h(pot, XS, [k], side)
+    jf = _side(compute_h_pair(pot, XS, [k]), side)
     h, hp = oracles.jost_h_dop853(pot, pot.breakpoints, x_inf, XS, k, side)
     assert np.max(np.abs(jf.h[:, 0] - h)) < 1e-9
     assert np.max(np.abs(jf.h_prime[:, 0] - hp)) < 1e-9 * max(1.0, k)
@@ -122,7 +205,7 @@ def test_magnus_matches_dop853(name, side, k, kappa):
 def test_conjugation_folding_matches_direct_integration():
     pt = catalog("poeschl_teller")
     ks = np.array([-4.0, -1.0, -0.2, 0.3, 2.2])
-    a = compute_h(pt, XS, ks, +1)
+    a = compute_h_pair(pt, XS, ks)[0]
     h, hp = _direct(pt, ks, +1)
     assert np.max(np.abs(unfold(a.h, a.k_grid, ks) - h)) < 1e-12
     assert np.max(np.abs(unfold(a.h_prime, a.k_grid, ks) - hp)) < 1e-12
@@ -145,7 +228,7 @@ def test_conjugation_symmetry_unfolded(name, side, ks):
 
 
 def test_unfold_needs_every_abs_k_on_the_field():
-    jf = compute_h(catalog("poeschl_teller"), XS, KS, +1)
+    jf = compute_h_pair(catalog("poeschl_teller"), XS, KS)[0]
     assert np.array_equal(unfold(jf.h, jf.k_grid, -jf.k_grid), np.conj(jf.h))
     for ks in ([0.3, -0.31], [41.0]):
         with pytest.raises(ValueError, match="not a node"):
@@ -199,7 +282,7 @@ def test_zero_energy_state_pt():
         pot = catalog(name)
         c2 = 2.0 / (1.0 + classify_resonance(pot).gamma ** 2)
         X = cutoff_for_eta(pot, 1e-10)
-        h = compute_h(pot, [-X, X], [0.0], +1).h[:, 0].real
+        h = compute_h_pair(pot, [-X, X], [0.0])[0].h[:, 0].real
         assert abs(c2 * (h[0] ** 2 + h[1] ** 2) - 2.0) < 1e-8
         # step-0.01 samples on ±max(X, 6), one piece between breakpoints
         half = max(X, 6.0)
@@ -207,8 +290,9 @@ def test_zero_energy_state_pt():
         xs = [np.linspace(a, b, int(round((b - a) / 0.01)) + 1) for a, b in zip(ends, ends[1:])]
         vs = [pot(np.clip(x, x[0] + 1e-9, x[-1] - 1e-9)) for x in xs]  # one-sided at the ends
         xg = np.unique(np.concatenate(xs))
+        pair = compute_h_pair(pot, xg, [0.0])
         for side in (+1, -1):
-            h0 = compute_h(pot, xg, [0.0], side).h[:, 0].real
+            h0 = _side(pair, side).h[:, 0].real
             pieces = [(x, v, h0[np.searchsorted(xg, x)]) for x, v in zip(xs, vs)]
             assert oracles.volterra_residual(pieces, side) < 1e-7
 
@@ -220,7 +304,7 @@ def test_zero_energy_state_free(free_pd):
 
 def test_band_report():
     pt = catalog("poeschl_teller")
-    jf = compute_h(pt, XS, np.linspace(-20, 20, 81), +1)
+    jf = compute_h_pair(pt, XS, np.linspace(-20, 20, 81))[0]
     lows = [b[0] for b in jf.report.bands]
     assert lows == sorted(lows)
     assert all(nfev > 0 for _, _, nfev in jf.report.bands)
@@ -237,34 +321,38 @@ def test_threaded_march_equals_one_thread(monkeypatch):
     ks = np.linspace(-20.0, 20.0, 301)
     monkeypatch.setattr(jost, "_PARALLEL_K", 1)
     monkeypatch.setattr(jost, "_WORKERS", 1)
-    one = compute_h(pt, XS, ks, +1)
+    ones = compute_h_pair(pt, XS, ks)
     monkeypatch.setattr(jost, "_WORKERS", 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many = compute_h(pt, XS, ks, +1)
+        manys = compute_h_pair(pt, XS, ks)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(one.h, many.h) and np.array_equal(one.h_prime, many.h_prime)
-    assert one.report == many.report
+    for one, many in zip(ones, manys):
+        assert np.array_equal(one.h, many.h) and np.array_equal(one.h_prime, many.h_prime)
+        assert one.report == many.report
 
 
 def test_compute_h_keeps_only_its_march_output():
-    # one side of the default decay grid, exactly mirrored: the field holds
-    # the 12 001 |k| it marched, h and h′ are views of the march output, and
-    # besides it only the march's working set is allocated (the working
+    # both sides of the default decay grid, exactly mirrored: each field
+    # holds the 12 001 |k| marched, h and h′ are views of the march output,
+    # and besides it only the march's working set is allocated (the working
     # arrays of each thread's block of steps, which do not grow with the
-    # grid).  Measured 1.40 × the returned bytes; with full-line copies of h
-    # and h′ gathered from a march over both halves' |k| it was 2.2 ×
+    # grid, and the one-sided witness on 64 k).  Measured 1.21 × the
+    # returned bytes; one side of the two-march design read 1.40 ×, and
+    # with full-line copies of h and h′ gathered from a march over both
+    # halves' |k| it was 2.2 ×
     kp = np.linspace(0.0, 60.0, 12001)
     ks = np.concatenate([-kp[:0:-1], kp])
     pt = catalog("poeschl_teller")
     tracemalloc.start()
     try:
-        jf = compute_h(pt, np.linspace(-8.0, 8.0, 65), ks, +1)
+        pair = compute_h_pair(pt, np.linspace(-8.0, 8.0, 65), ks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert jf.h.shape == jf.h_prime.shape == (65, 12001)
-    assert np.array_equal(jf.k_grid, kp) and jf.h.base is jf.h_prime.base
-    assert peak <= 1.5 * (jf.h.nbytes + jf.h_prime.nbytes)
+    for jf in pair:
+        assert jf.h.shape == jf.h_prime.shape == (65, 12001)
+        assert np.array_equal(jf.k_grid, kp) and jf.h.base is jf.h_prime.base
+    assert peak <= 1.5 * sum(jf.h.nbytes + jf.h_prime.nbytes for jf in pair)

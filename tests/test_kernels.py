@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from scatterlab import kernels
-from scatterlab.jost import compute_h
+from scatterlab.jost import compute_h_pair
 from scatterlab.kernels import (
     b_kernel,
     functionals_json,
@@ -61,7 +61,7 @@ def test_pt_tables_match_closed_forms(pt_tables, idx, side):
 def test_pt_table_off_lattice_rows(pt_pot, side):
     # rows between lattice nodes come from 4-node interpolation in x
     rows = np.array([-0.37, 0.0, 1.3])
-    jf = compute_h(pt_pot, rows, np.array([0.0, 1.0]), side)
+    jf = compute_h_pair(pt_pot, rows, np.array([0.0, 1.0]))[0 if side > 0 else 1]
     kt = kd_kernels(b_kernel(jf, pot=pt_pot), jf, pot=pt_pot)
     B, K, D, dB = _pt_closed_forms(side, np.abs(kt.y_grid), rows)
     assert np.max(np.abs(kt.B - B)) < 2e-9
@@ -105,7 +105,7 @@ def test_pt_resonance_functionals(pt_pot, pt_wiener, idx, side):
 
 
 def test_resonance_functionals_need_zero_wavenumber(pt_pot):
-    jf = compute_h(pt_pot, np.array([0.0]), np.array([0.5, 1.0, 1.5]), +1)
+    jf = compute_h_pair(pt_pot, np.array([0.0]), np.array([0.5, 1.0, 1.5]))[0]
     with pytest.raises(ValueError):
         resonance_functionals(jf, pt_pot)
 

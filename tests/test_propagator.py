@@ -253,9 +253,9 @@ def test_few_pt_pairs_pass_their_error_estimate(pt_pd):
 def test_k_grid_must_be_symmetric_about_zero(pt_pot, monkeypatch):
     # the quadrature folds k < 0 onto k >= 0: other grids fail before any solve
     def no_solve(*args, **kwargs):
-        raise AssertionError("compute_h ran")
+        raise AssertionError("compute_h_pair ran")
 
-    monkeypatch.setattr(scattering, "compute_h", no_solve)
+    monkeypatch.setattr(scattering, "compute_h_pair", no_solve)
     x = np.linspace(-8.0, 8.0, 17)
     for k in (np.linspace(-5.0, 5.0, 201) + 0.01, np.linspace(-5.0, 5.0, 200)):
         with pytest.raises(ValueError, match="k grid"):
@@ -435,7 +435,7 @@ def test_pac_validation(pt_pd, monkeypatch):
 
 
 def test_resonant_prepare_scans_zero_energy_once(pt_pot, pt_pd_coarse, monkeypatch):
-    # zero energy is one solve: classify_resonance's compute_h call per side,
+    # zero energy is one solve: classify_resonance's one compute_h_pair call,
     # and f₀ is the k = 0 column of the h₊ field the propagator already holds
     calls = []
 
@@ -446,10 +446,10 @@ def test_resonant_prepare_scans_zero_energy_once(pt_pot, pt_pd_coarse, monkeypat
 
         return wrapper
 
-    for name in ("compute_h", "compute_h_bound"):
+    for name in ("compute_h_pair", "compute_h_bound"):
         monkeypatch.setattr(scattering, name, counted(getattr(scattering, name)))
     scattering.classify_resonance(pt_pot)
-    assert calls == ["compute_h", "compute_h"]
+    assert calls == ["compute_h_pair"]
     pd = pt_pd_coarse
     c = pd.k_grid.size // 2
     c_plus = np.sqrt(2.0 / (1.0 + pd.sd.resonance.gamma**2))

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from scatterlab.errors import CrossCheckError
 from scatterlab import scattering
-from scatterlab.jost import compute_h, compute_h_bound, unfold
+from scatterlab.jost import compute_h_bound, compute_h_pair, unfold
 from scatterlab.potentials import catalog, scale_potential
 from scatterlab.propagator import prepare_propagator
 from scatterlab.scattering import (
@@ -85,17 +85,17 @@ def test_scattering_relation(pt_scatter, sw_scatter, gw_scatter):
 def test_wronskian_checked_on_every_row(pt_pot, monkeypatch):
     # h′₊ shifted on the x = 1 row, outside {−2, 0, 2}: the constancy check
     # reads every row the fields hold, so the pipeline raises
-    real = scattering.compute_h
+    real = scattering.compute_h_pair
     calls = []
 
-    def corrupt_first(pot, x_grid, k_grid, side, **kwargs):
-        jf = real(pot, x_grid, k_grid, side, **kwargs)
+    def corrupt_first(pot, x_grid, k_grid, **kwargs):
+        jp, jm = real(pot, x_grid, k_grid, **kwargs)
         if not calls:
-            jf.h_prime[jf.x_index(1.0)] += 1e-3
-        calls.append(side)
-        return jf
+            jp.h_prime[jp.x_index(1.0)] += 1e-3
+        calls.append(x_grid)
+        return jp, jm
 
-    monkeypatch.setattr(scattering, "compute_h", corrupt_first)
+    monkeypatch.setattr(scattering, "compute_h_pair", corrupt_first)
     k = np.linspace(-5.0, 5.0, 101)
     with pytest.raises(CrossCheckError, match="Wronskian"):
         scattering_data(pt_pot, k, extra_x=[-2.0, -1.0, 0.0, 1.0, 2.0], with_bound_states=False)
@@ -105,9 +105,9 @@ def test_k_grid_rule_runs_before_any_solve(pt_pot, monkeypatch):
     # a shifted grid and a symmetric non-uniform one both fail the one
     # k-grid rule before a Jost field is integrated
     def no_solve(*args, **kwargs):
-        raise AssertionError("compute_h ran")
+        raise AssertionError("compute_h_pair ran")
 
-    monkeypatch.setattr(scattering, "compute_h", no_solve)
+    monkeypatch.setattr(scattering, "compute_h_pair", no_solve)
     g = np.geomspace(0.1, 5.0, 100)
     for k in (np.linspace(-5.0, 5.0, 201) + 0.01, np.concatenate([-g[::-1], [0.0], g])):
         with pytest.raises(ValueError, match="k grid"):
@@ -193,8 +193,7 @@ def test_mirrored_grid_marches_each_abs_k_once(pt_wiener):
 def test_resonant_k0_needs_data(gw_pot):
     # non-resonant: the direct ratio at k = 0, with T(0) exactly 0
     ks = np.array([-0.4, 0.0, 0.4])
-    jp = compute_h(gw_pot, [-2.0, 0.0, 2.0], ks, +1)
-    jm = compute_h(gw_pot, [-2.0, 0.0, 2.0], ks, -1)
+    jp, jm = compute_h_pair(gw_pot, [-2.0, 0.0, 2.0], ks)
     w, wp, wm = (unfold(v, jp.k_grid, ks) for v in wronskians(jp, jm)[:3])
     sd = scattering_matrix(w, (wp, wm), ks, resonance=classify_resonance(gw_pot))
     assert sd.T[1] == 0.0
@@ -206,8 +205,7 @@ def test_unexplained_zero_wronskian_raises(gw_pot):
     rep = classify_resonance(gw_pot)
     assert not rep.resonant
     ks = np.array([-0.4, 0.0, 0.4])
-    jp = compute_h(gw_pot, [0.0], ks, +1)
-    jm = compute_h(gw_pot, [0.0], ks, -1)
+    jp, jm = compute_h_pair(gw_pot, [0.0], ks)
     w, wp, wm = (unfold(v, jp.k_grid, ks) for v in wronskians(jp, jm)[:3])
     w[1] = 0.0
     with pytest.raises(CrossCheckError):
