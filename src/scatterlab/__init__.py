@@ -2,6 +2,8 @@
 scattering matrices, transformation kernels, Wiener-algebra diagnostics,
 and dispersive decay of e^{−itH}P_ac."""
 
+import numpy.ma  # noqa: F401  np.unique and np.union1d load it on first use, inside a stage
+
 from .errors import (
     CrossCheckError,
     ResonanceError,

@@ -35,15 +35,6 @@ import scipy
 from . import __version__
 from .decay import _check_fit_times, run_experiment
 from .jost import ODE_ATOL, ODE_RTOL
-from .kernels import (
-    b_kernel,
-    functionals_json,
-    kd_kernels,
-    kernel_bound_report,
-    kernel_table_csv,
-    resonance_functionals,
-    roundtrip_residual,
-)
 from .potentials import CATALOG_NAMES, catalog, from_spec, to_spec
 from .propagator import (
     DEFAULT_K_COUNT,
@@ -390,6 +381,8 @@ def cmd_resonance(rc: RunConfig, out: Path) -> int:
 
 
 def cmd_kernels(rc: RunConfig, out: Path) -> int:
+    from . import kernels  # loads scipy.interpolate, which no other stage needs
+
     pot = rc.potential()
     rows = np.asarray(rc.data["grids"]["kernel_rows"], dtype=float)
     _, jp, jm = scattering_data(
@@ -398,15 +391,15 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
     tol = float(rc.data["tolerances"]["kernel_identity"])
     report, passed = {}, True
     for tag, jf in (("plus", jp), ("minus", jm)):
-        kt = kd_kernels(b_kernel(jf, pot=pot), jf, pot=pot)
-        rf = resonance_functionals(jf, pot)
-        _atomic_write(out / f"kernel_{tag}.csv", kernel_table_csv(kt))
+        kt = kernels.kd_kernels(kernels.b_kernel(jf, pot=pot), jf, pot=pot)
+        rf = kernels.resonance_functionals(jf, pot)
+        _atomic_write(out / f"kernel_{tag}.csv", kernels.kernel_table_csv(kt))
         # roundtrip_residual is reported only: it does not enter `passed`
         extra = {
-            "bound_margins": kernel_bound_report(kt, pot),
-            "roundtrip_residual": roundtrip_residual(kt, jf),
+            "bound_margins": kernels.kernel_bound_report(kt, pot),
+            "roundtrip_residual": kernels.roundtrip_residual(kt, jf),
         }
-        report[tag] = functionals_json(rf, extra=extra)
+        report[tag] = kernels.functionals_json(rf, extra=extra)
         passed = passed and rf.identity_residual <= tol
     report["identity_tolerance"] = tol
     report["passed"] = passed

@@ -33,6 +33,10 @@ nodes in both grids, O(N·M·log(_TILE)/_TILE) work for N inputs and M
 outputs, where the dense phase matrix costs N·M complex exponentials; the
 short chirps keep the error at a few 1e-15 of max|result|.  The GLM t
 sum reads F on one fine grid per row, as a correlation.
+
+scipy.interpolate (CubicSpline, whose banded solve numpy lacks) makes
+this the one module that loads a scipy submodule at import; the CLI
+imports it inside the kernels stage, so the others start on numpy alone.
 """
 
 from __future__ import annotations
@@ -40,15 +44,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.fft import fft, ifft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft, ifft, next_fast_len
 from scipy.interpolate import CubicSpline
 
 from .errors import CrossCheckError
 from .jost import JostField, unfold
 from .potentials import Potential, cutoff_for_eta, eta, gamma_moment
 from .scattering import ScatteringData
-from .wiener import _uniform_step
+from .wiener import _fast_len, _uniform_step
 
 __all__ = [
     "KernelTable",
@@ -334,7 +338,7 @@ def _chirp_sums(c: np.ndarray, y: np.ndarray, dy: float, k: np.ndarray, dk: floa
     p = np.arange(_TILE)
     chirp = np.exp(0.5j * theta * p * p)
     d = np.arange(1 - _TILE, _TILE)
-    L = next_fast_len(2 * _TILE - 1)
+    L = _fast_len(2 * _TILE - 1)
     kernel = np.zeros(L, dtype=complex)
     kernel[d % L] = np.exp(-0.5j * theta * d * d)
     kernel = fft(kernel)

@@ -20,7 +20,8 @@ the k → 0 extrapolation that checks the algebra.
 
 Bound states sit at the real zeros of κ ↦ W(iκ) at x = 0: on log-spaced
 brackets from κ = 1e-4 up, whose Sturm node count drops by two or more
-are split first, and on [0, 1e-4] when W(0) is not resonant.  At
+are split first, and on [0, 1e-4] when W(0) is not resonant.  Every
+sign change is refined at once, one batch of W(iκ) per round.  At
 κₙ, f₊ = βf₋ and ∫f₊f₋ dx = ∂W/∂E (Deift & Trubowitz, CPAM 32, 1979),
 so the norming constants need no eigenfunction: c₊ = (−βẆ/2κₙ)^{−1/2},
 c₋ = βc₊, Ẇ = dW/dκ.
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CrossCheckError
 from .jost import (
@@ -66,11 +66,14 @@ _SCALE_FLOOR = 1e-6
 _WRONSKIAN_SPREAD_TOL = 1e-6
 _SPREAD_BLOCK = 1 << 16  # (x, k) entries per block of the Wronskian spread
 # bound-state search: log-spaced κ brackets from _KAPPA_MIN, rounds of
-# Sturm bracket splits, Brent tolerance, and the dW/dκ stencil step
+# Sturm bracket splits, rounds and tolerances (relative, and absolute in
+# units of κ₀) of the root refinement, and the dW/dκ stencil step
 # relative to κ or to the gap to the neighbouring root
 _KAPPA_MIN = 1e-4
 _N_BRACKETS = 64
 _SPLIT_ROUNDS = 40
+_REFINE_ROUNDS = 60
+_KAPPA_RTOL = 8.9e-16
 _KAPPA_XTOL = 1e-12
 _DW_STEP = 3e-4
 _CHECK_X = (-2.0, 0.0, 2.0)  # rows scattering_data always integrates
@@ -363,9 +366,11 @@ def bound_states(
     (CrossCheckError after _SPLIT_ROUNDS rounds).  The bracket [0, κ₀],
     κ₀ = min(_KAPPA_MIN, κ_max), counts only when W(0), read in the same
     batch, is not resonant by classify_resonance's threshold (a resonant
-    W(0) = 0 is a threshold state).  Each sign change is refined by Brent
-    iteration, below κ₀ to _KAPPA_XTOL·κ₀.  At κₙ, f₊ = βf₋ with β from
-    (f±, f±′) at x = 0 (odd states too, where f±(0) = 0), and
+    W(0) = 0 is a threshold state).  The sign changes are refined together
+    (_refine_roots), one W(iκ) batch per round over the brackets still
+    open, each closing once narrower than 2(_KAPPA_RTOL·κ + _KAPPA_XTOL·κ₀)
+    (CrossCheckError after _REFINE_ROUNDS rounds).  At κₙ, f₊ = βf₋ with β
+    from (f±, f±′) at x = 0 (odd states too, where f±(0) = 0), and
     ‖f₊‖² = β∂W/∂E = −βẆ/(2κₙ), Ẇ = dW/dκ by the fourth-order stencil of
     step _DW_STEP·min(κₙ, gap to the neighbouring κₘ).  c₊ = ‖f₊‖⁻¹ and
     c₋ = βc₊; CrossCheckError when −βẆ/(2κₙ) is not positive and finite.
@@ -391,17 +396,13 @@ def bound_states(
     else:
         raise CrossCheckError(f"bound-state brackets still crowded after {_SPLIT_ROUNDS} splits")
 
-    def w_at(kap):
-        return float(_w_at_ikappa(pot, [kap], rtol, atol)[0][0])
-
-    roots = []
-    if abs(w_zero) >= threshold and w_zero * wvals[0] < 0.0:
-        roots.append(float(brentq(w_at, 0.0, grid[0], xtol=_KAPPA_XTOL * grid[0], rtol=8.9e-16)))
-    for a, b, wa, wb in zip(grid[:-1], grid[1:], wvals[:-1], wvals[1:]):
-        if wa == 0.0:
-            roots.append(float(a))
-        elif wa * wb < 0.0:
-            roots.append(float(brentq(w_at, a, b, xtol=_KAPPA_XTOL, rtol=8.9e-16)))
+    # brackets [lo, grid]; [0, κ₀] counts only when W(0) is not resonant
+    lo, w_lo = np.append(0.0, grid[:-1]), np.append(w_zero, wvals[:-1])
+    live = np.append(abs(w_zero) >= threshold, np.ones(grid.size - 1, bool))
+    cross = live & (w_lo * wvals < 0.0)
+    xtol = _KAPPA_XTOL * grid[0]
+    refined = _refine_roots(pot, lo[cross], grid[cross], w_lo[cross], wvals[cross], xtol, rtol, atol)
+    roots = np.sort(np.append(lo[live & (w_lo == 0.0)], refined)).tolist()
 
     states = []
     gaps = np.diff(roots)  # W(iκ) changes sign at every κₙ, so it varies on these scales too
@@ -417,3 +418,39 @@ def bound_states(
         c_plus = norm2**-0.5
         states.append(BoundState(kap, -kap * kap, c_plus, beta * c_plus))
     return tuple(states)
+
+
+def _refine_roots(pot, a, b, fa, fb, xtol, rtol, atol):
+    """Roots of κ ↦ W(iκ) in the brackets [aᵢ, bᵢ], where W takes the
+    opposite signs faᵢ, fbᵢ, by Chandrupatla's hybrid of inverse quadratic
+    interpolation and bisection (Adv. Eng. Softw. 28, 1997).  Each round
+    reads W once at every bracket still open, in one _w_at_ikappa call; a
+    bracket closes on an exact zero or once it is narrower than twice
+    _KAPPA_RTOL·|κ| + xtol about its end κ of smaller |W|, its root.
+    CrossCheckError when one is still open after _REFINE_ROUNDS rounds."""
+    roots, todo = np.empty(a.size), np.arange(a.size)
+    c, fc, t = b, fb, np.full(a.size, 0.5)
+    for _ in range(_REFINE_ROUNDS):
+        if todo.size == 0:
+            break
+        x = a + t * (b - a)
+        fx = _w_at_ikappa(pot, x, rtol, atol)[0]
+        same = np.sign(fx) == np.sign(fa)  # [x, b] keeps the sign change, else [a, x]
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
+        a, fa = x, fx
+        near = np.abs(fa) < np.abs(fb)
+        xm, fm = np.where(near, a, b), np.where(near, fa, fb)
+        tl = (_KAPPA_RTOL * np.abs(xm) + xtol) / np.abs(b - a)
+        done = (tl > 0.5) | (fm == 0.0)
+        roots[todo[done]] = xm[done]
+        todo, a, b, c, fa, fb, fc, tl = (v[~done] for v in (todo, a, b, c, fa, fb, fc, tl))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            iqi = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        t = np.clip(np.where((phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), iqi, 0.5), tl, 1.0 - tl)
+    if todo.size:
+        raise CrossCheckError(
+            f"bound-state root at κ ≈ {a[0]:.12g} still bracketed after {_REFINE_ROUNDS} rounds"
+        )
+    return roots

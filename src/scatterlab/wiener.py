@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, next_fast_len
+from numpy.fft import fft
 
 __all__ = [
     "WienerEstimate",
@@ -46,6 +46,19 @@ class WienerEstimate:
     @property
     def a1_norm(self) -> float:
         return abs(self.constant_part) + self.hat_l1
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2·3·5·7·11-smooth integer ≥ n: scipy.fft.next_fast_len's
+    rule for complex input, so padded lengths do not depend on the FFT."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _uniform_step(grid, name: str) -> float:
@@ -96,7 +109,7 @@ def _hat_mass(k: np.ndarray, g: np.ndarray, taper_frac: float):
     """(ℓ¹ mass, outer-decile fraction) of the FFT profile of g, zero
     padded to four times the window."""
     gw = np.asarray(g, dtype=complex) * _taper(k, taper_frac)
-    n_pad = next_fast_len(4 * k.size)
+    n_pad = _fast_len(4 * k.size)
     dens = np.abs(fft(gw, n=n_pad))
     total = float(np.sum(dens)) / n_pad  # = δp/2π · Σ|spec| · δk summed out
     if total == 0.0:

@@ -33,13 +33,65 @@ def test_all_names_resolve(name):
 
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal costs about 0.6 s to import, and every stage pays for
-    # what `import scatterlab` and the CLI (which loads every module) pull in
+    # what `import scatterlab` and the CLI (every module but kernels) pull in
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     code = "import sys, scatterlab, scatterlab.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_stages_run_on_numpy_and_the_bare_scipy_package(tmp_path):
+    # a stage is a fresh process, and scipy.optimize with what it pulls in
+    # (linalg, sparse, special), scipy.fft and scipy.interpolate cost it
+    # about 0.5 s of set-up; only the kernels stage loads a scipy
+    # submodule.  A stage loads nothing the import left out: numpy.ma (loaded
+    # by np.unique on first use) and numpy.fft come with the package
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = """if True:
+        import json, sys
+        import scatterlab, scatterlab.cli
+        heavy = ("optimize", "fft", "interpolate", "linalg", "sparse", "special")
+        out = {"loaded": [m for m in heavy if f"scipy.{m}" in sys.modules]}
+        for stage in ("scatter", "wiener"):
+            before = set(sys.modules)
+            args = [stage, "--override", "potential.name=square_well", "--out", sys.argv[1] + stage]
+            out[stage] = [scatterlab.cli.main(args), sorted(set(sys.modules) - before)]
+        print(json.dumps(out))
+    """
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path) + os.sep], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.strip().splitlines()[-1])
+    assert out == {"loaded": [], "scatter": [0, []], "wiener": [0, []]}
+
+
+def test_only_kernels_imports_a_scipy_submodule_at_module_level():
+    # a module-level import of a scipy submodule is paid by every stage's
+    # start-up; kernels (CubicSpline) is imported by its own stage alone, and
+    # an import inside a function (potentials.load_sampled) costs only its
+    # callers
+    eager = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.stem == "kernels":
+            continue
+        stack = list(ast.parse(path.read_text()).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            eager += [f"{path.stem}: {n}" for n in names if n.startswith("scipy.")]
+    assert not eager, "scipy submodules imported at module level: " + ", ".join(eager)
 
 
 def test_benchmark_call_shapes_bind():

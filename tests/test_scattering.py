@@ -299,10 +299,10 @@ def test_norming_constants_match_closed_forms(pot, ref):
         assert b.c_minus == pytest.approx(c_minus, rel=1e-9)
 
 
-@pytest.mark.parametrize("v0", [30.0, 100.0, 400.0])
+@pytest.mark.parametrize("v0", [30.0, 100.0, 400.0, 2000.0])
 def test_bound_states_deep_square_well_all_found(v0):
-    # 4, 7 and 13 states; neighbouring κ of deep states share a bracket of
-    # the log grid, which the Sturm node count splits
+    # 4, 7, 13 and 29 states; neighbouring κ of deep states share a bracket
+    # of the log grid, which the Sturm node count splits
     ref = oracles.square_well_bound_states(v0, 1.0)
     kappas = [b.kappa for b in bound_states(catalog("square_well", v0=v0, a=1.0))]
     assert len(kappas) == len(ref)
@@ -324,7 +324,32 @@ def test_bound_state_search_reads_jost_at_zero_and_one_count_grid(monkeypatch):
     assert len(grids) == 1 and grids[0][1] == +1
     x = grids[0][0]
     assert x[0] == -x[-1] and x.size > 2
-    assert len(calls) == 19  # 2 on the bracket grid, 14 in Brent, 1 count, 2 for dW/dκ
+    assert len(calls) == 17  # 2 on the bracket grid, 12 in 6 refinement rounds, 1 count, 2 for dW/dκ
+
+
+def test_bound_state_refinement_reads_w_once_per_round(monkeypatch):
+    # the 13 roots of the v0 = 400 well are refined together: each round
+    # reads W(iκ) at every bracket still open in one call
+    calls = []
+    w_at_ikappa = scattering._w_at_ikappa
+
+    def recording(pot, kappas, rtol, atol):
+        calls.append(len(kappas))
+        return w_at_ikappa(pot, kappas, rtol, atol)
+
+    monkeypatch.setattr(scattering, "_w_at_ikappa", recording)
+    kappas = [b.kappa for b in bound_states(catalog("square_well", v0=400.0, a=1.0))]
+    ref = oracles.square_well_bound_states(400.0, 1.0)
+    assert len(kappas) == len(ref) == 13
+    assert np.max(np.abs(np.array(kappas) - ref)) < 1e-13
+    assert len(calls) <= 40
+
+
+def test_bound_state_roots_still_bracketed_raise(monkeypatch):
+    # one round leaves the bracket open: a root the rounds cannot close raises
+    monkeypatch.setattr(scattering, "_REFINE_ROUNDS", 1)
+    with pytest.raises(CrossCheckError, match="still bracketed after 1 rounds"):
+        bound_states(catalog("square_well"))
 
 
 def test_bound_state_with_no_positive_norm_raises(monkeypatch):

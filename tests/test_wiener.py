@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
-from scatterlab.wiener import _taper, a_norm, derivative_a_norms, difference_quotient_norm
+from scatterlab.wiener import _fast_len, _taper, a_norm, derivative_a_norms, difference_quotient_norm
 
 import oracles
 
@@ -126,3 +127,11 @@ def test_wiener_lemma_proxy():
     est = a_norm(K, 1.0 / f, limit_at_infinity=0.5)
     assert est.converged
     assert est.hat_l1 < 0.5  # 1/f − 1/2 is small and smooth
+
+
+def test_fast_len_is_scipys_rule_for_complex_input():
+    # the padded lengths, and with them every norm, do not depend on which
+    # library computes the FFT; 4 × 24 001 and 4 × 12 001 are the default
+    # grids' padded windows
+    ns = [*range(1, 200_001, 97), 4 * 24_001, 4 * 12_001, 2 * 256 - 1]
+    assert [_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
