@@ -69,6 +69,14 @@ zero-energy solutions f±(·,0) = h±(·,0) that decide the resonance
 (scattering.classify_resonance) and give the threshold state f₀
 (propagator.prepare_propagator) are read from compute_h_pair's k = 0
 column.
+
+The maps are built a chunk of steps at a time, in (steps × k) arrays of at
+most _CHUNK entries that each march thread allocates once per block of k.
+Made anew per chunk, their pages were returned and faulted in again every
+time (640 000 minor faults per pair march on the default decay grid, on
+which the second thread stalled).  They are separate arrays, not one
+block: one block of their size raised glibc's dynamic mmap threshold and
+with it the peak RSS of the stages that follow.
 """
 
 from __future__ import annotations
@@ -99,7 +107,10 @@ _COMM = np.sqrt(3.0) / 12.0  # weight of the commutator term of Ω
 _STEP0 = 0.25  # candidate steps start at _STEP0·(1 + |x|)
 _MAX_HALVINGS = 40
 _KH_RESOLVED = 1.2  # steps with |kH| above this are not in the asymptotic regime
-_CHUNK = 2**15  # entries of one (steps × k) working array (256 KiB)
+# entries of one (steps × k) working array (256 KiB); each march thread
+# allocates its _WORK arrays once, as separate arrays (module docstring)
+_CHUNK = 2**15
+_WORK = 13  # the four arrays of each half step's maps and the five of their product
 _ROWS = 2**12  # entries of one block of output rows assembled at once
 _SAMPLE_K = 64  # k that carry the whole-step solution of the error estimate
 _PARALLEL_K = 2048  # k grids at least this large are marched in threads
@@ -150,47 +161,51 @@ def _grid_index(grid, value: float, name: str) -> int:
     return i
 
 
-def _step_maps(pot, x0, H, k2):
+def _step_maps(pot, x0, H, k2, out):
     """exp Ω of the Magnus steps [x0, x0 + H] (x0, H of shape (S,)) for each
     k² (shape (K,)), as the real (S, K) arrays (m00, m01, m10 + k² m01,
-    m11 − m00).  The last two are the parts of exp Ω that V alone makes, so
-    they vanish where V does, with no cancellation between k² terms."""
+    m11 − m00), written into the four arrays of out and returned as them.
+    The last two are the parts of exp Ω that V alone makes, so they vanish
+    where V does, with no cancellation between k² terms."""
+    nd, S, C, Sa = out
     v1 = pot(x0 + (0.5 - _GAUSS) * H)
     v2 = pot(x0 + (0.5 + _GAUSS) * H)
     h = H[:, None]
     vbar = 0.5 * (v1 + v2)[:, None]
     a = (_COMM * H * H * (v1 - v2))[:, None]
-    nd = k2 - vbar
+    np.subtract(k2, vbar, out=nd)
     nd -= (a / h) ** 2  # Ω² = −H² nd·I; s = |H|√|nd| is exactly |kH| where V = 0
     if nd.min(initial=1.0) > 0.0:
-        C, S = _cos_sinc(np.sqrt(nd, out=nd), 0.5 * np.abs(h))
+        _cos_sinc(np.sqrt(nd, out=nd), 0.5 * np.abs(h), C, S)
     else:
-        r = np.abs(h) * np.sqrt(np.abs(nd))
-        osc = nd > 0.0
+        r = np.sqrt(np.abs(nd, out=Sa), out=Sa)
+        r *= np.abs(h)
         with np.errstate(over="ignore", invalid="ignore"):
-            C, S = np.cosh(r), np.sinh(r)  # an overflow fails the step, which is halved
+            np.cosh(r, out=C)  # an overflow fails the step, which is halved
+            np.sinh(r, out=S)
             np.divide(S, r, out=S, where=r > 0.0)
         S[r == 0.0] = 1.0
-        C[osc], S[osc] = _cos_sinc(r[osc], 0.5)
-    Sa = S * a
+        _cos_sinc(r, 0.5, C, S, where=nd > 0.0)
+    np.multiply(S, a, out=Sa)
     S *= h
-    return C + Sa, S, S * vbar, -2.0 * Sa
+    C += Sa
+    Sa *= -2.0
+    return C, S, np.multiply(S, vbar, out=nd), Sa
 
 
-def _cos_sinc(rho, half):
-    """(cos r, sin(r)/r) for r = 2·half·rho > 0, from τ = tan(r/2): numpy
-    vectorises tan but not cos and sin, and the half-angle forms lose no
-    accuracy.  rho is overwritten."""
-    rho *= half  # r/2
-    tau = np.tan(rho)
-    q = tau * tau
-    q += 1.0
-    np.reciprocal(q, out=q)
-    tau *= q
-    tau /= rho
-    q *= 2.0
-    q -= 1.0
-    return q, tau
+def _cos_sinc(rho, half, C, S, where=True):
+    """(cos r, sin(r)/r) for r = 2·half·rho > 0, from τ = tan(r/2), written
+    into C and S where `where` holds: numpy vectorises tan but not cos and
+    sin, and the half-angle forms lose no accuracy.  rho is overwritten."""
+    np.multiply(rho, half, out=rho, where=where)  # r/2
+    np.tan(rho, out=S, where=where)
+    np.multiply(S, S, out=C, where=where)
+    np.add(C, 1.0, out=C, where=where)
+    np.reciprocal(C, out=C, where=where)
+    np.multiply(S, C, out=S, where=where)
+    np.divide(S, rho, out=S, where=where)
+    np.multiply(C, 2.0, out=C, where=where)
+    np.subtract(C, 1.0, out=C, where=where)
 
 
 def _mul(A, B, k2, out):
@@ -230,28 +245,30 @@ def _mul(A, B, k2, out):
     return out[:4]
 
 
-def _doubled(pot, x0, H, lam, g):
+def _doubled(pot, x0, H, lam, g, work):
     """(R, F) for the steps, each (S, K) in _step_maps' form: the whole step
     F and the Richardson map R = (16 P − F)/15 of the two half steps P.  The
     step-doubling difference P − F is 15/16 of R − F.  For k = iκ
     (g = −σκ, else None) both are scaled by e^{−gH}, so the state does not
-    grow like e^{κ|x|}."""
+    grow like e^{κ|x|}.  R and F are written into the first S rows of the
+    march's working arrays work (_step_chunks)."""
     k2 = -(lam * lam).real
-    # P before F, and R in P's arrays, so fewer (steps × k) arrays live at once
-    out = [np.empty((H.size, k2.size)) for _ in range(5)]  # as five arrays, none above 256 KiB
-    R = _mul(_step_maps(pot, x0 + 0.5 * H, 0.5 * H, k2), _step_maps(pot, x0, 0.5 * H, k2), k2, out)
-    F = _step_maps(pot, x0, H, k2)
+    w = [m[: H.size] for m in work]
+    # P into w[:8] and their product R into w[8:]; then F into the first P's arrays
+    R = _mul(_step_maps(pot, x0 + 0.5 * H, 0.5 * H, k2, w[:4]), _step_maps(pot, x0, 0.5 * H, k2, w[4:8]), k2, w[8:])
+    F = _step_maps(pot, x0, H, k2, w[:4])
     for r, f in zip(R, F):
         r *= 16.0
         r -= f
         r /= 15.0
     if g is not None:
-        scale = np.exp(-np.multiply.outer(H, g))
-        R, F = (tuple(m * scale for m in M) for M in (R, F))
+        scale = np.exp(np.negative(np.multiply.outer(H, g, out=w[4]), out=w[4]), out=w[4])
+        for m in (*R, *F):
+            m *= scale
     return R, F
 
 
-def _indicator(pot, x0, H, lam, g, tol) -> np.ndarray:
+def _indicator(pot, x0, H, lam, g, tol, work) -> np.ndarray:
     """Local error indicator of each step (S,), compared with a tolerance
     per unit length: the step-doubling difference (P − F)/15 per unit
     length, in the norm that weighs f′ by 1/max(|k|, 1), at k = 0 for real k
@@ -261,7 +278,7 @@ def _indicator(pot, x0, H, lam, g, tol) -> np.ndarray:
     (then no k sees more than tol of V's variation there)."""
     lam0 = lam if g is not None else np.zeros(1)
     w = np.maximum(np.abs(lam0), 1.0)
-    R, F = _doubled(pot, x0, H, lam0, g)
+    R, F = _doubled(pot, x0, H, lam0, g, work)
     dc, db, de, dt = (np.abs(r - f) / 16.0 for r, f in zip(R, F))
     est = ((dc + 2.0 * dt + 2.0 * w * db + de / w) / np.abs(H)[:, None]).max(axis=1)
     if g is None:
@@ -274,9 +291,13 @@ def _indicator(pot, x0, H, lam, g, tol) -> np.ndarray:
     return est
 
 
-def _step_chunks(n_steps: int, n_k: int) -> list[slice]:
+def _step_chunks(n_steps: int, n_k: int) -> tuple[list[slice], list[np.ndarray]]:
+    """The chunks of at most _CHUNK entries that a march over n_k columns
+    takes its n_steps steps in, and the working arrays of _doubled, made
+    once for all of them; the last chunk uses their first rows."""
     size = max(1, _CHUNK // max(n_k, 1))
-    return [slice(i, min(i + size, n_steps)) for i in range(0, n_steps, size)]
+    work = [np.empty((min(size, n_steps), n_k)) for _ in range(_WORK)]
+    return [slice(i, min(i + size, n_steps)) for i in range(0, n_steps, size)], work
 
 
 def _step_sequence(pot, edges, lam, g, tol):
@@ -293,8 +314,9 @@ def _step_sequence(pot, edges, lam, g, tol):
     evals = 0
     for _ in range(_MAX_HALVINGS):
         est = np.empty(x0.size)
-        for s in _step_chunks(x0.size, 1 if g is None else lam.size):
-            est[s] = _indicator(pot, x0[s], H[s], lam, g, tol)
+        chunks, work = _step_chunks(x0.size, 1 if g is None else lam.size)
+        for s in chunks:
+            est[s] = _indicator(pot, x0[s], H[s], lam, g, tol, work)
         evals += 3 * x0.size
         ok = est <= tol
         accepted.append((x0[ok], H[ok], seg[ok]))
@@ -376,8 +398,9 @@ def _march(pot, x0, H, slot, n_out, lam, g):
             if slot[-1] >= 0:
                 y_out[0, slot[-1], kc] = f[:n]
             phases = {}
-            for sc in _step_chunks(x0.size, lk.size):
-                c, b, e, t = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], lk, gk), n)
+            chunks, work = _step_chunks(x0.size, lk.size)
+            for sc in chunks:
+                c, b, e, t = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], lk, gk, work), n)
                 for j, s in enumerate(range(sc.start, sc.stop)):
                     # the maps on (h, h′) step by step: no complex (steps × k) array
                     lb = lk * b[j]
@@ -391,7 +414,6 @@ def _march(pot, x0, H, slot, n_out, lam, g):
                         y_out[0, slot[s], kc], y_out[1, slot[s], kc] = f[:n], u[:n]
                         d = np.abs(f[ps] - f[n:]) + np.abs(u[ps] - u[n:]) / wp
                         err = max(err, float(d.max(initial=0.0)) / 16.0)
-                del c, b, e, t  # before the next chunk's maps are made
         errs.append(err)
 
     _in_threads(K, run)
@@ -476,14 +498,14 @@ def _march_pair(pot, x0, H, slot, n_out, ks):
 
             if slot[-1] >= 0:
                 keep(slot[-1])
-            for sc in _step_chunks(x0.size, k.size):
-                R = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], ik, None), n)
+            chunks, work = _step_chunks(x0.size, k.size)
+            for sc in chunks:
+                R = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], ik, None, work), n)
                 for j, s in enumerate(range(sc.start, sc.stop)):
                     phi = _mul([m[j] for m in R], phi, k2, buf[(s + 1) % 2])
                     P *= _phase(phases, H[s], k[:n])
                     if slot[s] >= 0:
                         keep(slot[s])
-                del R  # before the next chunk's maps are made
 
             v, u = _minus_start(phi, ik, k2)
             ikn, ikp = ik[:n], ik[n:]

@@ -73,6 +73,7 @@ DEFAULT_K_COUNT = 24001
 # holds every diagonal
 _CHUNK_ENTRIES = 1 << 20
 _ANCHOR_PHASE = 0.01  # θ: per k step, twice the largest turn of e^{i(b−b₀)k}
+_FIT_ROWS = 8  # S fields per FFT call in s_growth_fit: one plan per call, few rows held at once
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,16 @@ class KernelSlice:
 @dataclass(frozen=True)
 class SField:
     """∂ₖ[(e^{i|y−x|k}h₊(y,k)h₋(x,k)T(k) − h₊(y,0)h₋(x,0)T(0))/k] sampled
-    on the inner k grid, with its algebra-norm estimate."""
+    on the inner k grid, with its algebra-norm estimate (made on access)."""
 
     x: float
     y: float
     k_grid: np.ndarray
     S: np.ndarray
-    a_norm: wiener.WienerEstimate
+
+    @property
+    def a_norm(self) -> wiener.WienerEstimate:
+        return wiener.a_norm(self.k_grid, self.S, 0.0)
 
 
 @dataclass(frozen=True)
@@ -346,10 +350,7 @@ def s_field(pd: PropagatorData, x: float, y: float) -> SField:
     h = float(k[1] - k[0])
     # the k grid is symmetric, so its middle node is k = 0
     q = wiener._k0_quotient(k, np.exp(1j * b * k) * g - g[k.size // 2], h)
-    s = wiener._derivative(q, h)
-    k_in = k[2:-2]
-    est = wiener.a_norm(k_in, s, 0.0)
-    return SField(x=float(x), y=float(y), k_grid=k_in, S=s, a_norm=est)
+    return SField(x=float(x), y=float(y), k_grid=k[2:-2], S=wiener._derivative(q, h))
 
 
 def _growth_lattice(x_grid) -> list[float]:
@@ -378,7 +379,9 @@ def s_growth_fit(pd: PropagatorData):
     any solve."""
     sel = _growth_lattice(pd.x_grid)
     pairs = [(a, c) for ai, a in enumerate(sel) for c in sel[ai:]]
-    norms = np.array([s_field(pd, a, c).a_norm.a1_norm for a, c in pairs])
+    # ‖S‖ = a_norm(S).a1_norm, the profile masses of _FIT_ROWS fields per FFT call
+    blocks = ([s_field(pd, a, c).S for a, c in pairs[i : i + _FIT_ROWS]] for i in range(0, len(pairs), _FIT_ROWS))
+    norms = np.concatenate([wiener._hat_mass(pd.k_grid[2:-2], b, wiener.TAPER_FRAC)[0] for b in blocks])
     s = np.abs([a for a, _ in pairs]) + np.abs([c for _, c in pairs])
     env_s, env_n = [], []
     for sv in np.unique(np.round(s, 9)):

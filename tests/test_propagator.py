@@ -547,6 +547,8 @@ def test_s_field_validation(pt_pd):
 def test_s_growth_envelope(pt_pd, sw_pd):
     c_pt, p_pt, pairs, norms = s_growth_fit(pt_pd)
     assert len(pairs) == len(norms) == 66
+    # the masses are taken several fields per FFT call, bit for bit s_field's
+    assert list(norms) == [s_field(pt_pd, x, y).a_norm.a1_norm for x, y in pairs]
     assert 1.2 < p_pt < 2.2
     assert 0.8 < c_pt < 1.2
     c_sw, p_sw, _, _ = s_growth_fit(sw_pd)
