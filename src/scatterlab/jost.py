@@ -71,10 +71,10 @@ zero-energy solutions f±(·,0) = h±(·,0) that decide the resonance
 column.
 
 The maps are built a chunk of steps at a time, in (steps × k) arrays of at
-most _CHUNK entries that each march thread allocates once per block of k.
-Made anew per chunk, their pages were returned and faulted in again every
-time (640 000 minor faults per pair march on the default decay grid, on
-which the second thread stalled).  They are separate arrays, not one
+most _CHUNK entries that each march thread allocates once per block of k,
+so their pages stay mapped: arrays made anew per chunk are handed back to
+the system and faulted in again every time (about 640 000 minor faults per
+pair march on the default decay grid).  They are separate arrays, not one
 block: one block of their size raised glibc's dynamic mmap threshold and
 with it the peak RSS of the stages that follow.
 """
@@ -110,7 +110,7 @@ _KH_RESOLVED = 1.2  # steps with |kH| above this are not in the asymptotic regim
 # entries of one (steps × k) working array (256 KiB); each march thread
 # allocates its _WORK arrays once, as separate arrays (module docstring)
 _CHUNK = 2**15
-_WORK = 13  # the four arrays of each half step's maps and the five of their product
+_WORK = 13  # 4 per half step's maps, 5 for their product; the whole step reuses 4
 _ROWS = 2**12  # entries of one block of output rows assembled at once
 _SAMPLE_K = 64  # k that carry the whole-step solution of the error estimate
 _PARALLEL_K = 2048  # k grids at least this large are marched in threads
