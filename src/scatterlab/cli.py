@@ -36,15 +36,7 @@ from . import __version__
 from .decay import _check_fit_times, run_experiment
 from .jost import ODE_ATOL, ODE_RTOL
 from .potentials import CATALOG_NAMES, catalog, from_spec, to_spec
-from .propagator import (
-    DEFAULT_K_COUNT,
-    DEFAULT_K_MAX,
-    DEFAULT_X_MAX,
-    DEFAULT_X_STEP,
-    _check_times,
-    _growth_lattice,
-    prepare_propagator,
-)
+from .propagator import _check_times, _growth_lattice, prepare_propagator
 from .scattering import classify_resonance, scattering_data
 from .wiener import TAPER_FRAC, _check_max_order, _taper, derivative_a_norms, difference_quotient_norm
 
@@ -56,10 +48,10 @@ DEFAULT_CONFIG: dict = {
     "schema_version": 1,
     "potential": {"name": "poeschl_teller", "params": {}},
     "grids": {
-        "x_max": DEFAULT_X_MAX,
-        "x_step": DEFAULT_X_STEP,
-        "k_max": DEFAULT_K_MAX,
-        "k_count": DEFAULT_K_COUNT,
+        "x_max": 8.0,
+        "x_step": 0.25,
+        "k_max": 60.0,
+        "k_count": 24001,
         "scatter_k_max": 30.0,
         "scatter_k_count": 1201,
         "kernel_rows": [-2.0, -1.0, 0.0, 1.0, 2.0],

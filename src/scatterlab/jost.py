@@ -70,10 +70,11 @@ zero-energy solutions f±(·,0) = h±(·,0) that decide the resonance
 (propagator.prepare_propagator) are read from compute_h_pair's k = 0
 column.
 
-The maps are built a chunk of steps at a time, in (steps × k) arrays of at
-most _CHUNK entries that each march thread allocates once per block of k,
-so their pages stay mapped: arrays made anew per chunk are handed back to
-the system and faulted in again every time (about 640 000 minor faults per
+Each march thread marches its whole part of the k grid as one block, a
+chunk of steps at a time, in (steps × k) arrays of at most _CHUNK entries
+(past _CHUNK k, one step as wide as the part) that it allocates once, so
+their pages stay mapped: arrays made anew per chunk are handed back to the
+system and faulted in again every time (about 640 000 minor faults per
 pair march on the default decay grid).  They are separate arrays, not one
 block: one block of their size raised glibc's dynamic mmap threshold and
 with it the peak RSS of the stages that follow.
@@ -107,13 +108,13 @@ _COMM = np.sqrt(3.0) / 12.0  # weight of the commutator term of Ω
 _STEP0 = 0.25  # candidate steps start at _STEP0·(1 + |x|)
 _MAX_HALVINGS = 40
 _KH_RESOLVED = 1.2  # steps with |kH| above this are not in the asymptotic regime
-# entries of one (steps × k) working array (256 KiB); each march thread
-# allocates its _WORK arrays once, as separate arrays (module docstring)
+# entries of one (steps × k) working array (256 KiB) unless one step is
+# wider; each march thread allocates its _WORK arrays once (module docstring)
 _CHUNK = 2**15
 _WORK = 13  # 4 per half step's maps, 5 for their product; the whole step reuses 4
 _ROWS = 2**12  # entries of one block of output rows assembled at once
 _SAMPLE_K = 64  # k that carry the whole-step solution of the error estimate
-_PARALLEL_K = 2048  # k grids at least this large are marched in threads
+_PARALLEL_K = 2048  # pair marches on at least this many |k| run in threads
 _WORKERS = min(2, os.cpu_count() or 1)
 
 
@@ -121,8 +122,6 @@ _WORKERS = min(2, os.cpu_count() or 1)
 class IntegrationReport:
     cutoff: float
     eta_at_cutoff: float
-    rtol: float
-    atol: float
     # (|k| low, |k| high, Magnus step evaluations): one sequence serves every k
     bands: tuple[tuple[float, float, int], ...]
     # estimated error of the two-half-step solution at the outputs, the
@@ -245,12 +244,12 @@ def _mul(A, B, k2, out):
     return out[:4]
 
 
-def _doubled(pot, x0, H, lam, g, work):
+def _doubled(pot, x0, H, lam, work):
     """(R, F) for the steps, each (S, K) in _step_maps' form: the whole step
     F and the Richardson map R = (16 P − F)/15 of the two half steps P.  The
-    step-doubling difference P − F is 15/16 of R − F.  For k = iκ
-    (g = −σκ, else None) both are scaled by e^{−gH}, so the state does not
-    grow like e^{κ|x|}.  R and F are written into the first S rows of the
+    step-doubling difference P − F is 15/16 of R − F.  A real λ = f′/f at
+    X∞ (k = iκ, λ = −σκ) scales both by e^{−λH}, so the state does not grow
+    like e^{κ|x|}.  R and F are written into the first S rows of the
     march's working arrays work (_step_chunks)."""
     k2 = -(lam * lam).real
     w = [m[: H.size] for m in work]
@@ -261,14 +260,14 @@ def _doubled(pot, x0, H, lam, g, work):
         r *= 16.0
         r -= f
         r /= 15.0
-    if g is not None:
-        scale = np.exp(np.negative(np.multiply.outer(H, g, out=w[4]), out=w[4]), out=w[4])
+    if np.isrealobj(lam):
+        scale = np.exp(np.negative(np.multiply.outer(H, lam, out=w[4]), out=w[4]), out=w[4])
         for m in (*R, *F):
             m *= scale
     return R, F
 
 
-def _indicator(pot, x0, H, lam, g, tol, work) -> np.ndarray:
+def _indicator(pot, x0, H, lam, tol, work) -> np.ndarray:
     """Local error indicator of each step (S,), compared with a tolerance
     per unit length: the step-doubling difference (P − F)/15 per unit
     length, in the norm that weighs f′ by 1/max(|k|, 1), at k = 0 for real k
@@ -276,12 +275,13 @@ def _indicator(pot, x0, H, lam, g, tol, work) -> np.ndarray:
     κ for k = iκ.  A step longer than _KH_RESOLVED/max|k| is not resolved
     for the largest k; it is halved unless V varies on it by at most tol/|H|
     (then no k sees more than tol of V's variation there)."""
-    lam0 = lam if g is not None else np.zeros(1)
+    real_k = np.iscomplexobj(lam)
+    lam0 = np.zeros(1, dtype=complex) if real_k else lam
     w = np.maximum(np.abs(lam0), 1.0)
-    R, F = _doubled(pot, x0, H, lam0, g, work)
+    R, F = _doubled(pot, x0, H, lam0, work)
     dc, db, de, dt = (np.abs(r - f) / 16.0 for r, f in zip(R, F))
     est = ((dc + 2.0 * dt + 2.0 * w * db + de / w) / np.abs(H)[:, None]).max(axis=1)
-    if g is None:
+    if real_k:
         wide = np.abs(H) * np.max(np.abs(lam)) > _KH_RESOLVED
         if wide.any():
             xw, hw = x0[wide], H[wide]
@@ -292,15 +292,16 @@ def _indicator(pot, x0, H, lam, g, tol, work) -> np.ndarray:
 
 
 def _step_chunks(n_steps: int, n_k: int) -> tuple[list[slice], list[np.ndarray]]:
-    """The chunks of at most _CHUNK entries that a march over n_k columns
-    takes its n_steps steps in, and the working arrays of _doubled, made
-    once for all of them; the last chunk uses their first rows."""
+    """The chunks of at most _CHUNK entries (one step where n_k is more)
+    that a march over n_k columns takes its n_steps steps in, and the
+    working arrays of _doubled, made once for all of them; the last chunk
+    uses their first rows."""
     size = max(1, _CHUNK // max(n_k, 1))
     work = [np.empty((min(size, n_steps), n_k)) for _ in range(_WORK)]
     return [slice(i, min(i + size, n_steps)) for i in range(0, n_steps, size)], work
 
 
-def _step_sequence(pot, edges, lam, g, tol):
+def _step_sequence(pot, edges, lam, tol):
     """(x0, H, segment, evaluations): the steps whose _indicator is at most
     tol on the given k, in integration order.  Segment j runs from edges[j]
     to edges[j + 1]."""
@@ -314,9 +315,9 @@ def _step_sequence(pot, edges, lam, g, tol):
     evals = 0
     for _ in range(_MAX_HALVINGS):
         est = np.empty(x0.size)
-        chunks, work = _step_chunks(x0.size, 1 if g is None else lam.size)
+        chunks, work = _step_chunks(x0.size, 1 if np.iscomplexobj(lam) else lam.size)
         for s in chunks:
-            est[s] = _indicator(pot, x0[s], H[s], lam, g, tol, work)
+            est[s] = _indicator(pot, x0[s], H[s], lam, tol, work)
         evals += 3 * x0.size
         ok = est <= tol
         accepted.append((x0[ok], H[ok], seg[ok]))
@@ -365,14 +366,15 @@ def _phase(cache: dict, H: float, k) -> np.ndarray:
     return ph
 
 
-def _march(pot, x0, H, slot, n_out, lam, g):
-    """March (h, h′) from (1, 0) through the Richardson steps R for every k.
-    The maps act on (f, u) = (f, f′ − λf), λ = f′/f at X∞; each step is
-    followed by its factor e^{−λH}, so the state is (h, h′) =
-    e^{−λ(x − X∞)} (f, u) throughout (for k = iκ the factor is in the maps
-    already).  The _sample k ride along as extra columns that take the
-    whole steps F instead, so the whole-step solution needs no march of
-    its own.
+def _march(pot, x0, H, slot, n_out, lam):
+    """March (h, h′) from (1, 0) through the Richardson steps R for every k,
+    in one block on the calling thread: its callers send at most a few
+    hundred k.  The maps act on (f, u) = (f, f′ − λf), λ = f′/f at X∞;
+    each step is followed by its factor e^{−λH}, so the state is (h, h′) =
+    e^{−λ(x − X∞)} (f, u) throughout (for a real λ, k = iκ, the factor is
+    in the maps already).  The _sample k ride along as extra columns that
+    take the whole steps F instead, so the whole-step solution needs no
+    march of its own.
 
     slot[s] is the output that step s ends on (−1: none; slot[−1] is the
     output at the start, if any).  Returns ((h, h′) at the outputs, and the
@@ -381,43 +383,32 @@ def _march(pot, x0, H, slot, n_out, lam, g):
     step)/16)."""
     K = lam.size
     y_out = np.zeros((2, n_out, K), dtype=lam.dtype)
-    w = np.maximum(np.abs(lam), 1.0)
-    sample = _sample(K)
-    errs = []
-
-    def run(k_lo, k_hi):
-        err = 0.0
-        for k0 in range(k_lo, k_hi, _CHUNK):
-            kc = slice(k0, min(k0 + _CHUNK, k_hi))
-            ps, n = sample[(sample >= kc.start) & (sample < kc.stop)] - kc.start, kc.stop - kc.start
-            lk = np.concatenate([lam[kc], lam[kc][ps]])
-            gk = None if g is None else np.concatenate([g[kc], g[kc][ps]])
-            wp = w[kc][ps]
-            f = np.ones(lk.size, dtype=lam.dtype)
-            u = np.zeros_like(f)
-            if slot[-1] >= 0:
-                y_out[0, slot[-1], kc] = f[:n]
-            phases = {}
-            chunks, work = _step_chunks(x0.size, lk.size)
-            for sc in chunks:
-                c, b, e, t = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], lk, gk, work), n)
-                for j, s in enumerate(range(sc.start, sc.stop)):
-                    # the maps on (h, h′) step by step: no complex (steps × k) array
-                    lb = lk * b[j]
-                    ff, uf, uu = c[j] + lb, e[j] + lk * t[j], c[j] + t[j] - lb
-                    f, u = ff * f + b[j] * u, uf * f + uu * u
-                    if gk is None:
-                        ph = _phase(phases, H[s], lk.imag)
-                        f *= ph
-                        u *= ph
-                    if slot[s] >= 0:
-                        y_out[0, slot[s], kc], y_out[1, slot[s], kc] = f[:n], u[:n]
-                        d = np.abs(f[ps] - f[n:]) + np.abs(u[ps] - u[n:]) / wp
-                        err = max(err, float(d.max(initial=0.0)) / 16.0)
-        errs.append(err)
-
-    _in_threads(K, run)
-    return y_out, max(errs)
+    ps = _sample(K)
+    lk = np.concatenate([lam, lam[ps]])
+    wp = np.maximum(np.abs(lam[ps]), 1.0)
+    f = np.ones(lk.size, dtype=lam.dtype)
+    u = np.zeros_like(f)
+    if slot[-1] >= 0:
+        y_out[0, slot[-1]] = f[:K]
+    err = 0.0
+    phases = {}
+    chunks, work = _step_chunks(x0.size, lk.size)
+    for sc in chunks:
+        c, b, e, t = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], lk, work), K)
+        for j, s in enumerate(range(sc.start, sc.stop)):
+            # the maps on (h, h′) step by step: no complex (steps × k) array
+            lb = lk * b[j]
+            ff, uf, uu = c[j] + lb, e[j] + lk * t[j], c[j] + t[j] - lb
+            f, u = ff * f + b[j] * u, uf * f + uu * u
+            if np.iscomplexobj(lk):
+                ph = _phase(phases, H[s], lk.imag)
+                f *= ph
+                u *= ph
+            if slot[s] >= 0:
+                y_out[0, slot[s]], y_out[1, slot[s]] = f[:K], u[:K]
+                d = np.abs(f[ps] - f[K:]) + np.abs(u[ps] - u[K:]) / wp
+                err = max(err, float(d.max(initial=0.0)) / 16.0)
+    return y_out, err
 
 
 def _whole_on_samples(R, F, n):
@@ -478,62 +469,63 @@ def _march_pair(pot, x0, H, slot, n_out, ks):
 
     def run(k_lo, k_hi):
         err_p = err_m = 0.0
-        for k0 in range(k_lo, k_hi, _CHUNK):
-            kc = slice(k0, min(k0 + _CHUNK, k_hi))
-            ps, n = sample[(sample >= kc.start) & (sample < kc.stop)] - kc.start, kc.stop - kc.start
-            k = np.concatenate([ks[kc], ks[kc][ps]])
-            ik, k2, wp = 1j * k, k * k, w[kc][ps]
-            buf = np.zeros((2, 5, k.size))  # Φ: the steps' products alternate between the two
-            phi = buf[0, :4]
-            phi[0] = 1.0
-            P = np.ones(n, dtype=complex)
-            whole = np.empty((n_out, 4, ps.size))  # the whole-step Φ at the outputs
-            phases = {}
+        kc = slice(k_lo, k_hi)
+        ps, n = sample[(sample >= k_lo) & (sample < k_hi)] - k_lo, k_hi - k_lo
+        k = np.concatenate([ks[kc], ks[kc][ps]])
+        ik, k2, wp = 1j * k, k * k, w[kc][ps]
+        buf = np.zeros((2, 5, k.size))  # Φ: the steps' products alternate between the two
+        phi = buf[0, :4]
+        phi[0] = 1.0
+        P = np.ones(n, dtype=complex)
+        whole = np.empty((n_out, 4, ps.size))  # the whole-step Φ at the outputs
+        phases = {}
 
-            def keep(i):
-                y[0, 0, i, kc] = P
-                y[1, 0, i, kc].real, y[1, 0, i, kc].imag = phi[0, :n], phi[1, :n]
-                y[1, 1, i, kc].real, y[1, 1, i, kc].imag = phi[2, :n], phi[3, :n]
-                whole[i] = phi[:, n:]
+        def keep(i):
+            y[0, 0, i, kc] = P
+            y[1, 0, i, kc].real, y[1, 0, i, kc].imag = phi[0, :n], phi[1, :n]
+            y[1, 1, i, kc].real, y[1, 1, i, kc].imag = phi[2, :n], phi[3, :n]
+            whole[i] = phi[:, n:]
 
-            if slot[-1] >= 0:
-                keep(slot[-1])
-            chunks, work = _step_chunks(x0.size, k.size)
-            for sc in chunks:
-                R = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], ik, None, work), n)
-                for j, s in enumerate(range(sc.start, sc.stop)):
-                    phi = _mul([m[j] for m in R], phi, k2, buf[(s + 1) % 2])
-                    P *= _phase(phases, H[s], k[:n])
-                    if slot[s] >= 0:
-                        keep(slot[s])
+        if slot[-1] >= 0:
+            keep(slot[-1])
+        # work stays alive through the assembly below: freed before it, the
+        # threads' arrays raised inverse-sw's peak RSS from 109 to 112 MB
+        chunks, work = _step_chunks(x0.size, k.size)
+        for sc in chunks:
+            R = _whole_on_samples(*_doubled(pot, x0[sc], H[sc], ik, work), n)
+            for j, s in enumerate(range(sc.start, sc.stop)):
+                phi = _mul([m[j] for m in R], phi, k2, buf[(s + 1) % 2])
+                P *= _phase(phases, H[s], k[:n])
+                if slot[s] >= 0:
+                    keep(slot[s])
 
-            v, u = _minus_start(phi, ik, k2)
-            ikn, ikp = ik[:n], ik[n:]
-            block = max(1, _ROWS // n)
-            for i in range(0, n_out, block):
-                rows = slice(i, i + block)
-                (hp, hpp), (hm, hmp) = y[:, :, rows, kc]
-                c, b, e, t = hm.real, hm.imag, hmp.real, hmp.imag
-                f, g = _minus_rows((c, b, e, t), v[:n], u[:n], ikn, k2[:n])
-                ph = P / hp
-                np.multiply(hp, e + ikn * t, out=hpp)
-                hp *= c + ikn * b
-                cF, bF, eF, tF = np.moveaxis(whole[rows], 1, 0)
-                d = np.abs(c[:, ps] - cF + ikp * (b[:, ps] - bF))
-                d += np.abs(e[:, ps] - eF + ikp * (t[:, ps] - tF)) / wp
-                err_p = max(err_p, float(d.max(initial=0.0)) / 16.0)
-                fF, gF = _minus_rows((cF, bF, eF, tF), v[n:], u[n:], ikp, k2[n:])
-                d = np.abs(f[:, ps] - fF) + np.abs(g[:, ps] - gF) / wp
-                err_m = max(err_m, float(d.max(initial=0.0)) / 16.0)
-                np.multiply(ph, f, out=hm)
-                np.multiply(ph, g, out=hmp)
+        v, u = _minus_start(phi, ik, k2)
+        ikn, ikp = ik[:n], ik[n:]
+        block = max(1, _ROWS // n)
+        for i in range(0, n_out, block):
+            rows = slice(i, i + block)
+            (hp, hpp), (hm, hmp) = y[:, :, rows, kc]
+            c, b, e, t = hm.real, hm.imag, hmp.real, hmp.imag
+            f, g = _minus_rows((c, b, e, t), v[:n], u[:n], ikn, k2[:n])
+            ph = P / hp
+            np.multiply(hp, e + ikn * t, out=hpp)
+            hp *= c + ikn * b
+            cF, bF, eF, tF = np.moveaxis(whole[rows], 1, 0)
+            d = np.abs(c[:, ps] - cF + ikp * (b[:, ps] - bF))
+            d += np.abs(e[:, ps] - eF + ikp * (t[:, ps] - tF)) / wp
+            err_p = max(err_p, float(d.max(initial=0.0)) / 16.0)
+            fF, gF = _minus_rows((cF, bF, eF, tF), v[n:], u[n:], ikp, k2[n:])
+            d = np.abs(f[:, ps] - fF) + np.abs(g[:, ps] - gF) / wp
+            err_m = max(err_m, float(d.max(initial=0.0)) / 16.0)
+            np.multiply(ph, f, out=hm)
+            np.multiply(ph, g, out=hmp)
         errs.append((err_p, err_m))
 
     _in_threads(K, run)
     return y, max(e[0] for e in errs), max(e[1] for e in errs)
 
 
-def _steps(pot, x_grid, start, stop, lam, g, tol):
+def _steps(pot, x_grid, start, stop, lam, tol):
     """(x0, H, slot, Magnus step evaluations): the step sequence from start
     to stop, whose edges are the sorted x_grid (inside [start, stop]), start,
     stop and the breakpoints of V between them, and slot as in _march."""
@@ -543,7 +535,7 @@ def _steps(pot, x_grid, start, stop, lam, g, tol):
     pos = np.searchsorted(edges, x_grid)
     if start > stop:
         edges, pos = edges[::-1], edges.size - 1 - pos
-    x0, H, seg, evals = _step_sequence(pot, edges, lam, g, tol)
+    x0, H, seg, evals = _step_sequence(pot, edges, lam, tol)
     slot = np.full(x0.size + 1, -1)
     # output i sits at edge pos[i], the end of segment pos[i] − 1 (−1: the start)
     slot[np.searchsorted(seg, pos - 1, side="right") - 1] = np.arange(x_grid.size)
@@ -555,13 +547,11 @@ def _inward(pot, x_grid, ks, side, rtol, atol, x_inf):
     x_grid, integrated from side·X∞ inward; ks real, or iκ."""
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     lam = side * 1j * ks  # f′/f at X∞
-    g = None
     if not np.any(lam.imag):
         lam = lam.real.copy()
-        g = lam
     stop = x_grid[0] if side > 0 else x_grid[-1]
-    x0, H, slot, evals = _steps(pot, x_grid, side * x_inf, stop, lam, g, rtol + atol)
-    y, err = _march(pot, x0, H, slot, x_grid.size, lam, g)
+    x0, H, slot, evals = _steps(pot, x_grid, side * x_inf, stop, lam, rtol + atol)
+    y, err = _march(pot, x0, H, slot, x_grid.size, lam)
     return y[0], y[1], evals, err
 
 
@@ -576,12 +566,10 @@ def _grid(values, name: str) -> np.ndarray:
     return a
 
 
-def _report(pot, x_inf, ks, rtol, atol, evals, err):
+def _report(pot, x_inf, ks, evals, err):
     return IntegrationReport(
         cutoff=float(x_inf),
         eta_at_cutoff=float(pot.tail.eta_tail(x_inf)),
-        rtol=rtol,
-        atol=atol,
         bands=((float(ks[0]), float(ks[-1]), int(evals)),),
         error_estimate=err,
     )
@@ -615,7 +603,7 @@ def compute_h_pair(
     base = np.unique(np.abs(_grid(k_grid, "k_grid")))
     x_p, x_m = _cutoff(pot, x_grid, +1), _cutoff(pot, x_grid, -1)
     tol = rtol + atol
-    x0, H, slot, evals = _steps(pot, x_grid, x_p, -x_m, 1j * base, None, tol)
+    x0, H, slot, evals = _steps(pot, x_grid, x_p, -x_m, 1j * base, tol)
     y, err_p, err_m = _march_pair(pot, x0, H, slot, x_grid.size, base)
 
     ps = _sample(base.size)
@@ -624,8 +612,8 @@ def compute_h_pair(
     gap = np.abs(y[1, 0][:, ps] - h) + np.abs(y[1, 1][:, ps] - hp) / w
     err_m += float(gap.max())
 
-    rep_p = _report(pot, x_p, base, rtol, atol, evals, err_p)
-    rep_m = _report(pot, x_m, base, rtol, atol, evals + evals_m, err_m)
+    rep_p = _report(pot, x_p, base, evals, err_p)
+    rep_m = _report(pot, x_m, base, evals + evals_m, err_m)
     return (
         JostField(+1, x_grid, base, y[0, 0], y[0, 1], rep_p),
         JostField(-1, x_grid, base, y[1, 0], y[1, 1], rep_m),

@@ -422,7 +422,8 @@ def resonance_functionals(jf: JostField, pot: Potential) -> ResonanceFunctionals
 
 
 def kernel_bound_report(kt: KernelTable, pot: Potential) -> dict:
-    """Pointwise margins of the kernel bounds on the table grid.
+    """Pointwise margins of the kernel bounds on the table grid of kt, a
+    table that kd_kernels filled.
 
     est1:  |B±(x,y)| ≤ e^{γ±(x)} η±(x+y)
     est11: |∂ₓB±(x,y) ± V(x+y)| ≤ 2 e^{γ±(x)} η±(x+y) η±(x)
@@ -442,20 +443,18 @@ def kernel_bound_report(kt: KernelTable, pot: Potential) -> dict:
     rel1 = float(np.max((np.abs(kt.B) - bound1) / (1.0 + bound1)))
     solid = bound1 > 1e-8  # the ratio is noise where the bound itself is tiny
     ratio = float(np.max(np.abs(kt.B)[solid] / bound1[solid])) if np.any(solid) else 0.0
-    out = {
+    # ∂ₓB is right-continuous in |y| on the jump lines x + y = b, so probe V
+    # with the matching one-sided limit there
+    v_arg = np.asarray(pot(args + side * 1e-9), dtype=float)
+    lhs = np.abs(kt.dB + side * v_arg)
+    bound11 = 2.0 * np.exp(gam)[:, None] * eta_xy * eta_x[:, None]
+    return {
         "est1_margin": margin1,
         "est1_relative_margin": rel1,
         "est1_max_ratio": ratio,
+        "est11_margin": float(np.max(lhs - bound11)),
+        "est11_relative_margin": float(np.max((lhs - bound11) / (1.0 + bound11))),
     }
-    if kt.dB is not None:
-        # ∂ₓB is right-continuous in |y| on the jump lines x + y = b, so
-        # probe V with the matching one-sided limit there
-        v_arg = np.asarray(pot(args + side * 1e-9), dtype=float)
-        lhs = np.abs(kt.dB + side * v_arg)
-        bound11 = 2.0 * np.exp(gam)[:, None] * eta_xy * eta_x[:, None]
-        out["est11_margin"] = float(np.max(lhs - bound11))
-        out["est11_relative_margin"] = float(np.max((lhs - bound11) / (1.0 + bound11)))
-    return out
 
 
 # ------------------------------------------------------------------- GLM
@@ -606,15 +605,11 @@ def glm_residual(
 
 
 def kernel_table_csv(kt: KernelTable) -> str:
-    """CSV rows (x, y, B, K, D); K/D blank when not filled."""
+    """CSV rows (x, y, B, K, D) of a table that kd_kernels filled."""
     lines = ["x,y,B,K,D"]
-    K = kt.K if kt.K is not None else np.full_like(kt.B, np.nan)
-    D = kt.D if kt.D is not None else np.full_like(kt.B, np.nan)
     for i, x in enumerate(kt.x_grid):
         for j, y in enumerate(kt.y_grid):
-            kv = "" if np.isnan(K[i, j]) else f"{K[i, j]:.12g}"
-            dv = "" if np.isnan(D[i, j]) else f"{D[i, j]:.12g}"
-            lines.append(f"{x:.12g},{y:.12g},{kt.B[i, j]:.12g},{kv},{dv}")
+            lines.append(f"{x:.12g},{y:.12g},{kt.B[i, j]:.12g},{kt.K[i, j]:.12g},{kt.D[i, j]:.12g}")
     return "\n".join(lines) + "\n"
 
 

@@ -63,11 +63,6 @@ __all__ = [
     "s_growth_fit",
 ]
 
-DEFAULT_X_STEP = 0.25
-DEFAULT_X_MAX = 8.0
-DEFAULT_K_MAX = 60.0
-DEFAULT_K_COUNT = 24001
-
 # complex amplitude entries per k-block of a diagonal (16 MiB); the block
 # width follows from the diagonal's rows, and on the default grid one block
 # holds every diagonal
@@ -144,15 +139,16 @@ class PropagatorData:
 
 def prepare_propagator(
     pot: Potential,
-    x_grid=None,
-    k_grid=None,
+    x_grid,
+    k_grid,
     *,
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
 ) -> PropagatorData:
     """Jost fields, scattering matrix and (if resonant) the threshold
     state, tabulated once on a uniform (x, k) grid and shared by every
-    kernel evaluation.
+    kernel evaluation.  Both grids are required; the CLI's default grid
+    comes from RunConfig.x_grid() and k_grid().
 
     One pipeline: scattering_data integrates both Jost fields on x_grid
     and the rows −2, 0, 2, checks the Wronskian on every row and
@@ -167,11 +163,6 @@ def prepare_propagator(
     x_grid, and the rest of the fields is dropped.  The k grid needs an
     odd node count (the kernel quadrature folds k < 0 onto k ≥ 0) and
     scattering_data's k-grid rule; ValueError otherwise, before any solve."""
-    if x_grid is None:
-        n_half = int(round(DEFAULT_X_MAX / DEFAULT_X_STEP))
-        x_grid = np.linspace(-DEFAULT_X_MAX, DEFAULT_X_MAX, 2 * n_half + 1)
-    if k_grid is None:
-        k_grid = np.linspace(-DEFAULT_K_MAX, DEFAULT_K_MAX, DEFAULT_K_COUNT)
     x_grid = np.asarray(x_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=float)
     _uniform_step(x_grid, "x_grid")

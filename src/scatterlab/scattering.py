@@ -162,6 +162,12 @@ def wronskians(jf_plus: JostField, jf_minus: JostField):
     return w, w_plus, w_minus, spread
 
 
+def _transmission_reflection(k, w, w_plus, w_minus):
+    """(T, R₊, R₋) = (2ik/W, −W₊/W, W₋/W) on a k grid: the one place that
+    fixes the signs of R±."""
+    return 2j * k / w, -w_plus / w, w_minus / w
+
+
 def scattering_matrix(
     W,
     W_pm,
@@ -186,10 +192,7 @@ def scattering_matrix(
     explained = zero & resonance.resonant
     if np.any((np.abs(w) == 0.0) & ~explained):
         raise CrossCheckError("W vanished where the resonance report does not explain it")
-    wsafe = np.where(explained, 1.0, w)
-    T = 2j * k / wsafe
-    R_plus = -w_plus / wsafe
-    R_minus = w_minus / wsafe
+    T, R_plus, R_minus = _transmission_reflection(k, np.where(explained, 1.0, w), w_plus, w_minus)
     if resonance.resonant:
         T[zero] = resonance.T0
         R_plus[zero] = resonance.R0_plus
@@ -299,11 +302,7 @@ def classify_resonance(
 
     kp = ks[1:]
     lim = 0.0
-    for arr, target in (
-        (2j * kp / w[1:], T0),
-        (-w_plus[1:] / w[1:], R0p),
-        (w_minus[1:] / w[1:], R0m),
-    ):
+    for arr, target in zip(_transmission_reflection(kp, w[1:], w_plus[1:], w_minus[1:]), (T0, R0p, R0m)):
         coef = np.polynomial.polynomial.polyfit(kp, arr, deg=3)
         lim = max(lim, abs(coef[0] - target))
     return ResonanceReport(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from scatterlab.cli import RunConfig
 from scatterlab.kernels import b_kernel, kd_kernels
 from scatterlab.potentials import catalog
 from scatterlab.propagator import prepare_propagator
@@ -102,34 +103,36 @@ def gw_wiener(gw_pot):
 
 
 # ------------------------------------------------- propagator field tables
-# default grids: x on [−8, 8] step 0.25, k on [−60, 60] with 24001 nodes
+# the CLI's default grids: x on [−8, 8] step 0.25, k on [−60, 60] with 24001 nodes
+_DEFAULT = RunConfig.load(None)
+X_DEFAULT, K_DEFAULT = _DEFAULT.x_grid(), _DEFAULT.k_grid()
 
 
 @pytest.fixture(scope="session")
 def free_pd(free_pot):
-    return prepare_propagator(free_pot)
+    return prepare_propagator(free_pot, X_DEFAULT, K_DEFAULT)
 
 
 @pytest.fixture(scope="session")
 def pt_pd(pt_pot):
-    return prepare_propagator(pt_pot)
+    return prepare_propagator(pt_pot, X_DEFAULT, K_DEFAULT)
 
 
 @pytest.fixture(scope="session")
 def sw_pd(sw_pot):
-    return prepare_propagator(sw_pot)
+    return prepare_propagator(sw_pot, X_DEFAULT, K_DEFAULT)
 
 
 @pytest.fixture(scope="session")
 def gw_pd(gw_pot):
-    return prepare_propagator(gw_pot)
+    return prepare_propagator(gw_pot, X_DEFAULT, K_DEFAULT)
 
 
 @pytest.fixture(scope="session")
 def pt_pd_fine(pt_pot):
     """0.125-step position grid; resolves a Gaussian packet well enough to
     compare one full evolution against the split-step oracle."""
-    return prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 129))
+    return prepare_propagator(pt_pot, np.linspace(-8.0, 8.0, 129), K_DEFAULT)
 
 
 def _tables(pot, wiener):

@@ -359,14 +359,16 @@ def test_compute_h_keeps_only_its_march_output():
     assert peak <= 1.5 * sum(jf.h.nbytes + jf.h_prime.nbytes for jf in pair)
 
 
-@pytest.mark.parametrize("chunk", [30, 6 * 82])
+@pytest.mark.parametrize("chunk", [30, 40, 6 * 82])
 def test_ragged_chunks_are_bit_exact(chunk, monkeypatch):
     # chunking changes no arithmetic.  With a small _CHUNK each march reuses
     # its working arrays over many chunks of steps and views them short on
     # the last one: at 6·82 each chunk of the pair march holds 6 steps of
-    # 41 |k| and 41 samples; at 30 the 41 |k| split into blocks of 30 and
-    # 11.  (Not 40: numpy's in-place complex multiply rounds a length-1
-    # array differently, so a block of one |k| moves h by an ulp.)
+    # 41 |k| and 41 samples; at 30 and 40 its 82 columns exceed _CHUNK, so
+    # each chunk is one step as wide as all of them.  A k block of one |k|
+    # (the 41st at 40, when the march split k into blocks of _CHUNK) moved
+    # h by an ulp: numpy's in-place complex multiply rounds a length-1
+    # array differently.
     ks = np.linspace(-20.0, 20.0, 81)
     kappas = [0.0, 0.4, 1.0, 2.5]
 
